@@ -5,7 +5,16 @@ modeled by a diffusion equation with Robin boundary conditions; boundary
 flux averages reduce to weighted cone or X-ray transforms of the source
 concentration, which are inverted by explicit Fourier-multiplier division,
 filtered backprojection, or LSQR.
+
+Importing the package copies LUMITOMO_THREADS into the unset BLAS/OpenMP
+thread-count variables, which numpy reads when it is first imported.
 """
+
+import os as _os
+
+if _os.environ.get("LUMITOMO_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, _os.environ["LUMITOMO_THREADS"])
 
 from .errors import (ConfigError, EmptyMaskError, InvalidArgumentError,
                      InvalidOperatorError, LumitomoError,

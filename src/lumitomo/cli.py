@@ -5,23 +5,14 @@ run-xlct.  Each accepts --config <path> and repeated --set key=value
 overrides.  Exit codes: 0 success, 2 invalid config/arguments, 3 stability
 violation, 4 solver failure.
 
-The environment variable LUMITOMO_THREADS caps internal parallelism by
-seeding the usual BLAS/OpenMP thread-count variables before numeric work.
+Each verb runs the `lumitomo.pipeline` function of its name (dashes become
+underscores).  LUMITOMO_THREADS is applied by `import lumitomo`.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-
-
-def _cap_threads():
-    cap = os.environ.get("LUMITOMO_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _build_parser():
@@ -42,10 +33,9 @@ def _build_parser():
 
 
 def main(argv=None):
-    _cap_threads()
     args = _build_parser().parse_args(argv)
-
-    from . import ltfio, pipeline
+    # imported here so that `import lumitomo.cli` costs no more than `lumitomo`
+    from . import pipeline
     from .config import load_config
     from .errors import (ConfigError, InvalidArgumentError,
                          SolverFailureError, StabilityViolationError)
@@ -54,32 +44,17 @@ def main(argv=None):
         cfg = load_config(args.config, args.overrides)
         if args.output_dir:
             cfg["run.output_dir"] = args.output_dir
-        outdir = cfg["run.output_dir"]
-
+        report = getattr(pipeline, args.verb.replace("-", "_"))(cfg)
         if args.verb == "check-stability":
-            report = pipeline.check_stability(cfg)
             for key in sorted(report):
                 print(f"{key} = {report[key]}")
             return 0
-
-        if args.verb == "run-xmlt":
-            report = pipeline.run_xmlt(cfg)
-        elif args.verb == "run-xlct":
-            report = pipeline.run_xlct(cfg)
-        elif args.verb == "phantom":
-            report = _verb_phantom(cfg, outdir)
-        elif args.verb == "weight":
-            report = _verb_weight(cfg, outdir)
-        elif args.verb == "scan":
-            report = _verb_scan(cfg, outdir)
-        else:
-            report = _verb_reconstruct(cfg, outdir)
         for key in ("error.multiplier.absolute", "error.lsqr.absolute",
                     "error.fbp.absolute", "stability.margin",
                     "wall_clock_seconds"):
             if key in report:
                 print(f"{key} = {report[key]}")
-        print(f"outputs written to {outdir}")
+        print(f"outputs written to {cfg['run.output_dir']}")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -93,79 +68,6 @@ def main(argv=None):
     except SolverFailureError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 4
-
-
-def _verb_phantom(cfg, outdir):
-    from .config import build_grid, build_phantom_spec
-    from .fields import build_phantom
-    from .pipeline import emit_outputs
-    grid = build_grid(cfg)
-    truth = build_phantom(build_phantom_spec(cfg, grid.dim), grid)
-    report = {f"config.{k}": v for k, v in cfg.items()}
-    emit_outputs(outdir, {"truth": truth}, report)
-    return report
-
-
-def _verb_weight(cfg, outdir):
-    from .pipeline import _base_setup, emit_outputs
-    _, _, _, _, _, v = _base_setup(cfg)
-    report = {f"config.{k}": v2 for k, v2 in cfg.items()}
-    emit_outputs(outdir, {"weight": v}, report)
-    return report
-
-
-def _verb_scan(cfg, outdir):
-    import numpy as np
-    from .config import build_apertures
-    from .excitation import simulate_boundary_scan
-    from .pipeline import _base_setup, _noise_stage, emit_outputs
-    grid, _, truth, op, h, v = _base_setup(cfg)
-    apertures = build_apertures(cfg, grid.dim)
-    scan = simulate_boundary_scan(op, h, truth, apertures, weight=v, mode="fast")
-    report = {f"config.{k}": v2 for k, v2 in cfg.items()}
-    scan = _noise_stage(cfg, scan, report)
-    emit_outputs(outdir, {"truth": truth, "weight": v}, report, scan=scan)
-    return report
-
-
-def _verb_reconstruct(cfg, outdir):
-    """Reconstruct from a previously written scan manifest + weight field."""
-    import numpy as np
-    from . import ltfio
-    from .algebraic import lsqr, relative_error, scan_linear_map
-    from .errors import ConfigError
-    from .fields import ScalarField
-    from .multiplier import invert_multiplier
-    from .pipeline import emit_outputs
-    manifest = os.path.join(outdir, "scan_manifest.txt")
-    weight_path = os.path.join(outdir, "weight.ltf")
-    if not (os.path.exists(manifest) and os.path.exists(weight_path)):
-        raise ConfigError(
-            f"reconstruct needs {manifest} and {weight_path}; run `scan` first")
-    scan = ltfio.read_scan(manifest)
-    v = ltfio.read_field(weight_path)
-    report = {f"config.{k}": v2 for k, v2 in cfg.items()}
-    fields = {}
-    history = None
-    method = cfg["recon.method"]
-    force = cfg["run.force_pseudo"].lower() in ("true", "1", "yes")
-    if method in ("multiplier", "both"):
-        fields["recon_multiplier"] = invert_multiplier(
-            scan, scan.apertures, v, eps=float(cfg["recon.eps"]),
-            check_margin=not force)
-    if method in ("lsqr", "both"):
-        linmap = scan_linear_map(scan.apertures, v)
-        data = np.concatenate([f.values.ravel() for f in scan.fields])
-        x, history = lsqr(linmap, data,
-                          max_iters=int(cfg["recon.lsqr_iters"]),
-                          atol=float(cfg["recon.lsqr_atol"]))
-        if cfg["recon.nonneg"].lower() in ("true", "1", "yes"):
-            x = np.maximum(x, 0.0)
-        fields["recon_lsqr"] = ScalarField(v.grid, x.reshape(v.grid.cells))
-    if not fields:
-        raise ConfigError(f"recon.method must be multiplier|lsqr|both, got {method!r}")
-    emit_outputs(outdir, fields, report, history=history)
-    return report
 
 
 if __name__ == "__main__":

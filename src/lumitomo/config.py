@@ -3,7 +3,8 @@
 The format is plain text, one `key = value` per line, with dotted section
 prefixes (e.g. `medium.mu_a = 0.05`) and `#` comments.  Every key has a
 default; the resolved configuration (defaults included) is echoed into the
-run report so no silent default can hide.
+run report so no silent default can hide.  Values stay strings here: each
+one is parsed, by the helpers below, at the start of the stage that uses it.
 """
 
 from __future__ import annotations
@@ -86,40 +87,61 @@ def load_config(path=None, overrides=None):
     return cfg
 
 
-def _floats(text):
-    return tuple(float(x) for x in text.split(","))
+def _number(text, key, kind=float):
+    """One finite number of config `key`; ConfigError otherwise."""
+    try:
+        val = kind(text)
+    except ValueError:
+        raise ConfigError(f"{key} must be a number, got {text!r}") from None
+    if kind is float and not np.isfinite(val):
+        raise ConfigError(f"{key} must be finite, got {text!r}")
+    return val
 
 
-def _bool(text, key):
-    val = text.strip().lower()
+def _float(cfg, key):
+    return _number(cfg[key], key)
+
+
+def _int(cfg, key):
+    return _number(cfg[key], key, int)
+
+
+def _floats(text, key):
+    return tuple(_number(x, key) for x in text.split(","))
+
+
+def _bool(cfg, key):
+    val = cfg[key].strip().lower()
     if val in ("true", "1", "yes"):
         return True
     if val in ("false", "0", "no"):
         return False
-    raise ConfigError(f"{key} must be a boolean, got {text!r}")
+    raise ConfigError(f"{key} must be a boolean, got {cfg[key]!r}")
 
 
 def build_grid(cfg):
     try:
-        return make_grid(int(cfg["grid.dim"]), _floats(cfg["grid.origin"]),
-                         _floats(cfg["grid.extent"]),
-                         tuple(int(x) for x in cfg["grid.cells"].split(",")))
+        return make_grid(_int(cfg, "grid.dim"),
+                         _floats(cfg["grid.origin"], "grid.origin"),
+                         _floats(cfg["grid.extent"], "grid.extent"),
+                         tuple(_number(x, "grid.cells", int)
+                               for x in cfg["grid.cells"].split(",")))
     except ValueError as exc:
         raise ConfigError(f"bad grid spec: {exc}") from exc
 
 
 def build_medium(cfg):
     try:
-        mu_a = float(cfg["medium.mu_a"])
+        mu_a = _float(cfg, "medium.mu_a")
         if cfg["medium.D"]:
-            D = float(cfg["medium.D"])
+            D = _float(cfg, "medium.D")
         else:
-            _, D = derived_optics(mu_a, float(cfg["medium.mu_s"]),
-                                  float(cfg["medium.g"]))
+            _, D = derived_optics(mu_a, _float(cfg, "medium.mu_s"),
+                                  _float(cfg, "medium.g"))
         if cfg["medium.A"]:
-            A = float(cfg["medium.A"])
+            A = _float(cfg, "medium.A")
         else:
-            A = robin_coefficient(float(cfg["medium.refractive_index"]))
+            A = robin_coefficient(_float(cfg, "medium.refractive_index"))
         return OpticalMedium(mu_a=mu_a, D=D, A=A)
     except ValueError as exc:
         raise ConfigError(f"bad medium spec: {exc}") from exc
@@ -130,25 +152,25 @@ def build_phantom_spec(cfg, dim):
     inclusions = []
     if text:
         for item in text.split(";"):
-            vals = _floats(item)
+            vals = _floats(item, "phantom.inclusions")
             if len(vals) != dim + 2:
                 raise ConfigError(
                     f"inclusion needs {dim + 2} numbers (center, radius, "
                     f"concentration), got {item.strip()!r}")
             inclusions.append((vals[:dim], vals[dim], vals[dim + 1]))
-    return PhantomSpec(background=float(cfg["phantom.background"]),
+    return PhantomSpec(background=_float(cfg, "phantom.background"),
                        inclusions=tuple(inclusions))
 
 
 def build_apertures(cfg, dim):
     """Cone set with axes fanned in the xy-plane from start_deg."""
-    count = int(cfg["cones.count"])
+    count = _int(cfg, "cones.count")
     if count < 1:
         raise ConfigError("cones.count must be >= 1")
-    start = np.deg2rad(float(cfg["cones.start_deg"]))
-    half = np.deg2rad(float(cfg["cones.half_angle_deg"]))
-    taper = float(cfg["cones.taper_frac"]) * half
-    amp = float(cfg["cones.amplitude"])
+    start = np.deg2rad(_float(cfg, "cones.start_deg"))
+    half = np.deg2rad(_float(cfg, "cones.half_angle_deg"))
+    taper = _float(cfg, "cones.taper_frac") * half
+    amp = _float(cfg, "cones.amplitude")
     apertures = []
     for j in range(count):
         ang = start + j * (2.0 * np.pi / count)

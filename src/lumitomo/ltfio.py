@@ -19,6 +19,8 @@ round trip is bit-exact.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import InvalidArgumentError
@@ -54,11 +56,19 @@ def _parse_header(line):
 
 
 def _grid_from_tokens(tokens):
-    dim = int(tokens["dim"])
-    cells = tuple(int(x) for x in tokens["cells"].split(","))
-    origin = _parse_floats(tokens["origin"])
-    extent = _parse_floats(tokens["extent"])
-    return make_grid(dim, origin, extent, cells)
+    try:
+        return make_grid(int(tokens["dim"]), _parse_floats(tokens["origin"]),
+                         _parse_floats(tokens["extent"]),
+                         tuple(int(x) for x in tokens["cells"].split(",")))
+    except (KeyError, ValueError) as err:
+        raise InvalidArgumentError(f"bad LTFIELD grid header: {err!r}") from err
+
+
+def _shaped(path, payload, shape):
+    if payload.size != np.prod(shape):
+        raise InvalidArgumentError(
+            f"{path} holds {payload.size} values; its header needs {shape}")
+    return payload.reshape(shape)
 
 
 def _write(path, header, payload):
@@ -90,7 +100,7 @@ def read_field(path) -> ScalarField:
     if "boundary" in tokens or "sinogram" in tokens:
         raise InvalidArgumentError(f"{path} is not a plain field file")
     grid = _grid_from_tokens(tokens)
-    return ScalarField(grid, payload.reshape(grid.cells))
+    return ScalarField(grid, _shaped(path, payload, grid.cells))
 
 
 def write_boundary_field(path, bf: BoundaryField):
@@ -117,19 +127,27 @@ def read_sinogram(path) -> Sinogram:
     tokens, payload = _read(path)
     if tokens.get("sinogram") != "1":
         raise InvalidArgumentError(f"{path} is not a sinogram file")
-    angles = np.array(_parse_floats(tokens["angles"]))
-    offsets = np.array(_parse_floats(tokens["offsets"]))
-    return Sinogram(angles, offsets, payload.reshape(angles.size, offsets.size))
+    try:
+        angles = np.array(_parse_floats(tokens["angles"]))
+        offsets = np.array(_parse_floats(tokens["offsets"]))
+    except (KeyError, ValueError) as err:
+        raise InvalidArgumentError(f"bad sinogram header in {path}: {err!r}") from err
+    return Sinogram(angles, offsets,
+                    _shaped(path, payload, (angles.size, offsets.size)))
 
 
 def write_scan(manifest_path, prefix, scan: ConeScanData):
-    """Write one LTFIELD per cone plus a text manifest of the apertures."""
-    lines = ["LTSCAN v1"]
+    """Write one LTFIELD per cone plus a text manifest of the apertures;
+    the manifest (v2) names cone files relative to its own directory."""
+    lines = ["LTSCAN v2"]
     for j, (fld, ap) in enumerate(zip(scan.fields, scan.apertures)):
         fname = f"{prefix}_cone{j:02d}.ltf"
+        rel = os.path.relpath(fname, os.path.dirname(manifest_path) or ".")
+        if any(c.isspace() for c in rel):
+            raise InvalidArgumentError(f"scan file name {rel!r} has whitespace")
         write_field(fname, fld)
         lines.append(
-            f"cone file={fname} axis={_fmt_floats(ap.axis)} "
+            f"cone file={rel} axis={_fmt_floats(ap.axis)} "
             f"half_angle={ap.half_angle:.17g} taper_width={ap.taper_width:.17g} "
             f"amplitude={ap.amplitude:.17g}")
     with open(manifest_path, "w") as fh:
@@ -137,22 +155,27 @@ def write_scan(manifest_path, prefix, scan: ConeScanData):
 
 
 def read_scan(manifest_path) -> ConeScanData:
+    """Read a scan manifest: v2 cone files resolve against the manifest's
+    directory, v1 ones against the working directory."""
     with open(manifest_path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "LTSCAN v1":
+    if not lines or lines[0] not in ("LTSCAN v1", "LTSCAN v2"):
         raise InvalidArgumentError(f"{manifest_path} is not a scan manifest")
+    base = os.path.dirname(manifest_path) if lines[0] == "LTSCAN v2" else ""
     fields, apertures = [], []
     for ln in lines[1:]:
         if not ln.startswith("cone "):
             raise InvalidArgumentError(f"bad manifest line: {ln!r}")
         tokens = dict(p.partition("=")[::2] for p in ln.split()[1:])
-        fld = read_field(tokens["file"])
-        axis = _parse_floats(tokens["axis"])
-        apertures.append(Aperture(
-            dim=fld.grid.dim, axis=axis,
-            half_angle=float(tokens["half_angle"]),
-            taper_width=float(tokens["taper_width"]),
-            amplitude=float(tokens["amplitude"])))
+        try:
+            fld = read_field(os.path.join(base, tokens["file"]))
+            apertures.append(Aperture(
+                dim=fld.grid.dim, axis=_parse_floats(tokens["axis"]),
+                half_angle=float(tokens["half_angle"]),
+                taper_width=float(tokens["taper_width"]),
+                amplitude=float(tokens["amplitude"])))
+        except (KeyError, ValueError) as err:
+            raise InvalidArgumentError(f"bad manifest line {ln!r}: {err!r}") from err
         fields.append(fld)
     if not fields:
         raise InvalidArgumentError("manifest lists no cones")

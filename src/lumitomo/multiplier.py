@@ -33,18 +33,6 @@ MARGIN_SAMPLES_3D = 4096
 LOW_FREQ_BINS = 8
 
 
-def _orthonormal_complement(omega):
-    """Two unit vectors spanning the plane perpendicular to a 3-vector."""
-    omega = np.asarray(omega, dtype=np.float64)
-    helper = np.array([1.0, 0.0, 0.0])
-    if abs(omega[0]) > 0.9:
-        helper = np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(omega, helper)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(omega, e1)
-    return e1, e2
-
-
 def angular_factor(ap: Aperture, omega):
     """c(omega) = |xi| * r0(xi) for xi in direction omega; vectorized over rows."""
     om = np.atleast_2d(np.asarray(omega, dtype=np.float64))

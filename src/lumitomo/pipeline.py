@@ -1,4 +1,8 @@
-"""End-to-end experiment orchestration and file emission."""
+"""End-to-end experiment orchestration and file emission.
+
+Runs and CLI verbs compose the same private stages, each of which parses
+the config values it uses when it starts.
+"""
 
 from __future__ import annotations
 
@@ -10,16 +14,16 @@ import numpy as np
 from . import ltfio
 from .algebraic import (NoiseModel, apply_noise, lsqr, relative_error,
                         scan_linear_map)
-from .config import (build_apertures, build_grid, build_medium,
-                     build_phantom_spec, derive_seed)
+from .config import (_bool, _float, _int, build_apertures, build_grid,
+                     build_medium, build_phantom_spec, derive_seed)
 from .diffusion import (BoundaryField, assemble_operator, boundary_flux,
                         boundary_functional, solve_adjoint_weight,
                         solve_forward, V_FLOOR_FRACTION)
 from .errors import ConfigError, StabilityViolationError
-from .excitation import (ConeScanData, ScalarField, _source_field,
+from .excitation import (ConeScanData, Sinogram, _source_field,
                          simulate_boundary_scan, xray_transform)
 from .fbp import FbpFilter, divide_by_weight, fbp
-from .fields import build_phantom
+from .fields import ScalarField, build_phantom
 from .multiplier import ellipticity_margin, invert_multiplier
 
 
@@ -68,178 +72,223 @@ def emit_outputs(outdir, fields, report, sinogram=None, scan=None,
     _write_report(os.path.join(outdir, "report.txt"), report)
 
 
-def _base_setup(cfg):
+def _phantom(cfg):
     grid = build_grid(cfg)
-    medium = build_medium(cfg)
-    truth = build_phantom(build_phantom_spec(cfg, grid.dim), grid)
-    op = assemble_operator(grid, medium)
-    h = BoundaryField.constant(grid, float(cfg["boundary.h"]))
-    v = solve_adjoint_weight(op, h)
-    return grid, medium, truth, op, h, v
+    return build_phantom(build_phantom_spec(cfg, grid.dim), grid)
 
 
-def _echo_config(report, cfg):
-    for key, val in cfg.items():
-        report[f"config.{key}"] = val
+def _setup(cfg):
+    """Phantom, diffusion operator, boundary datum h and adjoint weight v."""
+    truth = _phantom(cfg)
+    op = assemble_operator(truth.grid, build_medium(cfg))
+    h = BoundaryField.constant(truth.grid, _float(cfg, "boundary.h"))
+    return truth, op, h, solve_adjoint_weight(op, h)
 
 
-def _noise_stage(cfg, scan, report):
-    if cfg["noise.kind"] == "none":
-        report["noise.applied"] = "false"
-        return scan
-    if cfg["noise.kind"] != "poisson":
-        raise ConfigError(f"unknown noise kind {cfg['noise.kind']!r}")
-    kappa = float(cfg["noise.photons"])
-    base = int(cfg["run.seed"])
-    noisy = []
-    for j, fld in enumerate(scan.fields):
-        model = NoiseModel(photons_per_unit=kappa,
-                           seed=derive_seed(base, f"noise.cone{j}"))
-        clean = np.maximum(fld.values, 0.0)  # clip FFT roundoff negatives
-        noisy.append(ScalarField(fld.grid, apply_noise(model, clean)))
-    report["noise.applied"] = "true"
-    report["noise.photons"] = f"{kappa:g}"
-    return ConeScanData(scan.focus_grid, noisy, scan.apertures)
+def _stability(apertures, report):
+    """Ellipticity diagnostics of a cone set into `report`; returns the margin."""
+    rep = ellipticity_margin(apertures)
+    report.update({
+        "stability.margin": f"{rep.margin:.6e}",
+        "stability.max_factor": f"{rep.max_factor:.6e}",
+        "stability.max_min_ratio": f"{rep.ratio:.6e}",
+        "stability.worst_direction": ",".join(f"{x:.6f}" for x in rep.worst_direction),
+        "stability.invisible_count": str(len(rep.invisible_directions)),
+    })
+    for i, d in enumerate(rep.invisible_directions[:10]):
+        report[f"stability.invisible.{i}"] = ",".join(f"{x:.6f}" for x in d)
+    return rep.margin
 
 
-def _spot_check(cfg, op, h, truth, apertures, grid, report):
-    """Full-physics verification of the fast path on a small focus subgrid."""
-    n_checks = max(int(cfg["run.spot_checks"]), 1)
+def _gate(cfg, apertures, report):
+    """Refuse a cone set with invisible directions unless forced."""
+    force = _bool(cfg, "run.force_pseudo")
+    margin = _stability(apertures, report)
+    if margin <= 0 and not force:
+        raise StabilityViolationError(
+            f"ellipticity margin {margin:g} <= 0; "
+            "set run.force_pseudo=true to force a pseudo-inversion")
+
+
+def _cone_scan(op, h, truth, v, apertures, report):
+    """The clean (noise-free) fast scan of the cone set."""
+    report["scan.mode"] = "fast"
+    report["scan.focus_grid"] = "field grid (ROI pitch not separately configured)"
+    return simulate_boundary_scan(op, h, truth, apertures, weight=v, mode="fast")
+
+
+def _spot_check(cfg, op, h, truth, clean, report):
+    """Full-physics solves at a few focus points against the clean scan's
+    first cone: the fast path's check through reciprocity."""
+    n_checks = max(_int(cfg, "run.spot_checks"), 1)
+    grid = truth.grid
     side = max(int(np.ceil(np.sqrt(n_checks))), 2)
     idx = [np.linspace(n // 4, 3 * n // 4, side, dtype=int) for n in grid.cells[:2]]
-    v = solve_adjoint_weight(op, h)
-    from .excitation import cone_transform
-    ap = apertures[0]
-    fast = cone_transform(truth, v, ap)
-    worst = 0.0
-    scale = float(np.max(np.abs(fast.values))) or 1.0
-    centers = grid.centers()
     mid = tuple(n // 2 for n in grid.cells[2:])
-    count = 0
-    for i in idx[0]:
-        for j in idx[1]:
-            if count >= n_checks and count >= 9:
-                break
-            x = centers[(i, j) + mid]
-            s = _source_field(ap, grid, x, truth)
-            u = solve_forward(op, s)
-            Q = boundary_flux(op, u, mode="consistent")
-            full = boundary_functional(h, Q)
-            fast_val = fast.values[(i, j) + mid]
-            worst = max(worst, abs(full - fast_val) / scale)
-            count += 1
-    report["spot_check.points"] = str(count)
+    points = [(i, j) + mid for i in idx[0] for j in idx[1]][:max(n_checks, 9)]
+    ap = clean.apertures[0]
+    fast = clean.fields[0].values
+    scale = float(np.max(np.abs(fast))) or 1.0
+    centers = grid.centers()
+    worst = 0.0
+    for p in points:
+        u = solve_forward(op, _source_field(ap, grid, centers[p], truth))
+        full = boundary_functional(h, boundary_flux(op, u, mode="consistent"))
+        worst = max(worst, abs(full - fast[p]) / scale)
+    report["spot_check.points"] = str(len(points))
     report["spot_check.max_relative_mismatch"] = f"{worst:.6e}"
-    return worst
+
+
+def _noise(cfg, pairs, report):
+    """Poisson draws on (array, stream name) pairs, seeded per stream, after
+    clipping FFT roundoff negatives; the arrays as given for noise.kind=none."""
+    kind = cfg["noise.kind"]
+    if kind == "none":
+        report["noise.applied"] = "false"
+        return [values for values, _ in pairs]
+    if kind != "poisson":
+        raise ConfigError(f"unknown noise kind {kind!r}")
+    kappa = _float(cfg, "noise.photons")
+    seed = _int(cfg, "run.seed")
+    report["noise.applied"] = "true"
+    report["noise.photons"] = f"{kappa:g}"
+    return [apply_noise(NoiseModel(photons_per_unit=kappa,
+                                   seed=derive_seed(seed, stream)),
+                        np.maximum(values, 0.0))
+            for values, stream in pairs]
+
+
+def _noisy_scan(cfg, clean, report):
+    noisy = _noise(cfg, [(f.values, f"noise.cone{j}")
+                         for j, f in enumerate(clean.fields)], report)
+    return ConeScanData(clean.focus_grid,
+                        [ScalarField(clean.focus_grid, x) for x in noisy],
+                        clean.apertures)
+
+
+def _reconstruct(cfg, data, v, report, check_margin):
+    """Invert cone data by recon.method; returns (fields, history).  The
+    multiplier refuses invisible directions when `check_margin` is set."""
+    method = cfg["recon.method"]
+    if method not in ("multiplier", "lsqr", "both"):
+        raise ConfigError(f"recon.method must be multiplier|lsqr|both, got {method!r}")
+    eps = _float(cfg, "recon.eps")
+    max_iters = _int(cfg, "recon.lsqr_iters")
+    atol = _float(cfg, "recon.lsqr_atol")
+    nonneg = _bool(cfg, "recon.nonneg")
+    fields, history = {}, None
+    if method != "lsqr":
+        fields["recon_multiplier"] = invert_multiplier(
+            data, data.apertures, v, eps=eps, check_margin=check_margin)
+    if method != "multiplier":
+        x, history = lsqr(scan_linear_map(data.apertures, v),
+                          np.concatenate([f.values.ravel() for f in data.fields]),
+                          max_iters=max_iters, atol=atol)
+        if nonneg:
+            x = np.maximum(x, 0.0)
+        fields["recon_lsqr"] = ScalarField(v.grid, x.reshape(v.grid.cells))
+        report["lsqr.iterations"] = str(int(history[-1][0]))
+    return fields, history
+
+
+def _emit(cfg, outdir, t0, report, fields, **files):
+    """Errors of the reconstructions against the truth, the config echo and
+    the wall clock into the report, then every output file."""
+    recons = [(name[len("recon_"):], fld) for name, fld in fields.items()
+              if name.startswith("recon_")]
+    if "truth" in fields and recons:
+        eps_bg = _float(cfg, "error.eps_bg")
+        for method, rec in recons:
+            signed, absolute = relative_error(fields["truth"], rec, eps_bg)
+            report[f"error.{method}.signed"] = f"{signed:.6f}"
+            report[f"error.{method}.absolute"] = f"{absolute:.6f}"
+    report.update((f"config.{key}", val) for key, val in cfg.items())
+    report["wall_clock_seconds"] = f"{time.perf_counter() - t0:.3f}"
+    emit_outputs(outdir or cfg["run.output_dir"], fields, report, **files)
+    return report
 
 
 def run_xmlt(cfg, outdir=None):
     """Full cone-excitation (XMLT) experiment: simulate, invert, report."""
     t0 = time.perf_counter()
     report = {}
-    _echo_config(report, cfg)
-    grid, medium, truth, op, h, v = _base_setup(cfg)
-    apertures = build_apertures(cfg, grid.dim)
-    margin = ellipticity_margin(apertures)
-    report["stability.margin"] = f"{margin.margin:.6e}"
-    report["stability.max_min_ratio"] = f"{margin.ratio:.6e}"
-    force = cfg["run.force_pseudo"].lower() in ("true", "1", "yes")
-    if margin.margin <= 0 and not force:
-        raise StabilityViolationError(
-            f"ellipticity margin {margin.margin:g} <= 0; "
-            "set run.force_pseudo=true to force a pseudo-inversion")
-    scan = simulate_boundary_scan(op, h, truth, apertures, weight=v, mode="fast")
-    report["scan.mode"] = "fast"
-    report["scan.focus_grid"] = "field grid (ROI pitch not separately configured)"
-    _spot_check(cfg, op, h, truth, apertures, grid, report)
-    noisy = _noise_stage(cfg, scan, report)
-
-    fields = {"truth": truth, "weight": v}
-    history = None
-    method = cfg["recon.method"]
-    if method not in ("multiplier", "lsqr", "both"):
-        raise ConfigError(f"recon.method must be multiplier|lsqr|both, got {method!r}")
-    eps_bg = float(cfg["error.eps_bg"])
-    if method in ("multiplier", "both"):
-        rec = invert_multiplier(noisy, apertures, v, eps=float(cfg["recon.eps"]),
-                                check_margin=not force)
-        fields["recon_multiplier"] = rec
-        signed, absolute = relative_error(truth, rec, eps_bg)
-        report["error.multiplier.signed"] = f"{signed:.6f}"
-        report["error.multiplier.absolute"] = f"{absolute:.6f}"
-    if method in ("lsqr", "both"):
-        linmap = scan_linear_map(apertures, v)
-        data = np.concatenate([f.values.ravel() for f in noisy.fields])
-        x, history = lsqr(linmap, data,
-                          max_iters=int(cfg["recon.lsqr_iters"]),
-                          atol=float(cfg["recon.lsqr_atol"]))
-        if cfg["recon.nonneg"].lower() in ("true", "1", "yes"):
-            x = np.maximum(x, 0.0)
-        rec = ScalarField(grid, x.reshape(grid.cells))
-        fields["recon_lsqr"] = rec
-        report["lsqr.iterations"] = str(int(history[-1][0]))
-        signed, absolute = relative_error(truth, rec, eps_bg)
-        report["error.lsqr.signed"] = f"{signed:.6f}"
-        report["error.lsqr.absolute"] = f"{absolute:.6f}"
-    report["wall_clock_seconds"] = f"{time.perf_counter() - t0:.3f}"
-    outdir = outdir or cfg["run.output_dir"]
-    emit_outputs(outdir, fields, report, scan=noisy, history=history)
-    return report
+    truth, op, h, v = _setup(cfg)
+    apertures = build_apertures(cfg, truth.grid.dim)
+    _gate(cfg, apertures, report)
+    clean = _cone_scan(op, h, truth, v, apertures, report)
+    _spot_check(cfg, op, h, truth, clean, report)
+    data = _noisy_scan(cfg, clean, report)
+    fields, history = _reconstruct(cfg, data, v, report, check_margin=False)
+    return _emit(cfg, outdir, t0, report, {"truth": truth, "weight": v, **fields},
+                 scan=data, history=history)
 
 
 def run_xlct(cfg, outdir=None):
     """Full line-excitation (XLCT) experiment: sinogram, FBP, divide by weight."""
     t0 = time.perf_counter()
     report = {}
-    _echo_config(report, cfg)
-    grid, medium, truth, op, h, v = _base_setup(cfg)
+    truth, _, _, v = _setup(cfg)
+    grid = truth.grid
     if grid.dim != 2:
         raise ConfigError("run_xlct requires a 2D grid")
-    n_angles = int(cfg["xray.n_angles"])
-    n_offsets = int(cfg["xray.n_offsets"])
+    n_angles = _int(cfg, "xray.n_angles")
     angles = np.arange(n_angles) * (np.pi / n_angles)
     half_diag = 0.5 * np.sqrt(sum(e ** 2 for e in grid.extent))
-    offsets = np.linspace(-half_diag, half_diag, n_offsets)
-    vf = ScalarField(grid, v.values * truth.values)
-    sino = xray_transform(vf, angles, offsets)
-    if cfg["noise.kind"] == "poisson":
-        model = NoiseModel(photons_per_unit=float(cfg["noise.photons"]),
-                           seed=derive_seed(int(cfg["run.seed"]), "noise.sinogram"))
-        from .excitation import Sinogram
-        sino = Sinogram(angles, offsets,
-                        apply_noise(model, np.maximum(sino.values, 0.0)))
-        report["noise.applied"] = "true"
-    elif cfg["noise.kind"] == "none":
-        report["noise.applied"] = "false"
-    else:
-        raise ConfigError(f"unknown noise kind {cfg['noise.kind']!r}")
-    filt = FbpFilter(kind=cfg["recon.filter"], cutoff=float(cfg["recon.cutoff"]))
-    g = fbp(sino, grid, filt)
+    offsets = np.linspace(-half_diag, half_diag, _int(cfg, "xray.n_offsets"))
+    sino = xray_transform(ScalarField(grid, v.values * truth.values), angles, offsets)
+    (values,) = _noise(cfg, [(sino.values, "noise.sinogram")], report)
+    sino = Sinogram(angles, offsets, values)
+    filt = FbpFilter(kind=cfg["recon.filter"], cutoff=_float(cfg, "recon.cutoff"))
     v_floor = V_FLOOR_FRACTION * float(np.max(v.values))
-    rec = divide_by_weight(g, v, v_floor)
+    rec = divide_by_weight(fbp(sino, grid, filt), v, v_floor)
     report["weight.max_inverse"] = f"{1.0 / max(float(np.min(v.values)), v_floor):.6e}"
-    signed, absolute = relative_error(truth, rec, float(cfg["error.eps_bg"]))
-    report["error.fbp.signed"] = f"{signed:.6f}"
-    report["error.fbp.absolute"] = f"{absolute:.6f}"
-    report["wall_clock_seconds"] = f"{time.perf_counter() - t0:.3f}"
-    outdir = outdir or cfg["run.output_dir"]
-    emit_outputs(outdir, {"truth": truth, "weight": v, "recon_fbp": rec},
-                 report, sinogram=sino)
-    return report
+    return _emit(cfg, outdir, t0, report,
+                 {"truth": truth, "weight": v, "recon_fbp": rec}, sinogram=sino)
+
+
+def phantom(cfg):
+    """The `phantom` verb: write the configured phantom."""
+    t0 = time.perf_counter()
+    return _emit(cfg, None, t0, {}, {"truth": _phantom(cfg)})
+
+
+def weight(cfg):
+    """The `weight` verb: write the adjoint weight field."""
+    t0 = time.perf_counter()
+    _, _, _, v = _setup(cfg)
+    return _emit(cfg, None, t0, {}, {"weight": v})
+
+
+def scan(cfg):
+    """The `scan` verb: write the (noisy) cone scan with truth and weight."""
+    t0 = time.perf_counter()
+    report = {}
+    truth, op, h, v = _setup(cfg)
+    clean = _cone_scan(op, h, truth, v, build_apertures(cfg, truth.grid.dim),
+                       report)
+    return _emit(cfg, None, t0, report, {"truth": truth, "weight": v},
+                 scan=_noisy_scan(cfg, clean, report))
+
+
+def reconstruct(cfg):
+    """The `reconstruct` verb: invert the scan and weight that `scan` wrote."""
+    t0 = time.perf_counter()
+    outdir = cfg["run.output_dir"]
+    manifest = os.path.join(outdir, "scan_manifest.txt")
+    weight_path = os.path.join(outdir, "weight.ltf")
+    if not (os.path.exists(manifest) and os.path.exists(weight_path)):
+        raise ConfigError(
+            f"reconstruct needs {manifest} and {weight_path}; run `scan` first")
+    data = ltfio.read_scan(manifest)
+    v = ltfio.read_field(weight_path)
+    report = {}
+    fields, history = _reconstruct(
+        cfg, data, v, report, check_margin=not _bool(cfg, "run.force_pseudo"))
+    return _emit(cfg, outdir, t0, report, fields, history=history)
 
 
 def check_stability(cfg):
     """Report the ellipticity margin and invisible directions of the cone set."""
-    dim = int(cfg["grid.dim"])
-    apertures = build_apertures(cfg, dim)
-    rep = ellipticity_margin(apertures)
-    report = {
-        "stability.margin": f"{rep.margin:.6e}",
-        "stability.max_factor": f"{rep.max_factor:.6e}",
-        "stability.max_min_ratio": f"{rep.ratio:.6e}",
-        "stability.worst_direction": ",".join(f"{x:.6f}" for x in rep.worst_direction),
-        "stability.invisible_count": str(len(rep.invisible_directions)),
-    }
-    for i, d in enumerate(rep.invisible_directions[:10]):
-        report[f"stability.invisible.{i}"] = ",".join(f"{x:.6f}" for x in d)
+    report = {}
+    _stability(build_apertures(cfg, _int(cfg, "grid.dim")), report)
     return report

@@ -1,10 +1,13 @@
 """Config loading, CLI verbs, exit codes, and pipeline outputs."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lumitomo
 from lumitomo import pipeline
 from lumitomo.cli import main
 from lumitomo.config import (DEFAULTS, build_apertures, derive_seed,
@@ -77,6 +80,16 @@ class TestExitCodes:
         assert rc == 3
         assert "stability" in capsys.readouterr().err
 
+    def test_uncovered_cone_set_gates_only_the_multiplier(self, tmp_path):
+        args = ["-o", str(tmp_path), "--set", "grid.cells=32,32",
+                "--set", "cones.count=1"]
+        assert main(["scan"] + args) == 0
+        assert main(["reconstruct"] + args) == 3
+        assert main(["reconstruct"] + args
+                    + ["--set", "run.force_pseudo=true"]) == 0
+        assert main(["reconstruct"] + args
+                    + ["--set", "recon.method=lsqr"]) == 0
+
     def test_solver_failure_maps_to_4(self, tmp_path, monkeypatch, capsys):
         def boom(cfg):
             raise SolverFailureError("did not converge", residual=1.0,
@@ -87,6 +100,19 @@ class TestExitCodes:
 
     def test_reconstruct_without_scan_is_config_error(self, tmp_path):
         assert main(small_args("reconstruct", tmp_path)) == 2
+
+    @pytest.mark.parametrize("item", [
+        "recon.eps=nan", "recon.lsqr_atol=inf", "boundary.h=nan",
+        "noise.photons=inf", "recon.lsqr_iters=many",
+        "run.force_pseudo=maybe", "recon.nonneg=maybe"])
+    def test_bad_typed_value_is_config_error(self, tmp_path, capsys, item):
+        rc = main(small_args("run-xmlt", tmp_path, "noise.kind=poisson", item))
+        assert rc == 2
+        assert f"{item.partition('=')[0]} must be" in capsys.readouterr().err
+
+    def test_seed_beyond_64_bits_is_accepted(self, tmp_path):
+        assert main(small_args("scan", tmp_path, "noise.kind=poisson",
+                               f"run.seed={2 ** 128 - 1}")) == 0
 
 
 class TestVerbs:
@@ -125,6 +151,16 @@ class TestVerbs:
         assert (tmp_path / "recon_lsqr.ltf").exists()
         assert (tmp_path / "lsqr_history.csv").exists()
 
+    def test_scan_manifest_read_from_another_directory(self, tmp_path,
+                                                       monkeypatch):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        monkeypatch.chdir(tmp_path / "a")
+        assert main(small_args("scan", "out dir")) == 0
+        monkeypatch.chdir(tmp_path / "b")
+        assert main(small_args("reconstruct", "../a/out dir")) == 0
+        assert (tmp_path / "a" / "out dir" / "recon_multiplier.ltf").exists()
+
     def test_run_xmlt_end_to_end(self, tmp_path, capsys):
         rc = main(small_args("run-xmlt", tmp_path, "recon.method=multiplier"))
         assert rc == 0
@@ -161,3 +197,16 @@ class TestVerbs:
         c = read_field(d3 / "scan_cone00.ltf").values
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+def test_thread_cap_is_set_by_package_import():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS")}
+    env["LUMITOMO_THREADS"] = "3"
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(lumitomo.__file__))
+    code = ("import os, lumitomo; print(os.environ['OMP_NUM_THREADS'], "
+            "os.environ['OPENBLAS_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["3", "3", "3"]

@@ -69,6 +69,32 @@ def test_not_ltfield_rejected(tmp_path):
         read_field(p)
 
 
+def test_malformed_field_rejected(tmp_path, grid64):
+    p = tmp_path / "f.ltf"
+    write_field(p, two_bump_phantom(grid64))
+    header, _, payload = p.read_bytes().partition(b"\n")
+    p.write_bytes(header + b"\n" + payload[:80])   # 10 of 64*64 values
+    with pytest.raises(InvalidArgumentError):
+        read_field(p)
+    no_origin = b" ".join(t for t in header.split()
+                          if not t.startswith(b"origin="))
+    p.write_bytes(no_origin + b"\n" + payload)
+    with pytest.raises(InvalidArgumentError):
+        read_field(p)
+
+
+def test_malformed_sinogram_rejected(tmp_path):
+    p = tmp_path / "s.ltf"
+    write_sinogram(p, Sinogram(np.zeros(3), np.zeros(4), np.ones((3, 4))))
+    header, _, payload = p.read_bytes().partition(b"\n")
+    p.write_bytes(header + b"\n" + payload[:8 * 5])
+    with pytest.raises(InvalidArgumentError):
+        read_sinogram(p)
+    p.write_bytes(header.replace(b"angles=", b"angels=") + b"\n" + payload)
+    with pytest.raises(InvalidArgumentError):
+        read_sinogram(p)
+
+
 def test_sinogram_round_trip(tmp_path):
     angles = np.linspace(0, np.pi, 18, endpoint=False)
     offsets = np.linspace(-np.sqrt(3), np.sqrt(3), 33)
@@ -101,6 +127,29 @@ def test_scan_round_trip(tmp_path, grid64):
         assert got.half_angle == orig.half_angle
         assert got.taper_width == orig.taper_width
         assert got.amplitude == orig.amplitude
+
+
+def test_scan_file_name_with_whitespace_rejected(tmp_path, grid64):
+    ap = Aperture(dim=2, axis=(1.0, 0.0), half_angle=0.5)
+    scan = ConeScanData(grid64, [two_bump_phantom(grid64)], [ap])
+    with pytest.raises(InvalidArgumentError):
+        write_scan(tmp_path / "scan.txt", str(tmp_path / "my scan"), scan)
+
+
+def test_scan_v1_manifest_resolves_against_working_directory(
+        tmp_path, grid64, monkeypatch):
+    ap = Aperture(dim=2, axis=(1.0, 0.0), half_angle=0.5)
+    scan = ConeScanData(grid64, [two_bump_phantom(grid64)], [ap])
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    manifest = tmp_path / "sub" / "scan.txt"
+    write_scan(manifest, "sub/scan", scan)
+    text = manifest.read_text()
+    assert text.startswith("LTSCAN v2\ncone file=scan_cone00.ltf ")
+    manifest.write_text(text.replace("LTSCAN v2", "LTSCAN v1")
+                            .replace("file=", "file=sub/"))
+    back = read_scan(manifest)
+    assert np.array_equal(back.fields[0].values, scan.fields[0].values)
 
 
 def test_scan_bad_manifest(tmp_path):
