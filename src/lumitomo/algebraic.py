@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import (EmptyMaskError, InvalidArgumentError, InvalidOperatorError)
 from .fields import Grid, ScalarField
-from .excitation import Aperture, cone_kernel
+from .excitation import ConeConvolution
 
 
 @dataclass
@@ -34,41 +34,23 @@ class LinearMap:
 def scan_linear_map(apertures, v: ScalarField) -> LinearMap:
     """Matrix-free fast-mode scan operator f -> stacked per-cone data.
 
-    Forward and adjoint are exact FFT convolutions with the same midpoint
-    kernels, so the dot test holds to machine precision.
+    The apertures' ConeConvolution with the v * cell-volume weighting: the
+    operator the fast scan applies, so forward and adjoint share one set of
+    real kernel spectra and the dot test holds to machine precision.
     """
     grid = v.grid
-    kernels = [cone_kernel(ap, grid) for ap in apertures]
-    fshape = [int(2 ** np.ceil(np.log2(n + k - 1)))
-              for n, k in zip(grid.cells, kernels[0].shape)]
-    axes = tuple(range(len(grid.cells)))
-    KF = [np.fft.rfftn(K, fshape, axes=axes) for K in kernels]
-    start = tuple(n - 1 for n in grid.cells)
-    crop = tuple(slice(s, s + n) for s, n in zip(start, grid.cells))
+    conv = ConeConvolution(apertures, grid)
     vvol = v.values * grid.cell_volume
-    n_model = grid.n_cells
-    n_data = len(apertures) * n_model
+    stacked = (len(conv.spectra),) + tuple(grid.cells)
 
     def forward(x):
-        g = (x.reshape(grid.cells)) * vvol
-        G = np.fft.rfftn(g, fshape, axes=axes)
-        out = [np.fft.irfftn(G * K, fshape, axes=axes)[crop].ravel()
-               for K in KF]
-        return np.concatenate(out)
+        return conv.forward(x.reshape(grid.cells) * vvol).ravel()
 
     def adjoint(y):
-        acc = np.zeros(grid.cells)
-        for j, K in enumerate(KF):
-            yj = y[j * n_model:(j + 1) * n_model].reshape(grid.cells)
-            pad = np.zeros(fshape)
-            pad[crop] = yj
-            acc += np.fft.irfftn(np.fft.rfftn(pad, axes=axes) * np.conj(K),
-                                 fshape, axes=axes)[
-                tuple(slice(0, n) for n in grid.cells)]
-        return (acc * vvol).ravel()
+        return (conv.adjoint(y.reshape(stacked)) * vvol).ravel()
 
-    return LinearMap(n_data=n_data, n_model=n_model,
-                     forward=forward, adjoint=adjoint)
+    return LinearMap(n_data=len(conv.spectra) * grid.n_cells,
+                     n_model=grid.n_cells, forward=forward, adjoint=adjoint)
 
 
 def lsqr(linmap: LinearMap, data, max_iters=500, atol=1e-8,
@@ -132,6 +114,17 @@ def lsqr(linmap: LinearMap, data, max_iters=500, atol=1e-8,
         if arnorm == 0.0:
             break
     return x, np.array(history)
+
+
+def lsqr_stop_reason(history, max_iters):
+    """Why an `lsqr` run stopped, read from its history: "zero" when the
+    final normal-equations residual is exactly 0 (zero data, data
+    orthogonal to the range, or an exact fit), "cap" after max_iters
+    iterations, otherwise "atol"."""
+    iteration, _, normal_residual = history[-1]
+    if normal_residual == 0.0:
+        return "zero"
+    return "cap" if iteration >= max_iters else "atol"
 
 
 @dataclass(frozen=True)

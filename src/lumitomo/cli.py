@@ -2,8 +2,9 @@
 
 Verbs: phantom, weight, scan, reconstruct, check-stability, run-xmlt,
 run-xlct.  Each accepts --config <path> and repeated --set key=value
-overrides.  Exit codes: 0 success, 2 invalid config/arguments, 3 stability
-violation, 4 solver failure.
+overrides.  Exit codes: 0 success; 2 invalid config or arguments, and any
+other toolkit error; 3 stability violation or a frequency direction no cone
+sees; 4 solver failure or a linear map failing its dot test.
 
 Each verb runs the `lumitomo.pipeline` function of its name (dashes become
 underscores).  LUMITOMO_THREADS is applied by `import lumitomo`.
@@ -38,7 +39,9 @@ def main(argv=None):
     from . import pipeline
     from .config import load_config
     from .errors import (ConfigError, InvalidArgumentError,
-                         SolverFailureError, StabilityViolationError)
+                         InvalidOperatorError, LumitomoError,
+                         SolverFailureError, StabilityViolationError,
+                         UndefinedDirectionError)
 
     try:
         cfg = load_config(args.config, args.overrides)
@@ -62,12 +65,15 @@ def main(argv=None):
     except InvalidArgumentError as exc:
         print(f"invalid argument: {exc}", file=sys.stderr)
         return 2
-    except StabilityViolationError as exc:
+    except (StabilityViolationError, UndefinedDirectionError) as exc:
         print(f"stability violation: {exc}", file=sys.stderr)
         return 3
-    except SolverFailureError as exc:
+    except (SolverFailureError, InvalidOperatorError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 4
+    except LumitomoError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

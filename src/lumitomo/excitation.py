@@ -5,9 +5,11 @@ Double-cone apertures give the focused-beam transform
     Rf(x, j) = sum_y  a_j((x - y)/|x - y|) / |x - y|^{n-1} * v(y) f(y) * vol
 
 evaluated by midpoint quadrature with an analytic polar correction at the
-singular self cell.  Single-line excitation gives the parallel-beam sinogram
-of v * f.  The boundary scan either evaluates the transform directly ("fast")
-or runs the full PDE chain per focus point ("full-physics").
+singular self cell, as one circular FFT convolution per cone
+(`ConeConvolution`, which the LSQR operator shares).  Single-line excitation
+gives the parallel-beam sinogram of v * f.  The boundary scan either
+evaluates the transform directly ("fast") or runs the full PDE chain per
+focus point ("full-physics").
 """
 
 from __future__ import annotations
@@ -137,18 +139,51 @@ def cone_kernel(ap: Aperture, grid: Grid):
     return K
 
 
-def _fft_convolve_same(g, K, cells):
-    """Linear convolution of g (shape cells) with kernel K (shape 2n-1),
-    returning the central `cells` block; plain FFT, deterministic."""
-    shape = [c + k - 1 for c, k in zip(g.shape, K.shape)]
-    fshape = [int(2 ** np.ceil(np.log2(s))) for s in shape]
-    axes = tuple(range(g.ndim))
-    G = np.fft.rfftn(g, fshape, axes=axes)
-    KF = np.fft.rfftn(K, fshape, axes=axes)
-    full = np.fft.irfftn(G * KF, fshape, axes=axes)
-    start = tuple(n - 1 for n in cells)
-    sl = tuple(slice(s, s + c) for s, c in zip(start, cells))
-    return full[sl]
+class ConeConvolution:
+    """The midpoint cone kernels of a set of apertures as one circular
+    convolution on a grid, the fast scan's and LSQR's only FFT path.
+
+    Each kernel is wrapped onto a circular grid of 2n cells per axis with
+    its zero offset at index 0.  Offsets of up to n-1 cells never alias
+    there, so the first n cells per axis of the circular result are the
+    linear quadrature sum.  The kernels are even, so their spectra are real
+    and serve forward and adjoint alike.
+    """
+
+    def __init__(self, apertures, grid: Grid):
+        self.cells = tuple(grid.cells)
+        self.shape = tuple(2 * n for n in self.cells)
+        self.axes = tuple(range(grid.dim))
+        wrap = np.ix_(*[np.arange(-(n - 1), n) % (2 * n) for n in self.cells])
+        spectra = []
+        for ap in apertures:
+            K = np.zeros(self.shape)
+            K[wrap] = cone_kernel(ap, grid)
+            spectra.append(np.fft.rfftn(K, axes=self.axes).real)
+        self.spectra = np.stack(spectra)
+
+    def _inverse(self, X):
+        """irfftn of a half spectrum, cropped to the first n cells per axis;
+        each complex pass is cropped before the next, so later passes
+        transform half as many lines."""
+        for i, n in enumerate(self.cells[:-1]):
+            X = np.fft.ifft(X, axis=i)[(slice(None),) * i + (slice(0, n),)]
+        return np.fft.irfft(X, self.shape[-1], axis=-1)[..., :self.cells[-1]]
+
+    def forward(self, g):
+        """Quadrature sums of the source g (grid-shaped), one per aperture
+        along a leading axis; one FFT of g serves every aperture."""
+        G = np.fft.rfftn(g, self.shape, axes=self.axes)
+        return np.stack([self._inverse(G * S) for S in self.spectra])
+
+    def adjoint(self, y):
+        """Transpose of `forward`: per-aperture fields stacked along a
+        leading axis to one grid-shaped field; the spectra are summed
+        before one inverse FFT."""
+        acc = np.zeros(self.spectra.shape[1:], dtype=complex)
+        for yj, S in zip(y, self.spectra):
+            acc += np.fft.rfftn(yj, self.shape, axes=self.axes) * S
+        return self._inverse(acc)
 
 
 def _nested_offset(field_grid: Grid, focus_grid: Grid):
@@ -175,32 +210,8 @@ def _nested_offset(field_grid: Grid, focus_grid: Grid):
     return tuple(offs)
 
 
-def cone_transform(f: ScalarField, v: ScalarField, ap: Aperture,
-                   focus_grid: Grid = None) -> ScalarField:
-    """Weighted double-cone transform of f, sampled at focus-grid centers.
-
-    Uses an FFT convolution when the focus grid coincides with the field
-    grid or contains it as an aligned sub-block (e.g. a scan extended past
-    the object support), otherwise a direct vectorized quadrature per focus
-    point.
-    """
-    grid = f.grid
-    if v.grid != grid:
-        raise InvalidArgumentError("f and v must share a grid")
-    if focus_grid is None:
-        focus_grid = grid
-    g = v.values * f.values * grid.cell_volume
-    offs = _nested_offset(grid, focus_grid)
-    if offs is not None:
-        if focus_grid == grid:
-            K = cone_kernel(ap, grid)
-            return ScalarField(focus_grid, _fft_convolve_same(g, K, grid.cells))
-        g_emb = np.zeros(focus_grid.cells)
-        g_emb[tuple(slice(k, k + n) for k, n in zip(offs, grid.cells))] = g
-        K = cone_kernel(ap, focus_grid)
-        return ScalarField(focus_grid,
-                           _fft_convolve_same(g_emb, K, focus_grid.cells))
-    # direct path: loop over focus points
+def _direct_cone_sum(g, grid: Grid, ap: Aperture, focus_grid: Grid):
+    """Quadrature sum of the source g at every focus point, one at a time."""
     centers = grid.centers().reshape(-1, grid.dim)
     gflat = g.ravel()
     axis = np.asarray(ap.axis)
@@ -216,7 +227,36 @@ def cone_transform(f: ScalarField, v: ScalarField, ap: Aperture,
         vals = ap.profile((d @ axis) / r_safe) / r_safe ** (grid.dim - 1)
         vals[near] = self_w
         out[i] = float(np.dot(vals, gflat))
-    return ScalarField(focus_grid, out.reshape(focus_grid.cells))
+    return out.reshape(focus_grid.cells)
+
+
+def cone_transform(f: ScalarField, v: ScalarField, ap,
+                   focus_grid: Grid = None):
+    """Weighted double-cone transform of f, sampled at focus-grid centers.
+
+    `ap` is one Aperture, giving one ScalarField, or a sequence of them,
+    giving a list of fields.  When the focus grid coincides with the field
+    grid or contains it as an aligned sub-block (e.g. a scan extended past
+    the object support), v*f is embedded in the focus grid and convolved
+    by the apertures' ConeConvolution; otherwise each focus point is a
+    direct vectorized quadrature.
+    """
+    grid = f.grid
+    if v.grid != grid:
+        raise InvalidArgumentError("f and v must share a grid")
+    if focus_grid is None:
+        focus_grid = grid
+    apertures = [ap] if isinstance(ap, Aperture) else list(ap)
+    g = f.values * (v.values * grid.cell_volume)
+    offs = _nested_offset(grid, focus_grid)
+    if offs is not None:
+        g_emb = np.zeros(focus_grid.cells)
+        g_emb[tuple(slice(k, k + n) for k, n in zip(offs, grid.cells))] = g
+        values = ConeConvolution(apertures, focus_grid).forward(g_emb)
+    else:
+        values = [_direct_cone_sum(g, grid, a, focus_grid) for a in apertures]
+    fields = [ScalarField(focus_grid, x) for x in values]
+    return fields[0] if isinstance(ap, Aperture) else fields
 
 
 @dataclass
@@ -334,7 +374,7 @@ def simulate_boundary_scan(op: DiscreteOperator, h: BoundaryField,
         focus_grid = grid
     if mode == "fast":
         v = weight if weight is not None else solve_adjoint_weight(op, h)
-        fields = [cone_transform(f, v, ap, focus_grid) for ap in apertures]
+        fields = cone_transform(f, v, list(apertures), focus_grid)
         return ConeScanData(focus_grid, fields, list(apertures))
     fields = []
     foci = focus_grid.centers().reshape(-1, grid.dim)

@@ -12,8 +12,8 @@ import time
 import numpy as np
 
 from . import ltfio
-from .algebraic import (NoiseModel, apply_noise, lsqr, relative_error,
-                        scan_linear_map)
+from .algebraic import (NoiseModel, apply_noise, lsqr, lsqr_stop_reason,
+                        relative_error, scan_linear_map)
 from .config import (_bool, _float, _int, build_apertures, build_grid,
                      build_medium, build_phantom_spec, derive_seed)
 from .diffusion import (BoundaryField, assemble_operator, boundary_flux,
@@ -77,12 +77,17 @@ def _phantom(cfg):
     return build_phantom(build_phantom_spec(cfg, grid.dim), grid)
 
 
+def _diffusion(cfg, grid):
+    """Diffusion operator, boundary datum h and adjoint weight v on a grid."""
+    op = assemble_operator(grid, build_medium(cfg))
+    h = BoundaryField.constant(grid, _float(cfg, "boundary.h"))
+    return op, h, solve_adjoint_weight(op, h)
+
+
 def _setup(cfg):
     """Phantom, diffusion operator, boundary datum h and adjoint weight v."""
     truth = _phantom(cfg)
-    op = assemble_operator(truth.grid, build_medium(cfg))
-    h = BoundaryField.constant(truth.grid, _float(cfg, "boundary.h"))
-    return truth, op, h, solve_adjoint_weight(op, h)
+    return (truth,) + _diffusion(cfg, truth.grid)
 
 
 def _stability(apertures, report):
@@ -120,12 +125,14 @@ def _cone_scan(op, h, truth, v, apertures, report):
 def _spot_check(cfg, op, h, truth, clean, report):
     """Full-physics solves at a few focus points against the clean scan's
     first cone: the fast path's check through reciprocity."""
-    n_checks = max(_int(cfg, "run.spot_checks"), 1)
+    n_checks = _int(cfg, "run.spot_checks")
+    if n_checks < 1:
+        raise ConfigError(f"run.spot_checks must be >= 1, got {n_checks}")
     grid = truth.grid
-    side = max(int(np.ceil(np.sqrt(n_checks))), 2)
+    side = int(np.ceil(np.sqrt(n_checks)))
     idx = [np.linspace(n // 4, 3 * n // 4, side, dtype=int) for n in grid.cells[:2]]
     mid = tuple(n // 2 for n in grid.cells[2:])
-    points = [(i, j) + mid for i in idx[0] for j in idx[1]][:max(n_checks, 9)]
+    points = [(i, j) + mid for i in idx[0] for j in idx[1]][:n_checks]
     ap = clean.apertures[0]
     fast = clean.fields[0].values
     scale = float(np.max(np.abs(fast))) or 1.0
@@ -188,6 +195,8 @@ def _reconstruct(cfg, data, v, report, check_margin):
             x = np.maximum(x, 0.0)
         fields["recon_lsqr"] = ScalarField(v.grid, x.reshape(v.grid.cells))
         report["lsqr.iterations"] = str(int(history[-1][0]))
+        report["lsqr.stop_reason"] = lsqr_stop_reason(history, max_iters)
+        report["lsqr.final_normal_residual"] = f"{history[-1][2]:.6e}"
     return fields, history
 
 
@@ -227,10 +236,11 @@ def run_xlct(cfg, outdir=None):
     """Full line-excitation (XLCT) experiment: sinogram, FBP, divide by weight."""
     t0 = time.perf_counter()
     report = {}
-    truth, _, _, v = _setup(cfg)
+    truth = _phantom(cfg)
     grid = truth.grid
     if grid.dim != 2:
         raise ConfigError("run_xlct requires a 2D grid")
+    _, _, v = _diffusion(cfg, grid)
     n_angles = _int(cfg, "xray.n_angles")
     angles = np.arange(n_angles) * (np.pi / n_angles)
     half_diag = 0.5 * np.sqrt(sum(e ** 2 for e in grid.extent))

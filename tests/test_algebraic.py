@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from lumitomo.algebraic import (LinearMap, NoiseModel, apply_noise, lsqr,
-                                relative_error, scan_linear_map)
+                                lsqr_stop_reason, relative_error,
+                                scan_linear_map)
 from lumitomo.errors import (EmptyMaskError, InvalidArgumentError,
                              InvalidOperatorError)
+from lumitomo.excitation import Aperture, cone_transform
 from lumitomo.fields import ScalarField, make_grid
 
 from conftest import fan_apertures, two_bump_phantom
@@ -61,6 +63,18 @@ class TestLsqr:
         with pytest.raises(InvalidArgumentError):
             lsqr(dense_map(np.eye(4)), np.ones(5))
 
+    def test_stop_reason(self):
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((30, 8))
+        b = rng.standard_normal(30)
+        _, hist = lsqr(dense_map(A), b, max_iters=100, atol=1e-10)
+        assert hist[-1][0] < 100
+        assert lsqr_stop_reason(hist, 100) == "atol"
+        _, hist = lsqr(dense_map(A), b, max_iters=3, atol=1e-10)
+        assert lsqr_stop_reason(hist, 3) == "cap"
+        _, hist = lsqr(dense_map(A), np.zeros(30), max_iters=3)
+        assert lsqr_stop_reason(hist, 3) == "zero"
+
 
 class TestScanLinearMap:
     def test_dot_test_machine_precision(self, grid64):
@@ -68,6 +82,23 @@ class TestScanLinearMap:
         v = ScalarField.full(grid64, 1.0)
         linmap = scan_linear_map(aps, v)
         assert linmap.dot_test(seed=1) <= 1e-12
+
+    def test_dot_test_3d(self):
+        g = make_grid(3, (-8, -8, -8), (16, 16, 16), (16, 16, 16))
+        aps = [Aperture(dim=3, axis=ax, half_angle=0.5)
+               for ax in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))]
+        v = ScalarField(g, 1.0 + np.random.default_rng(2).random(g.cells))
+        assert scan_linear_map(aps, v).dot_test(seed=3) <= 1e-12
+
+    def test_forward_is_the_stacked_cone_transform(self, grid64):
+        # the scan and LSQR apply one operator
+        aps = fan_apertures(3, 35.0)
+        f = two_bump_phantom(grid64)
+        v = ScalarField(grid64, 1.0 + np.random.default_rng(4).random(grid64.cells))
+        stacked = np.concatenate([fld.values.ravel()
+                                  for fld in cone_transform(f, v, aps)])
+        forward = scan_linear_map(aps, v).forward(f.values.ravel())
+        assert np.array_equal(forward, stacked)
 
     def test_shapes(self, grid64):
         aps = fan_apertures(2, 30.0)

@@ -12,7 +12,9 @@ from lumitomo import pipeline
 from lumitomo.cli import main
 from lumitomo.config import (DEFAULTS, build_apertures, derive_seed,
                              load_config, parse_config_text)
-from lumitomo.errors import ConfigError, SolverFailureError
+from lumitomo.errors import (ConfigError, EmptyMaskError,
+                             InvalidOperatorError, SolverFailureError,
+                             UndefinedDirectionError)
 from lumitomo.ltfio import read_field
 
 
@@ -98,6 +100,39 @@ class TestExitCodes:
         assert main(["run-xmlt", "-o", str(tmp_path)]) == 4
         assert "solver failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("exc,code", [
+        (UndefinedDirectionError, 3), (InvalidOperatorError, 4),
+        (EmptyMaskError, 2)])
+    def test_other_toolkit_errors_map_to_exit_codes(self, tmp_path,
+                                                    monkeypatch, exc, code):
+        def boom(cfg):
+            raise exc("raised by the test")
+        monkeypatch.setattr(pipeline, "run_xmlt", boom)
+        assert main(["run-xmlt", "-o", str(tmp_path)]) == code
+
+    def test_empty_error_mask_exits_2_without_traceback(self, tmp_path,
+                                                         capsys):
+        rc = main(small_args("run-xmlt", tmp_path, "error.eps_bg=100"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "background threshold" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_run_xlct_rejects_3d_before_the_weight_solve(self, tmp_path,
+                                                         monkeypatch):
+        def weight_solve(op, h):
+            raise AssertionError("weight solved before the dimension check")
+        monkeypatch.setattr(pipeline, "solve_adjoint_weight", weight_solve)
+        assert main(["run-xlct", "-o", str(tmp_path), "--set", "grid.dim=3",
+                     "--set", "grid.origin=-10,-10,-10",
+                     "--set", "grid.extent=20,20,20",
+                     "--set", "grid.cells=8,8,8",
+                     "--set", "phantom.inclusions=2.5,2.5,0,1.5,5.0"]) == 2
+
+    def test_zero_spot_checks_is_config_error(self, tmp_path, capsys):
+        assert main(small_args("run-xmlt", tmp_path, "run.spot_checks=0")) == 2
+        assert "run.spot_checks must be >= 1" in capsys.readouterr().err
+
     def test_reconstruct_without_scan_is_config_error(self, tmp_path):
         assert main(small_args("reconstruct", tmp_path)) == 2
 
@@ -173,6 +208,28 @@ class TestVerbs:
                      if ln.startswith("error.multiplier.absolute")][0]
                     .split("=")[1])
         assert err < 0.5
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_spot_checks_count_as_requested(self, tmp_path, n):
+        assert main(small_args("run-xmlt", tmp_path,
+                               f"run.spot_checks={n}")) == 0
+        assert f"spot_check.points = {n}\n" in (tmp_path / "report.txt").read_text()
+
+    @pytest.mark.parametrize("extra,reason", [
+        ([], "cap"),
+        (SMALL + ["recon.lsqr_atol=1e-2"], "atol")],
+        ids=["default-config", "converging"])
+    def test_lsqr_stop_reason_in_report(self, tmp_path, extra, reason):
+        args = ["run-xmlt", "-o", str(tmp_path)]
+        for item in ["recon.method=lsqr"] + extra:
+            args += ["--set", item]
+        assert main(args) == 0
+        report = (tmp_path / "report.txt").read_text()
+        assert f"lsqr.stop_reason = {reason}\n" in report
+        history = np.loadtxt(tmp_path / "lsqr_history.csv", delimiter=",",
+                             skiprows=1)
+        assert (f"lsqr.final_normal_residual = {history[-1, 2]:.6e}\n"
+                in report)
 
     def test_run_xlct_end_to_end(self, tmp_path, capsys):
         rc = main(small_args("run-xlct", tmp_path, "xray.n_angles=60",

@@ -5,10 +5,10 @@ import pytest
 
 from lumitomo.diffusion import BoundaryField, assemble_operator, solve_adjoint_weight
 from lumitomo.errors import InvalidArgumentError
-from lumitomo.excitation import (Aperture, ConeScanData, Sinogram,
-                                 aperture_eval, cone_intensity, cone_kernel,
-                                 cone_transform, simulate_boundary_scan,
-                                 xray_transform)
+from lumitomo.excitation import (Aperture, ConeConvolution, ConeScanData,
+                                 Sinogram, aperture_eval, cone_intensity,
+                                 cone_kernel, cone_transform,
+                                 simulate_boundary_scan, xray_transform)
 from lumitomo.fields import ScalarField, make_grid
 
 from conftest import extended_grid, fan_apertures, two_bump_phantom
@@ -155,6 +155,84 @@ class TestConeTransform:
             expected = float(np.dot(vals, g))
             got = out.values[idx]
             assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
+
+def _pow2_shape(cells):
+    return [int(2 ** np.ceil(np.log2(3 * n - 2))) for n in cells]
+
+
+def pow2_forward(g, K):
+    """Reference: linear convolution of g with the (2n-1)-wide kernel table,
+    FFT-padded to the next power of two of 3n-2 per axis and cropped to the
+    central block (the cone transform's FFT path before ConeConvolution)."""
+    fshape, axes = _pow2_shape(g.shape), tuple(range(g.ndim))
+    full = np.fft.irfftn(np.fft.rfftn(g, fshape, axes=axes)
+                         * np.fft.rfftn(K, fshape, axes=axes), fshape, axes=axes)
+    return full[tuple(slice(n - 1, 2 * n - 1) for n in g.shape)]
+
+
+def pow2_adjoint(y, K):
+    """Reference transpose of pow2_forward (the former LSQR adjoint)."""
+    fshape, axes = _pow2_shape(y.shape), tuple(range(y.ndim))
+    pad = np.zeros(fshape)
+    pad[tuple(slice(n - 1, 2 * n - 1) for n in y.shape)] = y
+    full = np.fft.irfftn(np.fft.rfftn(pad, axes=axes)
+                         * np.conj(np.fft.rfftn(K, fshape, axes=axes)),
+                         fshape, axes=axes)
+    return full[tuple(slice(0, n) for n in y.shape)]
+
+
+def rel_max(a, ref):
+    return float(np.max(np.abs(a - ref)) / np.max(np.abs(ref)))
+
+
+def apertures_3d():
+    return [Aperture(dim=3, axis=ax, half_angle=0.5)
+            for ax in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))]
+
+
+class TestConeConvolution:
+    @pytest.mark.parametrize("grid,aps", [
+        # non-square, unequal spacing
+        (make_grid(2, (-10, -6), (20, 12), (48, 64)), fan_apertures(3, 35.0)),
+        (make_grid(3, (-8, -8, -8), (16, 16, 16), (16, 16, 16)),
+         apertures_3d()),
+    ], ids=["2d-48x64", "3d-16"])
+    def test_matches_pow2_reference(self, grid, aps):
+        rng = np.random.default_rng(11)
+        g = rng.standard_normal(grid.cells)
+        y = rng.standard_normal((len(aps),) + grid.cells)
+        conv = ConeConvolution(aps, grid)
+        kernels = [cone_kernel(ap, grid) for ap in aps]
+        fwd = conv.forward(g)
+        for j, K in enumerate(kernels):
+            assert rel_max(fwd[j], pow2_forward(g, K)) <= 1e-12
+        ref = sum(pow2_adjoint(yj, K) for yj, K in zip(y, kernels))
+        assert rel_max(conv.adjoint(y), ref) <= 1e-12
+
+    def test_nested_focus_grid_matches_pow2_reference(self, grid64):
+        aps = fan_apertures(3, 35.0)
+        big = extended_grid(grid64)
+        f = two_bump_phantom(grid64)
+        v = ScalarField.full(grid64, 0.5)
+        g = np.zeros(big.cells)
+        g[32:96, 32:96] = f.values * (0.5 * grid64.cell_volume)
+        kernels = [cone_kernel(ap, big) for ap in aps]
+        for out, K in zip(cone_transform(f, v, aps, big), kernels):
+            assert out.grid == big
+            assert rel_max(out.values, pow2_forward(g, K)) <= 1e-12
+        y = np.random.default_rng(12).standard_normal((len(aps),) + big.cells)
+        ref = sum(pow2_adjoint(yj, K) for yj, K in zip(y, kernels))
+        assert rel_max(ConeConvolution(aps, big).adjoint(y), ref) <= 1e-12
+
+    def test_aperture_list_matches_single_apertures(self, grid64):
+        aps = fan_apertures(3, 35.0)
+        f = two_bump_phantom(grid64)
+        v = ScalarField.full(grid64, 1.0)
+        fields = cone_transform(f, v, aps)
+        assert len(fields) == 3
+        for fld, ap in zip(fields, aps):
+            assert np.array_equal(fld.values, cone_transform(f, v, ap).values)
 
 
 class TestXrayTransform:
