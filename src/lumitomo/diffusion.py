@@ -125,20 +125,33 @@ class DiscreteOperator:
             cm = 2.0 * med.A * med.D / dx - 0.5
             self._c_plus.append(cp)
             self._beta.append(cm / cp)
-        self._diag = self._build_diag()
+        modes = [_robin_modes(n, beta) for n, beta in zip(g.cells, self._beta)]
+        self._vecs = [vecs for _, vecs in modes]
+        eig = np.full(g.cells, float(np.mean(self.mu_a)))
+        for ax, (lam, _) in enumerate(modes):
+            shape = [1] * g.dim
+            shape[ax] = -1
+            eig += (med.D / g.spacing[ax] ** 2) * lam.reshape(shape)
+        self._inv_eig = 1.0 / eig
+        self.last_solve = (0, 0.0)
 
-    def _build_diag(self):
-        g, D = self.grid, self.medium.D
-        diag = self.mu_a.copy()
-        for ax in range(g.dim):
-            dx = g.spacing[ax]
-            diag += 2.0 * D / dx ** 2
-            # boundary cells see (2 - beta) instead of 2 on this axis
-            sl = [slice(None)] * g.dim
-            for edge in (0, -1):
-                sl[ax] = edge
-                diag[tuple(sl)] -= self._beta[ax] * D / dx ** 2
-        return diag
+    def _precondition(self, r):
+        """Exact inverse of the operator with mu_a replaced by its mean.
+
+        That operator is mean(mu_a) I + sum_ax D/dx_ax^2 K_ax with K_ax the
+        Robin-cornered tridiag(-1, 2, -1) of `_robin_modes`, so its inverse is
+        a mode transform along every axis, a division by the summed
+        eigenvalues and the transform back (Lynch, Rice & Thomas, Numer.
+        Math. 6, 1964).  Each tensordot contracts the leading axis and
+        appends the result axis, so after one pass the axes are in order.
+        """
+        u = r
+        for vecs in self._vecs:
+            u = np.tensordot(u, vecs, axes=(0, 0))
+        u *= self._inv_eig
+        for vecs in self._vecs:
+            u = np.tensordot(u, vecs, axes=(0, 1))
+        return u
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Homogeneous-closure operator action L u on a cell array."""
@@ -180,43 +193,80 @@ class DiscreteOperator:
         return rhs
 
     def solve(self, rhs, tol=1e-10, max_iter=None):
-        """Jacobi-preconditioned conjugate gradients on the SPD system.
+        """Conjugate gradients preconditioned by `_precondition`.
 
-        Stops when ||b - Lx|| <= tol * ||b||; raises SolverFailureError at the
-        iteration cap.  Accumulation order is fixed, so results are
-        reproducible bit-for-bit.
+        With constant mu_a the preconditioner is the exact inverse, so CG
+        stops after one or two iterations; a varying mu_a differs from its
+        mean by a bounded diagonal, and CG takes a handful more.  Stops when
+        ||b - Lx|| <= tol * ||b|| and records (iterations, relative residual)
+        in `last_solve`; raises SolverFailureError at the iteration cap.
+        Accumulation order is fixed, so results are reproducible bit-for-bit.
         """
         g = self.grid
         b = np.asarray(rhs, dtype=np.float64).reshape(g.cells)
         b_norm = np.linalg.norm(b)
         if b_norm == 0.0:
+            self.last_solve = (0, 0.0)
             return np.zeros(g.cells)
         if max_iter is None:
             max_iter = max(200, int(20 * g.n_cells ** (1.0 / g.dim)))
         x = np.zeros(g.cells)
         r = b.copy()
-        z = r / self._diag
+        z = self._precondition(r)
         p = z.copy()
         rz = float(np.sum(r * z))
         res = b_norm
         for it in range(max_iter):
             if res <= tol * b_norm:
+                self.last_solve = (it, float(res / b_norm))
                 return x
             Ap = self.apply(p)
             alpha = rz / float(np.sum(p * Ap))
             x += alpha * p
             r -= alpha * Ap
             res = float(np.linalg.norm(r))
-            z = r / self._diag
+            z = self._precondition(r)
             rz_new = float(np.sum(r * z))
             p = z + (rz_new / rz) * p
             rz = rz_new
         if res <= tol * b_norm:
+            self.last_solve = (max_iter, float(res / b_norm))
             return x
         raise SolverFailureError(
             f"CG did not reach tol={tol:g} in {max_iter} iterations "
             f"(relative residual {res / b_norm:.3e})",
             residual=res / b_norm, iterations=max_iter)
+
+
+def _robin_modes(n, beta):
+    """Eigenpairs of the n x n tridiag(-1, 2, -1) whose two corners are
+    2 - beta (|beta| < 1), eigenvalues ascending, eigenvectors as columns.
+
+    Mode m is cos(theta (j - c)) for even m and sin(theta (j - c)) for odd m,
+    c = (n - 1)/2, with eigenvalue 2 - 2 cos(theta) = 4 sin^2(theta/2).  The
+    corner row asks cos(theta (c+1)) = beta cos(theta c) (even) or the same
+    with sines (odd); with theta = m pi/n + phi both reduce to
+    g(phi) = cos(s + phi (c+1)) - beta cos(phi c - s) = 0, s = m pi/(2n).
+    g is (1 - beta) cos s > 0 at phi = 0 and -(1 + beta) sin(s + pi/(2n)) < 0
+    at phi = pi/n, and its arguments stay below pi, so vectorized bisection
+    finds every root to roundoff.
+    """
+    c = 0.5 * (n - 1)
+    m = np.arange(n)
+    s = m * (0.5 * np.pi / n)
+    lo = np.zeros(n)
+    hi = np.full(n, np.pi / n)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        pos = np.cos(s + mid * (c + 1.0)) - beta * np.cos(mid * c - s) > 0
+        lo = np.where(pos, mid, lo)
+        hi = np.where(pos, hi, mid)
+    theta = m * (np.pi / n) + 0.5 * (lo + hi)
+    vecs = (np.arange(n)[:, None] - c) * theta
+    np.cos(vecs[:, ::2], out=vecs[:, ::2])
+    np.sin(vecs[:, 1::2], out=vecs[:, 1::2])
+    vecs /= np.linalg.norm(vecs, axis=0)
+    return 4.0 * np.sin(0.5 * theta) ** 2, vecs
 
 
 def assemble_operator(grid: Grid, medium: OpticalMedium, mu_a_field=None):

@@ -26,6 +26,11 @@ from .fbp import FbpFilter, divide_by_weight, fbp
 from .fields import ScalarField, build_phantom
 from .multiplier import ellipticity_margin, invert_multiplier
 
+# Noise treats values at or below this fraction of an array's maximum as
+# exact zeros: FFT roundoff gives those either sign, and a Poisson draw
+# consumes a random number for a tiny positive mean but not for a zero one.
+NOISE_FLOOR_FRACTION = 1e-12
+
 
 def _write_report(path, report):
     with open(path, "w") as fh:
@@ -77,17 +82,22 @@ def _phantom(cfg):
     return build_phantom(build_phantom_spec(cfg, grid.dim), grid)
 
 
-def _diffusion(cfg, grid):
-    """Diffusion operator, boundary datum h and adjoint weight v on a grid."""
+def _diffusion(cfg, grid, report):
+    """Diffusion operator, boundary datum h and adjoint weight v on a grid;
+    the weight solve's iterations and relative residual go into `report`."""
     op = assemble_operator(grid, build_medium(cfg))
     h = BoundaryField.constant(grid, _float(cfg, "boundary.h"))
-    return op, h, solve_adjoint_weight(op, h)
+    v = solve_adjoint_weight(op, h)
+    iterations, residual = op.last_solve
+    report["solver.weight.iterations"] = str(iterations)
+    report["solver.weight.residual"] = f"{residual:.6e}"
+    return op, h, v
 
 
-def _setup(cfg):
+def _setup(cfg, report):
     """Phantom, diffusion operator, boundary datum h and adjoint weight v."""
     truth = _phantom(cfg)
-    return (truth,) + _diffusion(cfg, truth.grid)
+    return (truth,) + _diffusion(cfg, truth.grid, report)
 
 
 def _stability(apertures, report):
@@ -148,7 +158,8 @@ def _spot_check(cfg, op, h, truth, clean, report):
 
 def _noise(cfg, pairs, report):
     """Poisson draws on (array, stream name) pairs, seeded per stream, after
-    clipping FFT roundoff negatives; the arrays as given for noise.kind=none."""
+    zeroing values at or below NOISE_FLOOR_FRACTION of the array's maximum;
+    the arrays as given for noise.kind=none."""
     kind = cfg["noise.kind"]
     if kind == "none":
         report["noise.applied"] = "false"
@@ -161,7 +172,8 @@ def _noise(cfg, pairs, report):
     report["noise.photons"] = f"{kappa:g}"
     return [apply_noise(NoiseModel(photons_per_unit=kappa,
                                    seed=derive_seed(seed, stream)),
-                        np.maximum(values, 0.0))
+                        np.where(values > NOISE_FLOOR_FRACTION * np.max(values),
+                                 values, 0.0))
             for values, stream in pairs]
 
 
@@ -221,7 +233,7 @@ def run_xmlt(cfg, outdir=None):
     """Full cone-excitation (XMLT) experiment: simulate, invert, report."""
     t0 = time.perf_counter()
     report = {}
-    truth, op, h, v = _setup(cfg)
+    truth, op, h, v = _setup(cfg, report)
     apertures = build_apertures(cfg, truth.grid.dim)
     _gate(cfg, apertures, report)
     clean = _cone_scan(op, h, truth, v, apertures, report)
@@ -240,11 +252,15 @@ def run_xlct(cfg, outdir=None):
     grid = truth.grid
     if grid.dim != 2:
         raise ConfigError("run_xlct requires a 2D grid")
-    _, _, v = _diffusion(cfg, grid)
     n_angles = _int(cfg, "xray.n_angles")
+    n_offsets = _int(cfg, "xray.n_offsets")
+    if n_angles < 8 or n_offsets < 2:
+        raise ConfigError("run_xlct needs xray.n_angles >= 8 and "
+                          f"xray.n_offsets >= 2, got {n_angles} and {n_offsets}")
+    _, _, v = _diffusion(cfg, grid, report)
     angles = np.arange(n_angles) * (np.pi / n_angles)
     half_diag = 0.5 * np.sqrt(sum(e ** 2 for e in grid.extent))
-    offsets = np.linspace(-half_diag, half_diag, _int(cfg, "xray.n_offsets"))
+    offsets = np.linspace(-half_diag, half_diag, n_offsets)
     sino = xray_transform(ScalarField(grid, v.values * truth.values), angles, offsets)
     (values,) = _noise(cfg, [(sino.values, "noise.sinogram")], report)
     sino = Sinogram(angles, offsets, values)
@@ -265,15 +281,16 @@ def phantom(cfg):
 def weight(cfg):
     """The `weight` verb: write the adjoint weight field."""
     t0 = time.perf_counter()
-    _, _, _, v = _setup(cfg)
-    return _emit(cfg, None, t0, {}, {"weight": v})
+    report = {}
+    _, _, _, v = _setup(cfg, report)
+    return _emit(cfg, None, t0, report, {"weight": v})
 
 
 def scan(cfg):
     """The `scan` verb: write the (noisy) cone scan with truth and weight."""
     t0 = time.perf_counter()
     report = {}
-    truth, op, h, v = _setup(cfg)
+    truth, op, h, v = _setup(cfg, report)
     clean = _cone_scan(op, h, truth, v, build_apertures(cfg, truth.grid.dim),
                        report)
     return _emit(cfg, None, t0, report, {"truth": truth, "weight": v},

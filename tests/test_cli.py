@@ -129,6 +129,18 @@ class TestExitCodes:
                      "--set", "grid.cells=8,8,8",
                      "--set", "phantom.inclusions=2.5,2.5,0,1.5,5.0"]) == 2
 
+    @pytest.mark.parametrize("item", [
+        "xray.n_angles=0", "xray.n_angles=7", "xray.n_offsets=1",
+        "xray.n_offsets=0"])
+    def test_run_xlct_rejects_short_sinogram_before_the_weight_solve(
+            self, tmp_path, monkeypatch, capsys, item):
+        def weight_solve(op, h):
+            raise AssertionError("weight solved before the sinogram check")
+        monkeypatch.setattr(pipeline, "solve_adjoint_weight", weight_solve)
+        assert main(small_args("run-xlct", tmp_path, item)) == 2
+        assert "xray.n_angles >= 8 and xray.n_offsets >= 2" in \
+            capsys.readouterr().err
+
     def test_zero_spot_checks_is_config_error(self, tmp_path, capsys):
         assert main(small_args("run-xmlt", tmp_path, "run.spot_checks=0")) == 2
         assert "run.spot_checks must be >= 1" in capsys.readouterr().err
@@ -165,6 +177,10 @@ class TestVerbs:
         v = read_field(tmp_path / "weight.ltf")
         assert np.all(v.values > 0)
         assert v.values.max() <= 1.0 + 1e-12
+        report = dict(ln.split(" = ", 1) for ln in
+                      (tmp_path / "report.txt").read_text().splitlines())
+        assert report["solver.weight.iterations"] in ("1", "2")
+        assert float(report["solver.weight.residual"]) <= 1e-13
 
     def test_check_stability_prints_margin(self, tmp_path, capsys):
         assert main(small_args("check-stability", tmp_path)) == 0
@@ -254,6 +270,25 @@ class TestVerbs:
         c = read_field(d3 / "scan_cone00.ltf").values
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_noise_ignores_roundoff_sign_of_exact_zeros(self):
+        # cells whose exact value is 0 carry FFT roundoff of either sign
+        rng = np.random.default_rng(11)
+        exact = rng.uniform(0.0, 1.0, (40, 40))
+        zero = rng.uniform(size=exact.shape) < 0.4
+        exact[zero] = 0.0
+        ulp = 1e-16 * exact.max()
+        roundoff = ulp * rng.uniform(-1.0, 1.0, exact.shape)
+        cfg = dict(DEFAULTS, **{"noise.kind": "poisson",
+                                "noise.photons": "1e4"})
+
+        def noisy(perturbation):
+            values = np.where(zero, perturbation, exact)
+            return pipeline._noise(cfg, [(values, "noise.cone0")], {})[0]
+
+        ref = noisy(roundoff)
+        for perturbation in (-roundoff, roundoff + ulp, roundoff - ulp, 0.0):
+            assert np.array_equal(noisy(perturbation), ref)
 
 
 def test_thread_cap_is_set_by_package_import():

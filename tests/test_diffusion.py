@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lumitomo.diffusion import (BoundaryField, assemble_operator,
+from lumitomo.diffusion import (BoundaryField, _robin_modes, assemble_operator,
                                 boundary_face_areas, boundary_face_count,
                                 boundary_flux, boundary_functional, greens_3d,
                                 null_space_defect, radial_ode_solve,
@@ -14,6 +14,39 @@ from lumitomo.errors import InvalidArgumentError, SolverFailureError
 from lumitomo.fields import OpticalMedium, ScalarField, make_grid
 
 from conftest import two_bump_phantom
+
+
+def jacobi_pcg(op, rhs, tol, max_iter=20000):
+    """Jacobi-preconditioned CG: the solver `DiscreteOperator.solve` replaced,
+    kept as the reference for the fast-diagonalization preconditioner."""
+    g, D = op.grid, op.medium.D
+    diag = op.mu_a.copy()
+    for ax in range(g.dim):
+        dx = g.spacing[ax]
+        diag += 2.0 * D / dx ** 2
+        sl = [slice(None)] * g.dim
+        for edge in (0, -1):
+            sl[ax] = edge
+            diag[tuple(sl)] -= op._beta[ax] * D / dx ** 2
+    b = np.asarray(rhs, dtype=np.float64).reshape(g.cells)
+    b_norm = np.linalg.norm(b)
+    x = np.zeros(g.cells)
+    r = b.copy()
+    z = r / diag
+    p = z.copy()
+    rz = float(np.sum(r * z))
+    for _ in range(max_iter):
+        if np.linalg.norm(r) <= tol * b_norm:
+            return x
+        Ap = op.apply(p)
+        alpha = rz / float(np.sum(p * Ap))
+        x += alpha * p
+        r -= alpha * Ap
+        z = r / diag
+        rz_new = float(np.sum(r * z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise AssertionError("reference CG did not converge")
 
 
 def test_boundary_face_bookkeeping(grid64):
@@ -134,8 +167,47 @@ def test_boundary_flux_consistent_vs_continuum(grid64, tissue_medium):
         boundary_flux(op, u, mode="bogus")
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 24, 128])
+@pytest.mark.parametrize("beta", [-0.95, 0.0, 0.88, 0.999])
+def test_robin_modes_match_eigh(n, beta):
+    K = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    K[0, 0] -= beta
+    K[-1, -1] -= beta
+    lam, vecs = _robin_modes(n, beta)
+    ref_lam, ref_vecs = np.linalg.eigh(K)
+    assert np.max(np.abs(lam - ref_lam)) <= 1e-14
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(n))) <= 1e-13
+    assert np.max(np.abs(K @ vecs - vecs * lam)) <= 1e-13
+    # same modes in the same order, up to sign
+    assert np.min(np.abs(np.sum(vecs * ref_vecs, axis=0))) >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("case", ["2d-nonsquare", "3d", "variable-mu_a"])
+def test_solve_matches_jacobi_pcg(tissue_medium, case):
+    rng = np.random.default_rng(7)
+    if case == "3d":
+        g = make_grid(3, (-5, -4, -6), (10, 9, 12), (14, 12, 16))
+    else:
+        g = make_grid(2, (-6, -10), (12, 20), (40, 72))
+    mu = rng.uniform(0.01, 0.5, g.cells) if case == "variable-mu_a" else None
+    op = assemble_operator(g, tissue_medium, mu_a_field=mu)
+    h = BoundaryField(g, rng.uniform(0.5, 2.0, boundary_face_count(g)))
+    X = g.centers()
+    source = np.exp(-np.sum((X - 1.0) ** 2, axis=-1) / 4.0)
+    for rhs in (op.boundary_rhs(h), source):
+        x = op.solve(rhs, tol=1e-14)
+        iterations, residual = op.last_solve
+        assert residual <= 1e-14
+        assert iterations <= (20 if mu is not None else 2)
+        ref = jacobi_pcg(op, rhs, tol=1e-14)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_solver_failure_raises(grid64, tissue_medium):
-    op = assemble_operator(grid64, tissue_medium)
+    # a varying mu_a keeps the preconditioner inexact, so two iterations
+    # stop short of the tolerance
+    mu = np.random.default_rng(3).uniform(0.01, 0.5, grid64.cells)
+    op = assemble_operator(grid64, tissue_medium, mu_a_field=mu)
     s = two_bump_phantom(grid64)
     with pytest.raises(SolverFailureError) as err:
         op.solve(s.values, tol=1e-14, max_iter=2)

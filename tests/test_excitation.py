@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lumitomo.diffusion import BoundaryField, assemble_operator, solve_adjoint_weight
+from lumitomo import excitation
 from lumitomo.errors import InvalidArgumentError
 from lumitomo.excitation import (Aperture, ConeConvolution, ConeScanData,
                                  Sinogram, aperture_eval, cone_intensity,
@@ -235,7 +236,54 @@ class TestConeConvolution:
             assert np.array_equal(fld.values, cone_transform(f, v, ap).values)
 
 
+def xray_per_ray(g, angles, offsets):
+    """The per-ray loop that `xray_transform` replaced, kept as its reference:
+    one bilinear sampling of one line at a time, corners masked to the grid."""
+    grid = g.grid
+    step = 0.5 * min(grid.spacing)
+    half_diag = 0.5 * np.sqrt(sum(e ** 2 for e in grid.extent))
+    center = np.array([grid.origin[a] + 0.5 * grid.extent[a] for a in range(2)])
+    ts = np.arange(-half_diag, half_diag + step, step)
+    nx, ny = grid.cells
+    vals = np.zeros((angles.size, offsets.size))
+    for ia, th in enumerate(angles):
+        d = np.array([np.cos(th), np.sin(th)])
+        perp = np.array([-np.sin(th), np.cos(th)])
+        for iz, z in enumerate(offsets):
+            pts = center[None, :] + z * perp[None, :] + ts[:, None] * d[None, :]
+            fx = (pts[:, 0] - grid.origin[0]) / grid.spacing[0] - 0.5
+            fy = (pts[:, 1] - grid.origin[1]) / grid.spacing[1] - 0.5
+            i0 = np.floor(fx).astype(int)
+            j0 = np.floor(fy).astype(int)
+            tx = fx - i0
+            ty = fy - j0
+            out = np.zeros(len(pts))
+            for di, wx in ((0, 1.0 - tx), (1, tx)):
+                for dj, wy in ((0, 1.0 - ty), (1, ty)):
+                    ii = i0 + di
+                    jj = j0 + dj
+                    ok = (ii >= 0) & (ii < nx) & (jj >= 0) & (jj < ny)
+                    w = wx * wy
+                    out[ok] += w[ok] * g.values[ii[ok], jj[ok]]
+            vals[ia, iz] = np.sum(out) * step
+    return vals
+
+
 class TestXrayTransform:
+    @pytest.mark.parametrize("block", [excitation.XRAY_BLOCK_SAMPLES, 250])
+    def test_matches_per_ray_loop(self, monkeypatch, block):
+        # non-square grid with unequal spacing, centred at (0, 1); offsets
+        # +-6 (angle 0) and +-3 (angle pi/2) run along its edges, +-3.125
+        # half a cell outside, where the outer cells' weight reaches zero
+        monkeypatch.setattr(excitation, "XRAY_BLOCK_SAMPLES", block)
+        g = make_grid(2, (-3.0, -5.0), (6.0, 12.0), (24, 40))
+        f = ScalarField(g, np.random.default_rng(4).uniform(0.5, 1.5, g.cells))
+        angles = np.array([0.0, np.pi / 2, 0.3, 2.2])
+        offsets = np.concatenate([np.linspace(-7.0, 7.0, 57),
+                                  [-6.0, -3.125, -3.0, 3.0, 3.125, 6.0]])
+        sino = xray_transform(f, angles, offsets)
+        assert np.array_equal(sino.values, xray_per_ray(f, angles, offsets))
+
     def test_disk_chord_lengths(self):
         n = 255
         g = make_grid(2, (-10, -10), (20, 20), (n, n))
