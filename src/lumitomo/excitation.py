@@ -294,6 +294,9 @@ class Sinogram:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != (self.angles.size, self.offsets.size):
             raise InvalidArgumentError("sinogram shape must be (angles, offsets)")
+        if not (np.all(np.isfinite(self.angles))
+                and np.all(np.isfinite(self.offsets))):
+            raise InvalidArgumentError("sinogram angles and offsets must be finite")
         if not np.all(np.isfinite(self.values)):
             raise InvalidArgumentError("sinogram values must be finite")
 

@@ -7,6 +7,7 @@ grid.  Everything here is immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ class Grid:
 
     @property
     def n_cells(self):
-        return int(np.prod(self.cells))
+        return math.prod(self.cells)
 
     @property
     def cell_volume(self):
@@ -66,7 +67,8 @@ class Grid:
 def make_grid(dim, origin, extent, cells) -> Grid:
     """Build a grid, validating shape arguments.
 
-    Requires at least 4 cells and positive extent on every axis.
+    Requires at least 4 cells and a finite origin and positive finite
+    extent on every axis.
     """
     origin = tuple(float(x) for x in origin)
     extent = tuple(float(x) for x in extent)
@@ -75,6 +77,9 @@ def make_grid(dim, origin, extent, cells) -> Grid:
         raise InvalidArgumentError(f"dim must be 2 or 3, got {dim}")
     if not (len(origin) == len(extent) == len(cells) == dim):
         raise InvalidArgumentError("origin/extent/cells length must equal dim")
+    if not all(math.isfinite(x) for x in origin + extent):
+        raise InvalidArgumentError(
+            f"origin and extent must be finite, got {origin} and {extent}")
     if any(e <= 0 for e in extent):
         raise InvalidArgumentError(f"extent must be positive, got {extent}")
     if any(n < 4 for n in cells):

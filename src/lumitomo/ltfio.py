@@ -19,6 +19,7 @@ round trip is bit-exact.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -65,7 +66,8 @@ def _grid_from_tokens(tokens):
 
 
 def _shaped(path, payload, shape):
-    if payload.size != np.prod(shape):
+    # an exact integer product: a numpy product of header sizes can wrap
+    if payload.size != math.prod(shape):
         raise InvalidArgumentError(
             f"{path} holds {payload.size} values; its header needs {shape}")
     return payload.reshape(shape)

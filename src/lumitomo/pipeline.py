@@ -1,13 +1,17 @@
 """End-to-end experiment orchestration and file emission.
 
 Runs and CLI verbs compose the same private stages, each of which parses
-the config values it uses when it starts.
+the config values it uses when it starts.  Each stage's wall time goes into
+the report as `wall_clock.<stage>` (setup, gate, scan, spot_check, noise,
+reconstruct, emit); report lines starting with `wall_clock` are the only
+ones that differ between repeated runs.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -32,6 +36,14 @@ from .multiplier import ellipticity_margin, invert_multiplier
 NOISE_FLOOR_FRACTION = 1e-12
 
 
+@contextmanager
+def _timed(report, stage):
+    """Record the wall time of the enclosed block as report["wall_clock.<stage>"]."""
+    t0 = time.perf_counter()
+    yield
+    report[f"wall_clock.{stage}"] = f"{time.perf_counter() - t0:.3f}"
+
+
 def _write_report(path, report):
     with open(path, "w") as fh:
         for key in sorted(report):
@@ -53,9 +65,11 @@ def emit_outputs(outdir, fields, report, sinogram=None, scan=None,
                  history=None):
     """Write LTFIELD files, CSV slices, PGM renders and the run report.
 
-    `fields` maps names to ScalarFields; colormap bounds of every PGM are
-    recorded in the report.
+    `fields` maps names to ScalarFields; colormap bounds of every PGM and
+    the time taken to write everything but the report itself
+    (`wall_clock.emit`) are recorded in the report.
     """
+    t0 = time.perf_counter()
     os.makedirs(outdir, exist_ok=True)
     for name, fld in fields.items():
         ltfio.write_field(os.path.join(outdir, f"{name}.ltf"), fld)
@@ -74,6 +88,7 @@ def emit_outputs(outdir, fields, report, sinogram=None, scan=None,
             fh.write("iteration,residual,normal_residual\n")
             for it, res, nres in history:
                 fh.write(f"{int(it)},{res:.17g},{nres:.17g}\n")
+    report["wall_clock.emit"] = f"{time.perf_counter() - t0:.3f}"
     _write_report(os.path.join(outdir, "report.txt"), report)
 
 
@@ -233,13 +248,19 @@ def run_xmlt(cfg, outdir=None):
     """Full cone-excitation (XMLT) experiment: simulate, invert, report."""
     t0 = time.perf_counter()
     report = {}
-    truth, op, h, v = _setup(cfg, report)
+    with _timed(report, "setup"):
+        truth, op, h, v = _setup(cfg, report)
     apertures = build_apertures(cfg, truth.grid.dim)
-    _gate(cfg, apertures, report)
-    clean = _cone_scan(op, h, truth, v, apertures, report)
-    _spot_check(cfg, op, h, truth, clean, report)
-    data = _noisy_scan(cfg, clean, report)
-    fields, history = _reconstruct(cfg, data, v, report, check_margin=False)
+    with _timed(report, "gate"):
+        _gate(cfg, apertures, report)
+    with _timed(report, "scan"):
+        clean = _cone_scan(op, h, truth, v, apertures, report)
+    with _timed(report, "spot_check"):
+        _spot_check(cfg, op, h, truth, clean, report)
+    with _timed(report, "noise"):
+        data = _noisy_scan(cfg, clean, report)
+    with _timed(report, "reconstruct"):
+        fields, history = _reconstruct(cfg, data, v, report, check_margin=False)
     return _emit(cfg, outdir, t0, report, {"truth": truth, "weight": v, **fields},
                  scan=data, history=history)
 
@@ -248,25 +269,30 @@ def run_xlct(cfg, outdir=None):
     """Full line-excitation (XLCT) experiment: sinogram, FBP, divide by weight."""
     t0 = time.perf_counter()
     report = {}
-    truth = _phantom(cfg)
-    grid = truth.grid
-    if grid.dim != 2:
-        raise ConfigError("run_xlct requires a 2D grid")
-    n_angles = _int(cfg, "xray.n_angles")
-    n_offsets = _int(cfg, "xray.n_offsets")
-    if n_angles < 8 or n_offsets < 2:
-        raise ConfigError("run_xlct needs xray.n_angles >= 8 and "
-                          f"xray.n_offsets >= 2, got {n_angles} and {n_offsets}")
-    _, _, v = _diffusion(cfg, grid, report)
-    angles = np.arange(n_angles) * (np.pi / n_angles)
-    half_diag = 0.5 * np.sqrt(sum(e ** 2 for e in grid.extent))
-    offsets = np.linspace(-half_diag, half_diag, n_offsets)
-    sino = xray_transform(ScalarField(grid, v.values * truth.values), angles, offsets)
-    (values,) = _noise(cfg, [(sino.values, "noise.sinogram")], report)
-    sino = Sinogram(angles, offsets, values)
-    filt = FbpFilter(kind=cfg["recon.filter"], cutoff=_float(cfg, "recon.cutoff"))
-    v_floor = V_FLOOR_FRACTION * float(np.max(v.values))
-    rec = divide_by_weight(fbp(sino, grid, filt), v, v_floor)
+    with _timed(report, "setup"):
+        truth = _phantom(cfg)
+        grid = truth.grid
+        if grid.dim != 2:
+            raise ConfigError("run_xlct requires a 2D grid")
+        n_angles = _int(cfg, "xray.n_angles")
+        n_offsets = _int(cfg, "xray.n_offsets")
+        if n_angles < 8 or n_offsets < 2:
+            raise ConfigError("run_xlct needs xray.n_angles >= 8 and "
+                              f"xray.n_offsets >= 2, got {n_angles} and {n_offsets}")
+        _, _, v = _diffusion(cfg, grid, report)
+    with _timed(report, "scan"):
+        angles = np.arange(n_angles) * (np.pi / n_angles)
+        half_diag = 0.5 * np.sqrt(sum(e ** 2 for e in grid.extent))
+        offsets = np.linspace(-half_diag, half_diag, n_offsets)
+        sino = xray_transform(ScalarField(grid, v.values * truth.values),
+                              angles, offsets)
+    with _timed(report, "noise"):
+        (values,) = _noise(cfg, [(sino.values, "noise.sinogram")], report)
+        sino = Sinogram(angles, offsets, values)
+    with _timed(report, "reconstruct"):
+        filt = FbpFilter(kind=cfg["recon.filter"], cutoff=_float(cfg, "recon.cutoff"))
+        v_floor = V_FLOOR_FRACTION * float(np.max(v.values))
+        rec = divide_by_weight(fbp(sino, grid, filt), v, v_floor)
     report["weight.max_inverse"] = f"{1.0 / max(float(np.min(v.values)), v_floor):.6e}"
     return _emit(cfg, outdir, t0, report,
                  {"truth": truth, "weight": v, "recon_fbp": rec}, sinogram=sino)
@@ -275,14 +301,18 @@ def run_xlct(cfg, outdir=None):
 def phantom(cfg):
     """The `phantom` verb: write the configured phantom."""
     t0 = time.perf_counter()
-    return _emit(cfg, None, t0, {}, {"truth": _phantom(cfg)})
+    report = {}
+    with _timed(report, "setup"):
+        truth = _phantom(cfg)
+    return _emit(cfg, None, t0, report, {"truth": truth})
 
 
 def weight(cfg):
     """The `weight` verb: write the adjoint weight field."""
     t0 = time.perf_counter()
     report = {}
-    _, _, _, v = _setup(cfg, report)
+    with _timed(report, "setup"):
+        _, _, _, v = _setup(cfg, report)
     return _emit(cfg, None, t0, report, {"weight": v})
 
 
@@ -290,11 +320,15 @@ def scan(cfg):
     """The `scan` verb: write the (noisy) cone scan with truth and weight."""
     t0 = time.perf_counter()
     report = {}
-    truth, op, h, v = _setup(cfg, report)
-    clean = _cone_scan(op, h, truth, v, build_apertures(cfg, truth.grid.dim),
-                       report)
+    with _timed(report, "setup"):
+        truth, op, h, v = _setup(cfg, report)
+    with _timed(report, "scan"):
+        clean = _cone_scan(op, h, truth, v,
+                           build_apertures(cfg, truth.grid.dim), report)
+    with _timed(report, "noise"):
+        data = _noisy_scan(cfg, clean, report)
     return _emit(cfg, None, t0, report, {"truth": truth, "weight": v},
-                 scan=_noisy_scan(cfg, clean, report))
+                 scan=data)
 
 
 def reconstruct(cfg):
@@ -306,11 +340,14 @@ def reconstruct(cfg):
     if not (os.path.exists(manifest) and os.path.exists(weight_path)):
         raise ConfigError(
             f"reconstruct needs {manifest} and {weight_path}; run `scan` first")
-    data = ltfio.read_scan(manifest)
-    v = ltfio.read_field(weight_path)
     report = {}
-    fields, history = _reconstruct(
-        cfg, data, v, report, check_margin=not _bool(cfg, "run.force_pseudo"))
+    with _timed(report, "setup"):
+        data = ltfio.read_scan(manifest)
+        v = ltfio.read_field(weight_path)
+    with _timed(report, "reconstruct"):
+        fields, history = _reconstruct(
+            cfg, data, v, report,
+            check_margin=not _bool(cfg, "run.force_pseudo"))
     return _emit(cfg, outdir, t0, report, fields, history=history)
 
 

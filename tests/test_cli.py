@@ -291,6 +291,43 @@ class TestVerbs:
             assert np.array_equal(noisy(perturbation), ref)
 
 
+def _report(outdir):
+    return dict(ln.split(" = ", 1) for ln in
+                (outdir / "report.txt").read_text().splitlines())
+
+
+class TestWallClock:
+    XLCT = ["xray.n_angles=60", "xray.n_offsets=97"]
+
+    def test_stage_keys(self, tmp_path):
+        expected = {
+            "run-xmlt": ["setup", "gate", "scan", "spot_check", "noise",
+                         "reconstruct", "emit"],
+            "run-xlct": ["setup", "scan", "noise", "reconstruct", "emit"],
+            "phantom": ["setup", "emit"],
+            "weight": ["setup", "emit"],
+            "scan": ["setup", "scan", "noise", "emit"],
+            "reconstruct": ["setup", "reconstruct", "emit"],
+        }
+        for verb, stages in expected.items():
+            outdir = tmp_path / ("scan" if verb == "reconstruct" else verb)
+            assert main(small_args(verb, outdir, *self.XLCT)) == 0
+            report = _report(outdir)
+            keys = {k for k in report if k.startswith("wall_clock.")}
+            assert keys == {f"wall_clock.{stage}" for stage in stages}, verb
+            assert all(float(report[key]) >= 0.0 for key in keys)
+
+    def test_reports_equal_without_wall_clock_lines(self, tmp_path):
+        def stripped():
+            assert main(small_args("run-xmlt", tmp_path,
+                                   "noise.kind=poisson")) == 0
+            text = (tmp_path / "report.txt").read_text()
+            return [ln for ln in text.splitlines()
+                    if not ln.startswith("wall_clock")]
+
+        assert stripped() == stripped()
+
+
 def test_thread_cap_is_set_by_package_import():
     env = {k: v for k, v in os.environ.items()
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",

@@ -26,6 +26,14 @@ def test_make_grid_rejects_bad_input():
         make_grid(4, (0,) * 4, (1,) * 4, (8,) * 4)  # unsupported dim
 
 
+@pytest.mark.parametrize("origin,extent", [
+    ((np.nan, 0.0), (1.0, 1.0)), ((0.0, -np.inf), (1.0, 1.0)),
+    ((0.0, 0.0), (np.inf, 1.0)), ((0.0, 0.0), (1.0, np.nan))])
+def test_make_grid_rejects_non_finite_geometry(origin, extent):
+    with pytest.raises(InvalidArgumentError):
+        make_grid(2, origin, extent, (8, 8))
+
+
 def test_grid_index_center_roundtrip():
     g = make_grid(2, (-5, 3), (10, 4), (16, 8))
     centers = g.centers().reshape(-1, 2)

@@ -1,10 +1,13 @@
 """Round trips and validation for the on-disk containers."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lumitomo.diffusion import BoundaryField, boundary_face_count
-from lumitomo.errors import InvalidArgumentError
+from lumitomo.errors import InvalidArgumentError, LumitomoError
 from lumitomo.excitation import Aperture, ConeScanData, Sinogram
 from lumitomo.fields import ScalarField, make_grid
 from lumitomo.ltfio import (read_boundary_field, read_field, read_scan,
@@ -81,6 +84,107 @@ def test_malformed_field_rejected(tmp_path, grid64):
     p.write_bytes(no_origin + b"\n" + payload)
     with pytest.raises(InvalidArgumentError):
         read_field(p)
+
+
+def test_header_sizes_overflowing_int64_rejected(tmp_path):
+    # 2**32 * 2**32 wraps to 0 in int64, which an empty payload matched
+    p = tmp_path / "f.ltf"
+    p.write_bytes(b"LTFIELD v1 dim=2 cells=4294967296,4294967296 "
+                  b"origin=0,0 extent=1,1\n")
+    with pytest.raises(InvalidArgumentError):
+        read_field(p)
+    p.write_bytes(b"LTFIELD v1 boundary=1 dim=2 cells=4294967296,4294967296 "
+                  b"origin=0,0 extent=1,1\n")
+    with pytest.raises(InvalidArgumentError):
+        read_boundary_field(p)
+
+
+@pytest.mark.parametrize("geometry", [b"origin=nan,0 extent=1,1",
+                                      b"origin=0,0 extent=inf,1"])
+def test_non_finite_header_geometry_rejected(tmp_path, geometry):
+    p = tmp_path / "f.ltf"
+    p.write_bytes(b"LTFIELD v1 dim=2 cells=4,4 " + geometry + b"\n"
+                  + np.ones(16).tobytes())
+    with pytest.raises(InvalidArgumentError):
+        read_field(p)
+
+
+def test_non_finite_sinogram_axes_rejected(tmp_path):
+    p = tmp_path / "s.ltf"
+    p.write_bytes(b"LTFIELD v1 sinogram=1 angles=0,nan offsets=0,1\n"
+                  + np.ones(4).tobytes())
+    with pytest.raises(InvalidArgumentError):
+        read_sinogram(p)
+
+
+_SIZES = st.sampled_from([4, 5, 7, 2 ** 31, 2 ** 32, 2 ** 33, 2 ** 63, 10 ** 30])
+_REALS = st.one_of(st.floats(-1e3, 1e3),
+                   st.sampled_from([float("nan"), float("inf"), -float("inf"),
+                                    0.0, -1.0, 1e308]))
+_JUNK = st.one_of(st.sampled_from(["", "x", "1e3", "0x10", "1,,2", "\u00e9"]),
+                  st.lists(_REALS, max_size=4).map(lambda v: ",".join(map(repr, v))))
+
+
+@st.composite
+def _ltfield(draw):
+    """A valid header of a random variant with up to two tokens dropped or
+    replaced by junk, and a payload whose length is random or equal to the
+    header's value count, exact or wrapped to 64 bits as numpy's integer
+    product would give it."""
+    variant = draw(st.sampled_from(["field", "boundary", "sinogram"]))
+    if variant == "sinogram":
+        angles = draw(st.lists(st.floats(-4, 4), min_size=1, max_size=4))
+        offsets = draw(st.lists(st.floats(-4, 4), min_size=1, max_size=4))
+        tokens = {"sinogram": "1", "angles": ",".join(map(repr, angles)),
+                  "offsets": ",".join(map(repr, offsets))}
+        count = len(angles) * len(offsets)
+    else:
+        dim = draw(st.sampled_from([2, 3]))
+        cells = draw(st.lists(_SIZES, min_size=dim, max_size=dim))
+        tokens = {"dim": str(dim), "cells": ",".join(map(str, cells)),
+                  "origin": ",".join(["-1.5"] * dim),
+                  "extent": ",".join(["3.0"] * dim)}
+        if variant == "boundary":
+            tokens["boundary"] = "1"
+            count = 2 * sum(math.prod(cells) // n for n in cells)
+        else:
+            count = math.prod(cells)
+    for key in draw(st.lists(st.sampled_from(sorted(tokens)), max_size=2)):
+        if draw(st.booleans()):
+            tokens.pop(key, None)
+        else:
+            tokens[key] = draw(_JUNK)
+    sizes = [n for n in (count, count % 2 ** 64) if n <= 64]
+    n_values = draw(st.sampled_from(sizes) if sizes and draw(st.booleans())
+                    else st.integers(0, 64))
+    header = " ".join(["LTFIELD v1"] + [f"{k}={v}" for k, v in tokens.items()])
+    return (header.encode("utf-8") + b"\n"
+            + np.arange(n_values, dtype="<f8").tobytes()
+            + b"\x00" * draw(st.sampled_from([0, 0, 0, 3])))
+
+
+# Header sizes reach 10**30 while a payload holds at most 64 values, so a
+# reader that sized an array from the header would fail here.  A read that
+# succeeds must account for every payload value with the header's exact
+# (unwrapped) sizes.
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_ltfield())
+def test_fuzzed_files_fail_only_with_toolkit_errors(tmp_path, data):
+    p = tmp_path / "fuzz.ltf"
+    p.write_bytes(data)
+    n_payload = (len(data) - data.index(b"\n") - 1) // 8
+    for reader in (read_field, read_boundary_field, read_sinogram):
+        try:
+            read = reader(p)
+        except LumitomoError:
+            continue
+        if reader is read_sinogram:
+            assert read.angles.size * read.offsets.size == n_payload
+        elif reader is read_boundary_field:
+            assert boundary_face_count(read.grid) == n_payload
+        else:
+            assert read.grid.n_cells == n_payload
 
 
 def test_malformed_sinogram_rejected(tmp_path):

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from lumitomo import multiplier
+from lumitomo.config import DEFAULTS, build_apertures
 from lumitomo.errors import (InvalidArgumentError, StabilityViolationError,
                              UndefinedDirectionError)
 from lumitomo.excitation import Aperture, ConeScanData, cone_transform
 from lumitomo.fields import ScalarField, make_grid
-from lumitomo.multiplier import (ellipticity_margin, invert_multiplier,
-                                 multiplier_symbol, parametrix_weights,
-                                 roi_reconstruct, visible_direction)
+from lumitomo.multiplier import (angular_factor, ellipticity_margin,
+                                 invert_multiplier, multiplier_symbol,
+                                 parametrix_weights, roi_reconstruct,
+                                 total_symbol_table, visible_direction)
 
 from conftest import extended_grid, fan_apertures, rel_l2, two_bump_phantom
 
@@ -51,6 +54,177 @@ class TestSymbol:
         ap = Aperture(dim=2, axis=(1, 0), half_angle=0.5)
         with pytest.raises(InvalidArgumentError):
             multiplier_symbol(ap, (0.0, 0.0))
+
+
+def great_circle_factor(ap, omega, points=256):
+    """The 3D angular factor as a midpoint sum over `points` great-circle
+    points per direction: the rule the closed form replaced."""
+    om = np.atleast_2d(np.asarray(omega, dtype=np.float64))
+    phi = (np.arange(points) + 0.5) * (2.0 * np.pi / points)
+    helper = np.where(np.abs(om[:, :1]) > 0.9, np.array([[0.0, 1.0, 0.0]]),
+                      np.array([[1.0, 0.0, 0.0]]))
+    e1 = np.cross(om, helper)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = np.cross(om, e1)
+    axis = np.asarray(ap.axis)
+    cosang = np.outer(e1 @ axis, np.cos(phi)) + np.outer(e2 @ axis, np.sin(phi))
+    return np.pi * np.sum(ap.profile(cosang), axis=1) * (2.0 * np.pi / points)
+
+
+def midpoint_factor(ap, A, points=2 ** 16):
+    """4 pi * integral over psi in [0, pi/2] of a(A cos psi), by the midpoint
+    rule on each piece between the plateau and taper edges, where the
+    profile is smooth; edges in the wrong place would leave a jump or kink
+    inside a piece and an error far above the tolerances used here."""
+    edges = [0.0]
+    for angle in (ap.half_angle - ap.taper_width, ap.half_angle):
+        edges.append(np.arccos(np.cos(angle) / A) if A > np.cos(angle) else 0.0)
+    edges.append(np.pi / 2)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi > lo:
+            h = (hi - lo) / points
+            psi = lo + (np.arange(points) + 0.5) * h
+            total += float(np.sum(ap.profile(A * np.cos(psi)))) * h
+    return 4.0 * np.pi * total
+
+
+def rotated_about(axis, s, phi):
+    """Unit directions at |cos| = s to `axis`, turned by the angles phi."""
+    axis = np.asarray(axis)
+    e1 = np.cross(axis, [1.0, 0.0, 0.0] if abs(axis[0]) < 0.9 else [0.0, 1.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(axis, e1)
+    s = np.broadcast_to(np.asarray(s, dtype=np.float64), np.shape(phi))[:, None]
+    return (s * axis + np.sqrt(1.0 - s * s)
+            * (np.outer(np.cos(phi), e1) + np.outer(np.sin(phi), e2)))
+
+
+AXIS_3D = (0.3, 0.5, 0.81)
+
+
+class TestAngularFactor3D:
+    @pytest.mark.parametrize("half", [0.1, np.deg2rad(19.2), np.pi / 2 - 1e-3])
+    @pytest.mark.parametrize("taper", ["zero", "default", "full"])
+    def test_matches_fine_midpoint_rule(self, half, taper):
+        tw = {"zero": 0.0, "default": None, "full": half}[taper]
+        ap = Aperture(dim=3, axis=AXIS_3D, half_angle=half, taper_width=tw)
+        axis = np.asarray(ap.axis)
+        rng = np.random.default_rng(5)
+        random = rng.standard_normal((24, 3))
+        random /= np.linalg.norm(random, axis=1, keepdims=True)
+        near_axis = rotated_about(axis, np.cos([0.0, 1e-6, 1e-3, 0.5 * half]),
+                                  np.arange(4.0))
+        near_perp = rotated_about(axis, np.array([0.0, 1e-9, 1e-4, 1e-2]),
+                                  np.arange(4.0))
+        # A = sqrt(1 - s^2) across the visible range (cos(half), 1)
+        A_visible = np.linspace(np.cos(half), 1.0, 14)[1:-1]
+        visible = rotated_about(axis, np.sqrt(1.0 - A_visible ** 2),
+                                np.arange(12.0))
+        dirs = np.vstack([random, near_axis, near_perp, visible])
+        A = np.linalg.norm(np.cross(dirs, axis), axis=1)
+        ref = np.array([midpoint_factor(ap, a) for a in A])
+        err = np.max(np.abs(angular_factor(ap, dirs) - ref)) / np.max(ref)
+        assert err <= 1e-10
+
+    def test_equal_for_directions_rotated_about_axis(self):
+        ap = Aperture(dim=3, axis=AXIS_3D, half_angle=np.deg2rad(19.2))
+        phi = np.linspace(0.0, 2.0 * np.pi, 17)
+        spread_new, spread_old, scale = 0.0, 0.0, 0.0
+        for s in (0.0, 0.05, 0.2, 0.3):
+            dirs = rotated_about(ap.axis, s, phi)
+            new = angular_factor(ap, dirs)
+            old = great_circle_factor(ap, dirs)
+            spread_new = max(spread_new, np.ptp(new))
+            spread_old = max(spread_old, np.ptp(old))
+            scale = max(scale, np.max(new))
+        assert spread_new <= 1e-14 * scale
+        # the replaced rule was not rotation invariant
+        assert spread_old > 1e-4 * scale
+
+    @pytest.mark.parametrize("half_deg", [19.2, 35.0, 60.0])
+    def test_agrees_with_great_circle_rule(self, half_deg):
+        # stated tolerance of the replaced 256-point rule on default tapers
+        ap = Aperture(dim=3, axis=AXIS_3D, half_angle=np.deg2rad(half_deg))
+        dirs = np.random.default_rng(6).standard_normal((2000, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        new = angular_factor(ap, dirs)
+        old = great_circle_factor(ap, dirs)
+        assert np.max(np.abs(new - old)) <= 3e-3 * np.max(new)
+
+    @pytest.mark.parametrize("tw", [0.0, None, 0.3])
+    def test_exactly_zero_inside_the_invisible_cone(self, tw):
+        half = 0.3
+        ap = Aperture(dim=3, axis=AXIS_3D, half_angle=half, taper_width=tw)
+        # A = sin(angle to axis) <= cos(half) within pi/2 - half of the axis
+        angles = np.array([0.0, 1e-8, 0.3, 0.9, 1.2, np.pi / 2 - half - 1e-12])
+        dirs = np.vstack([rotated_about(ap.axis, np.cos(a), np.arange(3.0))
+                          for a in angles])
+        A = np.linalg.norm(np.cross(dirs, np.asarray(ap.axis)), axis=1)
+        assert np.all(A <= np.cos(half))
+        assert np.all(angular_factor(ap, dirs) == 0.0)
+        assert np.all(angular_factor(ap, -dirs) == 0.0)
+
+    def test_gauss_legendre_rule(self):
+        nodes, weights = np.polynomial.legendre.leggauss(
+            multiplier.TAPER_GAUSS_POINTS)
+        order = np.argsort(multiplier._TAPER_NODES)
+        assert np.max(np.abs(multiplier._TAPER_NODES[order] - nodes)) <= 1e-15
+        assert np.max(np.abs(multiplier._TAPER_WEIGHTS[order] - weights)) <= 1e-15
+
+
+def _cone_sets():
+    return {
+        "2d-defaults": build_apertures(DEFAULTS, 2),
+        "2d-distinct": fan_apertures(3, 35.0),
+        "3d-defaults": build_apertures(DEFAULTS, 3),
+        "3d-distinct": [Aperture(dim=3, axis=ax, half_angle=np.deg2rad(35.0))
+                        for ax in [(1, 0, 0), (0, 1, 0), (0.6, 0.0, 0.8)]],
+    }
+
+
+class TestDistinctApertures:
+    def test_default_cones_are_five_double_cones(self):
+        for dim in (2, 3):
+            distinct = multiplier._distinct_apertures(build_apertures(DEFAULTS, dim))
+            assert [count for _, count in distinct] == [2] * 5
+
+    def test_different_parameters_stay_distinct(self):
+        ap = Aperture(dim=2, axis=(1.0, 0.0), half_angle=0.5)
+        others = [Aperture(dim=2, axis=(-1.0, 1e-9), half_angle=0.5),
+                  Aperture(dim=2, axis=(-1.0, 0.0), half_angle=0.4),
+                  Aperture(dim=2, axis=(-1.0, 0.0), half_angle=0.5,
+                           taper_width=0.0),
+                  Aperture(dim=2, axis=(-1.0, 0.0), half_angle=0.5,
+                           amplitude=2.0)]
+        for other in others:
+            assert len(multiplier._distinct_apertures([ap, other])) == 2
+
+    @pytest.mark.parametrize("name", list(_cone_sets()))
+    def test_equals_per_aperture_loop(self, name, monkeypatch):
+        aps = _cone_sets()[name]
+        dim = aps[0].dim
+        n = 32 if dim == 2 else 10
+        grid = make_grid(dim, (-10.0,) * dim, (20.0,) * dim, (n,) * dim)
+        X = grid.centers()
+        f = ScalarField(grid, np.exp(-np.sum((X - 1.0) ** 2, axis=-1) / 8.0))
+        v = ScalarField.full(grid, 1.0)
+        scan = ConeScanData(grid, cone_transform(f, v, aps), aps)
+        padded = tuple(2 * c for c in grid.cells)
+
+        def outputs():
+            return (total_symbol_table(aps, padded, grid.spacing),
+                    invert_multiplier(scan, aps, v, eps=1e-3,
+                                      check_margin=False).values,
+                    ellipticity_margin(aps).margin)
+
+        table, rec, margin = outputs()
+        monkeypatch.setattr(multiplier, "_distinct_apertures",
+                            lambda apertures: [(ap, 1) for ap in apertures])
+        loop_table, loop_rec, loop_margin = outputs()
+        assert np.max(np.abs(table - loop_table)) <= 1e-13 * np.max(np.abs(loop_table))
+        assert np.max(np.abs(rec - loop_rec)) <= 1e-13 * np.max(np.abs(loop_rec))
+        assert abs(margin - loop_margin) <= 1e-13 * abs(loop_margin) + 1e-300
 
 
 class TestVisibility:
