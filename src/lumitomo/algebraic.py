@@ -41,7 +41,7 @@ def scan_linear_map(apertures, v: ScalarField) -> LinearMap:
     grid = v.grid
     conv = ConeConvolution(apertures, grid)
     vvol = v.values * grid.cell_volume
-    stacked = (len(conv.spectra),) + tuple(grid.cells)
+    stacked = (len(conv.group),) + tuple(grid.cells)
 
     def forward(x):
         return conv.forward(x.reshape(grid.cells) * vvol).ravel()
@@ -49,7 +49,7 @@ def scan_linear_map(apertures, v: ScalarField) -> LinearMap:
     def adjoint(y):
         return (conv.adjoint(y.reshape(stacked)) * vvol).ravel()
 
-    return LinearMap(n_data=len(conv.spectra) * grid.n_cells,
+    return LinearMap(n_data=len(conv.group) * grid.n_cells,
                      n_model=grid.n_cells, forward=forward, adjoint=adjoint)
 
 

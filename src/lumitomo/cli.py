@@ -57,6 +57,8 @@ def main(argv=None):
                     "wall_clock_seconds"):
             if key in report:
                 print(f"{key} = {report[key]}")
+        for key in sorted(k for k in report if k.startswith("wall_clock.")):
+            print(f"{key} = {report[key]}")
         print(f"outputs written to {cfg['run.output_dir']}")
         return 0
     except ConfigError as exc:

@@ -5,11 +5,11 @@ Double-cone apertures give the focused-beam transform
     Rf(x, j) = sum_y  a_j((x - y)/|x - y|) / |x - y|^{n-1} * v(y) f(y) * vol
 
 evaluated by midpoint quadrature with an analytic polar correction at the
-singular self cell, as one circular FFT convolution per cone
-(`ConeConvolution`, which the LSQR operator shares).  Single-line excitation
-gives the parallel-beam sinogram of v * f.  The boundary scan either
-evaluates the transform directly ("fast") or runs the full PDE chain per
-focus point ("full-physics").
+singular self cell, as one circular FFT convolution per distinct double
+cone (`ConeConvolution`, which the LSQR operator shares).  Single-line
+excitation gives the parallel-beam sinogram of v * f.  The boundary scan
+either evaluates the transform directly ("fast") or runs the full PDE chain
+per focus point ("full-physics").
 """
 
 from __future__ import annotations
@@ -140,24 +140,57 @@ def cone_kernel(ap: Aperture, grid: Grid):
     return K
 
 
+def _aperture_groups(apertures):
+    """Distinct apertures in order of first appearance, and for each given
+    aperture the index of its distinct one.  A double cone about -axis is
+    the cone about axis, so apertures whose axes agree up to sign to 1e-12,
+    with equal half_angle, taper_width and amplitude, are one."""
+    distinct, group = [], []
+    for ap in apertures:
+        axis = np.asarray(ap.axis)
+        for i, rep in enumerate(distinct):
+            if ((ap.dim, ap.half_angle, ap.taper_width, ap.amplitude)
+                    == (rep.dim, rep.half_angle, rep.taper_width, rep.amplitude)
+                    and min(np.max(np.abs(axis - rep.axis)),
+                            np.max(np.abs(axis + rep.axis))) <= 1e-12):
+                group.append(i)
+                break
+        else:
+            group.append(len(distinct))
+            distinct.append(ap)
+    return distinct, group
+
+
+def _distinct_apertures(apertures):
+    """(aperture, multiplicity) pairs, one per distinct aperture in order of
+    first appearance (see `_aperture_groups`)."""
+    distinct, group = _aperture_groups(apertures)
+    return [(ap, group.count(i)) for i, ap in enumerate(distinct)]
+
+
 class ConeConvolution:
     """The midpoint cone kernels of a set of apertures as one circular
     convolution on a grid, the fast scan's and LSQR's only FFT path.
 
-    Each kernel is wrapped onto a circular grid of 2n cells per axis with
-    its zero offset at index 0.  Offsets of up to n-1 cells never alias
-    there, so the first n cells per axis of the circular result are the
-    linear quadrature sum.  The kernels are even, so their spectra are real
-    and serve forward and adjoint alike.
+    Each distinct aperture's kernel is wrapped onto a circular grid of 2n
+    cells per axis with its zero offset at index 0.  Offsets of up to n-1
+    cells never alias there, so the first n cells per axis of the circular
+    result are the linear quadrature sum.  The kernels are even, so their
+    spectra are real and serve forward and adjoint alike.  Apertures that
+    are the same double cone share one spectrum (`group` maps each aperture
+    to its row of `spectra`), so each distinct aperture costs one inverse
+    FFT in `forward` and one forward FFT in `adjoint`.
     """
 
     def __init__(self, apertures, grid: Grid):
         self.cells = tuple(grid.cells)
         self.shape = tuple(2 * n for n in self.cells)
         self.axes = tuple(range(grid.dim))
+        distinct, group = _aperture_groups(apertures)
+        self.group = np.array(group, dtype=np.intp)
         wrap = np.ix_(*[np.arange(-(n - 1), n) % (2 * n) for n in self.cells])
         spectra = []
-        for ap in apertures:
+        for ap in distinct:
             K = np.zeros(self.shape)
             K[wrap] = cone_kernel(ap, grid)
             spectra.append(np.fft.rfftn(K, axes=self.axes).real)
@@ -173,17 +206,22 @@ class ConeConvolution:
 
     def forward(self, g):
         """Quadrature sums of the source g (grid-shaped), one per aperture
-        along a leading axis; one FFT of g serves every aperture."""
+        along a leading axis; one FFT of g serves every aperture, and
+        apertures of one group get copies of one inverse FFT."""
         G = np.fft.rfftn(g, self.shape, axes=self.axes)
-        return np.stack([self._inverse(G * S) for S in self.spectra])
+        return np.stack([self._inverse(G * S) for S in self.spectra])[self.group]
 
     def adjoint(self, y):
         """Transpose of `forward`: per-aperture fields stacked along a
-        leading axis to one grid-shaped field; the spectra are summed
-        before one inverse FFT."""
+        leading axis to one grid-shaped field.  The fields of each group
+        are added before its FFT, and the spectra are summed before one
+        inverse FFT."""
+        summed = np.zeros((len(self.spectra),) + self.cells)
+        for i, yj in zip(self.group, y):
+            summed[i] += yj
         acc = np.zeros(self.spectra.shape[1:], dtype=complex)
-        for yj, S in zip(y, self.spectra):
-            acc += np.fft.rfftn(yj, self.shape, axes=self.axes) * S
+        for yi, S in zip(summed, self.spectra):
+            acc += np.fft.rfftn(yi, self.shape, axes=self.axes) * S
         return self._inverse(acc)
 
 

@@ -14,6 +14,10 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
+# The most cells make_grid accepts (512 x 512 x 256), so that a config or a
+# file header cannot ask for more than 512 MiB per field.
+MAX_GRID_CELLS = 2 ** 26
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -68,7 +72,8 @@ def make_grid(dim, origin, extent, cells) -> Grid:
     """Build a grid, validating shape arguments.
 
     Requires at least 4 cells and a finite origin and positive finite
-    extent on every axis.
+    extent on every axis, and at most MAX_GRID_CELLS = 2**26 cells in all
+    (the exact product, checked before anything is allocated).
     """
     origin = tuple(float(x) for x in origin)
     extent = tuple(float(x) for x in extent)
@@ -84,6 +89,9 @@ def make_grid(dim, origin, extent, cells) -> Grid:
         raise InvalidArgumentError(f"extent must be positive, got {extent}")
     if any(n < 4 for n in cells):
         raise InvalidArgumentError(f"need at least 4 cells per axis, got {cells}")
+    if math.prod(cells) > MAX_GRID_CELLS:
+        raise InvalidArgumentError(
+            f"grid of {cells} cells exceeds the {MAX_GRID_CELLS} cell limit")
     return Grid(dim, origin, extent, cells)
 
 

@@ -31,7 +31,8 @@ import numpy as np
 from .errors import (InvalidArgumentError, StabilityViolationError,
                      UndefinedDirectionError)
 from .fields import Grid, ScalarField, make_grid
-from .excitation import Aperture, ConeScanData, _nested_offset, cone_kernel
+from .excitation import (Aperture, ConeScanData, _distinct_apertures,
+                         _nested_offset, cone_kernel)
 from .diffusion import V_FLOOR_FRACTION
 
 # Gauss-Legendre nodes for the 3D taper band.  Against a 400-node rule the
@@ -117,26 +118,6 @@ def visible_direction(apertures, omega):
         raise InvalidArgumentError("omega must be a unit vector")
     total = sum(angular_factor(ap, om) for ap in apertures)
     return bool(total > 0.0)
-
-
-def _distinct_apertures(apertures):
-    """(aperture, multiplicity) pairs, one per distinct aperture in order of
-    first appearance.  A double cone about -axis is the cone about axis, so
-    apertures whose axes agree up to sign to 1e-12, with equal half_angle,
-    taper_width and amplitude, are counted as one."""
-    distinct = []
-    for ap in apertures:
-        axis = np.asarray(ap.axis)
-        for i, (rep, count) in enumerate(distinct):
-            if ((ap.dim, ap.half_angle, ap.taper_width, ap.amplitude)
-                    == (rep.dim, rep.half_angle, rep.taper_width, rep.amplitude)
-                    and min(np.max(np.abs(axis - rep.axis)),
-                            np.max(np.abs(axis + rep.axis))) <= 1e-12):
-                distinct[i] = (rep, count + 1)
-                break
-        else:
-            distinct.append((ap, 1))
-    return distinct
 
 
 def _summed_factor(distinct, dirs):

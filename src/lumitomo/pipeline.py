@@ -24,8 +24,8 @@ from .diffusion import (BoundaryField, assemble_operator, boundary_flux,
                         boundary_functional, solve_adjoint_weight,
                         solve_forward, V_FLOOR_FRACTION)
 from .errors import ConfigError, StabilityViolationError
-from .excitation import (ConeScanData, Sinogram, _source_field,
-                         simulate_boundary_scan, xray_transform)
+from .excitation import (ConeScanData, Sinogram, _distinct_apertures,
+                         _source_field, simulate_boundary_scan, xray_transform)
 from .fbp import FbpFilter, divide_by_weight, fbp
 from .fields import ScalarField, build_phantom
 from .multiplier import ellipticity_margin, invert_multiplier
@@ -144,6 +144,7 @@ def _cone_scan(op, h, truth, v, apertures, report):
     """The clean (noise-free) fast scan of the cone set."""
     report["scan.mode"] = "fast"
     report["scan.focus_grid"] = "field grid (ROI pitch not separately configured)"
+    report["scan.distinct_apertures"] = str(len(_distinct_apertures(apertures)))
     return simulate_boundary_scan(op, h, truth, apertures, weight=v, mode="fast")
 
 
@@ -344,6 +345,8 @@ def reconstruct(cfg):
     with _timed(report, "setup"):
         data = ltfio.read_scan(manifest)
         v = ltfio.read_field(weight_path)
+    report["scan.distinct_apertures"] = str(
+        len(_distinct_apertures(data.apertures)))
     with _timed(report, "reconstruct"):
         fields, history = _reconstruct(
             cfg, data, v, report,

@@ -141,6 +141,16 @@ class TestExitCodes:
         assert "xray.n_angles >= 8 and xray.n_offsets >= 2" in \
             capsys.readouterr().err
 
+    def test_oversized_grid_exits_2_without_traceback(self, tmp_path, capsys):
+        rc = main(["phantom", "-o", str(tmp_path), "--set",
+                   "grid.cells=4,1000000000000000000000000000000"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "cell limit" in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "truth.ltf").exists()
+
     def test_zero_spot_checks_is_config_error(self, tmp_path, capsys):
         assert main(small_args("run-xmlt", tmp_path, "run.spot_checks=0")) == 2
         assert "run.spot_checks must be >= 1" in capsys.readouterr().err
@@ -271,6 +281,35 @@ class TestVerbs:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_default_cones_share_scans_of_one_double_cone(self, tmp_path):
+        # cones j and j+5 of the default 10 are one double cone: one clean
+        # field, but each cone keeps its own noise stream
+        def run(outdir, *extra):
+            argv = ["run-xmlt", "-o", str(outdir)]
+            for item in ("grid.cells=48,48", "run.spot_checks=1") + extra:
+                argv += ["--set", item]
+            assert main(argv) == 0
+
+        clean, noisy = tmp_path / "clean", tmp_path / "noisy"
+        run(clean)
+        run(noisy, "noise.kind=poisson")
+        for j in range(10):
+            assert (clean / f"scan_cone{j:02d}.ltf").exists()
+        for j in range(5):
+            a, b = (read_field(clean / f"scan_cone{k:02d}.ltf").values
+                    for k in (j, j + 5))
+            assert np.max(a) > 0 and np.array_equal(a, b)
+            a, b = (read_field(noisy / f"scan_cone{k:02d}.ltf").values
+                    for k in (j, j + 5))
+            assert not np.array_equal(a, b)
+        assert _report(clean)["scan.distinct_apertures"] == "5"
+
+    def test_distinct_apertures_in_scan_and_reconstruct(self, tmp_path):
+        assert main(small_args("scan", tmp_path)) == 0
+        assert _report(tmp_path)["scan.distinct_apertures"] == "3"
+        assert main(small_args("reconstruct", tmp_path)) == 0
+        assert _report(tmp_path)["scan.distinct_apertures"] == "3"
+
     def test_noise_ignores_roundoff_sign_of_exact_zeros(self):
         # cells whose exact value is 0 carry FFT roundoff of either sign
         rng = np.random.default_rng(11)
@@ -326,6 +365,22 @@ class TestWallClock:
                     if not ln.startswith("wall_clock")]
 
         assert stripped() == stripped()
+
+    @pytest.mark.parametrize("verb,extra,stages", [
+        ("run-xmlt", [], ["emit", "gate", "noise", "reconstruct", "scan",
+                          "setup", "spot_check"]),
+        ("run-xlct", XLCT, ["emit", "noise", "reconstruct", "scan", "setup"])])
+    def test_cli_prints_stage_times(self, tmp_path, capsys, verb, extra, stages):
+        # every wall_clock.<stage> report line, sorted, after the summary
+        assert main(small_args(verb, tmp_path, *extra)) == 0
+        out = capsys.readouterr().out.splitlines()
+        report = _report(tmp_path)
+        timing = [ln for ln in out if ln.startswith("wall_clock.")]
+        assert timing == [f"wall_clock.{stage} = {report['wall_clock.' + stage]}"
+                          for stage in stages]
+        first = out.index(timing[0])
+        assert out[first - 1].startswith("wall_clock_seconds = ")
+        assert out[first + len(timing)].startswith("outputs written to")
 
 
 def test_thread_cap_is_set_by_package_import():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from lumitomo.errors import InvalidArgumentError
-from lumitomo.fields import (Grid, OpticalMedium, PhantomSpec, ScalarField,
-                             build_phantom, derived_optics, make_grid,
-                             robin_coefficient)
+from lumitomo.fields import (MAX_GRID_CELLS, Grid, OpticalMedium,
+                             PhantomSpec, ScalarField, build_phantom,
+                             derived_optics, make_grid, robin_coefficient)
 
 
 def test_make_grid_basic():
@@ -24,6 +24,16 @@ def test_make_grid_rejects_bad_input():
         make_grid(2, (0, 0), (-1, 10), (8, 8))      # non-positive extent
     with pytest.raises(InvalidArgumentError):
         make_grid(4, (0,) * 4, (1,) * 4, (8,) * 4)  # unsupported dim
+
+
+def test_make_grid_cell_limit():
+    assert MAX_GRID_CELLS == 2 ** 26
+    largest = make_grid(2, (0, 0), (1, 1), (2 ** 13, 2 ** 13))
+    assert largest.n_cells == MAX_GRID_CELLS
+    for cells in [(2 ** 13, 2 ** 13 + 1), (4, 10 ** 30), (4, 2 ** 64, 2 ** 64),
+                  (2 ** 32, 2 ** 32)]:
+        with pytest.raises(InvalidArgumentError, match="cell limit"):
+            make_grid(len(cells), (0,) * len(cells), (1,) * len(cells), cells)
 
 
 @pytest.mark.parametrize("origin,extent", [
