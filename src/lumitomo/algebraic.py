@@ -10,6 +10,9 @@ from .errors import (EmptyMaskError, InvalidArgumentError, InvalidOperatorError)
 from .fields import Grid, ScalarField
 from .excitation import ConeConvolution
 
+# numpy's Poisson sampler refuses means above ~9.223e18
+POISSON_LAM_MAX = 9.2e18
+
 
 @dataclass
 class LinearMap:
@@ -86,16 +89,20 @@ def lsqr(linmap: LinearMap, data, max_iters=500, atol=1e-8,
     rhobar = alpha
     anorm = 0.0
     history.append((0, phibar, alpha * beta))
+    # u, v, x and w are lsqr's own arrays (never `data` or an operator's
+    # input or output), so they are updated in place
     for it in range(1, max_iters + 1):
-        u = linmap.forward(v) - alpha * u
+        u *= -alpha
+        u += linmap.forward(v)
         beta = float(np.linalg.norm(u))
         if beta > 0:
-            u = u / beta
+            u /= beta
         anorm = np.sqrt(anorm ** 2 + alpha ** 2 + beta ** 2)
-        vnext = linmap.adjoint(u) - beta * v
-        alpha = float(np.linalg.norm(vnext))
+        v *= -beta
+        v += linmap.adjoint(u)
+        alpha = float(np.linalg.norm(v))
         if alpha > 0:
-            v = vnext / alpha
+            v /= alpha
         # Givens rotation
         rho = np.hypot(rhobar, beta)
         c = rhobar / rho
@@ -104,8 +111,9 @@ def lsqr(linmap: LinearMap, data, max_iters=500, atol=1e-8,
         rhobar = -c * alpha
         phi = c * phibar
         phibar = s * phibar
-        x = x + (phi / rho) * w
-        w = v - (theta / rho) * w
+        x += (phi / rho) * w
+        w *= -(theta / rho)
+        w += v
         arnorm = alpha * abs(s * phi)
         history.append((it, phibar, arnorm))
         if anorm > 0 and phibar > 0:
@@ -143,10 +151,15 @@ class NoiseModel:
 
 
 def apply_noise(model: NoiseModel, data):
-    """Elementwise Poisson draws; deterministic for a fixed seed."""
+    """Elementwise Poisson draws; deterministic for a fixed seed.  The means
+    photons_per_unit * data must not exceed POISSON_LAM_MAX."""
     data = np.asarray(data, dtype=np.float64)
     if np.any(data < 0):
         raise InvalidArgumentError("noise model requires non-negative data")
+    if data.size and np.max(data) > POISSON_LAM_MAX / model.photons_per_unit:
+        raise InvalidArgumentError(
+            f"photons_per_unit * data exceeds {POISSON_LAM_MAX:g}, the "
+            "largest mean the Poisson sampler takes")
     rng = np.random.Generator(np.random.PCG64(model.seed))
     kappa = model.photons_per_unit
     return rng.poisson(kappa * data).astype(np.float64) / kappa

@@ -17,6 +17,8 @@ from .errors import InvalidArgumentError
 # The most cells make_grid accepts (512 x 512 x 256), so that a config or a
 # file header cannot ask for more than 512 MiB per field.
 MAX_GRID_CELLS = 2 ** 26
+# Grid spacings whose squares and inverse squares are finite and nonzero.
+SPACING_RANGE = (1e-100, 1e100)
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,10 @@ def make_grid(dim, origin, extent, cells) -> Grid:
     """Build a grid, validating shape arguments.
 
     Requires at least 4 cells and a finite origin and positive finite
-    extent on every axis, and at most MAX_GRID_CELLS = 2**26 cells in all
-    (the exact product, checked before anything is allocated).
+    extent on every axis, at most MAX_GRID_CELLS = 2**26 cells in all
+    (the exact product, checked before anything is allocated), and spacings
+    within SPACING_RANGE, so that their squares and inverse squares, which
+    the diffusion operator forms, are finite and nonzero.
     """
     origin = tuple(float(x) for x in origin)
     extent = tuple(float(x) for x in extent)
@@ -92,6 +96,11 @@ def make_grid(dim, origin, extent, cells) -> Grid:
     if math.prod(cells) > MAX_GRID_CELLS:
         raise InvalidArgumentError(
             f"grid of {cells} cells exceeds the {MAX_GRID_CELLS} cell limit")
+    spacing = tuple(e / n for e, n in zip(extent, cells))
+    if not all(SPACING_RANGE[0] <= h <= SPACING_RANGE[1] for h in spacing):
+        raise InvalidArgumentError(
+            f"grid spacing must lie in [{SPACING_RANGE[0]:g}, "
+            f"{SPACING_RANGE[1]:g}], got {spacing}")
     return Grid(dim, origin, extent, cells)
 
 
@@ -188,7 +197,11 @@ def robin_coefficient(m):
     """
     if m <= 0:
         raise InvalidArgumentError(f"refractive index must be positive, got {m}")
-    R = -1.4399 / m ** 2 + 0.7099 / m + 0.6681 + 0.063 * m
+    try:
+        R = -1.4399 / m ** 2 + 0.7099 / m + 0.6681 + 0.063 * m
+    except ArithmeticError:  # m ** 2 under- or overflows
+        raise InvalidArgumentError(
+            f"refractive index {m:g} is outside the reflectance fit") from None
     if R >= 1:
         raise InvalidArgumentError(f"reflectance fit R={R:g} >= 1; outside validity range")
     return (1.0 + R) / (1.0 - R)
@@ -226,5 +239,5 @@ def build_phantom(spec: PhantomSpec, grid: Grid) -> ScalarField:
         if not grid.contains(center):
             raise InvalidArgumentError(f"inclusion center {center} outside grid")
         d2 = np.sum((centers - np.asarray(center)) ** 2, axis=-1)
-        vals[d2 <= radius ** 2] = conc
+        vals[d2 <= radius * radius] = conc
     return ScalarField(grid, vals)

@@ -171,6 +171,9 @@ def ellipticity_margin(apertures, n_directions=None) -> MarginReport:
         raise InvalidArgumentError("need at least 64 sample directions")
     dirs = _direction_samples(dim, n_directions)
     total = _summed_factor(_distinct_apertures(apertures), dirs)
+    if not np.all(np.isfinite(total)):
+        raise InvalidArgumentError(
+            "summed angular factor overflows; the aperture amplitudes are too large")
     imin = int(np.argmin(total))
     margin = float(total[imin])
     max_f = float(np.max(total))

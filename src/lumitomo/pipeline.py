@@ -184,6 +184,8 @@ def _noise(cfg, pairs, report):
         raise ConfigError(f"unknown noise kind {kind!r}")
     kappa = _float(cfg, "noise.photons")
     seed = _int(cfg, "run.seed")
+    if seed < 0:
+        raise ConfigError(f"run.seed must be >= 0, got {seed}")
     report["noise.applied"] = "true"
     report["noise.photons"] = f"{kappa:g}"
     return [apply_noise(NoiseModel(photons_per_unit=kappa,

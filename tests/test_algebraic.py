@@ -59,6 +59,20 @@ class TestLsqr:
         with pytest.raises(InvalidOperatorError):
             lsqr(bad, np.ones(10))
 
+    def test_data_left_unchanged(self):
+        # lsqr updates its vectors in place; neither `data` nor an operator
+        # that hands back its own input may be written through
+        rng = np.random.default_rng(8)
+        A = rng.standard_normal((30, 8))
+        b = rng.standard_normal(30)
+        kept = b.copy()
+        lsqr(dense_map(A), b, max_iters=20)
+        assert np.array_equal(b, kept)
+        identity = LinearMap(30, 30, lambda x: x, lambda y: y)
+        x, _ = lsqr(identity, b, max_iters=5)
+        assert np.array_equal(b, kept)
+        assert np.max(np.abs(x - b)) <= 1e-12
+
     def test_data_length_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             lsqr(dense_map(np.eye(4)), np.ones(5))

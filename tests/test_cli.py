@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 import lumitomo
 from lumitomo import pipeline
@@ -166,6 +168,15 @@ class TestExitCodes:
         rc = main(small_args("run-xmlt", tmp_path, "noise.kind=poisson", item))
         assert rc == 2
         assert f"{item.partition('=')[0]} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["scan", "run-xmlt", "run-xlct"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, verb):
+        rc = main(small_args(verb, tmp_path, "noise.kind=poisson",
+                             "run.seed=-1"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "run.seed must be >= 0" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_seed_beyond_64_bits_is_accepted(self, tmp_path):
         assert main(small_args("scan", tmp_path, "noise.kind=poisson",
@@ -394,3 +405,46 @@ def test_thread_cap_is_set_by_package_import():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["3", "3", "3"]
+
+
+# One --set value at a time on a 16^2 grid with 8 angles.  Integers stay
+# within +-12, so fuzzed sizes stay small (cells <= 16 per axis,
+# cones.count <= 12); floats reach the extremes.
+FUZZ_BASE = ["grid.cells=16,16", "xray.n_angles=8", "xray.n_offsets=16",
+             "noise.kind=poisson"]
+_NUMBER = st.one_of(st.integers(-12, 12).map(str),
+                    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                    st.sampled_from(["+1", "-0", "+inf", "-nan", "1_0", " 8 ",
+                                     "1e-320", "-1e308", "0.0"]))
+_VALUE = st.one_of(
+    _NUMBER,
+    st.sampled_from(["", " ", "x", "+", "-", ",", "1,", ",1", "1,,2", "0x10",
+                     "true", "\u00e9", "nan,nan", "1;2", "none", "ramp"]),
+    st.lists(_NUMBER, min_size=1, max_size=4).map(",".join),
+    st.lists(st.lists(_NUMBER, min_size=1, max_size=5).map(",".join),
+             min_size=1, max_size=3).map("; ".join))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(verb=st.sampled_from(["run-xlct", "check-stability"]),
+       key=st.sampled_from(sorted(set(DEFAULTS) - {"run.output_dir"})),
+       value=_VALUE)
+# values that once escaped as raw exceptions
+@example(verb="run-xlct", key="grid.extent", value="1e308,1e308")
+@example(verb="run-xlct", key="medium.refractive_index", value="1e-300")
+@example(verb="run-xlct", key="medium.refractive_index", value="1e308")
+@example(verb="run-xlct", key="noise.photons", value="1e308")
+@example(verb="run-xlct", key="phantom.inclusions", value="0,0,1e308,5")
+@example(verb="run-xlct", key="phantom.inclusions", value="0,0,1,1e308")
+@example(verb="run-xlct", key="run.seed", value="-1")
+def test_fuzzed_config_value_fails_only_with_toolkit_errors(
+        tmp_path, capsys, verb, key, value):
+    # a raw exception escapes `main`; a toolkit error exits 2-4 with one line
+    rc = main([verb, "-o", str(tmp_path)]
+              + [a for item in FUZZ_BASE + [f"{key}={value}"]
+                 for a in ("--set", item)])
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3, 4)
+    if rc:
+        assert len(err.strip().splitlines()) == 1

@@ -263,6 +263,13 @@ class TestMargin:
                for t in np.deg2rad(np.arange(10) * 36.0)]
         assert float(ellipticity_margin(aps)) > 0
 
+    def test_overflowing_amplitude_refused(self):
+        # an infinite summed factor would report margin inf, ratio nan
+        aps = [Aperture(dim=2, axis=(np.cos(t), np.sin(t)), half_angle=0.6,
+                        amplitude=1e308) for t in (0.0, 1.0, 2.0)]
+        with pytest.raises(InvalidArgumentError):
+            ellipticity_margin(aps)
+
     def test_minimum_sampling_enforced(self):
         ap = Aperture(dim=2, axis=(1, 0), half_angle=0.5)
         with pytest.raises(InvalidArgumentError):
