@@ -32,7 +32,8 @@ from .diffusion import (BoundaryField, DiscreteOperator, assemble_operator,
                         solve_forward)
 from .excitation import (Aperture, ConeScanData, Sinogram, aperture_eval,
                          cone_intensity, cone_transform,
-                         simulate_boundary_scan, xray_transform)
+                         full_physics_measurements, simulate_boundary_scan,
+                         xray_transform)
 from .multiplier import (MarginReport, RoiReconstruction, ellipticity_margin,
                          invert_multiplier, multiplier_symbol,
                          parametrix_weights, roi_reconstruct,

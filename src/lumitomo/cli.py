@@ -36,6 +36,7 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     # imported here so that `import lumitomo.cli` costs no more than `lumitomo`
+    import numpy as np
     from . import pipeline
     from .config import load_config
     from .errors import (ConfigError, InvalidArgumentError,
@@ -47,7 +48,10 @@ def main(argv=None):
         cfg = load_config(args.config, args.overrides)
         if args.output_dir:
             cfg["run.output_dir"] = args.output_dir
-        report = getattr(pipeline, args.verb.replace("-", "_"))(cfg)
+        # overflow or 0/0 on extreme config values is refused by the finite
+        # checks; numpy's warnings would only precede the one-line error
+        with np.errstate(all="ignore"):
+            report = getattr(pipeline, args.verb.replace("-", "_"))(cfg)
         if args.verb == "check-stability":
             for key in sorted(report):
                 print(f"{key} = {report[key]}")

@@ -52,17 +52,6 @@ def boundary_face_areas(grid: Grid):
     return np.concatenate(chunks)
 
 
-def _boundary_slabs(values, grid):
-    """Boundary-adjacent cell values per face, in canonical order."""
-    chunks = []
-    for ax in range(grid.dim):
-        lo = np.take(values, 0, axis=ax)
-        hi = np.take(values, -1, axis=ax)
-        chunks.append(np.ravel(lo))
-        chunks.append(np.ravel(hi))
-    return np.concatenate(chunks)
-
-
 class BoundaryField:
     """Values on the boundary faces of a grid with their surface measure."""
 
@@ -169,9 +158,6 @@ class DiscreteOperator:
             right = np.take(upad, np.arange(2, n + 2), axis=ax)
             out += D * (2.0 * u - left - right) / dx ** 2
         return out
-
-    def apply_field(self, field: ScalarField) -> ScalarField:
-        return ScalarField(self.grid, self.apply(field.values))
 
     def boundary_rhs(self, h: BoundaryField) -> np.ndarray:
         """Cell right-hand side induced by the inhomogeneous Robin datum h."""

@@ -5,11 +5,16 @@ Double-cone apertures give the focused-beam transform
     Rf(x, j) = sum_y  a_j((x - y)/|x - y|) / |x - y|^{n-1} * v(y) f(y) * vol
 
 evaluated by midpoint quadrature with an analytic polar correction at the
-singular self cell, as one circular FFT convolution per distinct double
-cone (`ConeConvolution`, which the LSQR operator shares).  Single-line
-excitation gives the parallel-beam sinogram of v * f.  The boundary scan
-either evaluates the transform directly ("fast") or runs the full PDE chain
-per focus point ("full-physics").
+singular self cell.  One private sampler evaluates that kernel at any
+offsets: `cone_kernel` tabulates it over the lattice offsets, and the
+cone sources of the full-physics chain and the direct sums at focus points
+off the field lattice sample it at their own offsets.  On the lattice the
+transform is one circular FFT convolution per distinct double cone
+(`ConeConvolution`), whose real half spectra the fast scan, the LSQR
+operator and the multiplier's low-frequency shell share.  Single-line
+excitation gives the parallel-beam sinogram of v * f.  The fast boundary
+scan evaluates the transform directly; `full_physics_measurements` runs the
+PDE chain per focus point, and the two agree through reciprocity.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .fields import Grid, ScalarField
-from .diffusion import (DiscreteOperator, BoundaryField, solve_adjoint_weight,
-                        solve_forward, boundary_flux, boundary_functional)
+from .diffusion import (DiscreteOperator, BoundaryField, solve_forward,
+                        boundary_flux, boundary_functional)
 
 DEFAULT_TAPER_FRACTION = 0.15
 XRAY_BLOCK_SAMPLES = 8192  # line samples per gather in xray_transform
@@ -125,19 +130,23 @@ def _self_cell_weight(ap: Aperture, grid: Grid):
     return rho * ap.angular_integral() / grid.cell_volume
 
 
+def _kernel_samples(ap: Aperture, grid: Grid, d):
+    """Midpoint kernel a(d/|d|) / |d|^{n-1} at offsets d (shape (..., dim)),
+    with the polar self-cell weight wherever |d| < 0.49 * min(spacing)."""
+    r = np.sqrt(np.sum(d * d, axis=-1))
+    near = r < 0.49 * min(grid.spacing)
+    r_safe = np.where(near, 1.0, r)
+    cosang = np.tensordot(d, np.asarray(ap.axis), axes=([-1], [0])) / r_safe
+    K = ap.profile(cosang) / r_safe ** (grid.dim - 1)
+    K[near] = _self_cell_weight(ap, grid)
+    return K
+
+
 def cone_kernel(ap: Aperture, grid: Grid):
     """Midpoint kernel table over lattice offsets, shape (2n-1, ...)."""
     offsets = [np.arange(-(n - 1), n) * h for n, h in zip(grid.cells, grid.spacing)]
-    mesh = np.meshgrid(*offsets, indexing="ij")
-    d = np.stack(mesh, axis=-1)
-    r = np.sqrt(np.sum(d * d, axis=-1))
-    center = tuple(n - 1 for n in grid.cells)
-    r_safe = r.copy()
-    r_safe[center] = 1.0
-    cosang = np.tensordot(d, np.asarray(ap.axis), axes=([-1], [0])) / r_safe
-    K = ap.profile(cosang) / r_safe ** (grid.dim - 1)
-    K[center] = _self_cell_weight(ap, grid)
-    return K
+    d = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1)
+    return _kernel_samples(ap, grid, d)
 
 
 def _aperture_groups(apertures):
@@ -249,26 +258,6 @@ def _nested_offset(field_grid: Grid, focus_grid: Grid):
     return tuple(offs)
 
 
-def _direct_cone_sum(g, grid: Grid, ap: Aperture, focus_grid: Grid):
-    """Quadrature sum of the source g at every focus point, one at a time."""
-    centers = grid.centers().reshape(-1, grid.dim)
-    gflat = g.ravel()
-    axis = np.asarray(ap.axis)
-    self_w = _self_cell_weight(ap, grid)
-    h_min = min(grid.spacing)
-    out = np.empty(focus_grid.n_cells)
-    foci = focus_grid.centers().reshape(-1, grid.dim)
-    for i, x in enumerate(foci):
-        d = x[None, :] - centers
-        r = np.sqrt(np.sum(d * d, axis=1))
-        near = r < 0.49 * h_min
-        r_safe = np.where(near, 1.0, r)
-        vals = ap.profile((d @ axis) / r_safe) / r_safe ** (grid.dim - 1)
-        vals[near] = self_w
-        out[i] = float(np.dot(vals, gflat))
-    return out.reshape(focus_grid.cells)
-
-
 def cone_transform(f: ScalarField, v: ScalarField, ap,
                    focus_grid: Grid = None):
     """Weighted double-cone transform of f, sampled at focus-grid centers.
@@ -293,7 +282,11 @@ def cone_transform(f: ScalarField, v: ScalarField, ap,
         g_emb[tuple(slice(k, k + n) for k, n in zip(offs, grid.cells))] = g
         values = ConeConvolution(apertures, focus_grid).forward(g_emb)
     else:
-        values = [_direct_cone_sum(g, grid, a, focus_grid) for a in apertures]
+        centers = grid.centers()
+        foci = focus_grid.centers().reshape(-1, grid.dim)
+        values = [np.array([np.vdot(_kernel_samples(a, grid, x - centers), g)
+                            for x in foci]).reshape(focus_grid.cells)
+                  for a in apertures]
     fields = [ScalarField(focus_grid, x) for x in values]
     return fields[0] if isinstance(ap, Aperture) else fields
 
@@ -390,45 +383,30 @@ def xray_transform(g: ScalarField, angles, offsets) -> Sinogram:
 
 def _source_field(ap: Aperture, grid: Grid, x_focus, f: ScalarField):
     """Discretized source I_{x,j} * f with self-cell polar correction."""
-    centers = grid.centers().reshape(-1, grid.dim)
-    d = np.asarray(x_focus, float)[None, :] - centers
-    r = np.sqrt(np.sum(d * d, axis=1))
-    near = r < 0.49 * min(grid.spacing)
-    r_safe = np.where(near, 1.0, r)
-    axis = np.asarray(ap.axis)
-    vals = ap.profile((d @ axis) / r_safe) / r_safe ** (grid.dim - 1)
-    vals[near] = _self_cell_weight(ap, grid)
-    return ScalarField(grid, (vals * f.values.ravel()).reshape(grid.cells))
+    d = np.asarray(x_focus, float) - grid.centers()
+    return ScalarField(grid, _kernel_samples(ap, grid, d) * f.values)
 
 
-def simulate_boundary_scan(op: DiscreteOperator, h: BoundaryField,
-                           f: ScalarField, apertures, focus_grid: Grid = None,
-                           mode="fast", flux_mode="continuum",
-                           weight: ScalarField = None) -> ConeScanData:
-    """Simulate the reduced boundary measurements for every focus and cone.
-
-    mode "fast" evaluates the weighted cone transform directly (the two modes
-    agree through the reciprocity identity); "full-physics" runs one forward
-    PDE solve per (focus, cone) pair and integrates h * Q over the boundary.
-    A precomputed weight field may be passed to skip the adjoint solve.
-    """
-    if mode not in ("fast", "full-physics"):
-        raise InvalidArgumentError(f"unknown scan mode {mode!r}")
-    grid = f.grid
+def simulate_boundary_scan(f: ScalarField, v: ScalarField, apertures,
+                           focus_grid: Grid = None) -> ConeScanData:
+    """The fast scan: the weighted cone transform of f for every cone at
+    every focus-grid center (the field grid by default).  Through the
+    reciprocity identity it equals `full_physics_measurements` with v the
+    adjoint weight of the boundary datum."""
+    apertures = list(apertures)
     if focus_grid is None:
-        focus_grid = grid
-    if mode == "fast":
-        v = weight if weight is not None else solve_adjoint_weight(op, h)
-        fields = cone_transform(f, v, list(apertures), focus_grid)
-        return ConeScanData(focus_grid, fields, list(apertures))
-    fields = []
-    foci = focus_grid.centers().reshape(-1, grid.dim)
-    for ap in apertures:
-        out = np.empty(len(foci))
-        for i, x in enumerate(foci):
-            s = _source_field(ap, grid, x, f)
-            u = solve_forward(op, s)
-            Q = boundary_flux(op, u, mode=flux_mode)
-            out[i] = boundary_functional(h, Q)
-        fields.append(ScalarField(focus_grid, out.reshape(focus_grid.cells)))
-    return ConeScanData(focus_grid, fields, list(apertures))
+        focus_grid = f.grid
+    return ConeScanData(focus_grid, cone_transform(f, v, apertures, focus_grid),
+                        apertures)
+
+
+def full_physics_measurements(op: DiscreteOperator, h: BoundaryField,
+                              f: ScalarField, ap: Aperture, foci):
+    """Reduced measurements of one cone by the PDE chain, one per focus
+    point: a forward solve with the cone's source, then the boundary
+    integral of h times the consistent outgoing flux."""
+    return np.array([
+        boundary_functional(h, boundary_flux(
+            op, solve_forward(op, _source_field(ap, op.grid, x, f)),
+            mode="consistent"))
+        for x in foci])

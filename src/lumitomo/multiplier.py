@@ -19,7 +19,11 @@ cosine).  The taper integrand is analytic in psi, so a fixed Gauss-Legendre
 rule on [psi_in, psi_out] reaches roundoff.  A cone set is stably
 invertible iff the summed angular factor is positive in every direction;
 inversion is regularized frequency division followed by division by the
-interior weight.
+interior weight.  Symbol tables and the inversion use the rfftn half
+spectrum of a grid with twice the field's cells per axis, and on its lowest
+frequency shell the symbol is replaced by the half spectrum of the discrete
+quadrature kernel: the `ConeConvolution` spectra that the scan and LSQR
+apply.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ import numpy as np
 
 from .errors import (InvalidArgumentError, StabilityViolationError,
                      UndefinedDirectionError)
-from .fields import Grid, ScalarField, make_grid
-from .excitation import (Aperture, ConeScanData, _distinct_apertures,
-                         _nested_offset, cone_kernel)
+from .fields import Grid, ScalarField
+from .excitation import (Aperture, ConeConvolution, ConeScanData,
+                         _distinct_apertures, _nested_offset)
 from .diffusion import V_FLOOR_FRACTION
 
 # Gauss-Legendre nodes for the 3D taper band.  Against a 400-node rule the
@@ -198,13 +202,19 @@ def parametrix_weights(apertures, xi):
 
 
 def _frequency_grid(cells, spacing):
-    axes = [2.0 * np.pi * np.fft.fftfreq(n, d=h) for n, h in zip(cells, spacing)]
+    """Angular frequencies of the rfftn half spectrum of a grid: full FFT
+    frequencies on every axis but the last, which keeps its n//2 + 1
+    non-negative ones."""
+    axes = [2.0 * np.pi * np.fft.fftfreq(n, d=h)
+            for n, h in zip(cells[:-1], spacing[:-1])]
+    axes.append(2.0 * np.pi * np.fft.rfftfreq(cells[-1], d=spacing[-1]))
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack(mesh, axis=-1)
 
 
 def total_symbol_table(apertures, cells, spacing):
-    """Summed symbol on an FFT frequency grid, with the DC entry extrapolated.
+    """Summed symbol on the rfftn half spectrum of a grid (`_frequency_grid`),
+    with the DC entry extrapolated.
 
     The symbol scales like 1/|xi|, so the undefined zero frequency is set to
     (angular mean of the summed factor) / xi_min, the continuous extension of
@@ -225,30 +235,18 @@ def total_symbol_table(apertures, cells, spacing):
                  for ap, count in distinct)
     xi_min = min(2.0 * np.pi / (n * h) for n, h in zip(cells, spacing))
     m[~nz] = c_mean / xi_min
-    return m.reshape(cells)
+    return m.reshape(mag.shape)
 
 
-def _wrapped_kernel_spectrum(apertures, padded_cells, spacing, cell_volume):
-    """DFT of the summed cone kernel truncated to the padded grid's cell.
-
-    Offsets are taken in [-N/2, N/2) per axis and wrapped periodically; the
-    result is the exact diagonalization of the quadrature kernel restricted
-    to that window, and replaces the analytic symbol on the lowest
-    frequency shell (where the unbounded-kernel assumption fails).
-    """
-    dim = len(padded_cells)
-    table_cells = tuple(n // 2 + 1 for n in padded_cells)
-    origin = tuple(0.0 for _ in range(dim))
-    extent = tuple(h * c for h, c in zip(spacing, table_cells))
-    kgrid = make_grid(dim, origin, extent, table_cells)
-    Ksum = sum(count * cone_kernel(ap, kgrid)
-               for ap, count in _distinct_apertures(apertures))
-    Kc = np.zeros(padded_cells)
-    idx = [np.arange(n) - n // 2 for n in padded_cells]
-    src = np.ix_(*[i + c - 1 for i, c in zip(idx, table_cells)])
-    dst = np.ix_(*[i % n for i, n in zip(idx, padded_cells)])
-    Kc[dst] = Ksum[src]
-    return np.fft.fftn(Kc).real * cell_volume
+def _kernel_spectrum(apertures, grid: Grid):
+    """Half spectrum of the summed quadrature kernel on the circular grid of
+    2n cells per axis: the multiplicity-weighted sum of the apertures'
+    `ConeConvolution` spectra, times the cell volume.  It replaces the
+    analytic symbol on the lowest frequency shell, where the
+    unbounded-kernel assumption fails."""
+    conv = ConeConvolution(apertures, grid)
+    counts = np.bincount(conv.group)
+    return sum(c * S for c, S in zip(counts, conv.spectra)) * grid.cell_volume
 
 
 def invert_multiplier(scan: ConeScanData, apertures, v: ScalarField,
@@ -261,11 +259,13 @@ def invert_multiplier(scan: ConeScanData, apertures, v: ScalarField,
     padding, and when the scan already covers a doubled, aligned focus grid
     its measured values fill the extension instead.  The spectrum is then
     divided by the Tikhonov-regularized total multiplier
-    m/(m^2 + (eps*m_ref)^2) with m_ref the median multiplier magnitude,
-    cropped back to the field grid, and divided by the weight (floored).
+    m/(m^2 + (eps*m_ref)^2) with m_ref the median positive entry of the
+    multiplier's half-spectrum table, cropped back to the field grid, and
+    divided by the weight (floored).
     The multiplier is the analytic symbol away from the origin; on the
     lowest shell of grid frequencies it is taken from the spectrum of the
-    discrete quadrature kernel truncated to the padded window.
+    discrete quadrature kernel (`_kernel_spectrum`, the scan's own
+    spectra).  Every table is an rfftn half spectrum.
     """
     grid = v.grid
     focus = scan.focus_grid
@@ -296,15 +296,14 @@ def invert_multiplier(scan: ConeScanData, apertures, v: ScalarField,
     mag = np.sqrt(np.sum(xi * xi, axis=-1))
     xi_min = min(2.0 * np.pi / (n * h) for n, h in zip(padded_cells, grid.spacing))
     low = mag <= LOW_FREQ_BINS * xi_min * (1.0 + 1e-9)
-    Khat = _wrapped_kernel_spectrum(apertures, padded_cells, grid.spacing,
-                                    grid.cell_volume)
-    m[low] = Khat[low]
+    m[low] = _kernel_spectrum(apertures, grid)[low]
     nonzero = m > 0
     m_ref = float(np.median(m[nonzero])) if np.any(nonzero) else 0.0
     denom = m ** 2 + (eps * m_ref) ** 2
     # frequencies with zero symbol and zero regularization are unrecoverable
     filt = np.divide(m, denom, out=np.zeros_like(m), where=denom > 0)
-    rec = np.fft.ifftn(np.fft.fftn(pad) * filt).real[crop]
+    axes = tuple(range(grid.dim))
+    rec = np.fft.irfftn(np.fft.rfftn(pad) * filt, padded_cells, axes)[crop]
     v_floor = V_FLOOR_FRACTION * float(np.max(v.values))
     rec = rec / np.maximum(v.values, v_floor)
     return ScalarField(grid, rec)

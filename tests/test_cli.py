@@ -178,6 +178,21 @@ class TestExitCodes:
         assert "run.seed must be >= 0" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("verb", ["run-xlct", "run-xmlt"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_boundary_datum_is_config_error(
+            self, tmp_path, monkeypatch, capsys, verb, value):
+        # h <= 0 gives a weight <= 0, which no reconstruction can divide by
+        def weight_solve(op, h):
+            raise AssertionError("weight solved before the boundary.h check")
+        monkeypatch.setattr(pipeline, "solve_adjoint_weight", weight_solve)
+        rc = main([verb, "-o", str(tmp_path), "--set", "grid.cells=16,16",
+                   "--set", f"boundary.h={value}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "boundary.h must be > 0" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_seed_beyond_64_bits_is_accepted(self, tmp_path):
         assert main(small_args("scan", tmp_path, "noise.kind=poisson",
                                f"run.seed={2 ** 128 - 1}")) == 0
@@ -405,6 +420,21 @@ def test_thread_cap_is_set_by_package_import():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["3", "3", "3"]
+
+
+@pytest.mark.parametrize("args", [
+    ["check-stability", "--set", "cones.amplitude=1e308"],
+    ["run-xlct", "--set", "boundary.h=1e308", "--set", "grid.cells=16,16"]])
+def test_overflowing_values_print_one_stderr_line(tmp_path, args):
+    # in a child process numpy's RuntimeWarnings reach stderr, which
+    # pytest's warning capture would hide in process
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(lumitomo.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lumitomo.cli", *args, "-o", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
 
 
 # One --set value at a time on a 16^2 grid with 8 angles.  Integers stay

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from lumitomo.diffusion import BoundaryField, assemble_operator, solve_adjoint_weight
+from lumitomo.diffusion import (BoundaryField, assemble_operator,
+                                boundary_flux, boundary_functional,
+                                solve_adjoint_weight, solve_forward)
 from lumitomo import algebraic, excitation
 from lumitomo.algebraic import lsqr, scan_linear_map
 from lumitomo.config import DEFAULTS, build_apertures
@@ -11,6 +13,7 @@ from lumitomo.errors import InvalidArgumentError
 from lumitomo.excitation import (Aperture, ConeConvolution, ConeScanData,
                                  Sinogram, aperture_eval, cone_intensity,
                                  cone_kernel, cone_transform,
+                                 full_physics_measurements,
                                  simulate_boundary_scan, xray_transform)
 from lumitomo.fields import ScalarField, make_grid
 
@@ -517,6 +520,80 @@ class TestXrayTransform:
             Sinogram(np.zeros(3), np.zeros(4), np.zeros((4, 3)))
 
 
+def reference_samples(ap, grid, x_focus):
+    """The kernel at x_focus - y over the cell centres y, flat, with the
+    arithmetic of the former per-focus loops (`_direct_cone_sum` and the
+    cone source of the full-physics chain)."""
+    centers = grid.centers().reshape(-1, grid.dim)
+    d = np.asarray(x_focus, float)[None, :] - centers
+    r = np.sqrt(np.sum(d * d, axis=1))
+    near = r < 0.49 * min(grid.spacing)
+    r_safe = np.where(near, 1.0, r)
+    vals = ap.profile((d @ np.asarray(ap.axis)) / r_safe) / r_safe ** (grid.dim - 1)
+    vals[near] = excitation._self_cell_weight(ap, grid)
+    return vals
+
+
+def reference_cone_kernel(ap, grid):
+    """The lattice kernel table with the arithmetic it had before it shared
+    `_kernel_samples`."""
+    offsets = [np.arange(-(n - 1), n) * h for n, h in zip(grid.cells, grid.spacing)]
+    d = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1)
+    r = np.sqrt(np.sum(d * d, axis=-1))
+    center = tuple(n - 1 for n in grid.cells)
+    r_safe = r.copy()
+    r_safe[center] = 1.0
+    cosang = np.tensordot(d, np.asarray(ap.axis), axes=([-1], [0])) / r_safe
+    K = ap.profile(cosang) / r_safe ** (grid.dim - 1)
+    K[center] = excitation._self_cell_weight(ap, grid)
+    return K
+
+
+SAMPLER_CASES = [
+    (make_grid(2, (-10, -6), (20, 12), (24, 36)), fan_apertures(3, 35.0)),
+    (make_grid(3, (-10, -10, -10), (20, 20, 20), (12, 12, 12)),
+     [Aperture(dim=3, axis=(1, 1, 1), half_angle=0.5),
+      Aperture(dim=3, axis=(0, 0, 1), half_angle=0.4, taper_width=0.0)]),
+]
+
+
+class TestKernelSampler:
+    """One sampler serves the lattice table, the direct sums and the cone
+    sources; each keeps the bits of the code it replaced."""
+
+    @pytest.mark.parametrize("grid,aps", SAMPLER_CASES)
+    def test_cone_kernel_is_bit_identical(self, grid, aps):
+        for ap in aps:
+            assert np.array_equal(cone_kernel(ap, grid),
+                                  reference_cone_kernel(ap, grid))
+
+    @pytest.mark.parametrize("grid,aps", SAMPLER_CASES)
+    def test_off_lattice_direct_sums_are_bit_identical(self, grid, aps):
+        f = ScalarField(grid, np.cos(grid.centers()[..., 0]) + 2.0)
+        v = ScalarField.full(grid, 0.7)
+        g = (f.values * (v.values * grid.cell_volume)).ravel()
+        # foci on every third cell centre (self-cell weight), then foci
+        # between centres
+        for focus in (make_grid(grid.dim, grid.origin, grid.extent,
+                                tuple(n // 3 for n in grid.cells)),
+                      make_grid(grid.dim, tuple(o + 0.3 for o in grid.origin),
+                                tuple(0.5 * e for e in grid.extent),
+                                (4,) * grid.dim)):
+            for ap, out in zip(aps, cone_transform(f, v, aps, focus)):
+                ref = [np.dot(reference_samples(ap, grid, x), g)
+                       for x in focus.centers().reshape(-1, grid.dim)]
+                assert np.array_equal(out.values.ravel(), ref)
+
+    @pytest.mark.parametrize("grid,aps", SAMPLER_CASES)
+    def test_cone_source_is_bit_identical(self, grid, aps):
+        f = ScalarField(grid, np.cos(grid.centers()[..., -1]) + 2.0)
+        for ap in aps:
+            for x in (grid.centers()[(2,) * grid.dim], np.full(grid.dim, 0.3)):
+                ref = reference_samples(ap, grid, x) * f.values.ravel()
+                got = excitation._source_field(ap, grid, x, f).values
+                assert np.array_equal(got.ravel(), ref)
+
+
 class TestBoundaryScan:
     def test_fast_vs_full_physics(self, tissue_medium):
         g = make_grid(2, (-10, -10), (20, 20), (32, 32))
@@ -525,11 +602,12 @@ class TestBoundaryScan:
         f = two_bump_phantom(g)
         ap = Aperture(dim=2, axis=(1, 0), half_angle=np.deg2rad(19.2))
         focus = make_grid(2, (-4, -4), (8, 8), (4, 4))
-        fast = simulate_boundary_scan(op, h, f, [ap], focus_grid=focus, mode="fast")
-        full = simulate_boundary_scan(op, h, f, [ap], focus_grid=focus,
-                                      mode="full-physics", flux_mode="consistent")
+        v = solve_adjoint_weight(op, h)
+        fast = simulate_boundary_scan(f, v, [ap], focus_grid=focus)
+        full = full_physics_measurements(op, h, f, ap,
+                                         focus.centers().reshape(-1, 2))
         scale = np.max(np.abs(fast.fields[0].values))
-        mismatch = np.max(np.abs(fast.fields[0].values - full.fields[0].values))
+        mismatch = np.max(np.abs(fast.fields[0].values.ravel() - full))
         assert mismatch <= 2e-2 * scale
 
     def test_zero_phantom_both_modes(self, tissue_medium):
@@ -539,9 +617,32 @@ class TestBoundaryScan:
         f = ScalarField.zeros(g)
         ap = Aperture(dim=2, axis=(1, 0), half_angle=0.4)
         focus = make_grid(2, (-4, -4), (8, 8), (4, 4))
-        for mode in ("fast", "full-physics"):
-            scan = simulate_boundary_scan(op, h, f, [ap], focus_grid=focus, mode=mode)
-            assert np.max(np.abs(scan.fields[0].values)) <= 1e-12
+        scan = simulate_boundary_scan(f, solve_adjoint_weight(op, h), [ap],
+                                      focus_grid=focus)
+        assert np.max(np.abs(scan.fields[0].values)) <= 1e-12
+        full = full_physics_measurements(op, h, f, ap,
+                                         focus.centers().reshape(-1, 2))
+        assert np.max(np.abs(full)) <= 1e-12
+
+    def test_full_physics_matches_former_spot_check_loop(self, grid64,
+                                                         tissue_medium):
+        # the loop the pipeline's spot check ran before it called
+        # full_physics_measurements, with the former cone source
+        op = assemble_operator(grid64, tissue_medium)
+        h = BoundaryField.constant(grid64, 1.3)
+        truth = two_bump_phantom(grid64)
+        ap = fan_apertures(3, 35.0)[1]
+        centers = grid64.centers()
+        points = [(16, 16), (16, 40), (40, 28)]
+        expected = []
+        for p in points:
+            s = reference_samples(ap, grid64, centers[p]) * truth.values.ravel()
+            u = solve_forward(op, ScalarField(grid64, s.reshape(grid64.cells)))
+            expected.append(boundary_functional(
+                h, boundary_flux(op, u, mode="consistent")))
+        got = full_physics_measurements(op, h, truth, ap,
+                                        [centers[p] for p in points])
+        assert np.array_equal(got, expected)
 
     def test_fast_mode_linearity(self, grid64, tissue_medium):
         op = assemble_operator(grid64, tissue_medium)
@@ -550,17 +651,10 @@ class TestBoundaryScan:
         f2 = ScalarField(grid64, 2 * f.values)
         aps = fan_apertures(3, 35.0)
         v = solve_adjoint_weight(op, h)
-        s1 = simulate_boundary_scan(op, h, f, aps, weight=v, mode="fast")
-        s2 = simulate_boundary_scan(op, h, f2, aps, weight=v, mode="fast")
+        s1 = simulate_boundary_scan(f, v, aps)
+        s2 = simulate_boundary_scan(f2, v, aps)
         for a, b in zip(s1.fields, s2.fields):
             assert np.allclose(2 * a.values, b.values)
-
-    def test_unknown_mode_rejected(self, grid64, tissue_medium):
-        op = assemble_operator(grid64, tissue_medium)
-        h = BoundaryField.constant(grid64, 1.0)
-        with pytest.raises(InvalidArgumentError):
-            simulate_boundary_scan(op, h, two_bump_phantom(grid64),
-                                   fan_apertures(1, 30.0), mode="warp")
 
     def test_scan_data_grid_check(self, grid64, grid128):
         f = ScalarField.zeros(grid64)
