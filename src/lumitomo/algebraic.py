@@ -34,15 +34,20 @@ class LinearMap:
         return abs(lhs - rhs) / scale
 
 
-def scan_linear_map(apertures, v: ScalarField) -> LinearMap:
+def scan_linear_map(apertures, v: ScalarField,
+                    conv: ConeConvolution = None) -> LinearMap:
     """Matrix-free fast-mode scan operator f -> stacked per-cone data.
 
-    The apertures' ConeConvolution with the v * cell-volume weighting: the
-    operator the fast scan applies, so forward and adjoint share one set of
-    real kernel spectra and the dot test holds to machine precision.
+    The apertures' ConeConvolution on the grid of v (`conv`, built when
+    None) with the v * cell-volume weighting: the operator the fast scan
+    applies, so forward and adjoint share one set of real kernel spectra
+    and the dot test holds to machine precision.
     """
     grid = v.grid
-    conv = ConeConvolution(apertures, grid)
+    if conv is None:
+        conv = ConeConvolution(apertures, grid)
+    else:
+        conv.check(apertures, grid)
     vvol = v.values * grid.cell_volume
     stacked = (len(conv.group),) + tuple(grid.cells)
 

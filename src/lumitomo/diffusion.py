@@ -184,40 +184,46 @@ class DiscreteOperator:
         With constant mu_a the preconditioner is the exact inverse, so CG
         stops after one or two iterations; a varying mu_a differs from its
         mean by a bounded diagonal, and CG takes a handful more.  Stops when
-        ||b - Lx|| <= tol * ||b|| and records (iterations, relative residual)
-        in `last_solve`; raises SolverFailureError at the iteration cap.
+        ||b - Lx|| <= tol * ||b||, tested as soon as the residual is updated
+        so a converged iterate costs no preconditioner pass, and records
+        (iterations, relative residual) in `last_solve`; raises
+        SolverFailureError at the iteration cap, and InvalidArgumentError
+        when ||b|| is not finite, which no residual can be measured against.
         Accumulation order is fixed, so results are reproducible bit-for-bit.
         """
         g = self.grid
         b = np.asarray(rhs, dtype=np.float64).reshape(g.cells)
         b_norm = np.linalg.norm(b)
+        if not np.isfinite(b_norm):
+            raise InvalidArgumentError(
+                f"right-hand side norm {b_norm} is not finite")
         if b_norm == 0.0:
             self.last_solve = (0, 0.0)
             return np.zeros(g.cells)
         if max_iter is None:
             max_iter = max(200, int(20 * g.n_cells ** (1.0 / g.dim)))
         x = np.zeros(g.cells)
+        res = b_norm
+        if res <= tol * b_norm:
+            self.last_solve = (0, 1.0)
+            return x
         r = b.copy()
         z = self._precondition(r)
         p = z.copy()
         rz = float(np.sum(r * z))
-        res = b_norm
-        for it in range(max_iter):
-            if res <= tol * b_norm:
-                self.last_solve = (it, float(res / b_norm))
-                return x
+        for it in range(1, max_iter + 1):
             Ap = self.apply(p)
             alpha = rz / float(np.sum(p * Ap))
             x += alpha * p
             r -= alpha * Ap
             res = float(np.linalg.norm(r))
+            if res <= tol * b_norm:
+                self.last_solve = (it, float(res / b_norm))
+                return x
             z = self._precondition(r)
             rz_new = float(np.sum(r * z))
             p = z + (rz_new / rz) * p
             rz = rz_new
-        if res <= tol * b_norm:
-            self.last_solve = (max_iter, float(res / b_norm))
-            return x
         raise SolverFailureError(
             f"CG did not reach tol={tol:g} in {max_iter} iterations "
             f"(relative residual {res / b_norm:.3e})",

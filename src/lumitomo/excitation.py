@@ -130,15 +130,16 @@ def _self_cell_weight(ap: Aperture, grid: Grid):
     return rho * ap.angular_integral() / grid.cell_volume
 
 
-def _kernel_samples(ap: Aperture, grid: Grid, d):
+def _kernel_samples(ap: Aperture, grid: Grid, d, self_weight):
     """Midpoint kernel a(d/|d|) / |d|^{n-1} at offsets d (shape (..., dim)),
-    with the polar self-cell weight wherever |d| < 0.49 * min(spacing)."""
+    with `self_weight` (`_self_cell_weight`, which callers compute once per
+    aperture and grid) wherever |d| < 0.49 * min(spacing)."""
     r = np.sqrt(np.sum(d * d, axis=-1))
     near = r < 0.49 * min(grid.spacing)
     r_safe = np.where(near, 1.0, r)
     cosang = np.tensordot(d, np.asarray(ap.axis), axes=([-1], [0])) / r_safe
     K = ap.profile(cosang) / r_safe ** (grid.dim - 1)
-    K[near] = _self_cell_weight(ap, grid)
+    K[near] = self_weight
     return K
 
 
@@ -146,7 +147,7 @@ def cone_kernel(ap: Aperture, grid: Grid):
     """Midpoint kernel table over lattice offsets, shape (2n-1, ...)."""
     offsets = [np.arange(-(n - 1), n) * h for n, h in zip(grid.cells, grid.spacing)]
     d = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1)
-    return _kernel_samples(ap, grid, d)
+    return _kernel_samples(ap, grid, d, _self_cell_weight(ap, grid))
 
 
 def _aperture_groups(apertures):
@@ -188,10 +189,16 @@ class ConeConvolution:
     spectra are real and serve forward and adjoint alike.  Apertures that
     are the same double cone share one spectrum (`group` maps each aperture
     to its row of `spectra`), so each distinct aperture costs one inverse
-    FFT in `forward` and one forward FFT in `adjoint`.
+    FFT in `forward` and one forward FFT in `adjoint`.  A run builds one and
+    hands it to the scan, the multiplier and LSQR (their `conv` argument).
     """
 
     def __init__(self, apertures, grid: Grid):
+        self.apertures = tuple(apertures)
+        if any(ap.dim != grid.dim for ap in self.apertures):
+            raise InvalidArgumentError(
+                f"apertures must be {grid.dim}D to match the grid")
+        self.grid = grid
         self.cells = tuple(grid.cells)
         self.shape = tuple(2 * n for n in self.cells)
         self.axes = tuple(range(grid.dim))
@@ -204,6 +211,13 @@ class ConeConvolution:
             K[wrap] = cone_kernel(ap, grid)
             spectra.append(np.fft.rfftn(K, axes=self.axes).real)
         self.spectra = np.stack(spectra)
+
+    def check(self, apertures, grid: Grid):
+        """Raise InvalidArgumentError unless this is the operator of
+        `apertures` on `grid`."""
+        if self.grid != grid or self.apertures != tuple(apertures):
+            raise InvalidArgumentError(
+                "conv must be the ConeConvolution of the same apertures and grid")
 
     def _inverse(self, X):
         """irfftn of a half spectrum, cropped to the first n cells per axis;
@@ -259,15 +273,15 @@ def _nested_offset(field_grid: Grid, focus_grid: Grid):
 
 
 def cone_transform(f: ScalarField, v: ScalarField, ap,
-                   focus_grid: Grid = None):
+                   focus_grid: Grid = None, conv: ConeConvolution = None):
     """Weighted double-cone transform of f, sampled at focus-grid centers.
 
     `ap` is one Aperture, giving one ScalarField, or a sequence of them,
     giving a list of fields.  When the focus grid coincides with the field
     grid or contains it as an aligned sub-block (e.g. a scan extended past
     the object support), v*f is embedded in the focus grid and convolved
-    by the apertures' ConeConvolution; otherwise each focus point is a
-    direct vectorized quadrature.
+    by the apertures' ConeConvolution on the focus grid (`conv`, built when
+    None); otherwise each focus point is a direct vectorized quadrature.
     """
     grid = f.grid
     if v.grid != grid:
@@ -275,18 +289,25 @@ def cone_transform(f: ScalarField, v: ScalarField, ap,
     if focus_grid is None:
         focus_grid = grid
     apertures = [ap] if isinstance(ap, Aperture) else list(ap)
+    if conv is not None:
+        conv.check(apertures, focus_grid)
     g = f.values * (v.values * grid.cell_volume)
     offs = _nested_offset(grid, focus_grid)
     if offs is not None:
         g_emb = np.zeros(focus_grid.cells)
         g_emb[tuple(slice(k, k + n) for k, n in zip(offs, grid.cells))] = g
-        values = ConeConvolution(apertures, focus_grid).forward(g_emb)
+        if conv is None:
+            conv = ConeConvolution(apertures, focus_grid)
+        values = conv.forward(g_emb)
     else:
         centers = grid.centers()
         foci = focus_grid.centers().reshape(-1, grid.dim)
-        values = [np.array([np.vdot(_kernel_samples(a, grid, x - centers), g)
-                            for x in foci]).reshape(focus_grid.cells)
-                  for a in apertures]
+        values = []
+        for a in apertures:
+            w0 = _self_cell_weight(a, grid)
+            values.append(np.array([
+                np.vdot(_kernel_samples(a, grid, x - centers, w0), g)
+                for x in foci]).reshape(focus_grid.cells))
     fields = [ScalarField(focus_grid, x) for x in values]
     return fields[0] if isinstance(ap, Aperture) else fields
 
@@ -381,32 +402,41 @@ def xray_transform(g: ScalarField, angles, offsets) -> Sinogram:
     return Sinogram(angles, offsets, vals)
 
 
-def _source_field(ap: Aperture, grid: Grid, x_focus, f: ScalarField):
-    """Discretized source I_{x,j} * f with self-cell polar correction."""
-    d = np.asarray(x_focus, float) - grid.centers()
-    return ScalarField(grid, _kernel_samples(ap, grid, d) * f.values)
-
-
 def simulate_boundary_scan(f: ScalarField, v: ScalarField, apertures,
-                           focus_grid: Grid = None) -> ConeScanData:
+                           focus_grid: Grid = None,
+                           conv: ConeConvolution = None) -> ConeScanData:
     """The fast scan: the weighted cone transform of f for every cone at
-    every focus-grid center (the field grid by default).  Through the
-    reciprocity identity it equals `full_physics_measurements` with v the
-    adjoint weight of the boundary datum."""
+    every focus-grid center (the field grid by default), by `conv` when
+    given (see `cone_transform`).  Through the reciprocity identity it
+    equals `full_physics_measurements` with v the adjoint weight of the
+    boundary datum."""
     apertures = list(apertures)
     if focus_grid is None:
         focus_grid = f.grid
-    return ConeScanData(focus_grid, cone_transform(f, v, apertures, focus_grid),
-                        apertures)
+    return ConeScanData(
+        focus_grid, cone_transform(f, v, apertures, focus_grid, conv), apertures)
 
 
 def full_physics_measurements(op: DiscreteOperator, h: BoundaryField,
                               f: ScalarField, ap: Aperture, foci):
     """Reduced measurements of one cone by the PDE chain, one per focus
-    point: a forward solve with the cone's source, then the boundary
-    integral of h times the consistent outgoing flux."""
-    return np.array([
-        boundary_functional(h, boundary_flux(
-            op, solve_forward(op, _source_field(ap, op.grid, x, f)),
-            mode="consistent"))
-        for x in foci])
+    point: a forward solve with the cone's source I_{x,j} * f, then the
+    boundary integral of h times the consistent outgoing flux.
+
+    The source vanishes wherever f does, so the kernel is sampled only on
+    the support of f and scattered into a zero field; the kernel is finite,
+    so every source is the dense product K * f bit for bit.
+    """
+    grid = op.grid
+    support = np.flatnonzero(f.values)
+    centers = grid.centers().reshape(-1, grid.dim)[support]
+    f_support = f.values.ravel()[support]
+    self_weight = _self_cell_weight(ap, grid)
+    out = []
+    for x in foci:
+        source = np.zeros(grid.n_cells)
+        source[support] = _kernel_samples(
+            ap, grid, np.asarray(x, float) - centers, self_weight) * f_support
+        u = solve_forward(op, ScalarField(grid, source))
+        out.append(boundary_functional(h, boundary_flux(op, u, mode="consistent")))
+    return np.array(out)

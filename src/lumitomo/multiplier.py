@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (InvalidArgumentError, StabilityViolationError,
                      UndefinedDirectionError)
-from .fields import Grid, ScalarField
+from .fields import ScalarField
 from .excitation import (Aperture, ConeConvolution, ConeScanData,
                          _distinct_apertures, _nested_offset)
 from .diffusion import V_FLOOR_FRACTION
@@ -238,19 +238,20 @@ def total_symbol_table(apertures, cells, spacing):
     return m.reshape(mag.shape)
 
 
-def _kernel_spectrum(apertures, grid: Grid):
+def _kernel_spectrum(conv: ConeConvolution):
     """Half spectrum of the summed quadrature kernel on the circular grid of
-    2n cells per axis: the multiplicity-weighted sum of the apertures'
+    2n cells per axis: the multiplicity-weighted sum of the
     `ConeConvolution` spectra, times the cell volume.  It replaces the
     analytic symbol on the lowest frequency shell, where the
     unbounded-kernel assumption fails."""
-    conv = ConeConvolution(apertures, grid)
     counts = np.bincount(conv.group)
-    return sum(c * S for c, S in zip(counts, conv.spectra)) * grid.cell_volume
+    return (sum(c * S for c, S in zip(counts, conv.spectra))
+            * conv.grid.cell_volume)
 
 
 def invert_multiplier(scan: ConeScanData, apertures, v: ScalarField,
-                      eps=1e-3, check_margin=True) -> ScalarField:
+                      eps=1e-3, check_margin=True, conv: ConeConvolution = None,
+                      stats=None) -> ScalarField:
     """Explicit Fourier inversion of summed cone data.
 
     Sums the per-cone data and extends it to a grid twice the field grid per
@@ -264,8 +265,12 @@ def invert_multiplier(scan: ConeScanData, apertures, v: ScalarField,
     divided by the weight (floored).
     The multiplier is the analytic symbol away from the origin; on the
     lowest shell of grid frequencies it is taken from the spectrum of the
-    discrete quadrature kernel (`_kernel_spectrum`, the scan's own
-    spectra).  Every table is an rfftn half spectrum.
+    discrete quadrature kernel (`_kernel_spectrum` of `conv`, the
+    apertures' ConeConvolution on the field grid, built when None: the
+    scan's own spectra).  Every table is an rfftn half spectrum.  A dict
+    `stats` receives m_ref and suppressed_fraction, the share of table
+    entries with m < eps * m_ref; the filter passes less than half of 1/m
+    at such an entry when m > 0.
     """
     grid = v.grid
     focus = scan.focus_grid
@@ -296,9 +301,16 @@ def invert_multiplier(scan: ConeScanData, apertures, v: ScalarField,
     mag = np.sqrt(np.sum(xi * xi, axis=-1))
     xi_min = min(2.0 * np.pi / (n * h) for n, h in zip(padded_cells, grid.spacing))
     low = mag <= LOW_FREQ_BINS * xi_min * (1.0 + 1e-9)
-    m[low] = _kernel_spectrum(apertures, grid)[low]
+    if conv is None:
+        conv = ConeConvolution(apertures, grid)
+    else:
+        conv.check(apertures, grid)
+    m[low] = _kernel_spectrum(conv)[low]
     nonzero = m > 0
     m_ref = float(np.median(m[nonzero])) if np.any(nonzero) else 0.0
+    if stats is not None:
+        stats["m_ref"] = m_ref
+        stats["suppressed_fraction"] = float(np.mean(m < eps * m_ref))
     denom = m ** 2 + (eps * m_ref) ** 2
     # frequencies with zero symbol and zero regularization are unrecoverable
     filt = np.divide(m, denom, out=np.zeros_like(m), where=denom > 0)

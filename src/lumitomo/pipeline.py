@@ -22,8 +22,8 @@ from .config import (_bool, _float, _int, build_apertures, build_grid,
                      build_medium, build_phantom_spec, derive_seed)
 from .diffusion import (BoundaryField, assemble_operator, solve_adjoint_weight,
                         V_FLOOR_FRACTION)
-from .errors import ConfigError, StabilityViolationError
-from .excitation import (ConeScanData, Sinogram, _distinct_apertures,
+from .errors import ConfigError, InvalidArgumentError, StabilityViolationError
+from .excitation import (ConeConvolution, ConeScanData, Sinogram,
                          full_physics_measurements, simulate_boundary_scan,
                          xray_transform)
 from .fbp import FbpFilter, divide_by_weight, fbp
@@ -101,13 +101,18 @@ def _diffusion(cfg, grid, report):
     """Diffusion operator, boundary datum h and adjoint weight v on a grid;
     the weight solve's iterations and relative residual go into `report`.
     A datum h <= 0 gives a weight <= 0, which no reconstruction can divide
-    by, so it is refused before the solve."""
+    by, so it is refused before the solve; so is one whose right-hand side
+    overflows, which the solve refuses."""
     h_value = _float(cfg, "boundary.h")
     if h_value <= 0:
         raise ConfigError(f"boundary.h must be > 0, got {h_value:g}")
     op = assemble_operator(grid, build_medium(cfg))
     h = BoundaryField.constant(grid, h_value)
-    v = solve_adjoint_weight(op, h)
+    try:
+        v = solve_adjoint_weight(op, h)
+    except InvalidArgumentError as exc:
+        raise ConfigError(
+            f"boundary.h = {h_value:g} gives no finite weight: {exc}") from exc
     iterations, residual = op.last_solve
     report["solver.weight.iterations"] = str(iterations)
     report["solver.weight.residual"] = f"{residual:.6e}"
@@ -146,11 +151,13 @@ def _gate(cfg, apertures, report):
 
 
 def _cone_scan(truth, v, apertures, report):
-    """The clean (noise-free) fast scan of the cone set."""
+    """The clean (noise-free) fast scan of the cone set and the cone
+    operator it applied, which the reconstruction reuses."""
+    conv = ConeConvolution(apertures, truth.grid)
     report["scan.mode"] = "fast"
     report["scan.focus_grid"] = "field grid (ROI pitch not separately configured)"
-    report["scan.distinct_apertures"] = str(len(_distinct_apertures(apertures)))
-    return simulate_boundary_scan(truth, v, apertures)
+    report["scan.distinct_apertures"] = str(len(conv.spectra))
+    return simulate_boundary_scan(truth, v, apertures, conv=conv), conv
 
 
 def _spot_check(cfg, op, h, truth, clean, report):
@@ -205,8 +212,9 @@ def _noisy_scan(cfg, clean, report):
                         clean.apertures)
 
 
-def _reconstruct(cfg, data, v, report, check_margin):
-    """Invert cone data by recon.method; returns (fields, history).  The
+def _reconstruct(cfg, data, v, conv, report, check_margin):
+    """Invert cone data by recon.method with `conv`, the cone operator of
+    the data's apertures on the grid of v; returns (fields, history).  The
     multiplier refuses invisible directions when `check_margin` is set."""
     method = cfg["recon.method"]
     if method not in ("multiplier", "lsqr", "both"):
@@ -217,10 +225,15 @@ def _reconstruct(cfg, data, v, report, check_margin):
     nonneg = _bool(cfg, "recon.nonneg")
     fields, history = {}, None
     if method != "lsqr":
+        stats = {}
         fields["recon_multiplier"] = invert_multiplier(
-            data, data.apertures, v, eps=eps, check_margin=check_margin)
+            data, data.apertures, v, eps=eps, check_margin=check_margin,
+            conv=conv, stats=stats)
+        report["multiplier.m_ref"] = f"{stats['m_ref']:.6e}"
+        report["multiplier.suppressed_fraction"] = \
+            f"{stats['suppressed_fraction']:.6e}"
     if method != "multiplier":
-        x, history = lsqr(scan_linear_map(data.apertures, v),
+        x, history = lsqr(scan_linear_map(data.apertures, v, conv=conv),
                           np.concatenate([f.values.ravel() for f in data.fields]),
                           max_iters=max_iters, atol=atol)
         if nonneg:
@@ -259,13 +272,14 @@ def run_xmlt(cfg, outdir=None):
     with _timed(report, "gate"):
         _gate(cfg, apertures, report)
     with _timed(report, "scan"):
-        clean = _cone_scan(truth, v, apertures, report)
+        clean, conv = _cone_scan(truth, v, apertures, report)
     with _timed(report, "spot_check"):
         _spot_check(cfg, op, h, truth, clean, report)
     with _timed(report, "noise"):
         data = _noisy_scan(cfg, clean, report)
     with _timed(report, "reconstruct"):
-        fields, history = _reconstruct(cfg, data, v, report, check_margin=False)
+        fields, history = _reconstruct(cfg, data, v, conv, report,
+                                       check_margin=False)
     return _emit(cfg, outdir, t0, report, {"truth": truth, "weight": v, **fields},
                  scan=data, history=history)
 
@@ -328,8 +342,8 @@ def scan(cfg):
     with _timed(report, "setup"):
         truth, _, _, v = _setup(cfg, report)
     with _timed(report, "scan"):
-        clean = _cone_scan(truth, v, build_apertures(cfg, truth.grid.dim),
-                           report)
+        clean, _ = _cone_scan(truth, v, build_apertures(cfg, truth.grid.dim),
+                              report)
     with _timed(report, "noise"):
         data = _noisy_scan(cfg, clean, report)
     return _emit(cfg, None, t0, report, {"truth": truth, "weight": v},
@@ -349,11 +363,11 @@ def reconstruct(cfg):
     with _timed(report, "setup"):
         data = ltfio.read_scan(manifest)
         v = ltfio.read_field(weight_path)
-    report["scan.distinct_apertures"] = str(
-        len(_distinct_apertures(data.apertures)))
     with _timed(report, "reconstruct"):
+        conv = ConeConvolution(data.apertures, v.grid)
+        report["scan.distinct_apertures"] = str(len(conv.spectra))
         fields, history = _reconstruct(
-            cfg, data, v, report,
+            cfg, data, v, conv, report,
             check_margin=not _bool(cfg, "run.force_pseudo"))
     return _emit(cfg, outdir, t0, report, fields, history=history)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lumitomo.errors import SolverFailureError
 from lumitomo.fields import (OpticalMedium, ScalarField, derived_optics,
                              make_grid, robin_coefficient)
 from lumitomo.excitation import Aperture
@@ -51,3 +52,39 @@ def fan_apertures(count, half_angle_deg, start_deg=0.0):
 def rel_l2(recon, truth):
     d = np.asarray(recon, float) - np.asarray(truth, float)
     return float(np.sqrt(np.sum(d ** 2) / np.sum(np.asarray(truth, float) ** 2)))
+
+
+def reference_cg(op, rhs, tol=1e-10, max_iter=None):
+    """`DiscreteOperator.solve` as it was when it tested for convergence at
+    the top of each iteration, after a preconditioner pass on the updated
+    residual: the reference for the solve, which now tests first and skips
+    that pass.  Returns (x, (iterations, relative residual))."""
+    g = op.grid
+    b = np.asarray(rhs, dtype=np.float64).reshape(g.cells)
+    b_norm = np.linalg.norm(b)
+    if b_norm == 0.0:
+        return np.zeros(g.cells), (0, 0.0)
+    if max_iter is None:
+        max_iter = max(200, int(20 * g.n_cells ** (1.0 / g.dim)))
+    x = np.zeros(g.cells)
+    r = b.copy()
+    z = op._precondition(r)
+    p = z.copy()
+    rz = float(np.sum(r * z))
+    res = b_norm
+    for it in range(max_iter):
+        if res <= tol * b_norm:
+            return x, (it, float(res / b_norm))
+        Ap = op.apply(p)
+        alpha = rz / float(np.sum(p * Ap))
+        x += alpha * p
+        r -= alpha * Ap
+        res = float(np.linalg.norm(r))
+        z = op._precondition(r)
+        rz_new = float(np.sum(r * z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    if res <= tol * b_norm:
+        return x, (max_iter, float(res / b_norm))
+    raise SolverFailureError("reference CG hit its cap",
+                             residual=res / b_norm, iterations=max_iter)

@@ -10,7 +10,7 @@ from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
 import lumitomo
-from lumitomo import pipeline
+from lumitomo import excitation, pipeline
 from lumitomo.cli import main
 from lumitomo.config import (DEFAULTS, build_apertures, derive_seed,
                              load_config, parse_config_text)
@@ -193,6 +193,32 @@ class TestExitCodes:
         assert "boundary.h must be > 0" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_overflowing_boundary_datum_is_config_error(self, tmp_path,
+                                                        capsys):
+        # the weight solve's right-hand-side norm overflows to inf
+        rc = main(["run-xlct", "-o", str(tmp_path), "--set", "grid.cells=16,16",
+                   "--set", "boundary.h=1e308"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "boundary.h" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "sinogram.ltf").exists()
+
+    @pytest.mark.parametrize("method", ["multiplier", "lsqr"])
+    def test_reconstruct_refuses_a_weight_of_another_dimension(
+            self, tmp_path, capsys, method):
+        assert main(small_args("scan", tmp_path)) == 0
+        assert main(["weight", "-o", str(tmp_path / "w3"),
+                     "--set", "grid.dim=3", "--set", "grid.cells=8,8,8",
+                     "--set", "grid.origin=-10,-10,-10",
+                     "--set", "grid.extent=20,20,20",
+                     "--set", "phantom.inclusions=2.5,2.5,0,1.5,5.0"]) == 0
+        os.replace(tmp_path / "w3" / "weight.ltf", tmp_path / "weight.ltf")
+        capsys.readouterr()
+        assert main(small_args("reconstruct", tmp_path,
+                               f"recon.method={method}")) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
     def test_seed_beyond_64_bits_is_accepted(self, tmp_path):
         assert main(small_args("scan", tmp_path, "noise.kind=poisson",
                                f"run.seed={2 ** 128 - 1}")) == 0
@@ -335,6 +361,44 @@ class TestVerbs:
         assert _report(tmp_path)["scan.distinct_apertures"] == "3"
         assert main(small_args("reconstruct", tmp_path)) == 0
         assert _report(tmp_path)["scan.distinct_apertures"] == "3"
+
+    @pytest.mark.parametrize("verb", ["run-xmlt", "reconstruct"])
+    def test_one_cone_operator_per_run(self, tmp_path, monkeypatch, verb):
+        # the scan, the multiplier's low shell and LSQR share one
+        # ConeConvolution: one kernel per distinct aperture
+        if verb == "reconstruct":
+            assert main(small_args("scan", tmp_path)) == 0
+        kernels = []
+        cone_kernel = excitation.cone_kernel
+        monkeypatch.setattr(excitation, "cone_kernel",
+                            lambda ap, grid: kernels.append(ap)
+                            or cone_kernel(ap, grid))
+        assert main(small_args(verb, tmp_path, "recon.method=both")) == 0
+        assert len(kernels) == len(set(kernels)) == 3
+
+    def test_multiplier_statistics_in_report(self, tmp_path):
+        def stats(verb, outdir, *extra):
+            assert main(small_args(verb, outdir, *extra)) == 0
+            report = _report(outdir)
+            return (float(report["multiplier.m_ref"]),
+                    float(report["multiplier.suppressed_fraction"]))
+
+        m_ref, fraction = stats("run-xmlt", tmp_path / "run")
+        assert m_ref > 0 and fraction == 0.0
+        assert main(small_args("scan", tmp_path / "scan")) == 0
+        assert stats("reconstruct", tmp_path / "scan") == (m_ref, fraction)
+        # a larger eps suppresses more of the table and leaves m_ref, the
+        # median entry, alone: at eps = 1 the entries below the median
+        # (every entry of this table is positive)
+        fractions = [stats("run-xmlt", tmp_path / eps, f"recon.eps={eps}")
+                     for eps in ("0.9", "1.0", "2.0")]
+        assert [m for m, _ in fractions] == [m_ref] * 3
+        assert 0.0 < fractions[0][1] < fractions[1][1] == 0.5
+        assert 0.5 < fractions[2][1] < 1.0
+        assert main(small_args("run-xmlt", tmp_path / "lsqr",
+                               "recon.method=lsqr")) == 0
+        assert not any(key.startswith("multiplier.")
+                       for key in _report(tmp_path / "lsqr"))
 
     def test_noise_ignores_roundoff_sign_of_exact_zeros(self):
         # cells whose exact value is 0 carry FFT roundoff of either sign

@@ -13,7 +13,7 @@ from lumitomo.diffusion import (BoundaryField, _robin_modes, assemble_operator,
 from lumitomo.errors import InvalidArgumentError, SolverFailureError
 from lumitomo.fields import OpticalMedium, ScalarField, make_grid
 
-from conftest import two_bump_phantom
+from conftest import reference_cg, two_bump_phantom
 
 
 def jacobi_pcg(op, rhs, tol, max_iter=20000):
@@ -213,6 +213,60 @@ def test_solver_failure_raises(grid64, tissue_medium):
         op.solve(s.values, tol=1e-14, max_iter=2)
     assert err.value.iterations == 2
     assert err.value.residual > 0
+
+
+@pytest.mark.parametrize("varying", [False, True], ids=["constant-mu_a",
+                                                      "varying-mu_a"])
+def test_solve_is_bit_identical_to_reference_cg(tissue_medium, monkeypatch,
+                                                varying):
+    rng = np.random.default_rng(5)
+    g = make_grid(2, (-6, -10), (12, 20), (40, 72))
+    mu = rng.uniform(0.01, 0.5, g.cells) if varying else None
+    op = assemble_operator(g, tissue_medium, mu_a_field=mu)
+    h = BoundaryField(g, rng.uniform(0.5, 2.0, boundary_face_count(g)))
+    source = two_bump_phantom(g).values
+    passes = []
+    precondition = op._precondition
+    monkeypatch.setattr(op, "_precondition",
+                        lambda r: passes.append(1) or precondition(r))
+    for rhs in (op.boundary_rhs(h), source):
+        for tol in (1e-10, 1e-14):
+            ref, ref_last = reference_cg(op, rhs, tol=tol)
+            del passes[:]
+            x = op.solve(rhs, tol=tol)
+            assert np.array_equal(x, ref)
+            assert op.last_solve == ref_last
+            # one pass per iteration, none after the converged update: a
+            # constant-mu_a solve at tol 1e-10 converges in one iteration
+            # and costs one mode transform
+            assert len(passes) == ref_last[0]
+            if not varying and tol == 1e-10:
+                assert len(passes) == 1
+
+
+def test_solver_failure_matches_reference_cg(grid64, tissue_medium):
+    mu = np.random.default_rng(3).uniform(0.01, 0.5, grid64.cells)
+    op = assemble_operator(grid64, tissue_medium, mu_a_field=mu)
+    s = two_bump_phantom(grid64).values
+    for max_iter in (0, 1, 5):
+        with pytest.raises(SolverFailureError) as ref:
+            reference_cg(op, s, tol=1e-14, max_iter=max_iter)
+        with pytest.raises(SolverFailureError) as err:
+            op.solve(s, tol=1e-14, max_iter=max_iter)
+        assert err.value.iterations == ref.value.iterations == max_iter
+        assert err.value.residual == ref.value.residual
+
+
+@pytest.mark.parametrize("scale,bad", [(1.0, np.inf), (1.0, np.nan),
+                                       (1e200, None)],
+                         ids=["inf-entry", "nan-entry", "norm-overflows"])
+def test_non_finite_rhs_norm_is_refused(grid64, tissue_medium, scale, bad):
+    op = assemble_operator(grid64, tissue_medium)
+    rhs = scale * two_bump_phantom(grid64).values
+    if bad is not None:
+        rhs[3, 4] = bad
+    with np.errstate(over="ignore"), pytest.raises(InvalidArgumentError):
+        op.solve(rhs)
 
 
 def test_closed_form_disk_matches_ode(tissue_medium):

@@ -6,7 +6,7 @@ import pytest
 from lumitomo.diffusion import (BoundaryField, assemble_operator,
                                 boundary_flux, boundary_functional,
                                 solve_adjoint_weight, solve_forward)
-from lumitomo import algebraic, excitation
+from lumitomo import algebraic, excitation, pipeline
 from lumitomo.algebraic import lsqr, scan_linear_map
 from lumitomo.config import DEFAULTS, build_apertures
 from lumitomo.errors import InvalidArgumentError
@@ -16,8 +16,10 @@ from lumitomo.excitation import (Aperture, ConeConvolution, ConeScanData,
                                  full_physics_measurements,
                                  simulate_boundary_scan, xray_transform)
 from lumitomo.fields import ScalarField, make_grid
+from lumitomo.multiplier import invert_multiplier
 
-from conftest import extended_grid, fan_apertures, two_bump_phantom
+from conftest import (extended_grid, fan_apertures, reference_cg,
+                      two_bump_phantom)
 
 
 def unit(theta):
@@ -239,6 +241,39 @@ class TestConeConvolution:
         assert len(fields) == 3
         for fld, ap in zip(fields, aps):
             assert np.array_equal(fld.values, cone_transform(f, v, ap).values)
+
+    def test_shared_operator_gives_the_same_bits(self, grid64):
+        aps = fan_apertures(3, 35.0)
+        conv = ConeConvolution(aps, grid64)
+        f = two_bump_phantom(grid64)
+        v = ScalarField(grid64,
+                        1.0 + np.random.default_rng(13).random(grid64.cells))
+        scan = simulate_boundary_scan(f, v, aps)
+        shared = simulate_boundary_scan(f, v, aps, conv=conv)
+        for a, b in zip(scan.fields, shared.fields, strict=True):
+            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(invert_multiplier(scan, aps, v).values,
+                              invert_multiplier(scan, aps, v, conv=conv).values)
+        x = f.values.ravel()
+        own, given = scan_linear_map(aps, v), scan_linear_map(aps, v, conv=conv)
+        y = own.forward(x)
+        assert np.array_equal(y, given.forward(x))
+        assert np.array_equal(own.adjoint(y), given.adjoint(y))
+
+    def test_operator_of_other_cones_or_grid_is_refused(self, grid64):
+        aps = fan_apertures(3, 35.0)
+        f = two_bump_phantom(grid64)
+        v = ScalarField.full(grid64, 1.0)
+        scan = simulate_boundary_scan(f, v, aps)
+        coarse = make_grid(2, grid64.origin, grid64.extent, (32, 32))
+        for conv in (ConeConvolution(aps[:2], grid64),
+                     ConeConvolution(aps, coarse)):
+            with pytest.raises(InvalidArgumentError):
+                cone_transform(f, v, aps, conv=conv)
+            with pytest.raises(InvalidArgumentError):
+                invert_multiplier(scan, aps, v, conv=conv)
+            with pytest.raises(InvalidArgumentError):
+                scan_linear_map(aps, v, conv=conv)
 
 
 class PerConeConvolution:
@@ -585,13 +620,29 @@ class TestKernelSampler:
                 assert np.array_equal(out.values.ravel(), ref)
 
     @pytest.mark.parametrize("grid,aps", SAMPLER_CASES)
-    def test_cone_source_is_bit_identical(self, grid, aps):
-        f = ScalarField(grid, np.cos(grid.centers()[..., -1]) + 2.0)
-        for ap in aps:
-            for x in (grid.centers()[(2,) * grid.dim], np.full(grid.dim, 0.3)):
-                ref = reference_samples(ap, grid, x) * f.values.ravel()
-                got = excitation._source_field(ap, grid, x, f).values
-                assert np.array_equal(got.ravel(), ref)
+    def test_cone_source_is_bit_identical(self, grid, aps, tissue_medium,
+                                          monkeypatch):
+        # the sources the full-physics chain solves for, sampled on the
+        # support of f, against the dense K * f; one f vanishes on part of
+        # the grid
+        op = assemble_operator(grid, tissue_medium)
+        h = BoundaryField.constant(grid, 1.0)
+        sources = []
+        monkeypatch.setattr(excitation, "solve_forward",
+                            lambda op, s: sources.append(s.values) or s)
+        monkeypatch.setattr(excitation, "boundary_flux",
+                            lambda op, u, mode: h)
+        z = grid.centers()[..., -1]
+        foci = [grid.centers()[(2,) * grid.dim], np.full(grid.dim, 0.3)]
+        partial = ScalarField(grid, np.maximum(np.cos(z), 0.0))
+        assert 0 < np.count_nonzero(partial.values) < partial.values.size
+        for f in (ScalarField(grid, np.cos(z) + 2.0), partial):
+            for ap in aps:
+                del sources[:]
+                full_physics_measurements(op, h, f, ap, foci)
+                for x, got in zip(foci, sources, strict=True):
+                    ref = reference_samples(ap, grid, x) * f.values.ravel()
+                    assert np.array_equal(got.ravel(), ref)
 
 
 class TestBoundaryScan:
@@ -660,3 +711,102 @@ class TestBoundaryScan:
         f = ScalarField.zeros(grid64)
         with pytest.raises(InvalidArgumentError):
             ConeScanData(grid128, [f], [])
+
+
+def dense_full_physics(op, h, f, ap, foci):
+    """The full-physics chain as it was: per focus, the dense source K * f
+    over every cell (the self-cell quadrature redone per focus), a forward
+    solve by the former CG loop, then the boundary functional."""
+    out = []
+    for x in foci:
+        s = reference_samples(ap, op.grid, x) * f.values.ravel()
+        u, _ = reference_cg(op, s)
+        out.append(boundary_functional(
+            h, boundary_flux(op, ScalarField(op.grid, u), mode="consistent")))
+    return np.array(out)
+
+
+def config_case(*items):
+    """Config, phantom, operator, datum, weight and cones of DEFAULTS with
+    overrides."""
+    cfg = dict(DEFAULTS, **dict(item.split("=", 1) for item in items))
+    truth = pipeline._phantom(cfg)
+    op, h, v = pipeline._diffusion(cfg, truth.grid, {})
+    return cfg, truth, op, h, v, build_apertures(cfg, truth.grid.dim)
+
+
+GRID_3D = ("grid.dim=3", "grid.origin=-10,-10,-10", "grid.extent=20,20,20",
+           "grid.cells=16,16,16",
+           "phantom.inclusions=2.5,2.5,0,1.5,5.0; -3.5,0,0,1.5,10.0")
+
+
+class TestFullPhysicsReference:
+    """The support-sampled chain and the test-first CG give the former
+    dense chain's measurements bit for bit."""
+
+    def test_default_spot_check_points(self, monkeypatch):
+        cfg, truth, op, h, v, aps = config_case()
+        clean, _ = pipeline._cone_scan(truth, v, aps, {})
+        calls = []
+
+        def checked(op, h, f, ap, foci):
+            got = full_physics_measurements(op, h, f, ap, foci)
+            assert np.array_equal(got, dense_full_physics(op, h, f, ap, foci))
+            calls.append(len(foci))
+            return got
+
+        monkeypatch.setattr(pipeline, "full_physics_measurements", checked)
+        pipeline._spot_check(cfg, op, h, truth, clean, {})
+        assert calls == [9]
+
+    @pytest.mark.parametrize("items,foci", [
+        (("grid.cells=64,64",), "off-lattice"),
+        (GRID_3D, "lattice"),
+        (GRID_3D, "off-lattice"),
+        (("grid.cells=64,64", "phantom.background=0.5"), "lattice")],
+        ids=["2d-off-lattice-4x4", "3d-lattice", "3d-off-lattice",
+             "2d-background"])
+    def test_matches_dense_chain(self, items, foci):
+        _, truth, op, h, _, aps = config_case(*items)
+        grid = truth.grid
+        centers = grid.centers().reshape(-1, grid.dim)
+        if foci == "lattice":
+            # cells of the support, where the self-cell weight is sampled,
+            # and cells spread over the grid
+            support = np.flatnonzero(truth.values)
+            points = np.concatenate([centers[support[::support.size // 4]],
+                                     centers[::centers.shape[0] // 4]])
+        else:
+            points = make_grid(grid.dim, (-4.1,) * grid.dim, (8.0,) * grid.dim,
+                               (4,) * grid.dim).centers().reshape(-1, grid.dim)
+        if "phantom.background=0.5" in items:
+            assert np.all(truth.values != 0.0)
+        else:
+            assert np.count_nonzero(truth.values) < truth.values.size
+        for ap in aps[:2]:
+            assert np.array_equal(
+                full_physics_measurements(op, h, truth, ap, points),
+                dense_full_physics(op, h, truth, ap, points))
+
+    def test_samples_only_the_support_and_weighs_the_self_cell_once(
+            self, monkeypatch):
+        _, truth, op, h, _, aps = config_case("grid.cells=64,64")
+        support = np.count_nonzero(truth.values)
+        sampled, quadratures = [], []
+        kernel_samples = excitation._kernel_samples
+        angular_integral = Aperture.angular_integral
+
+        def counted_samples(ap, grid, d, self_weight):
+            sampled.append(d.shape)
+            return kernel_samples(ap, grid, d, self_weight)
+
+        def counted_integral(ap):
+            quadratures.append(ap)
+            return angular_integral(ap)
+
+        monkeypatch.setattr(excitation, "_kernel_samples", counted_samples)
+        monkeypatch.setattr(Aperture, "angular_integral", counted_integral)
+        foci = truth.grid.centers()[20:44:6, 32]
+        full_physics_measurements(op, h, truth, aps[0], foci)
+        assert sampled == [(support, 2)] * len(foci)
+        assert quadratures == [aps[0]]

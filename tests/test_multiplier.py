@@ -7,8 +7,8 @@ from lumitomo import multiplier
 from lumitomo.config import DEFAULTS, build_apertures
 from lumitomo.errors import (InvalidArgumentError, StabilityViolationError,
                              UndefinedDirectionError)
-from lumitomo.excitation import (Aperture, ConeScanData, cone_kernel,
-                                 cone_transform)
+from lumitomo.excitation import (Aperture, ConeConvolution, ConeScanData,
+                                 cone_kernel, cone_transform)
 from lumitomo.fields import ScalarField, make_grid
 from lumitomo.multiplier import (angular_factor, ellipticity_margin,
                                  invert_multiplier, multiplier_symbol,
@@ -260,7 +260,7 @@ class TestLowShell:
         mag = np.sqrt(np.sum(xi * xi, axis=-1))
         xi_min = min(2.0 * np.pi / (c * h) for c, h in zip(padded, grid.spacing))
         low = mag <= multiplier.LOW_FREQ_BINS * xi_min * (1.0 + 1e-9)
-        new = multiplier._kernel_spectrum(aps, grid)[low]
+        new = multiplier._kernel_spectrum(ConeConvolution(aps, grid))[low]
         old = reference_wrapped_kernel_spectrum(
             aps, padded, grid.spacing, grid.cell_volume)[..., :n + 1][low]
         # relative to the shell's largest entry: entry by entry the rim of
