@@ -6,12 +6,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diffusion import V_FLOOR_FRACTION
 from .errors import (EmptyMaskError, InvalidArgumentError, InvalidOperatorError)
-from .fields import Grid, ScalarField
+from .fields import ScalarField
 from .excitation import ConeConvolution
 
 # numpy's Poisson sampler refuses means above ~9.223e18
 POISSON_LAM_MAX = 9.2e18
+
+# The parametrix preconditioner's symbol is (sum_j S_j^2 + delta^2)^(-1/2)
+# with delta^2 this fraction of the largest sum_j S_j^2.  It caps the gain
+# at frequencies the cones barely see, which an iterate stopped at the
+# noise level would otherwise amplify; the converged solution is the same.
+PARAMETRIX_MIX = 5e-4
 
 
 @dataclass
@@ -61,14 +68,61 @@ def scan_linear_map(apertures, v: ScalarField,
                      n_model=grid.n_cells, forward=forward, adjoint=adjoint)
 
 
+def parametrix_preconditioner(conv: ConeConvolution, v: ScalarField) -> LinearMap:
+    """Right preconditioner of `scan_linear_map(conv.apertures, v, conv)`.
+
+    With V = v * cell volume (floored at V_FLOOR_FRACTION of its maximum)
+    and P = (sum_j S_j^2 + delta^2)^(-1/2) over the cones' real spectra
+    S_j (delta^2 = PARAMETRIX_MIX * max sum_j S_j^2),
+
+        M z = V^-1 crop F^-1 [P F pad z],   M^T y = crop F^-1 [P F pad (y / V)].
+
+    Away from the crop, A^T A = V F^-1[sum_j S_j^2] F V, so A M is close to
+    an isometry: M M^T A^T is the paper's parametrix q_j = r_j / sum_k r_k^2
+    on the discrete kernels.
+    """
+    grid = v.grid
+    if conv.grid != grid:
+        raise InvalidArgumentError("conv and v must share a grid")
+    v_max = float(np.max(v.values))
+    if not v_max > 0:
+        raise InvalidArgumentError("the weight v must be positive somewhere")
+    power = np.tensordot(np.bincount(conv.group), conv.spectra ** 2, axes=1)
+    symbol = 1.0 / np.sqrt(power + PARAMETRIX_MIX * np.max(power))
+    vvol = np.maximum(v.values, V_FLOOR_FRACTION * v_max) * grid.cell_volume
+
+    def forward(z):
+        return (conv.filter(z.reshape(grid.cells), symbol) / vvol).ravel()
+
+    def adjoint(y):
+        return conv.filter(y.reshape(grid.cells) / vvol, symbol).ravel()
+
+    return LinearMap(n_data=grid.n_cells, n_model=grid.n_cells,
+                     forward=forward, adjoint=adjoint)
+
+
+def compose(A: LinearMap, M: LinearMap) -> LinearMap:
+    """The product A M: one call of each of A's actions per call of its own."""
+    if M.n_data != A.n_model:
+        raise InvalidArgumentError("inner dimensions of A M differ")
+    return LinearMap(n_data=A.n_data, n_model=M.n_model,
+                     forward=lambda z: A.forward(M.forward(z)),
+                     adjoint=lambda y: M.adjoint(A.adjoint(y)))
+
+
 def lsqr(linmap: LinearMap, data, max_iters=500, atol=1e-8,
-         dot_test_tol=1e-10):
+         dot_test_tol=1e-10, stop_residual=0.0):
     """Paige-Saunders LSQR on min ||A x - b||.
 
     Runs a forward/adjoint dot test before iterating.  Stops when the
-    normal-equations residual ||A^T r|| / (||A|| ||r||) falls below atol.
-    Returns (solution, history) with history rows
-    (iteration, ||r||, ||A^T r||); the residual norms are nonincreasing.
+    residual ||r|| falls to `stop_residual` (the discrepancy principle: the
+    expected norm of the data's noise; 0 runs to atol), or by Paige and
+    Saunders' tests with atol as both tolerances: the normal-equations
+    residual ||A^T r|| / (||A|| ||r||) falls below atol (a least-squares
+    solution), or ||r|| <= atol (||b|| + ||A|| ||x||) (a consistent system
+    solved), with ||A|| LSQR's running Frobenius-norm estimate.  Returns
+    (solution, history) with history rows (iteration, ||r||, ||A^T r||,
+    ||A^T r|| / (||A|| ||r||)); the residual norms are nonincreasing.
     """
     defect = linmap.dot_test()
     if defect > dot_test_tol:
@@ -82,18 +136,22 @@ def lsqr(linmap: LinearMap, data, max_iters=500, atol=1e-8,
     beta = float(np.linalg.norm(b))
     history = []
     if beta == 0.0:
-        return x, np.array([[0, 0.0, 0.0]])
+        return x, np.array([[0, 0.0, 0.0, 0.0]])
     u = b / beta
     v = linmap.adjoint(u)
     alpha = float(np.linalg.norm(v))
     if alpha == 0.0:
-        return x, np.array([[0, beta, 0.0]])
+        return x, np.array([[0, beta, 0.0, 0.0]])
+    # ||A|| >= alpha = ||A^T u|| for the unit vector u, so x = 0 reads 1
+    history.append((0, beta, alpha * beta, 1.0))
+    if beta <= stop_residual:
+        return x, np.array(history)
     v = v / alpha
     w = v.copy()
+    bnorm = beta
     phibar = beta
     rhobar = alpha
     anorm = 0.0
-    history.append((0, phibar, alpha * beta))
     # u, v, x and w are lsqr's own arrays (never `data` or an operator's
     # input or output), so they are updated in place
     for it in range(1, max_iters + 1):
@@ -120,23 +178,26 @@ def lsqr(linmap: LinearMap, data, max_iters=500, atol=1e-8,
         w *= -(theta / rho)
         w += v
         arnorm = alpha * abs(s * phi)
-        history.append((it, phibar, arnorm))
-        if anorm > 0 and phibar > 0:
-            if arnorm / (anorm * phibar) <= atol:
-                break
-        if arnorm == 0.0:
+        # anorm >= alpha > 0 from the first iteration on
+        relative = arnorm / (anorm * phibar) if phibar > 0 else 0.0
+        history.append((it, phibar, arnorm, relative))
+        if (phibar <= stop_residual or arnorm == 0.0 or relative <= atol
+                or phibar <= atol * (bnorm + anorm * np.linalg.norm(x))):
             break
     return x, np.array(history)
 
 
-def lsqr_stop_reason(history, max_iters):
+def lsqr_stop_reason(history, max_iters, stop_residual=0.0):
     """Why an `lsqr` run stopped, read from its history: "zero" when the
     final normal-equations residual is exactly 0 (zero data, data
-    orthogonal to the range, or an exact fit), "cap" after max_iters
+    orthogonal to the range, or an exact fit), "discrepancy" when the
+    residual reached a positive `stop_residual`, "cap" after max_iters
     iterations, otherwise "atol"."""
-    iteration, _, normal_residual = history[-1]
+    iteration, residual, normal_residual = history[-1][:3]
     if normal_residual == 0.0:
         return "zero"
+    if residual <= stop_residual:
+        return "discrepancy"
     return "cap" if iteration >= max_iters else "atol"
 
 

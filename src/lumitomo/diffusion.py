@@ -143,19 +143,24 @@ class DiscreteOperator:
         return u
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Homogeneous-closure operator action L u on a cell array."""
+        """Homogeneous-closure operator action L u on a cell array.  Per
+        axis, u is padded with its Robin ghost cells (beta times the first
+        and last cell), and the left and right neighbours are slices of
+        that one padded array."""
         g, D = self.grid, self.medium.D
         u = np.asarray(values, dtype=np.float64).reshape(g.cells)
         out = self.mu_a * u
         for ax in range(g.dim):
             dx = g.spacing[ax]
             beta = self._beta[ax]
-            lo = beta * np.take(u, [0], axis=ax)
-            hi = beta * np.take(u, [-1], axis=ax)
-            upad = np.concatenate([lo, u, hi], axis=ax)
             n = g.cells[ax]
-            left = np.take(upad, np.arange(0, n), axis=ax)
-            right = np.take(upad, np.arange(2, n + 2), axis=ax)
+            lead = (slice(None),) * ax
+            upad = np.empty(g.cells[:ax] + (n + 2,) + g.cells[ax + 1:])
+            upad[lead + (slice(1, n + 1),)] = u
+            upad[lead + (slice(0, 1),)] = beta * u[lead + (slice(0, 1),)]
+            upad[lead + (slice(n + 1, n + 2),)] = beta * u[lead + (slice(n - 1, n),)]
+            left = upad[lead + (slice(0, n),)]
+            right = upad[lead + (slice(2, n + 2),)]
             out += D * (2.0 * u - left - right) / dx ** 2
         return out
 

@@ -232,7 +232,17 @@ class ConeConvolution:
         along a leading axis; one FFT of g serves every aperture, and
         apertures of one group get copies of one inverse FFT."""
         G = np.fft.rfftn(g, self.shape, axes=self.axes)
-        return np.stack([self._inverse(G * S) for S in self.spectra])[self.group]
+        out = np.empty((len(self.group),) + self.cells)
+        for i, S in enumerate(self.spectra):
+            out[self.group == i] = self._inverse(G * S)
+        return out
+
+    def filter(self, g, symbol):
+        """The grid-shaped g zero-padded to the circular grid, multiplied
+        by `symbol` (a real half spectrum on it, like `spectra`) and
+        cropped back: a circular convolution whose transpose is itself
+        when the symbol is even."""
+        return self._inverse(np.fft.rfftn(g, self.shape, axes=self.axes) * symbol)
 
     def adjoint(self, y):
         """Transpose of `forward`: per-aperture fields stacked along a

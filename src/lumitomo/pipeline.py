@@ -16,7 +16,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import ltfio
-from .algebraic import (NoiseModel, apply_noise, lsqr, lsqr_stop_reason,
+from .algebraic import (NoiseModel, apply_noise, compose, lsqr,
+                        lsqr_stop_reason, parametrix_preconditioner,
                         relative_error, scan_linear_map)
 from .config import (_bool, _float, _int, build_apertures, build_grid,
                      build_medium, build_phantom_spec, derive_seed)
@@ -85,9 +86,10 @@ def emit_outputs(outdir, fields, report, sinogram=None, scan=None,
                          os.path.join(outdir, "scan"), scan)
     if history is not None:
         with open(os.path.join(outdir, "lsqr_history.csv"), "w") as fh:
-            fh.write("iteration,residual,normal_residual\n")
-            for it, res, nres in history:
-                fh.write(f"{int(it)},{res:.17g},{nres:.17g}\n")
+            fh.write("iteration,residual,normal_residual,"
+                     "relative_normal_residual\n")
+            for it, res, nres, rel in history:
+                fh.write(f"{int(it)},{res:.17g},{nres:.17g},{rel:.17g}\n")
     report["wall_clock.emit"] = f"{time.perf_counter() - t0:.3f}"
     _write_report(os.path.join(outdir, "report.txt"), report)
 
@@ -181,17 +183,27 @@ def _spot_check(cfg, op, h, truth, clean, report):
     report["spot_check.max_relative_mismatch"] = f"{worst:.6e}"
 
 
+def _photons(cfg):
+    """noise.photons for noise.kind=poisson, None for noise.kind=none."""
+    kind = cfg["noise.kind"]
+    if kind == "none":
+        return None
+    if kind != "poisson":
+        raise ConfigError(f"unknown noise kind {kind!r}")
+    kappa = _float(cfg, "noise.photons")
+    if kappa <= 0:
+        raise ConfigError(f"noise.photons must be > 0, got {kappa:g}")
+    return kappa
+
+
 def _noise(cfg, pairs, report):
     """Poisson draws on (array, stream name) pairs, seeded per stream, after
     zeroing values at or below NOISE_FLOOR_FRACTION of the array's maximum;
     the arrays as given for noise.kind=none."""
-    kind = cfg["noise.kind"]
-    if kind == "none":
+    kappa = _photons(cfg)
+    if kappa is None:
         report["noise.applied"] = "false"
         return [values for values, _ in pairs]
-    if kind != "poisson":
-        raise ConfigError(f"unknown noise kind {kind!r}")
-    kappa = _float(cfg, "noise.photons")
     seed = _int(cfg, "run.seed")
     if seed < 0:
         raise ConfigError(f"run.seed must be >= 0, got {seed}")
@@ -215,7 +227,10 @@ def _noisy_scan(cfg, clean, report):
 def _reconstruct(cfg, data, v, conv, report, check_margin):
     """Invert cone data by recon.method with `conv`, the cone operator of
     the data's apertures on the grid of v; returns (fields, history).  The
-    multiplier refuses invisible directions when `check_margin` is set."""
+    multiplier refuses invisible directions when `check_margin` is set.
+    LSQR runs on A M, M the parametrix preconditioner, and stops once the
+    residual norm is down to the noise, sqrt(sum b / noise.photons) for
+    Poisson data b (the discrepancy principle)."""
     method = cfg["recon.method"]
     if method not in ("multiplier", "lsqr", "both"):
         raise ConfigError(f"recon.method must be multiplier|lsqr|both, got {method!r}")
@@ -223,6 +238,7 @@ def _reconstruct(cfg, data, v, conv, report, check_margin):
     max_iters = _int(cfg, "recon.lsqr_iters")
     atol = _float(cfg, "recon.lsqr_atol")
     nonneg = _bool(cfg, "recon.nonneg")
+    kappa = _photons(cfg)
     fields, history = {}, None
     if method != "lsqr":
         stats = {}
@@ -233,15 +249,22 @@ def _reconstruct(cfg, data, v, conv, report, check_margin):
         report["multiplier.suppressed_fraction"] = \
             f"{stats['suppressed_fraction']:.6e}"
     if method != "multiplier":
-        x, history = lsqr(scan_linear_map(data.apertures, v, conv=conv),
-                          np.concatenate([f.values.ravel() for f in data.fields]),
-                          max_iters=max_iters, atol=atol)
+        b = np.concatenate([f.values.ravel() for f in data.fields])
+        stop = (0.0 if kappa is None
+                else np.sqrt(max(float(np.sum(b)), 0.0) / kappa))
+        precond = parametrix_preconditioner(conv, v)
+        z, history = lsqr(compose(scan_linear_map(data.apertures, v, conv=conv),
+                                  precond),
+                          b, max_iters=max_iters, atol=atol, stop_residual=stop)
+        x = precond.forward(z)
         if nonneg:
             x = np.maximum(x, 0.0)
         fields["recon_lsqr"] = ScalarField(v.grid, x.reshape(v.grid.cells))
+        report["lsqr.preconditioner"] = "parametrix"
         report["lsqr.iterations"] = str(int(history[-1][0]))
-        report["lsqr.stop_reason"] = lsqr_stop_reason(history, max_iters)
+        report["lsqr.stop_reason"] = lsqr_stop_reason(history, max_iters, stop)
         report["lsqr.final_normal_residual"] = f"{history[-1][2]:.6e}"
+        report["lsqr.final_relative_normal_residual"] = f"{history[-1][3]:.6e}"
     return fields, history
 
 

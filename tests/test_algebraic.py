@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from lumitomo.algebraic import (LinearMap, NoiseModel, apply_noise, lsqr,
-                                lsqr_stop_reason, relative_error,
+from lumitomo import algebraic, pipeline
+from lumitomo.algebraic import (LinearMap, NoiseModel, apply_noise, compose,
+                                lsqr, lsqr_stop_reason,
+                                parametrix_preconditioner, relative_error,
                                 scan_linear_map)
+from lumitomo.config import build_apertures, load_config
 from lumitomo.errors import (EmptyMaskError, InvalidArgumentError,
                              InvalidOperatorError)
-from lumitomo.excitation import Aperture, cone_transform
+from lumitomo.excitation import Aperture, ConeConvolution, cone_transform
 from lumitomo.fields import ScalarField, make_grid
 
 from conftest import fan_apertures, two_bump_phantom
@@ -43,7 +46,7 @@ class TestLsqr:
         A = rng.standard_normal((30, 8))
         b = rng.standard_normal(30)
         _, hist = lsqr(dense_map(A), b, max_iters=100, atol=1e-13)
-        assert hist.ndim == 2 and hist.shape[1] == 3
+        assert hist.ndim == 2 and hist.shape[1] == 4
         assert np.all(np.diff(hist[:, 1]) <= 1e-12)
 
     def test_zero_data_returns_zero(self):
@@ -76,6 +79,54 @@ class TestLsqr:
     def test_data_length_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             lsqr(dense_map(np.eye(4)), np.ones(5))
+
+    def test_discrepancy_stop(self):
+        rng = np.random.default_rng(9)
+        A = rng.standard_normal((40, 10))
+        b = A @ rng.standard_normal(10) + 0.5 * rng.standard_normal(40)
+        _, full = lsqr(dense_map(A), b, max_iters=100, atol=1e-13)
+        stop = 0.5 * (full[2, 1] + full[3, 1])
+        x, hist = lsqr(dense_map(A), b, max_iters=100, atol=1e-13,
+                       stop_residual=stop)
+        assert hist[-1][0] == 3
+        assert np.array_equal(hist, full[:4])
+        assert lsqr_stop_reason(hist, 100, stop) == "discrepancy"
+        assert np.linalg.norm(b - A @ x) == pytest.approx(hist[-1][1],
+                                                          rel=1e-10)
+        # data already within the noise level: x = 0, no iteration
+        x, hist = lsqr(dense_map(A), b, stop_residual=np.linalg.norm(b))
+        assert np.all(x == 0) and hist.shape == (1, 4)
+        assert lsqr_stop_reason(hist, 100, np.linalg.norm(b)) == "discrepancy"
+
+    def test_relative_normal_residual_column(self):
+        rng = np.random.default_rng(10)
+        A = rng.standard_normal((30, 8))
+        b = rng.standard_normal(30)
+        _, hist = lsqr(dense_map(A), b, max_iters=100, atol=1e-10)
+        # inconsistent data stop on the relative normal residual, the
+        # fourth column, the first time it meets atol
+        assert hist[0][3] == 1.0
+        assert hist[-1][3] <= 1e-10 < np.min(hist[:-1, 3])
+        # ||A|| is LSQR's Frobenius-norm estimate, at most ||A||_F
+        frobenius = np.linalg.norm(A)
+        assert np.all(hist[1:, 3] >= hist[1:, 2] / (frobenius * hist[1:, 1])
+                      * (1 - 1e-12))
+
+    def test_consistent_system_stops_on_the_residual(self):
+        # singular values from 1 to 1e-2 keep ||A^T r|| / (||A|| ||r||)
+        # far above atol while ||r|| goes to 0: the consistent-system test
+        # ||r|| <= atol (||b|| + ||A|| ||x||) has to end the run
+        rng = np.random.default_rng(12)
+        U = np.linalg.qr(rng.standard_normal((80, 40)))[0]
+        V = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+        A = U @ np.diag(np.logspace(0, -2, 40)) @ V.T
+        x_true = rng.standard_normal(40)
+        b = A @ x_true
+        x, hist = lsqr(dense_map(A), b, max_iters=500, atol=1e-8)
+        assert lsqr_stop_reason(hist, 500) == "atol"
+        assert hist[-1][0] < 500 and hist[-1][3] > 1e-3
+        assert np.linalg.norm(A @ x - b) <= 1e-6 * np.linalg.norm(b)
+        assert np.max(np.abs(x - x_true)) <= 1e-5
 
     def test_stop_reason(self):
         rng = np.random.default_rng(7)
@@ -133,6 +184,119 @@ class TestScanLinearMap:
         rec = x.reshape(grid64.cells)
         err = np.linalg.norm(rec - f.values) / np.linalg.norm(f.values)
         assert err <= 0.05
+
+
+def random_weight(grid, seed):
+    return ScalarField(grid, 0.5 + np.random.default_rng(seed).random(grid.cells))
+
+
+PRECONDITIONED = [
+    (make_grid(2, (-10, -6), (20, 12), (48, 64)),
+     [Aperture(dim=2, axis=(np.cos(a), np.sin(a)), half_angle=0.5)
+      for a in np.deg2rad([0.0, 70.0, 180.0, 250.0, 120.0])]),
+    (make_grid(3, (-8, -8, -8), (16, 16, 16), (16, 16, 16)),
+     [Aperture(dim=3, axis=ax, half_angle=0.5)
+      for ax in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (1, 1, 1))]),
+]
+
+
+def plain_capped_lsqr(data, v, conv, max_iters=200, atol=1e-8):
+    """The pipeline's former LSQR: no preconditioner, no stop at the noise
+    level, clipped at zero; kept as the reference for the preconditioned
+    one."""
+    b = np.concatenate([f.values.ravel() for f in data.fields])
+    x, _ = lsqr(scan_linear_map(data.apertures, v, conv=conv), b,
+                max_iters=max_iters, atol=atol)
+    return ScalarField(v.grid, np.maximum(x, 0.0).reshape(v.grid.cells))
+
+
+@pytest.fixture(scope="module")
+def default_scene():
+    """Truth, weight, cone operator and clean scan of the default run."""
+    cfg = load_config()
+    truth, _, _, v = pipeline._setup(cfg, {})
+    clean, conv = pipeline._cone_scan(
+        truth, v, build_apertures(cfg, truth.grid.dim), {})
+    return truth, v, conv, clean
+
+
+class TestParametrixPreconditioner:
+    @pytest.mark.parametrize("grid,aps", PRECONDITIONED, ids=["2d", "3d"])
+    def test_dot_tests(self, grid, aps):
+        v = random_weight(grid, 1)
+        conv = ConeConvolution(aps, grid)
+        M = parametrix_preconditioner(conv, v)
+        assert M.dot_test(seed=1) <= 1e-12
+        AM = compose(scan_linear_map(aps, v, conv=conv), M)
+        assert (AM.n_data, AM.n_model) == (len(aps) * grid.n_cells,
+                                           grid.n_cells)
+        assert AM.dot_test(seed=2) <= 1e-12
+
+    @pytest.mark.parametrize("grid,aps", PRECONDITIONED, ids=["2d", "3d"])
+    def test_symbol_sums_over_every_cone(self, grid, aps):
+        # cones of one double cone share a spectrum but each counts in
+        # sum_j S_j^2: the same M from one spectrum per cone
+        v = random_weight(grid, 4)
+        conv = ConeConvolution(aps, grid)
+        assert len(conv.spectra) < len(aps)
+        power = np.sum(conv.spectra[conv.group] ** 2, axis=0)
+        symbol = 1.0 / np.sqrt(power + algebraic.PARAMETRIX_MIX * power.max())
+        z = np.random.default_rng(5).standard_normal(grid.cells)
+        expected = conv.filter(z, symbol) / (v.values * grid.cell_volume)
+        got = parametrix_preconditioner(conv, v).forward(z.ravel())
+        assert np.max(np.abs(got - expected.ravel())) <= \
+            1e-12 * np.max(np.abs(expected))
+
+    def test_compose_refuses_mismatched_maps(self):
+        with pytest.raises(InvalidArgumentError):
+            compose(dense_map(np.ones((3, 4))), dense_map(np.ones((5, 2))))
+
+    @pytest.mark.parametrize("grid,aps", PRECONDITIONED, ids=["2d", "3d"])
+    def test_refuses_an_operator_of_another_grid(self, grid, aps):
+        other = make_grid(grid.dim, grid.origin, grid.extent,
+                          tuple(n + 2 for n in grid.cells))
+        with pytest.raises(InvalidArgumentError):
+            parametrix_preconditioner(ConeConvolution(aps, grid),
+                                      random_weight(other, 1))
+
+    @pytest.mark.parametrize("mix", [1e-1, 1e-3])
+    def test_converges_to_the_least_squares_solution(self, monkeypatch, mix):
+        # the preconditioner changes the iterates, not the solution: run to
+        # convergence, x = M z is the dense least-squares solution whatever
+        # the mixing term
+        grid = make_grid(2, (-4, -4), (8, 8), (12, 12))
+        aps = [Aperture(dim=2, axis=(np.cos(a), np.sin(a)), half_angle=0.6)
+               for a in np.deg2rad([0.0, 60.0, 120.0])]
+        v = random_weight(grid, 2)
+        conv = ConeConvolution(aps, grid)
+        A = scan_linear_map(aps, v, conv=conv)
+        dense = np.stack([A.forward(e) for e in np.eye(grid.n_cells)], axis=1)
+        b = np.random.default_rng(3).standard_normal(A.n_data)
+        ref = np.linalg.lstsq(dense, b, rcond=None)[0]
+        monkeypatch.setattr(algebraic, "PARAMETRIX_MIX", mix)
+        M = parametrix_preconditioner(conv, v)
+        z, hist = lsqr(compose(A, M), b, max_iters=2000, atol=1e-13)
+        assert lsqr_stop_reason(hist, 2000) == "atol"
+        x = M.forward(z)
+        assert np.max(np.abs(x - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("photons", ["1e2", "1e3"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_no_worse_than_plain_capped_lsqr(self, default_scene, photons,
+                                             seed):
+        truth, v, conv, clean = default_scene
+        cfg = load_config(None, ["noise.kind=poisson",
+                                 f"noise.photons={photons}",
+                                 f"run.seed={seed}", "recon.method=lsqr"])
+        report = {}
+        data = pipeline._noisy_scan(cfg, clean, report)
+        fields, _ = pipeline._reconstruct(cfg, data, v, conv, report,
+                                          check_margin=False)
+        assert report["lsqr.stop_reason"] == "discrepancy"
+        error = relative_error(truth, fields["recon_lsqr"], 0.5)[1]
+        reference = relative_error(truth, plain_capped_lsqr(data, v, conv),
+                                   0.5)[1]
+        assert error <= reference
 
 
 class TestNoise:

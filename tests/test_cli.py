@@ -17,7 +17,8 @@ from lumitomo.config import (DEFAULTS, build_apertures, derive_seed,
 from lumitomo.errors import (ConfigError, EmptyMaskError,
                              InvalidOperatorError, SolverFailureError,
                              UndefinedDirectionError)
-from lumitomo.ltfio import read_field
+from lumitomo.fields import ScalarField
+from lumitomo.ltfio import read_field, write_field
 
 
 SMALL = [
@@ -294,9 +295,11 @@ class TestVerbs:
         assert f"spot_check.points = {n}\n" in (tmp_path / "report.txt").read_text()
 
     @pytest.mark.parametrize("extra,reason", [
-        ([], "cap"),
-        (SMALL + ["recon.lsqr_atol=1e-2"], "atol")],
-        ids=["default-config", "converging"])
+        ([], "atol"),
+        (["recon.lsqr_iters=5"], "cap"),
+        (SMALL + ["recon.lsqr_atol=1e-2"], "atol"),
+        (SMALL + ["noise.kind=poisson"], "discrepancy")],
+        ids=["default-config", "capped", "converging", "noisy"])
     def test_lsqr_stop_reason_in_report(self, tmp_path, extra, reason):
         args = ["run-xmlt", "-o", str(tmp_path)]
         for item in ["recon.method=lsqr"] + extra:
@@ -304,10 +307,78 @@ class TestVerbs:
         assert main(args) == 0
         report = (tmp_path / "report.txt").read_text()
         assert f"lsqr.stop_reason = {reason}\n" in report
+        assert "lsqr.preconditioner = parametrix\n" in report
         history = np.loadtxt(tmp_path / "lsqr_history.csv", delimiter=",",
                              skiprows=1)
         assert (f"lsqr.final_normal_residual = {history[-1, 2]:.6e}\n"
                 in report)
+        assert (f"lsqr.final_relative_normal_residual = {history[-1, 3]:.6e}\n"
+                in report)
+        if reason == "atol":
+            # noise-free data is consistent: the residual, not the relative
+            # normal residual, meets atol
+            assert history[-1, 0] < 200
+            assert history[-1, 3] > float(_report(tmp_path)[
+                "config.recon.lsqr_atol"])
+
+    def test_noisy_default_run_stops_at_the_noise_level(self, tmp_path):
+        # Poisson data at the default 1e6 photons: the discrepancy principle
+        # stops LSQR well inside the iteration cap, below the multiplier's
+        # error
+        assert main(["run-xmlt", "-o", str(tmp_path), "--set",
+                     "recon.method=both", "--set", "noise.kind=poisson"]) == 0
+        report = _report(tmp_path)
+        assert report["lsqr.stop_reason"] == "discrepancy"
+        assert int(report["lsqr.iterations"]) <= 60
+        assert float(report["error.lsqr.absolute"]) <= 0.02
+        history = np.loadtxt(tmp_path / "lsqr_history.csv", delimiter=",",
+                             skiprows=1)
+        data = np.concatenate([read_field(tmp_path / f"scan_cone{j:02d}.ltf")
+                               .values.ravel() for j in range(10)])
+        noise = np.sqrt(np.sum(data) / 1e6)
+        assert history[-1, 1] <= noise < history[-2, 1]
+
+    def test_reconstruct_reads_its_own_noise_level(self, tmp_path):
+        assert main(small_args("scan", tmp_path, "noise.kind=poisson")) == 0
+
+        def reason(*extra):
+            assert main(small_args("reconstruct", tmp_path,
+                                   "recon.method=lsqr", *extra)) == 0
+            return _report(tmp_path)["lsqr.stop_reason"]
+
+        assert reason("noise.kind=poisson") == "discrepancy"
+        assert reason("noise.kind=none") != "discrepancy"
+        # fewer photons mean more noise: an earlier stop
+        iterations = []
+        for photons in ("1e6", "1e3"):
+            assert reason("noise.kind=poisson",
+                          f"noise.photons={photons}") == "discrepancy"
+            iterations.append(int(_report(tmp_path)["lsqr.iterations"]))
+        assert iterations[1] < iterations[0]
+
+    def test_zero_weight_refused_by_lsqr(self, tmp_path, capsys):
+        # the preconditioner divides by the weight: an all-zero weight file
+        # exits 2 with one line, as it does for the multiplier
+        assert main(small_args("scan", tmp_path)) == 0
+        v = read_field(tmp_path / "weight.ltf")
+        write_field(tmp_path / "weight.ltf",
+                    ScalarField(v.grid, np.zeros(v.grid.cells)))
+        capsys.readouterr()
+        assert main(small_args("reconstruct", tmp_path,
+                               "recon.method=lsqr")) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "weight" in err
+
+    @pytest.mark.parametrize("photons", ["0", "-1e3"])
+    def test_non_positive_photons_refused_by_reconstruct(self, tmp_path,
+                                                         capsys, photons):
+        assert main(small_args("scan", tmp_path)) == 0
+        capsys.readouterr()
+        assert main(small_args("reconstruct", tmp_path, "recon.method=lsqr",
+                               "noise.kind=poisson",
+                               f"noise.photons={photons}")) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "noise.photons" in err
 
     def test_run_xlct_end_to_end(self, tmp_path, capsys):
         rc = main(small_args("run-xlct", tmp_path, "xray.n_angles=60",

@@ -49,6 +49,40 @@ def jacobi_pcg(op, rhs, tol, max_iter=20000):
     raise AssertionError("reference CG did not converge")
 
 
+def concatenate_apply(op, values):
+    """The former `DiscreteOperator.apply`: per axis a concatenated padded
+    copy of u and two `np.take` gathers on index ranges, kept as the
+    reference for the sliced version."""
+    g, D = op.grid, op.medium.D
+    u = np.asarray(values, dtype=np.float64).reshape(g.cells)
+    out = op.mu_a * u
+    for ax in range(g.dim):
+        dx = g.spacing[ax]
+        beta = op._beta[ax]
+        lo = beta * np.take(u, [0], axis=ax)
+        hi = beta * np.take(u, [-1], axis=ax)
+        upad = np.concatenate([lo, u, hi], axis=ax)
+        n = g.cells[ax]
+        left = np.take(upad, np.arange(0, n), axis=ax)
+        right = np.take(upad, np.arange(2, n + 2), axis=ax)
+        out += D * (2.0 * u - left - right) / dx ** 2
+    return out
+
+
+@pytest.mark.parametrize("grid", [
+    make_grid(2, (-10, -6), (20, 12), (48, 64)),
+    make_grid(3, (-8, -6, -4), (16, 12, 8), (12, 10, 6))], ids=["2d", "3d"])
+@pytest.mark.parametrize("varying", [False, True], ids=["const", "varying"])
+def test_apply_is_bit_identical_to_concatenate_reference(grid, varying,
+                                                         tissue_medium):
+    rng = np.random.default_rng(31)
+    mu = (0.05 + 0.1 * rng.random(grid.cells)) if varying else None
+    op = assemble_operator(grid, tissue_medium, mu_a_field=mu)
+    for u in (rng.standard_normal(grid.cells), np.ones(grid.cells)):
+        assert np.array_equal(op.apply(u), concatenate_apply(op, u))
+        assert np.array_equal(op.apply(u.ravel()), concatenate_apply(op, u))
+
+
 def test_boundary_face_bookkeeping(grid64):
     assert boundary_face_count(grid64) == 4 * 64
     areas = boundary_face_areas(grid64)

@@ -357,6 +357,19 @@ class TestDistinctCones:
         assert np.array_equal(conv.forward(g), ref.forward(g))
         assert np.array_equal(conv.adjoint(y), ref.adjoint(y))
 
+    @pytest.mark.parametrize("grid,aps,n_distinct", DUPLICATED,
+                             ids=["2d-48x64", "3d-16"])
+    def test_forward_is_bit_identical_to_stacked_copies(self, grid, aps,
+                                                        n_distinct):
+        # the former forward stacked one inverse FFT per group and indexed
+        # the stack by group; each group now fills its rows of one array
+        g = np.random.default_rng(26).standard_normal(grid.cells)
+        conv = ConeConvolution(aps, grid)
+        G = np.fft.rfftn(g, conv.shape, axes=conv.axes)
+        stacked = np.stack([conv._inverse(G * S)
+                            for S in conv.spectra])[conv.group]
+        assert np.array_equal(conv.forward(g), stacked)
+
     def test_default_cones_are_five_spectra(self):
         grid = make_grid(2, (-10, -10), (20, 20), (32, 32))
         conv = ConeConvolution(build_apertures(DEFAULTS, 2), grid)
