@@ -324,11 +324,16 @@ def cone_transform(f: ScalarField, v: ScalarField, ap,
 
 @dataclass
 class ConeScanData:
-    """Reduced cone measurements Rf(x, j) per cone on a focus grid."""
+    """Reduced cone measurements Rf(x, j) per cone on a focus grid.
+
+    `noise` holds the `noise.kind` (and, for Poisson, `noise.photons`)
+    config values the fields were drawn with; None when not recorded.
+    """
 
     focus_grid: Grid
     fields: list
     apertures: list = field(default_factory=list)
+    noise: dict = None
 
     def __post_init__(self):
         for fld in self.fields:
@@ -363,6 +368,32 @@ class Sinogram:
             raise InvalidArgumentError("sinogram values must be finite")
 
 
+def _padded_lerp(padded, pos, base, n):
+    """(1 - w) * a[i] + w * a[i + 1] at fractional indices `pos` along a
+    line of n cells, i = floor(pos) and w = pos - i.
+
+    `padded` is a flat array in which each line is contiguous and has two
+    zero cells on either side; `base` (broadcast against `pos`) is the flat
+    index of each sample's cell 0.  i is clipped once to [-2, n], so a
+    neighbour outside the line reads an exact zero: a[i] from `padded` and
+    a[i + 1] from its view shifted by one cell, with the same index.  With
+    one padding cell, a sample beyond the far end would read the end cell.
+    Returns a new array shaped like `pos`.
+    """
+    i = np.floor(pos)
+    w = pos - i
+    np.clip(i, -2, n, out=i)
+    idx = i.astype(np.intp)
+    idx += base
+    near = padded.take(idx)
+    far = padded[1:].take(idx)
+    far *= w
+    np.subtract(1.0, w, out=w)
+    w *= near
+    w += far
+    return w
+
+
 def xray_transform(g: ScalarField, angles, offsets) -> Sinogram:
     """Parallel-beam line integrals of a 2D field by Joseph's method.
 
@@ -370,20 +401,21 @@ def xray_transform(g: ScalarField, angles, offsets) -> Sinogram:
     perpendicular (-sin t, cos t) from the grid centre.  Each line takes one
     sample at every cell centre of its dominant axis (x when |cos t| >=
     |sin t|, else y), interpolating linearly between the two neighbouring
-    cells of the other axis, and the sum of its samples is scaled by
-    spacing[dom] / |d[dom]| (Joseph, IEEE TMI 1 (1982) 192-196): n_dom
-    samples of 2 gathers per line.  Each angle is sampled in blocks of whole
-    lines of about XRAY_BLOCK_SAMPLES samples; the field is padded by one
-    zero cell, so a neighbour outside the grid is clipped onto the padding
-    and gathered like any other.
+    cells of the other axis (`_padded_lerp`), and the sum of its samples is
+    scaled by spacing[dom] / |d[dom]| (Joseph, IEEE TMI 1 (1982) 192-196):
+    n_dom samples of 2 gathers per line.  Each angle is sampled in blocks of
+    whole lines of about XRAY_BLOCK_SAMPLES samples.
     """
     grid = g.grid
     if grid.dim != 2:
         raise InvalidArgumentError("xray_transform requires a 2D grid")
     angles = np.asarray(angles, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.float64)
-    padded = np.pad(g.values, 1).ravel()
-    strides = (grid.cells[1] + 2, 1)
+    if not (np.all(np.isfinite(angles)) and np.all(np.isfinite(offsets))):
+        raise InvalidArgumentError("sinogram angles and offsets must be finite")
+    # padded[dom]: one contiguous row per cell of the dominant axis dom,
+    # with two zero cells on every side
+    padded = [np.pad(cells, 2).ravel() for cells in (g.values, g.values.T)]
     vals = np.zeros((angles.size, offsets.size))
     for ia, th in enumerate(angles):
         d = (np.cos(th), np.sin(th))
@@ -397,18 +429,13 @@ def xray_transform(g: ScalarField, angles, offsets) -> Sinogram:
         # (n - 1) / 2 is the grid centre on either axis
         along = (np.arange(n_dom) - 0.5 * (n_dom - 1)) * (grid.spacing[dom] * slope / h)
         across = 0.5 * (n_oth - 1) + offsets * ((perp[oth] - perp[dom] * slope) / h)
-        base = (np.arange(n_dom) + 1) * strides[dom]
+        base = (np.arange(n_dom) + 2) * (n_oth + 4) + 2
         scale = grid.spacing[dom] / abs(d[dom])
         lines = max(1, XRAY_BLOCK_SAMPLES // n_dom)
         for lo in range(0, offsets.size, lines):
-            f = across[lo:lo + lines, None] + along
-            i0 = np.floor(f)
-            w = f - i0
-            i0 = i0.astype(int)
-            near = padded.take(base + np.clip(i0 + 1, 0, n_oth + 1) * strides[oth])
-            far = padded.take(base + np.clip(i0 + 2, 0, n_oth + 1) * strides[oth])
-            vals[ia, lo:lo + lines] = np.sum((1.0 - w) * near + w * far,
-                                             axis=1) * scale
+            samples = _padded_lerp(padded[dom], across[lo:lo + lines, None] + along,
+                                   base, n_oth)
+            vals[ia, lo:lo + lines] = np.sum(samples, axis=1) * scale
     return Sinogram(angles, offsets, vals)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, WeightDegeneracyWarning
 from .fields import Grid, ScalarField
-from .excitation import Sinogram
+from .excitation import Sinogram, _padded_lerp
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,8 @@ def fbp(sino: Sinogram, grid: Grid, filt: FbpFilter = None) -> ScalarField:
     """Parallel-beam filtered backprojection onto a 2D grid.
 
     Per-angle FFT filtering of the offset profiles, backprojection with
-    linear interpolation in the offset coordinate, scaled by pi / n_angles.
+    linear interpolation in the offset coordinate (`_backproject`), scaled
+    by pi / n_angles.  The offsets must be uniformly spaced and increasing.
     """
     if grid.dim != 2:
         raise InvalidArgumentError("fbp reconstructs onto 2D grids")
@@ -53,7 +54,11 @@ def fbp(sino: Sinogram, grid: Grid, filt: FbpFilter = None) -> ScalarField:
     if filt is None:
         filt = FbpFilter()
     offsets = sino.offsets
+    if offsets.size < 2:
+        raise InvalidArgumentError("need at least 2 offsets")
     dz = offsets[1] - offsets[0]
+    if not dz > 0:
+        raise InvalidArgumentError("offsets must increase")
     if not np.allclose(np.diff(offsets), dz, rtol=1e-8):
         raise InvalidArgumentError("offsets must be uniformly spaced")
     n = offsets.size
@@ -62,24 +67,30 @@ def fbp(sino: Sinogram, grid: Grid, filt: FbpFilter = None) -> ScalarField:
     resp = filt.response(freqs, nyquist=0.5 / dz)
     spec = np.fft.rfft(sino.values, npad, axis=1)
     filtered = np.fft.irfft(spec * resp[None, :], npad, axis=1)[:, :n]
-    # backproject
-    centers = grid.centers()
-    X = centers[..., 0] - (grid.origin[0] + 0.5 * grid.extent[0])
-    Y = centers[..., 1] - (grid.origin[1] + 0.5 * grid.extent[1])
-    out = np.zeros(grid.cells)
-    for ia, th in enumerate(sino.angles):
-        z = -np.sin(th) * X + np.cos(th) * Y
-        pos = (z - offsets[0]) / dz
-        i0 = np.floor(pos).astype(int)
-        t = pos - i0
-        i0c = np.clip(i0, 0, n - 1)
-        i1c = np.clip(i0 + 1, 0, n - 1)
-        prof = filtered[ia]
-        left = np.where((i0 >= 0) & (i0 < n), (1.0 - t) * prof[i0c], 0.0)
-        right = np.where((i0 + 1 >= 0) & (i0 + 1 < n), t * prof[i1c], 0.0)
-        out += left + right
+    out = _backproject(filtered, sino.angles, offsets, grid)
     out *= np.pi / sino.angles.size
     return ScalarField(grid, out)
+
+
+def _backproject(filtered, angles, offsets, grid: Grid):
+    """Sum over angles t of the profile filtered[t] at the offset
+    z = -sin(t) x + cos(t) y of every cell centre (x, y), relative to the
+    grid centre: linear in z between the uniform, increasing `offsets`
+    (`_padded_lerp`), zero outside them."""
+    n = offsets.size
+    dz = offsets[1] - offsets[0]
+    profiles = np.pad(filtered, ((0, 0), (2, 2)))
+    # z is the sum of one term per grid axis
+    x = (grid.axis_centers(0) - (grid.origin[0] + 0.5 * grid.extent[0]))[:, None]
+    y = (grid.axis_centers(1) - (grid.origin[1] + 0.5 * grid.extent[1]))[None, :]
+    pos = np.empty(grid.cells)
+    out = np.zeros(grid.cells)
+    for ia, th in enumerate(angles):
+        np.add(-np.sin(th) * x, np.cos(th) * y, out=pos)
+        pos -= offsets[0]
+        pos /= dz
+        out += _padded_lerp(profiles[ia], pos, 2, n)
+    return out
 
 
 def divide_by_weight(g: ScalarField, v: ScalarField, v_floor) -> ScalarField:

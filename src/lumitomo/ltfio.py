@@ -30,6 +30,9 @@ from .diffusion import BoundaryField, boundary_face_count
 from .excitation import Aperture, ConeScanData, Sinogram
 
 _MAGIC = "LTFIELD v1"
+# the keys of a scan manifest's noise line, by noise.kind
+_NOISE_KEYS = {"none": {"noise.kind"},
+               "poisson": {"noise.kind", "noise.photons"}}
 
 
 def _fmt_floats(values):
@@ -140,8 +143,12 @@ def read_sinogram(path) -> Sinogram:
 
 def write_scan(manifest_path, prefix, scan: ConeScanData):
     """Write one LTFIELD per cone plus a text manifest of the apertures;
-    the manifest (v2) names cone files relative to its own directory."""
+    the manifest names cone files relative to its own directory (v2) and,
+    when the scan records its noise, starts with a `noise` line (v3)."""
     lines = ["LTSCAN v2"]
+    if scan.noise is not None:
+        lines = ["LTSCAN v3", "noise " + " ".join(
+            f"{key.partition('.')[2]}={val}" for key, val in scan.noise.items())]
     for j, (fld, ap) in enumerate(zip(scan.fields, scan.apertures)):
         fname = f"{prefix}_cone{j:02d}.ltf"
         rel = os.path.relpath(fname, os.path.dirname(manifest_path) or ".")
@@ -157,15 +164,25 @@ def write_scan(manifest_path, prefix, scan: ConeScanData):
 
 
 def read_scan(manifest_path) -> ConeScanData:
-    """Read a scan manifest: v2 cone files resolve against the manifest's
-    directory, v1 ones against the working directory."""
+    """Read a scan manifest: v2 and v3 cone files resolve against the
+    manifest's directory, v1 ones against the working directory; only v3
+    records the noise, as `noise.<key>` config values."""
     with open(manifest_path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] not in ("LTSCAN v1", "LTSCAN v2"):
+    if not lines or lines[0] not in ("LTSCAN v1", "LTSCAN v2", "LTSCAN v3"):
         raise InvalidArgumentError(f"{manifest_path} is not a scan manifest")
-    base = os.path.dirname(manifest_path) if lines[0] == "LTSCAN v2" else ""
+    header, body = lines[0], lines[1:]
+    base = os.path.dirname(manifest_path) if header != "LTSCAN v1" else ""
+    noise = None
+    if header == "LTSCAN v3":
+        tokens = body.pop(0).split() if body else []
+        noise = {f"noise.{key}": val for key, _, val in
+                 (p.partition("=") for p in tokens[1:])}
+        if (tokens[:1] != ["noise"]
+                or set(noise) != _NOISE_KEYS.get(noise.get("noise.kind"))):
+            raise InvalidArgumentError(f"{manifest_path} has no valid noise line")
     fields, apertures = [], []
-    for ln in lines[1:]:
+    for ln in body:
         if not ln.startswith("cone "):
             raise InvalidArgumentError(f"bad manifest line: {ln!r}")
         tokens = dict(p.partition("=")[::2] for p in ln.split()[1:])
@@ -181,7 +198,7 @@ def read_scan(manifest_path) -> ConeScanData:
         fields.append(fld)
     if not fields:
         raise InvalidArgumentError("manifest lists no cones")
-    return ConeScanData(fields[0].grid, fields, apertures)
+    return ConeScanData(fields[0].grid, fields, apertures, noise)
 
 
 def write_pgm(path, field: ScalarField, vmin=None, vmax=None):

@@ -217,11 +217,30 @@ def _noise(cfg, pairs, report):
 
 
 def _noisy_scan(cfg, clean, report):
+    """The scan after `_noise`, recording the noise it applied."""
     noisy = _noise(cfg, [(f.values, f"noise.cone{j}")
                          for j, f in enumerate(clean.fields)], report)
+    kappa = _photons(cfg)
+    noise = {"noise.kind": cfg["noise.kind"]}
+    if kappa is not None:
+        noise["noise.photons"] = f"{kappa:.17g}"
     return ConeScanData(clean.focus_grid,
                         [ScalarField(clean.focus_grid, x) for x in noisy],
-                        clean.apertures)
+                        clean.apertures, noise)
+
+
+def _recorded_noise(cfg, data):
+    """cfg with the noise that the scan `data` records (v3 manifests).
+    noise.kind=none, the default, takes the recorded noise; any other noise
+    config must agree with it (ConfigError otherwise)."""
+    if data.noise is None:
+        return cfg
+    if cfg["noise.kind"] != "none" and _photons(cfg) != _photons(data.noise):
+        recorded = " ".join(f"{k}={v}" for k, v in data.noise.items())
+        raise ConfigError(
+            f"noise.kind={cfg['noise.kind']} noise.photons={cfg['noise.photons']} "
+            f"contradicts the scan manifest's {recorded}")
+    return {**cfg, **data.noise}
 
 
 def _reconstruct(cfg, data, v, conv, report, check_margin):
@@ -386,6 +405,7 @@ def reconstruct(cfg):
     with _timed(report, "setup"):
         data = ltfio.read_scan(manifest)
         v = ltfio.read_field(weight_path)
+        cfg = _recorded_noise(cfg, data)
     with _timed(report, "reconstruct"):
         conv = ConeConvolution(data.apertures, v.grid)
         report["scan.distinct_apertures"] = str(len(conv.spectra))

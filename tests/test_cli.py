@@ -338,23 +338,46 @@ class TestVerbs:
         noise = np.sqrt(np.sum(data) / 1e6)
         assert history[-1, 1] <= noise < history[-2, 1]
 
-    def test_reconstruct_reads_its_own_noise_level(self, tmp_path):
-        assert main(small_args("scan", tmp_path, "noise.kind=poisson")) == 0
+    def test_reconstruct_uses_the_scan_manifest_noise(self, tmp_path, capsys):
+        assert main(small_args("scan", tmp_path, "noise.kind=poisson",
+                               "noise.photons=1e3")) == 0
+        manifest = tmp_path / "scan_manifest.txt"
+        assert manifest.read_text().startswith(
+            "LTSCAN v3\nnoise kind=poisson photons=1000\n")
 
-        def reason(*extra):
+        def lsqr_stop(*extra):
             assert main(small_args("reconstruct", tmp_path,
                                    "recon.method=lsqr", *extra)) == 0
-            return _report(tmp_path)["lsqr.stop_reason"]
+            report = _report(tmp_path)
+            return report["lsqr.stop_reason"], report["lsqr.iterations"]
 
-        assert reason("noise.kind=poisson") == "discrepancy"
-        assert reason("noise.kind=none") != "discrepancy"
-        # fewer photons mean more noise: an earlier stop
-        iterations = []
-        for photons in ("1e6", "1e3"):
-            assert reason("noise.kind=poisson",
-                          f"noise.photons={photons}") == "discrepancy"
-            iterations.append(int(_report(tmp_path)["lsqr.iterations"]))
-        assert iterations[1] < iterations[0]
+        # no noise flags: the recorded noise sets the discrepancy stop, as
+        # the same noise given in the config does
+        recorded = lsqr_stop()
+        assert recorded[0] == "discrepancy"
+        assert _report(tmp_path)["config.noise.photons"] == "1000"
+        assert lsqr_stop("noise.kind=poisson", "noise.photons=1e3") == recorded
+        # a config that contradicts the manifest exits 2 with one line
+        capsys.readouterr()
+        assert main(small_args("reconstruct", tmp_path, "recon.method=lsqr",
+                               "noise.kind=poisson")) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "contradicts" in err
+        # a v2 manifest records no noise: the config's noise.kind=none
+        # holds, and LSQR fits the noise until atol or the cap
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(["LTSCAN v2"] + lines[2:]) + "\n")
+        assert lsqr_stop()[0] != "discrepancy"
+
+    def test_noise_free_scan_refuses_a_noisy_config(self, tmp_path, capsys):
+        assert main(small_args("scan", tmp_path)) == 0
+        assert (tmp_path / "scan_manifest.txt").read_text().startswith(
+            "LTSCAN v3\nnoise kind=none\n")
+        capsys.readouterr()
+        assert main(small_args("reconstruct", tmp_path, "recon.method=lsqr",
+                               "noise.kind=poisson")) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "contradicts" in err
 
     def test_zero_weight_refused_by_lsqr(self, tmp_path, capsys):
         # the preconditioner divides by the weight: an all-zero weight file

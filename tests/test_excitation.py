@@ -1,5 +1,7 @@
 """Apertures, cone/X-ray transforms, and boundary-scan simulation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -562,6 +564,28 @@ class TestXrayTransform:
         # shifting f by +1 in y shifts the angle-0 profile by +1 in offset
         shift = offsets[np.argmax(s1.values[0])] - offsets[np.argmax(s0.values[0])]
         assert shift == pytest.approx(1.0, abs=0.11)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_geometry_rejected_before_computing(self, bad):
+        g, offsets = small_grid()
+        f = small_gaussian(g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError):
+                xray_transform(f, np.array([0.0, bad]), offsets)
+            with pytest.raises(InvalidArgumentError):
+                xray_transform(f, SMALL_ANGLES, np.append(offsets, bad))
+
+    def test_far_offsets_read_exact_zeros(self):
+        # a field that is non-zero up to its edges; the clipped indices of
+        # lines far outside land on the zero padding, without a warning
+        g, _ = small_grid()
+        f = ScalarField(g, np.random.default_rng(5).uniform(0.5, 1.5, g.cells))
+        offsets = np.array([-1e300, -1e6, 1e6, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sino = xray_transform(f, SMALL_ANGLES, offsets)
+        assert np.all(sino.values == 0.0)
 
     def test_sinogram_validation(self):
         with pytest.raises(InvalidArgumentError):

@@ -5,7 +5,7 @@ import pytest
 
 from lumitomo.errors import InvalidArgumentError, WeightDegeneracyWarning
 from lumitomo.excitation import Sinogram, xray_transform
-from lumitomo.fbp import FbpFilter, divide_by_weight, fbp
+from lumitomo.fbp import FbpFilter, _backproject, divide_by_weight, fbp
 from lumitomo.fields import ScalarField, make_grid
 
 from conftest import rel_l2, two_bump_phantom
@@ -70,6 +70,60 @@ def test_nonuniform_offsets_rejected():
                     np.zeros((10, 4)))
     with pytest.raises(InvalidArgumentError):
         fbp(sino, g)
+
+
+def small_sinogram(offsets):
+    return Sinogram(np.linspace(0, np.pi, 10, endpoint=False), offsets,
+                    np.ones((10, len(offsets))))
+
+
+@pytest.mark.parametrize("offsets", [[0.0], [1.0, 1.0, 1.0], [3.0, 2.0, 1.0]],
+                         ids=["one", "equal", "decreasing"])
+def test_bad_offset_steps_rejected(offsets):
+    # one offset used to raise a raw IndexError; equal and decreasing ones
+    # returned an all-zero image (dz <= 0 zeroes every filter response)
+    g = make_grid(2, (-10, -10), (20, 20), (32, 32))
+    with pytest.raises(InvalidArgumentError):
+        fbp(small_sinogram(np.array(offsets)), g)
+
+
+def masked_backprojection(filtered, angles, offsets, grid):
+    """The backprojection loop that `_backproject` replaced, kept as its
+    reference: neighbours clipped into the profile, then masked by
+    `np.where`."""
+    n = offsets.size
+    dz = offsets[1] - offsets[0]
+    centers = grid.centers()
+    X = centers[..., 0] - (grid.origin[0] + 0.5 * grid.extent[0])
+    Y = centers[..., 1] - (grid.origin[1] + 0.5 * grid.extent[1])
+    out = np.zeros(grid.cells)
+    for ia, th in enumerate(angles):
+        z = -np.sin(th) * X + np.cos(th) * Y
+        pos = (z - offsets[0]) / dz
+        i0 = np.floor(pos).astype(int)
+        t = pos - i0
+        i0c = np.clip(i0, 0, n - 1)
+        i1c = np.clip(i0 + 1, 0, n - 1)
+        prof = filtered[ia]
+        left = np.where((i0 >= 0) & (i0 < n), (1.0 - t) * prof[i0c], 0.0)
+        right = np.where((i0 + 1 >= 0) & (i0 + 1 < n), t * prof[i1c], 0.0)
+        out += left + right
+    return out
+
+
+@pytest.mark.parametrize("half_width", [2.0, 6.5, 40.0],
+                         ids=["inside", "edges", "beyond"])
+def test_backprojection_matches_masked_reference(half_width):
+    # the 24 x 40 grid (spacing 0.25 x 0.3) reaches 3 and 6 from its centre
+    # along x and y, and 6.7 along its diagonal
+    g = make_grid(2, (-3.0, -5.0), (6.0, 12.0), (24, 40))
+    rng = np.random.default_rng(7)
+    angles = np.concatenate([[0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4],
+                             rng.uniform(0, np.pi, 12)])
+    offsets = np.linspace(-half_width, half_width, 37)
+    filtered = rng.standard_normal((angles.size, offsets.size))
+    new = _backproject(filtered, angles, offsets, g)
+    assert np.array_equal(new, masked_backprojection(filtered, angles, offsets, g))
 
 
 def test_divide_by_weight_plain():

@@ -256,6 +256,40 @@ def test_scan_v1_manifest_resolves_against_working_directory(
     assert np.array_equal(back.fields[0].values, scan.fields[0].values)
 
 
+def test_scan_noise_round_trip(tmp_path, grid64):
+    ap = Aperture(dim=2, axis=(1.0, 0.0), half_angle=0.5)
+    noise = {"noise.kind": "poisson", "noise.photons": "1000"}
+    scan = ConeScanData(grid64, [two_bump_phantom(grid64)], [ap], noise)
+    manifest = tmp_path / "scan.txt"
+    write_scan(manifest, str(tmp_path / "scan"), scan)
+    text = manifest.read_text()
+    assert text.startswith("LTSCAN v3\nnoise kind=poisson photons=1000\n"
+                           "cone file=scan_cone00.ltf ")
+    back = read_scan(manifest)
+    assert back.noise == noise
+    assert np.array_equal(back.fields[0].values, scan.fields[0].values)
+    # the same scan as a v2 manifest records no noise
+    lines = text.splitlines()
+    manifest.write_text("\n".join(["LTSCAN v2"] + lines[2:]) + "\n")
+    assert read_scan(manifest).noise is None
+
+
+@pytest.mark.parametrize("line", ["", "noise kind=poisson", "noise kind=gauss",
+                                  "noise kind=none photons=10",
+                                  "cone kind=none"])
+def test_scan_bad_noise_line(tmp_path, grid64, line):
+    ap = Aperture(dim=2, axis=(1.0, 0.0), half_angle=0.5)
+    scan = ConeScanData(grid64, [two_bump_phantom(grid64)], [ap],
+                        {"noise.kind": "none"})
+    manifest = tmp_path / "scan.txt"
+    write_scan(manifest, str(tmp_path / "scan"), scan)
+    lines = manifest.read_text().splitlines()
+    assert lines[1] == "noise kind=none"
+    manifest.write_text("\n".join([lines[0], line] + lines[2:]) + "\n")
+    with pytest.raises(InvalidArgumentError):
+        read_scan(manifest)
+
+
 def test_scan_bad_manifest(tmp_path):
     p = tmp_path / "scan.txt"
     p.write_text("LTSCAN v1\nblob file=nope.ltf\n")
