@@ -144,10 +144,19 @@ def _kernel_samples(ap: Aperture, grid: Grid, d, self_weight):
 
 
 def cone_kernel(ap: Aperture, grid: Grid):
-    """Midpoint kernel table over lattice offsets, shape (2n-1, ...)."""
+    """Midpoint kernel table over lattice offsets, shape (2n-1, ...).
+
+    The kernel is even, K(-d) = K(d), bit for bit: r is a sum of squares,
+    the cosine to the axis only changes sign and `profile` takes its
+    magnitude.  So it is sampled at the offsets whose first component is
+    <= 0, and the rows with first component > 0 are those rows mirrored
+    through the zero offset.
+    """
     offsets = [np.arange(-(n - 1), n) * h for n, h in zip(grid.cells, grid.spacing)]
+    offsets[0] = offsets[0][:grid.cells[0]]
     d = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1)
-    return _kernel_samples(ap, grid, d, _self_cell_weight(ap, grid))
+    half = _kernel_samples(ap, grid, d, _self_cell_weight(ap, grid))
+    return np.concatenate([half, np.flip(half[:-1])])
 
 
 def _aperture_groups(apertures):
@@ -413,6 +422,11 @@ def xray_transform(g: ScalarField, angles, offsets) -> Sinogram:
     offsets = np.asarray(offsets, dtype=np.float64)
     if not (np.all(np.isfinite(angles)) and np.all(np.isfinite(offsets))):
         raise InvalidArgumentError("sinogram angles and offsets must be finite")
+    # a line farther than `reach` from the grid centre misses every cell by
+    # more than one cell, so it reads exact zeros at the clipped offset too,
+    # and its fractional indices cannot overflow
+    reach = 0.5 * np.sqrt(sum(e ** 2 for e in grid.extent)) + 2.0 * max(grid.spacing)
+    clipped = np.clip(offsets, -reach, reach)
     # padded[dom]: one contiguous row per cell of the dominant axis dom,
     # with two zero cells on every side
     padded = [np.pad(cells, 2).ravel() for cells in (g.values, g.values.T)]
@@ -428,7 +442,7 @@ def xray_transform(g: ScalarField, angles, offsets) -> Sinogram:
         # fractional index across[z] + along[i] on the other axis; index
         # (n - 1) / 2 is the grid centre on either axis
         along = (np.arange(n_dom) - 0.5 * (n_dom - 1)) * (grid.spacing[dom] * slope / h)
-        across = 0.5 * (n_oth - 1) + offsets * ((perp[oth] - perp[dom] * slope) / h)
+        across = 0.5 * (n_oth - 1) + clipped * ((perp[oth] - perp[dom] * slope) / h)
         base = (np.arange(n_dom) + 2) * (n_oth + 4) + 2
         scale = grid.spacing[dom] / abs(d[dom])
         lines = max(1, XRAY_BLOCK_SAMPLES // n_dom)
@@ -462,7 +476,8 @@ def full_physics_measurements(op: DiscreteOperator, h: BoundaryField,
 
     The source vanishes wherever f does, so the kernel is sampled only on
     the support of f and scattered into a zero field; the kernel is finite,
-    so every source is the dense product K * f bit for bit.
+    so every source is the dense product K * f bit for bit.  A focus whose
+    source has no nonzero cell measures exactly 0 without a solve.
     """
     grid = op.grid
     support = np.flatnonzero(f.values)
@@ -471,9 +486,14 @@ def full_physics_measurements(op: DiscreteOperator, h: BoundaryField,
     self_weight = _self_cell_weight(ap, grid)
     out = []
     for x in foci:
-        source = np.zeros(grid.n_cells)
-        source[support] = _kernel_samples(
+        values = _kernel_samples(
             ap, grid, np.asarray(x, float) - centers, self_weight) * f_support
+        if not values.any():
+            # a zero source solves to the zero field: exactly 0
+            out.append(0.0)
+            continue
+        source = np.zeros(grid.n_cells)
+        source[support] = values
         u = solve_forward(op, ScalarField(grid, source))
         out.append(boundary_functional(h, boundary_flux(op, u, mode="consistent")))
     return np.array(out)

@@ -17,7 +17,7 @@ from lumitomo.excitation import (Aperture, ConeConvolution, ConeScanData,
                                  cone_kernel, cone_transform,
                                  full_physics_measurements,
                                  simulate_boundary_scan, xray_transform)
-from lumitomo.fields import ScalarField, make_grid
+from lumitomo.fields import Grid, ScalarField, make_grid
 from lumitomo.multiplier import invert_multiplier
 
 from conftest import (extended_grid, fan_apertures, reference_cg,
@@ -587,6 +587,36 @@ class TestXrayTransform:
             sino = xray_transform(f, SMALL_ANGLES, offsets)
         assert np.all(sino.values == 0.0)
 
+    def test_overflowing_offsets_read_exact_zeros(self):
+        # offsets whose fractional index would overflow are clipped to just
+        # outside the grid before any arithmetic: no floating-point
+        # exception, and lines that miss the grid read exact zeros
+        g, offsets = small_grid()
+        f = ScalarField(g, np.random.default_rng(6).uniform(0.5, 1.5, g.cells))
+        top = np.finfo(np.float64).max
+        far = np.array([-top, -1e308, -1e300, 1e300, 1e308, top])
+        with np.errstate(all="raise"):
+            sino = xray_transform(f, SMALL_ANGLES, np.concatenate([offsets, far]))
+        assert np.all(sino.values[:, offsets.size:] == 0.0)
+        assert np.array_equal(sino.offsets[offsets.size:], far)
+        assert np.array_equal(sino.values[:, :offsets.size],
+                              joseph_per_ray(f, SMALL_ANGLES, offsets))
+
+    def test_default_run_xlct_sinogram_is_joseph_per_ray(self, tmp_path):
+        # the clip leaves every line that meets the grid alone: the default
+        # run's sinogram against the per-ray reference on every angle and
+        # every 15th offset, the two extreme ones included
+        from lumitomo.cli import main
+        from lumitomo.ltfio import read_field, read_sinogram
+        assert main(["run-xlct", "-o", str(tmp_path)]) == 0
+        sino = read_sinogram(tmp_path / "sinogram.ltf")
+        g = ScalarField(read_field(tmp_path / "truth.ltf").grid,
+                        read_field(tmp_path / "weight.ltf").values
+                        * read_field(tmp_path / "truth.ltf").values)
+        cols = np.r_[0:sino.offsets.size:15, sino.offsets.size - 1]
+        assert np.array_equal(sino.values[:, cols],
+                              joseph_per_ray(g, sino.angles, sino.offsets[cols]))
+
     def test_sinogram_validation(self):
         with pytest.raises(InvalidArgumentError):
             Sinogram(np.zeros(3), np.zeros(4), np.zeros((4, 3)))
@@ -629,11 +659,26 @@ SAMPLER_CASES = [
 ]
 
 
+# The table alone: grids whose first axis has one cell (the mirrored half
+# is empty) and odd-by-even grids of anisotropic cells (the mirror's edge
+# rows); make_grid refuses fewer than 4 cells per axis.
+KERNEL_CASES = SAMPLER_CASES + [
+    (Grid(2, (0.0, 0.0), (1.0, 9.0), (1, 9)), fan_apertures(3, 35.0)),
+    (Grid(3, (0.0, 0.0, 0.0), (1.0, 5.0, 7.0), (1, 5, 7)),
+     SAMPLER_CASES[1][1]),
+    (make_grid(2, (-1, -2), (7 * 0.3, 8 * 0.7), (7, 8)),
+     fan_apertures(3, 35.0)),
+    (make_grid(3, (0, 0, 0), (5 * 0.3, 6 * 0.7, 4 * 1.1), (5, 6, 4)),
+     SAMPLER_CASES[1][1] + [Aperture(dim=3, axis=(-0.2, 0.7, -0.4),
+                                     half_angle=0.3, taper_width=0.3)]),
+]
+
+
 class TestKernelSampler:
     """One sampler serves the lattice table, the direct sums and the cone
     sources; each keeps the bits of the code it replaced."""
 
-    @pytest.mark.parametrize("grid,aps", SAMPLER_CASES)
+    @pytest.mark.parametrize("grid,aps", KERNEL_CASES)
     def test_cone_kernel_is_bit_identical(self, grid, aps):
         for ap in aps:
             assert np.array_equal(cone_kernel(ap, grid),
@@ -824,6 +869,33 @@ class TestFullPhysicsReference:
             assert np.array_equal(
                 full_physics_measurements(op, h, truth, ap, points),
                 dense_full_physics(op, h, truth, ap, points))
+
+    def test_zero_source_foci_skip_the_solve(self, monkeypatch):
+        # 37 of the default 100 spot-check foci see no phantom cell through
+        # the first cone; each measures +0.0, what its solve would give
+        cfg, truth, op, h, v, aps = config_case("run.spot_checks=100")
+        clean, _ = pipeline._cone_scan(truth, v, aps, {})
+        solved, measured = [], []
+
+        def counted_solve(op, s):
+            solved.append(s)
+            return solve_forward(op, s)
+
+        def kept(op, h, f, ap, foci):
+            measured.append(full_physics_measurements(op, h, f, ap, foci))
+            return measured[-1]
+
+        monkeypatch.setattr(excitation, "solve_forward", counted_solve)
+        monkeypatch.setattr(pipeline, "full_physics_measurements", kept)
+        pipeline._spot_check(cfg, op, h, truth, clean, {})
+        (got,) = measured
+        assert got.size == 100 and len(solved) == 63
+        assert np.count_nonzero(got) == 63
+        assert not np.any(np.signbit(got))
+        zero = boundary_functional(h, boundary_flux(
+            op, solve_forward(op, ScalarField.zeros(truth.grid)),
+            mode="consistent"))
+        assert zero == 0.0 and not np.signbit(zero)
 
     def test_samples_only_the_support_and_weighs_the_self_cell_once(
             self, monkeypatch):

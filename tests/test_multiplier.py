@@ -228,6 +228,109 @@ class TestDistinctApertures:
         assert abs(margin - loop_margin) <= 1e-13 * abs(loop_margin) + 1e-300
 
 
+def reference_angular_factor(ap, omega):
+    """The angular factor with the 3D taper rule run on every row, as it was
+    before it was evaluated once per distinct |omega . axis|."""
+    om = np.atleast_2d(np.asarray(omega, dtype=np.float64))
+    axis = np.asarray(ap.axis)
+    if ap.dim == 2:
+        perp = np.stack([-om[:, 1], om[:, 0]], axis=1)
+        c = perp @ axis
+        out = np.pi * (ap.profile(c) + ap.profile(-c))
+    else:
+        s = np.minimum(np.abs(om @ axis), 1.0)
+        A = np.sqrt((1.0 - s) * (1.0 + s))
+        inner = ap.half_angle - ap.taper_width
+        arc = multiplier._arc_to(A, inner)
+        if ap.taper_width > 0:
+            psi_out = multiplier._arc_to(A, ap.half_angle)
+            band = psi_out > arc
+            lo, Ab = arc[band], A[band]
+            mid, half = 0.5 * (psi_out[band] + lo), 0.5 * (psi_out[band] - lo)
+            taper = np.zeros_like(Ab)
+            for x, w in zip(multiplier._TAPER_NODES, multiplier._TAPER_WEIGHTS):
+                angle = np.arccos(Ab * np.cos(mid + half * x))
+                taper += w * 0.5 * (1.0 + np.cos(np.pi * (angle - inner) / ap.taper_width))
+            arc[band] += half * taper
+        out = 4.0 * np.pi * ap.amplitude * arc
+    return out if np.asarray(omega).ndim > 1 else float(out[0])
+
+
+def reference_summed_factor(distinct, dirs):
+    """The summed factor with one `reference_angular_factor` call per
+    distinct aperture on every row."""
+    total = np.zeros(len(dirs))
+    for ap, count in distinct:
+        total += count * reference_angular_factor(ap, dirs)
+    return total
+
+
+# tilted axes with a z component, two half-angles, no taper and a full
+# taper; one aperture twice and one about a negated axis
+MIXED_3D = [Aperture(dim=3, axis=(0.3, 0.5, 0.81), half_angle=0.5, taper_width=0.0),
+            Aperture(dim=3, axis=(-0.2, 0.7, -0.4), half_angle=0.3, taper_width=0.3),
+            Aperture(dim=3, axis=(0.3, 0.5, 0.81), half_angle=0.5, taper_width=0.0),
+            Aperture(dim=3, axis=(1.0, 0.0, 0.2), half_angle=0.3),
+            Aperture(dim=3, axis=(0.2, -0.7, 0.4), half_angle=0.3, taper_width=0.3),
+            Aperture(dim=3, axis=(0.0, 0.0, 1.0), half_angle=0.5, taper_width=0.5)]
+
+
+class TestSymbolTableReference:
+    """The 3D tables evaluate each aperture's factor once per distinct
+    |omega . axis| and keep the bits of the per-row rule."""
+
+    @pytest.mark.parametrize("aps,cells,spacing", [
+        (build_apertures(DEFAULTS, 3), (48, 48, 48), (20.0 / 24,) * 3),
+        (MIXED_3D, (20, 16, 13), (0.7, 0.9, 1.3))], ids=["defaults-48", "mixed"])
+    def test_table_and_margin_are_bit_identical(self, aps, cells, spacing,
+                                                monkeypatch):
+        table = total_symbol_table(aps, cells, spacing)
+        rep = ellipticity_margin(aps)
+        monkeypatch.setattr(multiplier, "angular_factor", reference_angular_factor)
+        monkeypatch.setattr(multiplier, "_summed_factor", reference_summed_factor)
+        assert np.array_equal(table, total_symbol_table(aps, cells, spacing))
+        ref = ellipticity_margin(aps)
+        assert ((rep.margin, rep.max_factor, rep.ratio, rep.worst_direction)
+                == (ref.margin, ref.max_factor, ref.ratio, ref.worst_direction))
+        assert np.array_equal(rep.invisible_directions, ref.invisible_directions)
+
+    def test_factor_on_edge_rows_is_bit_identical(self):
+        # rows on and next to the axis (s = 1 and just below), rows whose
+        # |omega . axis| rounds above 1, on the perpendicular great circle
+        # (s = 0), at the plateau and taper edges, and repeated rows
+        rng = np.random.default_rng(11)
+        above_one = 0
+        for ap in MIXED_3D:
+            axis = np.asarray(ap.axis)
+            s = np.concatenate([[1.0, 1.0 - 1e-16, 0.0, 1e-300],
+                                np.cos([ap.half_angle - ap.taper_width,
+                                        ap.half_angle]),
+                                rng.uniform(0.0, 1.0, 40)])
+            dirs = rotated_about(axis, s, rng.uniform(0.0, 2 * np.pi, s.size))
+            near = axis + 1e-9 * rng.standard_normal((200, 3))
+            near /= np.linalg.norm(near, axis=1, keepdims=True)
+            above_one += np.count_nonzero(np.abs(near @ axis) > 1.0)
+            dirs = np.concatenate([dirs, -dirs, dirs[:7], near])
+            distinct = [(ap, 3)]
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                got = multiplier._summed_factor(distinct, dirs)
+            assert np.array_equal(got, reference_summed_factor(distinct, dirs))
+            assert np.array_equal(angular_factor(ap, dirs),
+                                  reference_angular_factor(ap, dirs))
+        assert above_one > 0
+        # no row meets the cone; an amplitude whose 4 pi multiple overflows,
+        # which makes the rows that miss the cone inf * 0 = nan
+        ap = MIXED_3D[0]
+        assert np.array_equal(
+            multiplier._summed_factor([(ap, 2)], np.array([ap.axis])), [0.0])
+        huge = [(Aperture(dim=3, axis=AXIS_3D, half_angle=0.5, amplitude=1e308), 1)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = multiplier._summed_factor(huge, dirs)
+            ref = reference_summed_factor(huge, dirs)
+        assert np.any(np.isnan(ref)) and np.any(np.isinf(ref))
+        assert np.array_equal(got, ref, equal_nan=True)
+
+
 def reference_wrapped_kernel_spectrum(apertures, padded_cells, spacing,
                                       cell_volume):
     """The former low-shell spectrum: the summed kernel over offsets
