@@ -19,6 +19,7 @@ PDE chain per focus point, and the two agree through reciprocity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -425,7 +426,7 @@ def xray_transform(g: ScalarField, angles, offsets) -> Sinogram:
     # a line farther than `reach` from the grid centre misses every cell by
     # more than one cell, so it reads exact zeros at the clipped offset too,
     # and its fractional indices cannot overflow
-    reach = 0.5 * np.sqrt(sum(e ** 2 for e in grid.extent)) + 2.0 * max(grid.spacing)
+    reach = 0.5 * math.hypot(*grid.extent) + 2.0 * max(grid.spacing)
     clipped = np.clip(offsets, -reach, reach)
     # padded[dom]: one contiguous row per cell of the dominant axis dom,
     # with two zero cells on every side

@@ -16,11 +16,10 @@ cos(angle to axis) = A cos(psi), and a quarter of the circle gives
 with the closed-form plateau and taper edges psi_in = arccos(cos(inner)/A)
 and psi_out = arccos(cos(half_angle)/A) (zero where A does not exceed the
 cosine).  The taper integrand is analytic in psi, so a fixed Gauss-Legendre
-rule on [psi_in, psi_out] reaches roundoff.  The symbol table and the
-ellipticity margin evaluate that rule once per distinct s = |omega . axis|
-of each aperture and gather the values back to their directions, bit for
-bit the per-direction values.  A cone set is stably
-invertible iff the summed angular factor is positive in every direction;
+rule on [psi_in, psi_out] reaches roundoff.  The rule runs once per
+distinct s = |omega . axis| of each call and the values are gathered back
+to their directions, bit for bit the per-direction values.  A cone set is
+stably invertible iff the summed angular factor is positive in every direction;
 inversion is regularized frequency division followed by division by the
 interior weight.  Symbol tables and the inversion use the rfftn half
 spectrum of a grid with twice the field's cells per axis, and on its lowest
@@ -81,27 +80,13 @@ def _arc_to(A, angle):
     return out
 
 
-def _factor_of_s(ap: Aperture, s):
-    """3D angular factor of `ap` at the rows of s = |omega . axis| in [0, 1]."""
-    A = np.sqrt((1.0 - s) * (1.0 + s))
-    inner = ap.half_angle - ap.taper_width
-    arc = _arc_to(A, inner)
-    if ap.taper_width > 0:
-        psi_out = _arc_to(A, ap.half_angle)
-        band = psi_out > arc
-        lo, Ab = arc[band], A[band]
-        mid, half = 0.5 * (psi_out[band] + lo), 0.5 * (psi_out[band] - lo)
-        taper = np.zeros_like(Ab)
-        # one pass per node: memory stays linear in the number of rows
-        for x, w in zip(_TAPER_NODES, _TAPER_WEIGHTS):
-            angle = np.arccos(Ab * np.cos(mid + half * x))
-            taper += w * 0.5 * (1.0 + np.cos(np.pi * (angle - inner) / ap.taper_width))
-        arc[band] += half * taper
-    return 4.0 * np.pi * ap.amplitude * arc
-
-
 def angular_factor(ap: Aperture, omega):
-    """c(omega) = |xi| * r0(xi) for xi in direction omega; vectorized over rows."""
+    """c(omega) = |xi| * r0(xi) for xi in direction omega; vectorized over rows.
+
+    In 3D the factor depends on omega only through s = |omega . axis|, so
+    the taper rule runs once per distinct s and the values are gathered
+    back to the rows, bit for bit the per-row values.
+    """
     om = np.atleast_2d(np.asarray(omega, dtype=np.float64))
     axis = np.asarray(ap.axis)
     if ap.dim == 2:
@@ -109,7 +94,22 @@ def angular_factor(ap: Aperture, omega):
         c = perp @ axis
         out = np.pi * (ap.profile(c) + ap.profile(-c))
     else:
-        out = _factor_of_s(ap, np.minimum(np.abs(om @ axis), 1.0))
+        s, inv = np.unique(np.minimum(np.abs(om @ axis), 1.0), return_inverse=True)
+        A = np.sqrt((1.0 - s) * (1.0 + s))
+        inner = ap.half_angle - ap.taper_width
+        arc = _arc_to(A, inner)
+        if ap.taper_width > 0:
+            psi_out = _arc_to(A, ap.half_angle)
+            band = psi_out > arc
+            lo, Ab = arc[band], A[band]
+            mid, half = 0.5 * (psi_out[band] + lo), 0.5 * (psi_out[band] - lo)
+            taper = np.zeros_like(Ab)
+            # one pass per node: memory stays linear in the number of rows
+            for x, w in zip(_TAPER_NODES, _TAPER_WEIGHTS):
+                angle = np.arccos(Ab * np.cos(mid + half * x))
+                taper += w * 0.5 * (1.0 + np.cos(np.pi * (angle - inner) / ap.taper_width))
+            arc[band] += half * taper
+        out = (4.0 * np.pi * ap.amplitude * arc)[inv]
     return out if np.asarray(omega).ndim > 1 else float(out[0])
 
 
@@ -132,25 +132,10 @@ def visible_direction(apertures, omega):
 
 
 def _summed_factor(distinct, dirs):
-    """Summed angular factor of (aperture, multiplicity) pairs.
-
-    In 3D each aperture's factor is a function of s = |omega . axis| alone,
-    so it is evaluated once per distinct s of that aperture and gathered
-    back to the rows: the values of `angular_factor`, bit for bit.  Rows
-    whose great circle misses the cone (A <= cos(half_angle)) have arc 0,
-    so they take 4 pi amplitude * 0 without being sorted.
-    """
+    """Summed angular factor of (aperture, multiplicity) pairs."""
     total = np.zeros(len(dirs))
     for ap, count in distinct:
-        if ap.dim == 2:
-            total += count * angular_factor(ap, dirs)
-            continue
-        s = np.minimum(np.abs(dirs @ np.asarray(ap.axis)), 1.0)
-        meets = np.sqrt((1.0 - s) * (1.0 + s)) > np.cos(ap.half_angle)
-        u, inv = np.unique(s[meets], return_inverse=True)
-        factor = np.full(len(s), 4.0 * np.pi * ap.amplitude * 0.0)
-        factor[meets] = _factor_of_s(ap, u)[inv]
-        total += count * factor
+        total += count * angular_factor(ap, dirs)
     return total
 
 

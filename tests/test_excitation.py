@@ -577,30 +577,29 @@ class TestXrayTransform:
                 xray_transform(f, SMALL_ANGLES, np.append(offsets, bad))
 
     def test_far_offsets_read_exact_zeros(self):
-        # a field that is non-zero up to its edges; the clipped indices of
-        # lines far outside land on the zero padding, without a warning
-        g, _ = small_grid()
-        f = ScalarField(g, np.random.default_rng(5).uniform(0.5, 1.5, g.cells))
-        offsets = np.array([-1e300, -1e6, 1e6, 1e300])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sino = xray_transform(f, SMALL_ANGLES, offsets)
-        assert np.all(sino.values == 0.0)
-
-    def test_overflowing_offsets_read_exact_zeros(self):
-        # offsets whose fractional index would overflow are clipped to just
-        # outside the grid before any arithmetic: no floating-point
-        # exception, and lines that miss the grid read exact zeros
-        g, offsets = small_grid()
-        f = ScalarField(g, np.random.default_rng(6).uniform(0.5, 1.5, g.cells))
+        # a field that is non-zero up to its edges, on the small grid and on
+        # copies scaled so that the squares of their extents overflow or
+        # underflow (built as a Grid: make_grid keeps spacings in
+        # SPACING_RANGE).  Lines far outside, whose fractional indices would
+        # overflow, are clipped onto the zero padding without a
+        # floating-point exception or warning; the lines that meet the grid
+        # are not clipped and equal the per-ray reference
+        g0, near0 = small_grid()
         top = np.finfo(np.float64).max
-        far = np.array([-top, -1e308, -1e300, 1e300, 1e308, top])
-        with np.errstate(all="raise"):
-            sino = xray_transform(f, SMALL_ANGLES, np.concatenate([offsets, far]))
-        assert np.all(sino.values[:, offsets.size:] == 0.0)
-        assert np.array_equal(sino.offsets[offsets.size:], far)
-        assert np.array_equal(sino.values[:, :offsets.size],
-                              joseph_per_ray(f, SMALL_ANGLES, offsets))
+        for scale in (1.0, 1e160, 1e-170):
+            g = Grid(2, tuple(scale * x for x in g0.origin),
+                     tuple(scale * e for e in g0.extent), g0.cells)
+            near = scale * near0
+            f = ScalarField(g, np.random.default_rng(5).uniform(0.5, 1.5, g.cells))
+            far = np.array([-top, -1e308, -1e300, -1e6 * scale,
+                            1e6 * scale, 1e300, 1e308, top])
+            with np.errstate(all="raise"), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sino = xray_transform(f, SMALL_ANGLES, np.concatenate([near, far]))
+            assert np.array_equal(sino.offsets[near.size:], far)
+            assert np.all(sino.values[:, near.size:] == 0.0)
+            assert np.array_equal(sino.values[:, :near.size],
+                                  joseph_per_ray(f, SMALL_ANGLES, near))
 
     def test_default_run_xlct_sinogram_is_joseph_per_ray(self, tmp_path):
         # the clip leaves every line that meets the grid alone: the default
