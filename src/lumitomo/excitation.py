@@ -20,7 +20,7 @@ PDE chain per focus point, and the two agree through reciprocity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,7 +190,8 @@ def _distinct_apertures(apertures):
 
 class ConeConvolution:
     """The midpoint cone kernels of a set of apertures as one circular
-    convolution on a grid, the fast scan's and LSQR's only FFT path.
+    convolution on a grid, the only FFT path of the fast scan, LSQR and
+    the multiplier inversion (`filter`).
 
     Each distinct aperture's kernel is wrapped onto a circular grid of 2n
     cells per axis with its zero offset at index 0.  Offsets of up to n-1
@@ -205,6 +206,8 @@ class ConeConvolution:
 
     def __init__(self, apertures, grid: Grid):
         self.apertures = tuple(apertures)
+        if not self.apertures:
+            raise InvalidArgumentError("need at least one aperture")
         if any(ap.dim != grid.dim for ap in self.apertures):
             raise InvalidArgumentError(
                 f"apertures must be {grid.dim}D to match the grid")
@@ -229,13 +232,15 @@ class ConeConvolution:
             raise InvalidArgumentError(
                 "conv must be the ConeConvolution of the same apertures and grid")
 
-    def _inverse(self, X):
-        """irfftn of a half spectrum, cropped to the first n cells per axis;
-        each complex pass is cropped before the next, so later passes
-        transform half as many lines."""
-        for i, n in enumerate(self.cells[:-1]):
-            X = np.fft.ifft(X, axis=i)[(slice(None),) * i + (slice(0, n),)]
-        return np.fft.irfft(X, self.shape[-1], axis=-1)[..., :self.cells[-1]]
+    def _inverse(self, X, start=None):
+        """irfftn of a half spectrum, cropped to n cells per axis from
+        `start` (0 by default); each complex pass is cropped before the
+        next, so later passes transform half as many lines."""
+        start = start or (0,) * len(self.cells)
+        crop = [slice(k, k + n) for k, n in zip(start, self.cells)]
+        for i in range(len(crop) - 1):
+            X = np.fft.ifft(X, axis=i)[(slice(None),) * i + (crop[i],)]
+        return np.fft.irfft(X, self.shape[-1], axis=-1)[..., crop[-1]]
 
     def forward(self, g):
         """Quadrature sums of the source g (grid-shaped), one per aperture
@@ -247,12 +252,13 @@ class ConeConvolution:
             out[self.group == i] = self._inverse(G * S)
         return out
 
-    def filter(self, g, symbol):
-        """The grid-shaped g zero-padded to the circular grid, multiplied
-        by `symbol` (a real half spectrum on it, like `spectra`) and
-        cropped back: a circular convolution whose transpose is itself
-        when the symbol is even."""
-        return self._inverse(np.fft.rfftn(g, self.shape, axes=self.axes) * symbol)
+    def filter(self, g, symbol, start=None):
+        """g, zero-padded to the circular grid unless already its shape,
+        times `symbol` (a real half spectrum on it, like `spectra`), cropped
+        as by `_inverse`: a circular convolution, its own transpose for an
+        even symbol and padded g."""
+        return self._inverse(np.fft.rfftn(g, self.shape, axes=self.axes) * symbol,
+                             start)
 
     def adjoint(self, y):
         """Transpose of `forward`: per-aperture fields stacked along a
@@ -342,10 +348,14 @@ class ConeScanData:
 
     focus_grid: Grid
     fields: list
-    apertures: list = field(default_factory=list)
+    apertures: list
     noise: dict = None
 
     def __post_init__(self):
+        if not self.fields or len(self.apertures) != len(self.fields):
+            raise InvalidArgumentError(
+                f"a scan needs a field and one aperture per field, got "
+                f"{len(self.fields)} fields and {len(self.apertures)} apertures")
         for fld in self.fields:
             if fld.grid != self.focus_grid:
                 raise InvalidArgumentError("scan fields must share the focus grid")

@@ -23,9 +23,10 @@ stably invertible iff the summed angular factor is positive in every direction;
 inversion is regularized frequency division followed by division by the
 interior weight.  Symbol tables and the inversion use the rfftn half
 spectrum of a grid with twice the field's cells per axis, and on its lowest
-frequency shell the symbol is replaced by the half spectrum of the discrete
-quadrature kernel: the `ConeConvolution` spectra that the scan and LSQR
-apply.
+frequency shell, the zero frequency included, the symbol is replaced by the
+half spectrum of the discrete quadrature kernel: the `ConeConvolution`
+spectra that the scan and LSQR apply.  The division runs through that
+operator's `filter`, the one pad, multiply and crop on the doubled grid.
 """
 
 from __future__ import annotations
@@ -221,12 +222,11 @@ def _frequency_grid(cells, spacing):
 
 def total_symbol_table(apertures, cells, spacing):
     """Summed symbol on the rfftn half spectrum of a grid (`_frequency_grid`),
-    with the DC entry extrapolated.
-
-    The symbol scales like 1/|xi|, so the undefined zero frequency is set to
-    (angular mean of the summed factor) / xi_min, the continuous extension of
-    its neighborhood magnitudes.
-    """
+    0 at the zero frequency, where the 1/|xi| symbol is undefined;
+    `invert_multiplier` takes that entry, with the rest of the lowest
+    frequency shell, from the kernel spectrum."""
+    if not apertures:
+        raise InvalidArgumentError("need at least one aperture")
     dim = apertures[0].dim
     xi = _frequency_grid(cells, spacing)
     mag = np.sqrt(np.sum(xi * xi, axis=-1))
@@ -234,14 +234,8 @@ def total_symbol_table(apertures, cells, spacing):
     flat_mag = mag.ravel()
     nz = flat_mag > 0
     dirs = flat_dirs[nz] / flat_mag[nz][:, None]
-    distinct = _distinct_apertures(apertures)
     m = np.zeros(flat_mag.size)
-    m[nz] = _summed_factor(distinct, dirs) / flat_mag[nz]
-    sample = _direction_samples(dim, MARGIN_SAMPLES_2D if dim == 2 else MARGIN_SAMPLES_3D)
-    c_mean = sum(count * float(np.mean(angular_factor(ap, sample)))
-                 for ap, count in distinct)
-    xi_min = min(2.0 * np.pi / (n * h) for n, h in zip(cells, spacing))
-    m[~nz] = c_mean / xi_min
+    m[nz] = _summed_factor(_distinct_apertures(apertures), dirs) / flat_mag[nz]
     return m.reshape(mag.shape)
 
 
@@ -256,62 +250,52 @@ def _kernel_spectrum(conv: ConeConvolution):
             * conv.grid.cell_volume)
 
 
-def invert_multiplier(scan: ConeScanData, apertures, v: ScalarField,
-                      eps=1e-3, check_margin=True, conv: ConeConvolution = None,
+def invert_multiplier(scan: ConeScanData, v: ScalarField, eps=1e-3,
+                      check_margin=True, conv: ConeConvolution = None,
                       stats=None) -> ScalarField:
-    """Explicit Fourier inversion of summed cone data.
+    """Explicit Fourier inversion of the summed data of the scan's cones
+    (`scan.apertures`).
 
-    Sums the per-cone data and extends it to a grid twice the field grid per
-    axis, suppressing the periodization of the slowly decaying kernel: when
-    the scan's focus grid equals the field grid the extension is zero
-    padding, and when the scan already covers a doubled, aligned focus grid
-    its measured values fill the extension instead.  The spectrum is then
-    divided by the Tikhonov-regularized total multiplier
-    m/(m^2 + (eps*m_ref)^2) with m_ref the median positive entry of the
-    multiplier's half-spectrum table, cropped back to the field grid, and
-    divided by the weight (floored).
-    The multiplier is the analytic symbol away from the origin; on the
-    lowest shell of grid frequencies it is taken from the spectrum of the
-    discrete quadrature kernel (`_kernel_spectrum` of `conv`, the
-    apertures' ConeConvolution on the field grid, built when None: the
-    scan's own spectra).  Every table is an rfftn half spectrum.  A dict
-    `stats` receives m_ref and suppressed_fraction, the share of table
-    entries with m < eps * m_ref; the filter passes less than half of 1/m
-    at such an entry when m > 0.
+    The data is filtered on the circular grid of twice the field grid's
+    cells per axis (`conv.filter`), which suppresses the periodization of
+    the slowly decaying kernel: a scan on the field grid is zero padded,
+    and a scan on that doubled grid, aligned, fills the extension with its
+    measured values and is cropped from the field block.  The filter is
+    the Tikhonov-regularized total multiplier m/(m^2 + (eps*m_ref)^2),
+    m_ref the median positive entry of its half-spectrum table, and the
+    result is divided by the weight (floored).  m is the analytic symbol
+    except on the lowest shell of grid frequencies, zero included, where
+    it is the spectrum of the discrete quadrature kernel (`_kernel_spectrum`
+    of `conv`, the scan's ConeConvolution on the field grid, built when
+    None).  A dict `stats` receives m_ref and suppressed_fraction, the share
+    of table entries with m < eps * m_ref; the filter passes less than half
+    of 1/m at such an entry when m > 0.
     """
     grid = v.grid
     focus = scan.focus_grid
-    apertures = list(apertures)
+    apertures = scan.apertures
     if check_margin:
         rep = ellipticity_margin(apertures)
         if rep.margin <= 0.0:
             raise StabilityViolationError(
                 f"invisible directions remain (margin = {rep.margin:g}); "
                 "use check_margin=False to force a pseudo-inversion")
-    data = scan.summed()
-    if focus == grid:
-        padded_cells = tuple(2 * n for n in grid.cells)
-        pad = np.zeros(padded_cells)
-        pad[tuple(slice(0, n) for n in grid.cells)] = data
-        crop = tuple(slice(0, n) for n in grid.cells)
-    else:
-        offs = _nested_offset(grid, focus)
-        if offs is None or focus.cells != tuple(2 * n for n in grid.cells):
+    start = None
+    if focus != grid:
+        start = _nested_offset(grid, focus)
+        if start is None or focus.cells != tuple(2 * n for n in grid.cells):
             raise InvalidArgumentError(
                 "scan focus grid must equal the field grid or cover it as an "
                 "aligned block of a grid with twice the cells per axis")
-        padded_cells = focus.cells
-        pad = data
-        crop = tuple(slice(k, k + n) for k, n in zip(offs, grid.cells))
-    m = total_symbol_table(apertures, padded_cells, grid.spacing)
-    xi = _frequency_grid(padded_cells, grid.spacing)
-    mag = np.sqrt(np.sum(xi * xi, axis=-1))
-    xi_min = min(2.0 * np.pi / (n * h) for n, h in zip(padded_cells, grid.spacing))
-    low = mag <= LOW_FREQ_BINS * xi_min * (1.0 + 1e-9)
     if conv is None:
         conv = ConeConvolution(apertures, grid)
     else:
         conv.check(apertures, grid)
+    m = total_symbol_table(apertures, conv.shape, grid.spacing)
+    xi = _frequency_grid(conv.shape, grid.spacing)
+    mag = np.sqrt(np.sum(xi * xi, axis=-1))
+    xi_min = min(2.0 * np.pi / (n * h) for n, h in zip(conv.shape, grid.spacing))
+    low = mag <= LOW_FREQ_BINS * xi_min * (1.0 + 1e-9)
     m[low] = _kernel_spectrum(conv)[low]
     nonzero = m > 0
     m_ref = float(np.median(m[nonzero])) if np.any(nonzero) else 0.0
@@ -321,11 +305,9 @@ def invert_multiplier(scan: ConeScanData, apertures, v: ScalarField,
     denom = m ** 2 + (eps * m_ref) ** 2
     # frequencies with zero symbol and zero regularization are unrecoverable
     filt = np.divide(m, denom, out=np.zeros_like(m), where=denom > 0)
-    axes = tuple(range(grid.dim))
-    rec = np.fft.irfftn(np.fft.rfftn(pad) * filt, padded_cells, axes)[crop]
+    rec = conv.filter(scan.summed(), filt, start)
     v_floor = V_FLOOR_FRACTION * float(np.max(v.values))
-    rec = rec / np.maximum(v.values, v_floor)
-    return ScalarField(grid, rec)
+    return ScalarField(grid, rec / np.maximum(v.values, v_floor))
 
 
 @dataclass
@@ -336,7 +318,7 @@ class RoiReconstruction:
     mask: np.ndarray
 
 
-def roi_reconstruct(scan: ConeScanData, apertures, v: ScalarField, eps, roi,
+def roi_reconstruct(scan: ConeScanData, v: ScalarField, eps, roi,
                     rolloff_cells=8, check_margin=True) -> RoiReconstruction:
     """Windowed multiplier inversion restricted to a region of interest.
 
@@ -368,7 +350,7 @@ def roi_reconstruct(scan: ConeScanData, apertures, v: ScalarField, eps, roi,
         window = window * w.reshape(shape)
     windowed = [ScalarField(grid, fld.values * window) for fld in scan.fields]
     wscan = ConeScanData(grid, windowed, scan.apertures)
-    rec = invert_multiplier(wscan, apertures, v, eps, check_margin=check_margin)
+    rec = invert_multiplier(wscan, v, eps, check_margin=check_margin)
     mask = np.zeros(grid.cells, dtype=bool)
     mask[tuple(slice(lo + rolloff_cells, hi - rolloff_cells) for (lo, hi) in roi)] = True
     return RoiReconstruction(field=rec, mask=mask)

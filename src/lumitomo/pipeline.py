@@ -169,6 +169,10 @@ def _spot_check(cfg, op, h, truth, clean, report):
     if n_checks < 1:
         raise ConfigError(f"run.spot_checks must be >= 1, got {n_checks}")
     grid = truth.grid
+    span = min(3 * n // 4 - n // 4 + 1 for n in grid.cells[:2])
+    if n_checks > span ** 2:  # a longer side than `span` repeats points
+        raise ConfigError(f"run.spot_checks must be <= {span ** 2}, the "
+                          f"spot-check lattice on this grid, got {n_checks}")
     side = int(np.ceil(np.sqrt(n_checks)))
     idx = [np.linspace(n // 4, 3 * n // 4, side, dtype=int) for n in grid.cells[:2]]
     mid = tuple(n // 2 for n in grid.cells[2:])
@@ -243,13 +247,13 @@ def _recorded_noise(cfg, data):
     return {**cfg, **data.noise}
 
 
-def _reconstruct(cfg, data, v, conv, report, check_margin):
+def _reconstruct(cfg, data, v, conv, report):
     """Invert cone data by recon.method with `conv`, the cone operator of
     the data's apertures on the grid of v; returns (fields, history).  The
-    multiplier refuses invisible directions when `check_margin` is set.
-    LSQR runs on A M, M the parametrix preconditioner, and stops once the
-    residual norm is down to the noise, sqrt(sum b / noise.photons) for
-    Poisson data b (the discrepancy principle)."""
+    multiplier runs unchecked: callers `_gate` the cone set.  LSQR runs on
+    A M, M the parametrix preconditioner, and stops once the residual norm
+    is down to the noise, sqrt(sum b / noise.photons) for Poisson data b
+    (the discrepancy principle)."""
     method = cfg["recon.method"]
     if method not in ("multiplier", "lsqr", "both"):
         raise ConfigError(f"recon.method must be multiplier|lsqr|both, got {method!r}")
@@ -262,8 +266,7 @@ def _reconstruct(cfg, data, v, conv, report, check_margin):
     if method != "lsqr":
         stats = {}
         fields["recon_multiplier"] = invert_multiplier(
-            data, data.apertures, v, eps=eps, check_margin=check_margin,
-            conv=conv, stats=stats)
+            data, v, eps=eps, check_margin=False, conv=conv, stats=stats)
         report["multiplier.m_ref"] = f"{stats['m_ref']:.6e}"
         report["multiplier.suppressed_fraction"] = \
             f"{stats['suppressed_fraction']:.6e}"
@@ -320,8 +323,7 @@ def run_xmlt(cfg, outdir=None):
     with _timed(report, "noise"):
         data = _noisy_scan(cfg, clean, report)
     with _timed(report, "reconstruct"):
-        fields, history = _reconstruct(cfg, data, v, conv, report,
-                                       check_margin=False)
+        fields, history = _reconstruct(cfg, data, v, conv, report)
     return _emit(cfg, outdir, t0, report, {"truth": truth, "weight": v, **fields},
                  scan=data, history=history)
 
@@ -407,11 +409,11 @@ def reconstruct(cfg):
         v = ltfio.read_field(weight_path)
         cfg = _recorded_noise(cfg, data)
     with _timed(report, "reconstruct"):
+        if cfg["recon.method"] in ("multiplier", "both"):
+            _gate(cfg, data.apertures, report)
         conv = ConeConvolution(data.apertures, v.grid)
         report["scan.distinct_apertures"] = str(len(conv.spectra))
-        fields, history = _reconstruct(
-            cfg, data, v, conv, report,
-            check_margin=not _bool(cfg, "run.force_pseudo"))
+        fields, history = _reconstruct(cfg, data, v, conv, report)
     return _emit(cfg, outdir, t0, report, fields, history=history)
 
 

@@ -170,7 +170,7 @@ def test_criterion_07_multiplier_round_trip():
         fg = extended_grid(g)
         scan = ConeScanData(fg, [cone_transform(f, v, ap, fg) for ap in aps],
                             list(aps))
-        rec = invert_multiplier(scan, aps, v, eps=1e-3)
+        rec = invert_multiplier(scan, v, eps=1e-3)
         errors.append(rel_l2(rec.values, f.values))
     elapsed = time.perf_counter() - t0
     ok = errors[0] <= 0.05 and errors[1] < errors[0] and elapsed < 30.0

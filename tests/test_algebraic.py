@@ -290,8 +290,7 @@ class TestParametrixPreconditioner:
                                  f"run.seed={seed}", "recon.method=lsqr"])
         report = {}
         data = pipeline._noisy_scan(cfg, clean, report)
-        fields, _ = pipeline._reconstruct(cfg, data, v, conv, report,
-                                          check_margin=False)
+        fields, _ = pipeline._reconstruct(cfg, data, v, conv, report)
         assert report["lsqr.stop_reason"] == "discrepancy"
         error = relative_error(truth, fields["recon_lsqr"], 0.5)[1]
         reference = relative_error(truth, plain_capped_lsqr(data, v, conv),

@@ -85,15 +85,24 @@ class TestExitCodes:
         assert rc == 3
         assert "stability" in capsys.readouterr().err
 
-    def test_uncovered_cone_set_gates_only_the_multiplier(self, tmp_path):
+    def test_uncovered_cone_set_gates_only_the_multiplier(self, tmp_path,
+                                                          capsys):
         args = ["-o", str(tmp_path), "--set", "grid.cells=32,32",
                 "--set", "cones.count=1"]
         assert main(["scan"] + args) == 0
+        capsys.readouterr()
         assert main(["reconstruct"] + args) == 3
+        err = capsys.readouterr().err
+        assert "set run.force_pseudo=true" in err
+        assert "check_margin" not in err
         assert main(["reconstruct"] + args
                     + ["--set", "run.force_pseudo=true"]) == 0
+        report = _report(tmp_path)
+        assert report["stability.margin"] == "0.000000e+00"
+        assert int(report["stability.invisible_count"]) > 0
         assert main(["reconstruct"] + args
                     + ["--set", "recon.method=lsqr"]) == 0
+        assert not any(k.startswith("stability.") for k in _report(tmp_path))
 
     def test_solver_failure_maps_to_4(self, tmp_path, monkeypatch, capsys):
         def boom(cfg):
@@ -157,6 +166,30 @@ class TestExitCodes:
     def test_zero_spot_checks_is_config_error(self, tmp_path, capsys):
         assert main(small_args("run-xmlt", tmp_path, "run.spot_checks=0")) == 2
         assert "run.spot_checks must be >= 1" in capsys.readouterr().err
+
+    def test_spot_checks_beyond_the_lattice_are_refused(self, tmp_path,
+                                                        capsys, monkeypatch):
+        # a 16^2 grid has 9 x 9 lattice points, cells 4..12 on each axis
+        def no_solve(*args):
+            raise AssertionError("spot-check solve before the refusal")
+        monkeypatch.setattr(pipeline, "full_physics_measurements", no_solve)
+        assert main(small_args("run-xmlt", tmp_path, "grid.cells=16,16",
+                               "run.spot_checks=82")) == 2
+        assert "run.spot_checks must be <= 81" in capsys.readouterr().err
+
+    def test_spot_checks_fill_the_lattice_without_repeats(self, tmp_path,
+                                                          monkeypatch):
+        foci = []
+
+        def recording(op, h, f, ap, points):
+            foci.extend(tuple(x) for x in points)
+            return full_physics(op, h, f, ap, points)
+        full_physics = pipeline.full_physics_measurements
+        monkeypatch.setattr(pipeline, "full_physics_measurements", recording)
+        assert main(small_args("run-xmlt", tmp_path, "grid.cells=16,16",
+                               "run.spot_checks=81")) == 0
+        assert _report(tmp_path)["spot_check.points"] == "81"
+        assert len(set(foci)) == len(foci) == 81
 
     def test_reconstruct_without_scan_is_config_error(self, tmp_path):
         assert main(small_args("reconstruct", tmp_path)) == 2

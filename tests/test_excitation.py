@@ -254,13 +254,17 @@ class TestConeConvolution:
         shared = simulate_boundary_scan(f, v, aps, conv=conv)
         for a, b in zip(scan.fields, shared.fields, strict=True):
             assert np.array_equal(a.values, b.values)
-        assert np.array_equal(invert_multiplier(scan, aps, v).values,
-                              invert_multiplier(scan, aps, v, conv=conv).values)
+        assert np.array_equal(invert_multiplier(scan, v).values,
+                              invert_multiplier(scan, v, conv=conv).values)
         x = f.values.ravel()
         own, given = scan_linear_map(aps, v), scan_linear_map(aps, v, conv=conv)
         y = own.forward(x)
         assert np.array_equal(y, given.forward(x))
         assert np.array_equal(own.adjoint(y), given.adjoint(y))
+
+    def test_empty_cone_set_is_refused(self, grid64):
+        with pytest.raises(InvalidArgumentError, match="at least one aperture"):
+            ConeConvolution([], grid64)
 
     def test_operator_of_other_cones_or_grid_is_refused(self, grid64):
         aps = fan_apertures(3, 35.0)
@@ -273,7 +277,7 @@ class TestConeConvolution:
             with pytest.raises(InvalidArgumentError):
                 cone_transform(f, v, aps, conv=conv)
             with pytest.raises(InvalidArgumentError):
-                invert_multiplier(scan, aps, v, conv=conv)
+                invert_multiplier(scan, v, conv=conv)
             with pytest.raises(InvalidArgumentError):
                 scan_linear_map(aps, v, conv=conv)
 
@@ -790,8 +794,19 @@ class TestBoundaryScan:
 
     def test_scan_data_grid_check(self, grid64, grid128):
         f = ScalarField.zeros(grid64)
-        with pytest.raises(InvalidArgumentError):
-            ConeScanData(grid128, [f], [])
+        ap = Aperture(dim=2, axis=(1.0, 0.0), half_angle=0.5)
+        ConeScanData(grid64, [f], [ap])
+        with pytest.raises(InvalidArgumentError, match="share the focus grid"):
+            ConeScanData(grid128, [f], [ap])
+
+    @pytest.mark.parametrize("n_fields,n_apertures", [(3, 1), (1, 3), (0, 0),
+                                                      (2, 0)])
+    def test_scan_data_needs_one_aperture_per_field(self, grid64, n_fields,
+                                                    n_apertures):
+        aps = fan_apertures(3, 35.0)[:n_apertures]
+        fields = [ScalarField.zeros(grid64) for _ in range(n_fields)]
+        with pytest.raises(InvalidArgumentError, match="one aperture per field, got"):
+            ConeScanData(grid64, fields, aps)
 
 
 def dense_full_physics(op, h, f, ap, foci):

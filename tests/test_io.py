@@ -233,6 +233,19 @@ def test_scan_round_trip(tmp_path, grid64):
         assert got.amplitude == orig.amplitude
 
 
+def test_scan_round_trip_keeps_every_cone(tmp_path, grid64):
+    aps = [Aperture(dim=2, axis=(np.cos(t), np.sin(t)), half_angle=0.5)
+           for t in (0.0, 1.0, 2.0)]
+    scan = ConeScanData(grid64, [ScalarField.full(grid64, float(j))
+                                 for j in range(3)], aps)
+    manifest = tmp_path / "scan.txt"
+    write_scan(manifest, str(tmp_path / "scan"), scan)
+    back = read_scan(manifest)
+    assert [f.values[0, 0] for f in back.fields] == [0.0, 1.0, 2.0]
+    for orig, got in zip(aps, back.apertures, strict=True):
+        assert got.axis == pytest.approx(orig.axis, abs=0)
+
+
 def test_scan_file_name_with_whitespace_rejected(tmp_path, grid64):
     ap = Aperture(dim=2, axis=(1.0, 0.0), half_angle=0.5)
     scan = ConeScanData(grid64, [two_bump_phantom(grid64)], [ap])

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from lumitomo import multiplier
+from lumitomo import excitation, multiplier
 from lumitomo.config import DEFAULTS, build_apertures
+from lumitomo.diffusion import V_FLOOR_FRACTION
 from lumitomo.errors import (InvalidArgumentError, StabilityViolationError,
                              UndefinedDirectionError)
 from lumitomo.excitation import (Aperture, ConeConvolution, ConeScanData,
@@ -215,8 +216,7 @@ class TestDistinctApertures:
 
         def outputs():
             return (total_symbol_table(aps, padded, grid.spacing),
-                    invert_multiplier(scan, aps, v, eps=1e-3,
-                                      check_margin=False).values,
+                    invert_multiplier(scan, v, eps=1e-3, check_margin=False).values,
                     ellipticity_margin(aps).margin)
 
         table, rec, margin = outputs()
@@ -459,7 +459,7 @@ class TestInversion:
         f = two_bump_phantom(grid128)
         v = ScalarField.full(grid128, 1.0)
         scan = self._scan(grid128, f, v, aps, extended_grid(grid128))
-        rec = invert_multiplier(scan, aps, v, eps=1e-3)
+        rec = invert_multiplier(scan, v, eps=1e-3)
         assert rel_l2(rec.values, f.values) <= 0.05
 
     def test_round_trip_improves_with_refinement(self):
@@ -470,7 +470,7 @@ class TestInversion:
             f = two_bump_phantom(g)
             v = ScalarField.full(g, 1.0)
             scan = self._scan(g, f, v, aps, extended_grid(g))
-            rec = invert_multiplier(scan, aps, v, eps=1e-3)
+            rec = invert_multiplier(scan, v, eps=1e-3)
             errors.append(rel_l2(rec.values, f.values))
         assert errors[1] < errors[0]
         assert errors[2] < errors[1]
@@ -480,7 +480,7 @@ class TestInversion:
         v = ScalarField.full(grid64, 1.0)
         scan = ConeScanData(grid64, [ScalarField.zeros(grid64) for _ in aps],
                             list(aps))
-        rec = invert_multiplier(scan, aps, v, eps=1e-3)
+        rec = invert_multiplier(scan, v, eps=1e-3)
         assert np.max(np.abs(rec.values)) <= 1e-14
 
     def test_scaling_linearity(self, grid64):
@@ -491,8 +491,8 @@ class TestInversion:
         scaled = ConeScanData(grid64,
                               [ScalarField(grid64, 3.0 * s.values)
                                for s in scan.fields], list(aps))
-        r1 = invert_multiplier(scan, aps, v, eps=1e-3)
-        r3 = invert_multiplier(scaled, aps, v, eps=1e-3)
+        r1 = invert_multiplier(scan, v, eps=1e-3)
+        r3 = invert_multiplier(scaled, v, eps=1e-3)
         assert np.allclose(r3.values, 3.0 * r1.values, rtol=1e-12, atol=1e-12)
 
     def test_margin_zero_refused(self, grid64):
@@ -501,7 +501,7 @@ class TestInversion:
         v = ScalarField.full(grid64, 1.0)
         scan = self._scan(grid64, f, v, [ap])
         with pytest.raises(StabilityViolationError):
-            invert_multiplier(scan, [ap], v, eps=1e-2)
+            invert_multiplier(scan, v, eps=1e-2)
 
     def test_forced_pseudo_inversion_recovers_visible_wedge(self, grid128):
         # single cone about e1: only frequencies near +-e2 are visible, so
@@ -512,7 +512,7 @@ class TestInversion:
         f = ScalarField(grid128, (r <= 2.0).astype(float))
         v = ScalarField.full(grid128, 1.0)
         scan = self._scan(grid128, f, v, [ap])
-        rec = invert_multiplier(scan, [ap], v, eps=1e-2, check_margin=False)
+        rec = invert_multiplier(scan, v, eps=1e-2, check_margin=False)
         F = np.abs(np.fft.fftn(rec.values)) ** 2
         n = grid128.cells[0]
         kx = np.fft.fftfreq(n)[:, None]
@@ -529,7 +529,87 @@ class TestInversion:
         scan = self._scan(grid64, f, v64, aps)
         v128 = ScalarField.full(grid128, 1.0)
         with pytest.raises(InvalidArgumentError):
-            invert_multiplier(scan, aps, v128, eps=1e-3)
+            invert_multiplier(scan, v128, eps=1e-3)
+
+
+def reference_filter(conv, g, symbol, start):
+    """The inversion's former FFT path: g zero-padded to the circular grid
+    (or taken whole when it already has its shape), one full irfftn of its
+    filtered spectrum, then the crop to n cells per axis from `start`."""
+    pad = np.zeros(conv.shape)
+    pad[tuple(slice(0, n) for n in g.shape)] = g
+    crop = tuple(slice(k, k + n) for k, n in zip(start, conv.cells))
+    return np.fft.irfftn(np.fft.rfftn(pad) * symbol, conv.shape, conv.axes)[crop]
+
+
+def reference_invert(scan, v, eps):
+    """`invert_multiplier` as it was before it filtered through
+    `ConeConvolution.filter`: its own padding, full irfftn and crop."""
+    grid = v.grid
+    conv = ConeConvolution(scan.apertures, grid)
+    if scan.focus_grid == grid:
+        start = (0,) * grid.dim
+    else:
+        start = excitation._nested_offset(grid, scan.focus_grid)
+    m = total_symbol_table(scan.apertures, conv.shape, grid.spacing)
+    xi = multiplier._frequency_grid(conv.shape, grid.spacing)
+    mag = np.sqrt(np.sum(xi * xi, axis=-1))
+    xi_min = min(2.0 * np.pi / (n * h) for n, h in zip(conv.shape, grid.spacing))
+    low = mag <= multiplier.LOW_FREQ_BINS * xi_min * (1.0 + 1e-9)
+    m[low] = multiplier._kernel_spectrum(conv)[low]
+    m_ref = float(np.median(m[m > 0]))
+    denom = m ** 2 + (eps * m_ref) ** 2
+    filt = np.divide(m, denom, out=np.zeros_like(m), where=denom > 0)
+    rec = reference_filter(conv, scan.summed(), filt, start)
+    v_floor = V_FLOOR_FRACTION * float(np.max(v.values))
+    return rec / np.maximum(v.values, v_floor)
+
+
+class TestFilterReference:
+    """The inversion's pad, multiply and crop is `ConeConvolution.filter`,
+    bit for bit the former padded irfftn and crop, in both scan layouts."""
+
+    GRIDS = [make_grid(2, (-10.0, -10.0), (20.0, 20.0), (64, 64)),
+             make_grid(2, (-6.0, -9.0), (12.0, 30.0), (24, 40)),
+             make_grid(3, (-10.0,) * 3, (20.0,) * 3, (16, 16, 16)),
+             make_grid(3, (-4.0, -5.0, -7.0), (9.6, 7.0, 16.8), (12, 10, 14))]
+    IDS = ["2d-64", "2d-aniso", "3d-16", "3d-aniso"]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+    def test_filter_equals_padded_irfftn(self, grid):
+        aps = build_apertures(DEFAULTS, grid.dim)
+        conv = ConeConvolution(aps, grid)
+        rng = np.random.default_rng(grid.n_cells)
+        symbol = rng.standard_normal(conv.spectra.shape[1:])
+        g = rng.standard_normal(grid.cells)
+        doubled = rng.standard_normal(conv.shape)
+        start = tuple(n // 2 - 1 for n in grid.cells)
+        assert np.array_equal(conv.filter(g, symbol),
+                              reference_filter(conv, g, symbol, (0,) * grid.dim))
+        assert np.array_equal(conv.filter(doubled, symbol, start),
+                              reference_filter(conv, doubled, symbol, start))
+
+    @pytest.mark.parametrize("doubled", [False, True], ids=["field", "doubled"])
+    @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+    def test_inversion_equals_former_path(self, grid, doubled):
+        aps = build_apertures(DEFAULTS, grid.dim)
+        fg = extended_grid(grid) if doubled else grid
+        rng = np.random.default_rng(7)
+        scan = ConeScanData(fg, [ScalarField(fg, rng.standard_normal(fg.cells))
+                                 for _ in aps], aps)
+        v = ScalarField(grid, 0.5 + rng.random(grid.cells))
+        assert np.array_equal(invert_multiplier(scan, v, eps=1e-3).values,
+                              reference_invert(scan, v, 1e-3))
+
+    def test_zero_frequency_entry_is_zero(self):
+        aps = build_apertures(DEFAULTS, 2)
+        table = total_symbol_table(aps, (16, 12), (0.5, 0.7))
+        assert table[0, 0] == 0.0
+        assert np.all(np.delete(table.ravel(), 0) > 0.0)
+
+    def test_empty_cone_set_is_refused(self):
+        with pytest.raises(InvalidArgumentError, match="at least one aperture"):
+            total_symbol_table([], (16, 16), (0.5, 0.5))
 
 
 class TestRoiReconstruct:
@@ -545,8 +625,8 @@ class TestRoiReconstruct:
 
     def test_edges_recovered_inside_mask(self, grid128):
         aps, f, v, scan = self._setup(grid128)
-        rr = roi_reconstruct(scan, aps, v, 1e-3, ((24, 104), (24, 104)))
-        full = invert_multiplier(scan, aps, v, 1e-3)
+        rr = roi_reconstruct(scan, v, 1e-3, ((24, 104), (24, 104)))
+        full = invert_multiplier(scan, v, 1e-3)
         gr = np.hypot(*np.gradient(rr.field.values))
         gf = np.hypot(*np.gradient(full.values))
         corr = np.corrcoef(gr[rr.mask], gf[rr.mask])[0, 1]
@@ -554,13 +634,13 @@ class TestRoiReconstruct:
 
     def test_empty_roi_near_constant(self, grid128):
         aps, f, v, scan = self._setup(grid128)
-        rr = roi_reconstruct(scan, aps, v, 1e-3, ((92, 126), (92, 126)))
+        rr = roi_reconstruct(scan, v, 1e-3, ((92, 126), (92, 126)))
         vals = rr.field.values[rr.mask]
         assert np.std(vals) <= 0.1 * np.max(f.values)
 
     def test_roi_touching_edge_rejected(self, grid128):
         aps, f, v, scan = self._setup(grid128)
         with pytest.raises(InvalidArgumentError):
-            roi_reconstruct(scan, aps, v, 1e-3, ((0, 60), (20, 80)))
+            roi_reconstruct(scan, v, 1e-3, ((0, 60), (20, 80)))
         with pytest.raises(InvalidArgumentError):
-            roi_reconstruct(scan, aps, v, 1e-3, ((20, 30), (20, 80)))
+            roi_reconstruct(scan, v, 1e-3, ((20, 30), (20, 80)))
