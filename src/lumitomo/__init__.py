@@ -39,7 +39,7 @@ from .multiplier import (MarginReport, RoiReconstruction, ellipticity_margin,
                          parametrix_weights, roi_reconstruct,
                          visible_direction)
 from .fbp import FbpFilter, divide_by_weight, fbp
-from .algebraic import (LinearMap, NoiseModel, apply_noise, lsqr,
-                        relative_error, scan_linear_map)
+from .algebraic import (LinearMap, apply_noise, lsqr, relative_error,
+                        scan_linear_map)
 
 __version__ = "0.1.0"

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import V_FLOOR_FRACTION
+from .diffusion import _floored_weight
 from .errors import (EmptyMaskError, InvalidArgumentError, InvalidOperatorError)
 from .fields import ScalarField
 from .excitation import ConeConvolution
@@ -71,9 +71,10 @@ def scan_linear_map(apertures, v: ScalarField,
 def parametrix_preconditioner(conv: ConeConvolution, v: ScalarField) -> LinearMap:
     """Right preconditioner of `scan_linear_map(conv.apertures, v, conv)`.
 
-    With V = v * cell volume (floored at V_FLOOR_FRACTION of its maximum)
-    and P = (sum_j S_j^2 + delta^2)^(-1/2) over the cones' real spectra
-    S_j (delta^2 = PARAMETRIX_MIX * max sum_j S_j^2),
+    With V = v * cell volume (v floored by `diffusion._floored_weight`, as
+    in every division by the weight) and P = (sum_j S_j^2 + delta^2)^(-1/2)
+    over the cones' real spectra S_j (delta^2 = PARAMETRIX_MIX * max
+    sum_j S_j^2),
 
         M z = V^-1 crop F^-1 [P F pad z],   M^T y = crop F^-1 [P F pad (y / V)].
 
@@ -84,12 +85,9 @@ def parametrix_preconditioner(conv: ConeConvolution, v: ScalarField) -> LinearMa
     grid = v.grid
     if conv.grid != grid:
         raise InvalidArgumentError("conv and v must share a grid")
-    v_max = float(np.max(v.values))
-    if not v_max > 0:
-        raise InvalidArgumentError("the weight v must be positive somewhere")
     power = np.tensordot(np.bincount(conv.group), conv.spectra ** 2, axes=1)
     symbol = 1.0 / np.sqrt(power + PARAMETRIX_MIX * np.max(power))
-    vvol = np.maximum(v.values, V_FLOOR_FRACTION * v_max) * grid.cell_volume
+    vvol = _floored_weight(v) * grid.cell_volume
 
     def forward(z):
         return (conv.filter(z.reshape(grid.cells), symbol) / vvol).ravel()
@@ -111,10 +109,11 @@ def compose(A: LinearMap, M: LinearMap) -> LinearMap:
 
 
 def lsqr(linmap: LinearMap, data, max_iters=500, atol=1e-8,
-         dot_test_tol=1e-10, stop_residual=0.0):
+         stop_residual=0.0):
     """Paige-Saunders LSQR on min ||A x - b||.
 
-    Runs a forward/adjoint dot test before iterating.  Stops when the
+    Runs a forward/adjoint dot test before iterating and raises
+    InvalidOperatorError when its defect exceeds 1e-10.  Stops when the
     residual ||r|| falls to `stop_residual` (the discrepancy principle: the
     expected norm of the data's noise; 0 runs to atol), or by Paige and
     Saunders' tests with atol as both tolerances: the normal-equations
@@ -125,7 +124,7 @@ def lsqr(linmap: LinearMap, data, max_iters=500, atol=1e-8,
     ||A^T r|| / (||A|| ||r||)); the residual norms are nonincreasing.
     """
     defect = linmap.dot_test()
-    if defect > dot_test_tol:
+    if defect > 1e-10:
         raise InvalidOperatorError(
             f"forward/adjoint dot test failed: defect {defect:.3e}")
     b = np.asarray(data, dtype=np.float64).ravel()
@@ -201,34 +200,21 @@ def lsqr_stop_reason(history, max_iters, stop_residual=0.0):
     return "cap" if iteration >= max_iters else "atol"
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Scaled Poisson noise: y -> Poisson(kappa * y) / kappa, seeded."""
-
-    photons_per_unit: float
-    seed: int
-    kind: str = "poisson"
-
-    def __post_init__(self):
-        if self.kind != "poisson":
-            raise InvalidArgumentError(f"unsupported noise kind {self.kind!r}")
-        if self.photons_per_unit <= 0:
-            raise InvalidArgumentError("photons_per_unit must be positive")
-
-
-def apply_noise(model: NoiseModel, data):
-    """Elementwise Poisson draws; deterministic for a fixed seed.  The means
-    photons_per_unit * data must not exceed POISSON_LAM_MAX."""
+def apply_noise(data, photons, seed):
+    """Scaled Poisson noise y -> Poisson(photons * y) / photons, drawn from
+    PCG64(seed): deterministic for a fixed seed.  photons must be positive
+    and the means photons * data must not exceed POISSON_LAM_MAX."""
+    if not photons > 0:
+        raise InvalidArgumentError("photons must be positive")
     data = np.asarray(data, dtype=np.float64)
     if np.any(data < 0):
         raise InvalidArgumentError("noise model requires non-negative data")
-    if data.size and np.max(data) > POISSON_LAM_MAX / model.photons_per_unit:
+    if data.size and np.max(data) > POISSON_LAM_MAX / photons:
         raise InvalidArgumentError(
-            f"photons_per_unit * data exceeds {POISSON_LAM_MAX:g}, the "
-            "largest mean the Poisson sampler takes")
-    rng = np.random.Generator(np.random.PCG64(model.seed))
-    kappa = model.photons_per_unit
-    return rng.poisson(kappa * data).astype(np.float64) / kappa
+            f"photons * data exceeds {POISSON_LAM_MAX:g}, the largest mean "
+            "the Poisson sampler takes")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return rng.poisson(photons * data).astype(np.float64) / photons
 
 
 def relative_error(truth: ScalarField, recon: ScalarField, eps_bg):

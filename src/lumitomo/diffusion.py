@@ -35,21 +35,26 @@ def boundary_face_count(grid: Grid):
     return total
 
 
-def boundary_face_areas(grid: Grid):
-    """Face areas in canonical enumeration order.
-
-    Order: axis 0 low side, axis 0 high side, axis 1 low side, ... with the
-    faces of each side listed in C (lexicographic) order of the adjacent
-    boundary cell.
-    """
-    chunks = []
-    vol = grid.cell_volume
+def _sides(grid: Grid):
+    """(axis, edge, faces) of every boundary side in the canonical order:
+    axis 0 low side (edge 0), axis 0 high side (edge -1), axis 1 low side,
+    ...  `faces` slices the side's faces out of a vector of boundary values,
+    which lists them in C (lexicographic) order of the adjacent cells."""
+    start = 0
     for ax in range(grid.dim):
-        n_faces = grid.n_cells // grid.cells[ax]
-        area = vol / grid.spacing[ax]
-        for _side in range(2):
-            chunks.append(np.full(n_faces, area))
-    return np.concatenate(chunks)
+        size = grid.n_cells // grid.cells[ax]
+        for edge in (0, -1):
+            yield ax, edge, slice(start, start + size)
+            start += size
+
+
+def boundary_face_areas(grid: Grid):
+    """Face areas in the canonical enumeration order of `_sides`."""
+    areas = np.empty(boundary_face_count(grid))
+    vol, spacing = grid.cell_volume, grid.spacing
+    for ax, _, faces in _sides(grid):
+        areas[faces] = vol / spacing[ax]
+    return areas
 
 
 class BoundaryField:
@@ -60,8 +65,6 @@ class BoundaryField:
     def __init__(self, grid: Grid, values):
         values = np.ascontiguousarray(values, dtype=np.float64).ravel()
         n = boundary_face_count(grid)
-        if values.size == 1:
-            values = np.full(n, float(values[0]))
         if values.size != n:
             raise InvalidArgumentError(
                 f"expected {n} boundary values, got {values.size}")
@@ -75,7 +78,7 @@ class BoundaryField:
 
     @classmethod
     def constant(cls, grid, value):
-        return cls(grid, np.array([float(value)]))
+        return cls(grid, np.full(boundary_face_count(grid), float(value)))
 
     def measure(self):
         """Total surface measure of the boundary (perimeter or area)."""
@@ -167,20 +170,12 @@ class DiscreteOperator:
     def boundary_rhs(self, h: BoundaryField) -> np.ndarray:
         """Cell right-hand side induced by the inhomogeneous Robin datum h."""
         g, D = self.grid, self.medium.D
+        spacing = g.spacing
         rhs = np.zeros(g.cells)
-        pos = 0
-        for ax in range(g.dim):
-            dx = g.spacing[ax]
-            coeff = D / (self._c_plus[ax] * dx ** 2)
-            n_faces = g.n_cells // g.cells[ax]
-            for edge in (0, -1):
-                hv = h.values[pos:pos + n_faces]
-                sl = [slice(None)] * g.dim
-                sl[ax] = edge
-                shape = list(g.cells)
-                shape.pop(ax)
-                rhs[tuple(sl)] += coeff * hv.reshape(shape)
-                pos += n_faces
+        for ax, edge, faces in _sides(g):
+            coeff = D / (self._c_plus[ax] * spacing[ax] ** 2)
+            side = (slice(None),) * ax + (edge,)
+            rhs[side] += coeff * h.values[faces].reshape(rhs[side].shape)
         return rhs
 
     def solve(self, rhs, tol=1e-10, max_iter=None):
@@ -209,9 +204,6 @@ class DiscreteOperator:
             max_iter = max(200, int(20 * g.n_cells ** (1.0 / g.dim)))
         x = np.zeros(g.cells)
         res = b_norm
-        if res <= tol * b_norm:
-            self.last_solve = (0, 1.0)
-            return x
         r = b.copy()
         z = self._precondition(r)
         p = z.copy()
@@ -293,6 +285,16 @@ def solve_adjoint_weight(op: DiscreteOperator, h: BoundaryField, tol=1e-13):
     return ScalarField(op.grid, v)
 
 
+def _floored_weight(v: ScalarField):
+    """The divisor of every division by the weight: v floored at
+    V_FLOOR_FRACTION of its maximum.  Raises InvalidArgumentError when v is
+    positive nowhere, where that floor is no positive divisor."""
+    v_max = float(np.max(v.values))
+    if not v_max > 0:
+        raise InvalidArgumentError("the weight v must be positive somewhere")
+    return np.maximum(v.values, V_FLOOR_FRACTION * v_max)
+
+
 def boundary_flux(op: DiscreteOperator, u: ScalarField, mode="consistent"):
     """Outgoing flux Q = u_face / (2A) on every boundary face.
 
@@ -304,26 +306,22 @@ def boundary_flux(op: DiscreteOperator, u: ScalarField, mode="consistent"):
     if u.grid != op.grid:
         raise InvalidArgumentError("field grid mismatch")
     g, med = op.grid, op.medium
-    pos = 0
+    spacing = g.spacing
     vals = np.empty(boundary_face_count(g))
-    for ax in range(g.dim):
-        dx = g.spacing[ax]
-        n_faces = g.n_cells // g.cells[ax]
-        for edge in (0, -1):
-            u1 = np.ravel(np.take(u.values, edge, axis=ax))
-            if mode == "consistent":
-                # face trace (u_ghost + u_in)/2 under the homogeneous closure
-                q = med.D * u1 / (op._c_plus[ax] * dx)
-            elif mode == "continuum":
-                # quadratic extrapolation through the cells at dx/2, 3dx/2, 5dx/2
-                step = 1 if edge == 0 else -1
-                u2 = np.ravel(np.take(u.values, edge + step, axis=ax))
-                u3 = np.ravel(np.take(u.values, edge + 2 * step, axis=ax))
-                q = (15.0 * u1 - 10.0 * u2 + 3.0 * u3) / (8.0 * 2.0 * med.A)
-            else:
-                raise InvalidArgumentError(f"unknown flux mode {mode!r}")
-            vals[pos:pos + n_faces] = q
-            pos += n_faces
+    for ax, edge, faces in _sides(g):
+        u1 = np.ravel(np.take(u.values, edge, axis=ax))
+        if mode == "consistent":
+            # face trace (u_ghost + u_in)/2 under the homogeneous closure
+            q = med.D * u1 / (op._c_plus[ax] * spacing[ax])
+        elif mode == "continuum":
+            # quadratic extrapolation through the cells at dx/2, 3dx/2, 5dx/2
+            step = 1 if edge == 0 else -1
+            u2 = np.ravel(np.take(u.values, edge + step, axis=ax))
+            u3 = np.ravel(np.take(u.values, edge + 2 * step, axis=ax))
+            q = (15.0 * u1 - 10.0 * u2 + 3.0 * u3) / (8.0 * 2.0 * med.A)
+        else:
+            raise InvalidArgumentError(f"unknown flux mode {mode!r}")
+        vals[faces] = q
     return BoundaryField(g, vals)
 
 
@@ -335,14 +333,15 @@ def boundary_functional(h: BoundaryField, Q: BoundaryField):
 
 
 def reciprocity_residual(op: DiscreteOperator, h: BoundaryField,
-                         source: ScalarField, mode="consistent", tol=1e-12):
+                         source: ScalarField, mode="consistent"):
     """Relative gap between the interior and boundary sides of reciprocity.
 
     Computes | <V h, s> - int_bdry h Q | / max(|<V h, s>|, tiny) by running
-    the adjoint solve, the forward solve and the flux extraction.
+    the adjoint solve, the forward solve (both to tol 1e-12) and the flux
+    extraction.
     """
-    v = solve_adjoint_weight(op, h, tol=tol)
-    u = solve_forward(op, source, tol=tol)
+    v = solve_adjoint_weight(op, h, tol=1e-12)
+    u = solve_forward(op, source, tol=1e-12)
     Q = boundary_flux(op, u, mode=mode)
     lhs = float(np.sum(v.values * source.values) * op.grid.cell_volume)
     rhs = boundary_functional(h, Q)
@@ -350,24 +349,23 @@ def reciprocity_residual(op: DiscreteOperator, h: BoundaryField,
 
 
 def null_space_defect(op: DiscreteOperator, h: BoundaryField,
-                      phi: ScalarField, collar=2, tol=1e-13):
+                      phi: ScalarField):
     """Size of <V h, L phi> for interior-supported phi (zero in theory).
 
-    phi must vanish on a boundary collar of `collar` cells; the result is
+    phi must vanish on a boundary collar of 2 cells; the result is
     normalized by the L2 norm of phi.
     """
     g = op.grid
     if phi.grid != g:
         raise InvalidArgumentError("phi grid mismatch")
     interior = np.zeros(g.cells, dtype=bool)
-    interior[tuple(slice(collar, n - collar) for n in g.cells)] = True
+    interior[tuple(slice(2, n - 2) for n in g.cells)] = True
     if np.any(phi.values[~interior] != 0.0):
-        raise InvalidArgumentError(
-            f"phi must vanish on a {collar}-cell boundary collar")
+        raise InvalidArgumentError("phi must vanish on a 2-cell boundary collar")
     norm = phi.l2_norm()
     if norm == 0.0:
         return 0.0
-    v = solve_adjoint_weight(op, h, tol=tol)
+    v = solve_adjoint_weight(op, h)
     val = float(np.sum(v.values * op.apply(phi.values)) * g.cell_volume)
     return abs(val) / norm
 
@@ -435,18 +433,17 @@ def _tridiag_solve(lower, diag, upper, rhs):
     return x
 
 
-def radial_ode_solve(medium: OpticalMedium, a, n_dim, h_const, points=2000):
+def radial_ode_solve(medium: OpticalMedium, a, n_dim, h_const):
     """Second-order FD solve of the radial weight ODE; validation oracle.
 
     Solves -D (v'' + (n-1)/r v') + mu_a v = 0 on [0, a] with regularity
-    v'(0) = 0 and Robin v(a) + 2AD v'(a) = h_const.  Returns (r_nodes, v).
+    v'(0) = 0 and Robin v(a) + 2AD v'(a) = h_const on 20000 uniform
+    intervals.  Returns (r_nodes, v).
     """
     if n_dim not in (2, 3):
         raise InvalidArgumentError("n_dim must be 2 or 3")
-    if points < 100:
-        raise InvalidArgumentError("need at least 100 points")
     D, mu_a, A = medium.D, medium.mu_a, medium.A
-    M = int(points)
+    M = 20000
     dr = a / M
     r = np.arange(M + 1) * dr
     lower = np.zeros(M + 1)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diffusion import _floored_weight
 from .errors import InvalidArgumentError, WeightDegeneracyWarning
 from .fields import Grid, ScalarField
 from .excitation import Sinogram, _padded_lerp
@@ -93,14 +94,16 @@ def _backproject(filtered, angles, offsets, grid: Grid):
     return out
 
 
-def divide_by_weight(g: ScalarField, v: ScalarField, v_floor) -> ScalarField:
-    """Cellwise division f = g / max(v, v_floor).
+def divide_by_weight(g: ScalarField, v: ScalarField) -> ScalarField:
+    """Cellwise division f = g / v, v floored by `diffusion._floored_weight`
+    (which refuses a weight positive nowhere).
 
     Warns when the weight is non-positive on more than 1% of the support of
     g (cells with non-negligible magnitude).
     """
     if g.grid != v.grid:
         raise InvalidArgumentError("grids must match")
+    divisor = _floored_weight(v)
     support = np.abs(g.values) > 1e-12 * max(float(np.max(np.abs(g.values))), 1e-300)
     n_support = int(np.sum(support))
     if n_support > 0:
@@ -109,4 +112,4 @@ def divide_by_weight(g: ScalarField, v: ScalarField, v_floor) -> ScalarField:
             warnings.warn(
                 f"weight non-positive on {bad}/{n_support} support cells",
                 WeightDegeneracyWarning)
-    return ScalarField(g.grid, g.values / np.maximum(v.values, v_floor))
+    return ScalarField(g.grid, g.values / divisor)

@@ -201,18 +201,16 @@ def read_scan(manifest_path) -> ConeScanData:
     return ConeScanData(fields[0].grid, fields, apertures, noise)
 
 
-def write_pgm(path, field: ScalarField, vmin=None, vmax=None):
-    """8-bit binary PGM rendering with a fixed linear colormap.
+def write_pgm(path, field: ScalarField):
+    """8-bit binary PGM rendering, linear from the field's minimum to its
+    maximum.
 
-    Returns the (vmin, vmax) bounds actually used so they can be recorded.
+    Returns those (vmin, vmax) bounds so they can be recorded.
     """
     if field.grid.dim != 2:
         raise InvalidArgumentError("PGM rendering requires a 2D field")
     vals = field.values
-    if vmin is None:
-        vmin = float(vals.min())
-    if vmax is None:
-        vmax = float(vals.max())
+    vmin, vmax = float(vals.min()), float(vals.max())
     span = vmax - vmin if vmax > vmin else 1.0
     img = np.clip((vals - vmin) / span * 255.0, 0, 255).astype(np.uint8)
     # transpose so x runs along image columns, y up

@@ -40,7 +40,7 @@ from .errors import (InvalidArgumentError, StabilityViolationError,
 from .fields import ScalarField
 from .excitation import (Aperture, ConeConvolution, ConeScanData,
                          _distinct_apertures, _nested_offset)
-from .diffusion import V_FLOOR_FRACTION
+from .diffusion import _floored_weight
 
 # Gauss-Legendre nodes for the 3D taper band.  Against a 400-node rule the
 # factor agrees to 1e-13 of its maximum for taper_width <= 0.95 half_angle
@@ -55,6 +55,8 @@ MARGIN_SAMPLES_3D = 4096
 # than the analytic symbol: the analytic form assumes an unbounded kernel,
 # which the lowest shell of grid frequencies cannot see.
 LOW_FREQ_BINS = 8
+# Cells of the cosine rolloff inside each edge of a `roi_reconstruct` window.
+ROI_ROLLOFF_CELLS = 8
 
 
 def _gauss_legendre(n):
@@ -163,12 +165,10 @@ class MarginReport:
     worst_direction: tuple
     invisible_directions: np.ndarray  # sampled directions with zero factor
 
-    def __float__(self):
-        return self.margin
 
-
-def ellipticity_margin(apertures, n_directions=None) -> MarginReport:
-    """Minimum summed angular factor over a half-sphere/half-circle sample.
+def ellipticity_margin(apertures) -> MarginReport:
+    """Minimum summed angular factor over a half-circle (MARGIN_SAMPLES_2D)
+    or half-sphere (MARGIN_SAMPLES_3D) sample of directions.
 
     A positive margin certifies the stability condition on the sample; the
     max/min ratio flags mildly unstable configurations.
@@ -177,11 +177,8 @@ def ellipticity_margin(apertures, n_directions=None) -> MarginReport:
     if not apertures:
         raise InvalidArgumentError("need at least one aperture")
     dim = apertures[0].dim
-    if n_directions is None:
-        n_directions = MARGIN_SAMPLES_2D if dim == 2 else MARGIN_SAMPLES_3D
-    if n_directions < 64:
-        raise InvalidArgumentError("need at least 64 sample directions")
-    dirs = _direction_samples(dim, n_directions)
+    dirs = _direction_samples(
+        dim, MARGIN_SAMPLES_2D if dim == 2 else MARGIN_SAMPLES_3D)
     total = _summed_factor(_distinct_apertures(apertures), dirs)
     if not np.all(np.isfinite(total)):
         raise InvalidArgumentError(
@@ -263,7 +260,8 @@ def invert_multiplier(scan: ConeScanData, v: ScalarField, eps=1e-3,
     measured values and is cropped from the field block.  The filter is
     the Tikhonov-regularized total multiplier m/(m^2 + (eps*m_ref)^2),
     m_ref the median positive entry of its half-spectrum table, and the
-    result is divided by the weight (floored).  m is the analytic symbol
+    result is divided by the weight as `diffusion._floored_weight` floors
+    it (InvalidArgumentError for a weight positive nowhere).  m is the analytic symbol
     except on the lowest shell of grid frequencies, zero included, where
     it is the spectrum of the discrete quadrature kernel (`_kernel_spectrum`
     of `conv`, the scan's ConeConvolution on the field grid, built when
@@ -306,8 +304,7 @@ def invert_multiplier(scan: ConeScanData, v: ScalarField, eps=1e-3,
     # frequencies with zero symbol and zero regularization are unrecoverable
     filt = np.divide(m, denom, out=np.zeros_like(m), where=denom > 0)
     rec = conv.filter(scan.summed(), filt, start)
-    v_floor = V_FLOOR_FRACTION * float(np.max(v.values))
-    return ScalarField(grid, rec / np.maximum(v.values, v_floor))
+    return ScalarField(grid, rec / _floored_weight(v))
 
 
 @dataclass
@@ -318,39 +315,40 @@ class RoiReconstruction:
     mask: np.ndarray
 
 
-def roi_reconstruct(scan: ConeScanData, v: ScalarField, eps, roi,
-                    rolloff_cells=8, check_margin=True) -> RoiReconstruction:
+def roi_reconstruct(scan: ConeScanData, v: ScalarField, eps,
+                    roi) -> RoiReconstruction:
     """Windowed multiplier inversion restricted to a region of interest.
 
     `roi` is a tuple of (lo, hi) index bounds per axis, strictly inside the
     grid.  Data outside the ROI is discarded; inside, a cosine rolloff over
-    `rolloff_cells` tapers it to zero at the ROI boundary.  Edges with
-    visible normal directions are recovered inside the mask; constants are
-    biased near the ROI boundary.
+    ROI_ROLLOFF_CELLS cells tapers it to zero at the ROI boundary.  Edges
+    with visible normal directions are recovered inside the mask; constants
+    are biased near the ROI boundary.  A cone set with invisible directions
+    is refused, as by `invert_multiplier`.
     """
     grid = scan.focus_grid
+    k = ROI_ROLLOFF_CELLS
     roi = tuple((int(lo), int(hi)) for (lo, hi) in roi)
     if len(roi) != grid.dim:
         raise InvalidArgumentError("roi must give (lo, hi) bounds per axis")
     for (lo, hi), n in zip(roi, grid.cells):
-        if lo <= 0 or hi >= n or hi - lo <= 2 * rolloff_cells:
+        if lo <= 0 or hi >= n or hi - lo <= 2 * k:
             raise InvalidArgumentError(
                 "roi must be strictly inside the grid and wider than the rolloff")
+    ramp = 0.5 * (1.0 - np.cos(np.pi * (np.arange(k) + 1) / (k + 1)))
     window = np.ones(grid.cells)
     for ax, (lo, hi) in enumerate(roi):
         n = grid.cells[ax]
         w = np.zeros(n)
-        idx = np.arange(lo, hi)
-        w[idx] = 1.0
-        ramp = 0.5 * (1.0 - np.cos(np.pi * (np.arange(rolloff_cells) + 1) / (rolloff_cells + 1)))
-        w[lo:lo + rolloff_cells] = ramp
-        w[hi - rolloff_cells:hi] = ramp[::-1]
+        w[lo:hi] = 1.0
+        w[lo:lo + k] = ramp
+        w[hi - k:hi] = ramp[::-1]
         shape = [1] * grid.dim
         shape[ax] = n
         window = window * w.reshape(shape)
     windowed = [ScalarField(grid, fld.values * window) for fld in scan.fields]
     wscan = ConeScanData(grid, windowed, scan.apertures)
-    rec = invert_multiplier(wscan, v, eps, check_margin=check_margin)
+    rec = invert_multiplier(wscan, v, eps)
     mask = np.zeros(grid.cells, dtype=bool)
-    mask[tuple(slice(lo + rolloff_cells, hi - rolloff_cells) for (lo, hi) in roi)] = True
+    mask[tuple(slice(lo + k, hi - k) for (lo, hi) in roi)] = True
     return RoiReconstruction(field=rec, mask=mask)

@@ -1,7 +1,10 @@
 """End-to-end experiment orchestration and file emission.
 
 Runs and CLI verbs compose the same private stages, each of which parses
-the config values it uses when it starts.  Each stage's wall time goes into
+the config values it uses when it starts, with two exceptions that refuse
+a bad value before any work: a verb parses recon.method before its first
+stage, and the setup stage parses the cone set and run.spot_checks before
+the weight solve.  Each stage's wall time goes into
 the report as `wall_clock.<stage>` (setup, gate, scan, spot_check, noise,
 reconstruct, emit); report lines starting with `wall_clock` are the only
 ones that differ between repeated runs.
@@ -16,13 +19,13 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import ltfio
-from .algebraic import (NoiseModel, apply_noise, compose, lsqr,
-                        lsqr_stop_reason, parametrix_preconditioner,
-                        relative_error, scan_linear_map)
+from .algebraic import (apply_noise, compose, lsqr, lsqr_stop_reason,
+                        parametrix_preconditioner, relative_error,
+                        scan_linear_map)
 from .config import (_bool, _float, _int, build_apertures, build_grid,
                      build_medium, build_phantom_spec, derive_seed)
-from .diffusion import (BoundaryField, assemble_operator, solve_adjoint_weight,
-                        V_FLOOR_FRACTION)
+from .diffusion import (BoundaryField, _floored_weight, assemble_operator,
+                        solve_adjoint_weight)
 from .errors import ConfigError, InvalidArgumentError, StabilityViolationError
 from .excitation import (ConeConvolution, ConeScanData, Sinogram,
                          full_physics_measurements, simulate_boundary_scan,
@@ -121,12 +124,6 @@ def _diffusion(cfg, grid, report):
     return op, h, v
 
 
-def _setup(cfg, report):
-    """Phantom, diffusion operator, boundary datum h and adjoint weight v."""
-    truth = _phantom(cfg)
-    return (truth,) + _diffusion(cfg, truth.grid, report)
-
-
 def _stability(apertures, report):
     """Ellipticity diagnostics of a cone set into `report`; returns the margin."""
     rep = ellipticity_margin(apertures)
@@ -162,13 +159,12 @@ def _cone_scan(truth, v, apertures, report):
     return simulate_boundary_scan(truth, v, apertures, conv=conv), conv
 
 
-def _spot_check(cfg, op, h, truth, clean, report):
-    """Full-physics solves at a few focus points against the clean scan's
-    first cone: the fast path's check through reciprocity."""
+def _spot_points(cfg, grid):
+    """The run.spot_checks cell indices of the spot check: a lattice over
+    the middle half of the first two axes, mid-grid on the third."""
     n_checks = _int(cfg, "run.spot_checks")
     if n_checks < 1:
         raise ConfigError(f"run.spot_checks must be >= 1, got {n_checks}")
-    grid = truth.grid
     span = min(3 * n // 4 - n // 4 + 1 for n in grid.cells[:2])
     if n_checks > span ** 2:  # a longer side than `span` repeats points
         raise ConfigError(f"run.spot_checks must be <= {span ** 2}, the "
@@ -176,8 +172,13 @@ def _spot_check(cfg, op, h, truth, clean, report):
     side = int(np.ceil(np.sqrt(n_checks)))
     idx = [np.linspace(n // 4, 3 * n // 4, side, dtype=int) for n in grid.cells[:2]]
     mid = tuple(n // 2 for n in grid.cells[2:])
-    points = [(i, j) + mid for i in idx[0] for j in idx[1]][:n_checks]
-    centers = grid.centers()
+    return [(i, j) + mid for i in idx[0] for j in idx[1]][:n_checks]
+
+
+def _spot_check(op, h, truth, clean, points, report):
+    """Full-physics solves at the `_spot_points` foci against the clean
+    scan's first cone: the fast path's check through reciprocity."""
+    centers = truth.grid.centers()
     full = full_physics_measurements(op, h, truth, clean.apertures[0],
                                      [centers[p] for p in points])
     fast = clean.fields[0].values
@@ -213,10 +214,9 @@ def _noise(cfg, pairs, report):
         raise ConfigError(f"run.seed must be >= 0, got {seed}")
     report["noise.applied"] = "true"
     report["noise.photons"] = f"{kappa:g}"
-    return [apply_noise(NoiseModel(photons_per_unit=kappa,
-                                   seed=derive_seed(seed, stream)),
-                        np.where(values > NOISE_FLOOR_FRACTION * np.max(values),
-                                 values, 0.0))
+    return [apply_noise(np.where(values > NOISE_FLOOR_FRACTION * np.max(values),
+                                 values, 0.0),
+                        kappa, derive_seed(seed, stream))
             for values, stream in pairs]
 
 
@@ -247,16 +247,21 @@ def _recorded_noise(cfg, data):
     return {**cfg, **data.noise}
 
 
-def _reconstruct(cfg, data, v, conv, report):
-    """Invert cone data by recon.method with `conv`, the cone operator of
-    the data's apertures on the grid of v; returns (fields, history).  The
-    multiplier runs unchecked: callers `_gate` the cone set.  LSQR runs on
-    A M, M the parametrix preconditioner, and stops once the residual norm
-    is down to the noise, sqrt(sum b / noise.photons) for Poisson data b
-    (the discrepancy principle)."""
+def _recon_method(cfg):
+    """recon.method, refused unless it is multiplier, lsqr or both."""
     method = cfg["recon.method"]
     if method not in ("multiplier", "lsqr", "both"):
         raise ConfigError(f"recon.method must be multiplier|lsqr|both, got {method!r}")
+    return method
+
+
+def _reconstruct(cfg, method, data, v, conv, report):
+    """Invert cone data by `method` (`_recon_method`) with `conv`, the cone
+    operator of the data's apertures on the grid of v; returns (fields,
+    history).  The multiplier runs unchecked: callers `_gate` the cone set.
+    LSQR runs on A M, M the parametrix preconditioner, and stops once the
+    residual norm is down to the noise, sqrt(sum b / noise.photons) for
+    Poisson data b (the discrepancy principle)."""
     eps = _float(cfg, "recon.eps")
     max_iters = _int(cfg, "recon.lsqr_iters")
     atol = _float(cfg, "recon.lsqr_atol")
@@ -290,9 +295,10 @@ def _reconstruct(cfg, data, v, conv, report):
     return fields, history
 
 
-def _emit(cfg, outdir, t0, report, fields, **files):
+def _emit(cfg, t0, report, fields, **files):
     """Errors of the reconstructions against the truth, the config echo and
-    the wall clock into the report, then every output file."""
+    the wall clock into the report, then every output file into
+    run.output_dir."""
     recons = [(name[len("recon_"):], fld) for name, fld in fields.items()
               if name.startswith("recon_")]
     if "truth" in fields and recons:
@@ -303,32 +309,35 @@ def _emit(cfg, outdir, t0, report, fields, **files):
             report[f"error.{method}.absolute"] = f"{absolute:.6f}"
     report.update((f"config.{key}", val) for key, val in cfg.items())
     report["wall_clock_seconds"] = f"{time.perf_counter() - t0:.3f}"
-    emit_outputs(outdir or cfg["run.output_dir"], fields, report, **files)
+    emit_outputs(cfg["run.output_dir"], fields, report, **files)
     return report
 
 
-def run_xmlt(cfg, outdir=None):
+def run_xmlt(cfg):
     """Full cone-excitation (XMLT) experiment: simulate, invert, report."""
     t0 = time.perf_counter()
+    method = _recon_method(cfg)
     report = {}
     with _timed(report, "setup"):
-        truth, op, h, v = _setup(cfg, report)
-    apertures = build_apertures(cfg, truth.grid.dim)
+        truth = _phantom(cfg)
+        apertures = build_apertures(cfg, truth.grid.dim)
+        points = _spot_points(cfg, truth.grid)
+        op, h, v = _diffusion(cfg, truth.grid, report)
     with _timed(report, "gate"):
         _gate(cfg, apertures, report)
     with _timed(report, "scan"):
         clean, conv = _cone_scan(truth, v, apertures, report)
     with _timed(report, "spot_check"):
-        _spot_check(cfg, op, h, truth, clean, report)
+        _spot_check(op, h, truth, clean, points, report)
     with _timed(report, "noise"):
         data = _noisy_scan(cfg, clean, report)
     with _timed(report, "reconstruct"):
-        fields, history = _reconstruct(cfg, data, v, conv, report)
-    return _emit(cfg, outdir, t0, report, {"truth": truth, "weight": v, **fields},
+        fields, history = _reconstruct(cfg, method, data, v, conv, report)
+    return _emit(cfg, t0, report, {"truth": truth, "weight": v, **fields},
                  scan=data, history=history)
 
 
-def run_xlct(cfg, outdir=None):
+def run_xlct(cfg):
     """Full line-excitation (XLCT) experiment: sinogram, FBP, divide by weight."""
     t0 = time.perf_counter()
     report = {}
@@ -354,10 +363,9 @@ def run_xlct(cfg, outdir=None):
         sino = Sinogram(angles, offsets, values)
     with _timed(report, "reconstruct"):
         filt = FbpFilter(kind=cfg["recon.filter"], cutoff=_float(cfg, "recon.cutoff"))
-        v_floor = V_FLOOR_FRACTION * float(np.max(v.values))
-        rec = divide_by_weight(fbp(sino, grid, filt), v, v_floor)
-    report["weight.max_inverse"] = f"{1.0 / max(float(np.min(v.values)), v_floor):.6e}"
-    return _emit(cfg, outdir, t0, report,
+        rec = divide_by_weight(fbp(sino, grid, filt), v)
+    report["weight.max_inverse"] = f"{1.0 / float(np.min(_floored_weight(v))):.6e}"
+    return _emit(cfg, t0, report,
                  {"truth": truth, "weight": v, "recon_fbp": rec}, sinogram=sino)
 
 
@@ -367,7 +375,7 @@ def phantom(cfg):
     report = {}
     with _timed(report, "setup"):
         truth = _phantom(cfg)
-    return _emit(cfg, None, t0, report, {"truth": truth})
+    return _emit(cfg, t0, report, {"truth": truth})
 
 
 def weight(cfg):
@@ -375,8 +383,8 @@ def weight(cfg):
     t0 = time.perf_counter()
     report = {}
     with _timed(report, "setup"):
-        _, _, _, v = _setup(cfg, report)
-    return _emit(cfg, None, t0, report, {"weight": v})
+        _, _, v = _diffusion(cfg, _phantom(cfg).grid, report)
+    return _emit(cfg, t0, report, {"weight": v})
 
 
 def scan(cfg):
@@ -384,19 +392,20 @@ def scan(cfg):
     t0 = time.perf_counter()
     report = {}
     with _timed(report, "setup"):
-        truth, _, _, v = _setup(cfg, report)
+        truth = _phantom(cfg)
+        apertures = build_apertures(cfg, truth.grid.dim)
+        _, _, v = _diffusion(cfg, truth.grid, report)
     with _timed(report, "scan"):
-        clean, _ = _cone_scan(truth, v, build_apertures(cfg, truth.grid.dim),
-                              report)
+        clean, _ = _cone_scan(truth, v, apertures, report)
     with _timed(report, "noise"):
         data = _noisy_scan(cfg, clean, report)
-    return _emit(cfg, None, t0, report, {"truth": truth, "weight": v},
-                 scan=data)
+    return _emit(cfg, t0, report, {"truth": truth, "weight": v}, scan=data)
 
 
 def reconstruct(cfg):
     """The `reconstruct` verb: invert the scan and weight that `scan` wrote."""
     t0 = time.perf_counter()
+    method = _recon_method(cfg)
     outdir = cfg["run.output_dir"]
     manifest = os.path.join(outdir, "scan_manifest.txt")
     weight_path = os.path.join(outdir, "weight.ltf")
@@ -409,12 +418,12 @@ def reconstruct(cfg):
         v = ltfio.read_field(weight_path)
         cfg = _recorded_noise(cfg, data)
     with _timed(report, "reconstruct"):
-        if cfg["recon.method"] in ("multiplier", "both"):
+        if method != "lsqr":
             _gate(cfg, data.apertures, report)
         conv = ConeConvolution(data.apertures, v.grid)
         report["scan.distinct_apertures"] = str(len(conv.spectra))
-        fields, history = _reconstruct(cfg, data, v, conv, report)
-    return _emit(cfg, outdir, t0, report, fields, history=history)
+        fields, history = _reconstruct(cfg, method, data, v, conv, report)
+    return _emit(cfg, t0, report, fields, history=history)
 
 
 def check_stability(cfg):

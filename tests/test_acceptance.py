@@ -77,7 +77,7 @@ def test_criterion_02_closed_form_weights():
     med = tissue()
     worst = 0.0
     for n_dim, closed in ((2, radial_weight_disk), (3, radial_weight_ball)):
-        r, v = radial_ode_solve(med, 10.0, n_dim, 1.0, points=20000)
+        r, v = radial_ode_solve(med, 10.0, n_dim, 1.0)
         h = closed(med, 10.0, 10.0)[1]
         ref = np.array([closed(med, 10.0, ri)[0] for ri in r]) / h
         worst = max(worst, float(np.max(np.abs(v - ref) / np.abs(ref))))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lumitomo import algebraic, pipeline
-from lumitomo.algebraic import (LinearMap, NoiseModel, apply_noise, compose,
+from lumitomo.algebraic import (LinearMap, apply_noise, compose,
                                 lsqr, lsqr_stop_reason,
                                 parametrix_preconditioner, relative_error,
                                 scan_linear_map)
@@ -214,7 +214,8 @@ def plain_capped_lsqr(data, v, conv, max_iters=200, atol=1e-8):
 def default_scene():
     """Truth, weight, cone operator and clean scan of the default run."""
     cfg = load_config()
-    truth, _, _, v = pipeline._setup(cfg, {})
+    truth = pipeline._phantom(cfg)
+    _, _, v = pipeline._diffusion(cfg, truth.grid, {})
     clean, conv = pipeline._cone_scan(
         truth, v, build_apertures(cfg, truth.grid.dim), {})
     return truth, v, conv, clean
@@ -290,7 +291,8 @@ class TestParametrixPreconditioner:
                                  f"run.seed={seed}", "recon.method=lsqr"])
         report = {}
         data = pipeline._noisy_scan(cfg, clean, report)
-        fields, _ = pipeline._reconstruct(cfg, data, v, conv, report)
+        fields, _ = pipeline._reconstruct(cfg, "lsqr", data, v, conv,
+                                              report)
         assert report["lsqr.stop_reason"] == "discrepancy"
         error = relative_error(truth, fields["recon_lsqr"], 0.5)[1]
         reference = relative_error(truth, plain_capped_lsqr(data, v, conv),
@@ -300,35 +302,33 @@ class TestParametrixPreconditioner:
 
 class TestNoise:
     def test_deterministic_for_fixed_seed(self):
-        model = NoiseModel(photons_per_unit=1e4, seed=77)
         data = np.linspace(0.0, 5.0, 100)
-        a = apply_noise(model, data)
-        b = apply_noise(model, data)
+        a = apply_noise(data, 1e4, 77)
+        b = apply_noise(data, 1e4, 77)
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         data = np.linspace(0.1, 5.0, 100)
-        a = apply_noise(NoiseModel(1e4, seed=1), data)
-        b = apply_noise(NoiseModel(1e4, seed=2), data)
+        a = apply_noise(data, 1e4, 1)
+        b = apply_noise(data, 1e4, 2)
         assert not np.array_equal(a, b)
 
     def test_relative_fluctuation_scales_with_photons(self):
         data = np.full(4000, 2.0)
-        lo = apply_noise(NoiseModel(1e2, seed=0), data)
-        hi = apply_noise(NoiseModel(1e6, seed=0), data)
+        lo = apply_noise(data, 1e2, 0)
+        hi = apply_noise(data, 1e6, 0)
         assert np.std(hi) < 0.2 * np.std(lo)
         # unbiased to sampling accuracy
         assert np.mean(hi) == pytest.approx(2.0, rel=1e-3)
 
     def test_negative_data_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            apply_noise(NoiseModel(1e4, seed=0), np.array([1.0, -0.1]))
+            apply_noise(np.array([1.0, -0.1]), 1e4, 0)
 
     def test_invalid_model(self):
-        with pytest.raises(InvalidArgumentError):
-            NoiseModel(photons_per_unit=0.0, seed=0)
-        with pytest.raises(InvalidArgumentError):
-            NoiseModel(photons_per_unit=1e4, seed=0, kind="gaussian")
+        for photons in (0.0, -1e4, np.nan):
+            with pytest.raises(InvalidArgumentError):
+                apply_noise(np.ones(3), photons, 0)
 
 
 class TestRelativeError:

@@ -17,7 +17,7 @@ from lumitomo.config import (DEFAULTS, build_apertures, derive_seed,
 from lumitomo.errors import (ConfigError, EmptyMaskError,
                              InvalidOperatorError, SolverFailureError,
                              UndefinedDirectionError)
-from lumitomo.fields import ScalarField
+from lumitomo.fields import ScalarField, derived_optics, robin_coefficient
 from lumitomo.ltfio import read_field, write_field
 
 
@@ -163,7 +163,9 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "truth.ltf").exists()
 
-    def test_zero_spot_checks_is_config_error(self, tmp_path, capsys):
+    def test_zero_spot_checks_is_config_error(self, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setattr(pipeline, "solve_adjoint_weight", _no_weight_solve)
         assert main(small_args("run-xmlt", tmp_path, "run.spot_checks=0")) == 2
         assert "run.spot_checks must be >= 1" in capsys.readouterr().err
 
@@ -173,9 +175,35 @@ class TestExitCodes:
         def no_solve(*args):
             raise AssertionError("spot-check solve before the refusal")
         monkeypatch.setattr(pipeline, "full_physics_measurements", no_solve)
+        monkeypatch.setattr(pipeline, "solve_adjoint_weight", _no_weight_solve)
         assert main(small_args("run-xmlt", tmp_path, "grid.cells=16,16",
                                "run.spot_checks=82")) == 2
         assert "run.spot_checks must be <= 81" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["run-xmlt", "scan"])
+    def test_zero_cones_refused_before_the_weight_solve(
+            self, tmp_path, capsys, monkeypatch, verb):
+        monkeypatch.setattr(pipeline, "solve_adjoint_weight", _no_weight_solve)
+        assert main(small_args(verb, tmp_path, "cones.count=0")) == 2
+        err = capsys.readouterr().err
+        assert "cones.count must be >= 1" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("verb", ["run-xmlt", "reconstruct"])
+    def test_unknown_recon_method_refused_before_the_first_stage(
+            self, tmp_path, capsys, monkeypatch, verb):
+        if verb == "reconstruct":
+            assert main(small_args("scan", tmp_path)) == 0
+            capsys.readouterr()
+        monkeypatch.setattr(pipeline, "solve_adjoint_weight", _no_weight_solve)
+
+        def no_kernel(ap, grid):
+            raise AssertionError("cone kernel built before the refusal")
+        monkeypatch.setattr(excitation, "cone_kernel", no_kernel)
+        assert main(small_args(verb, tmp_path, "recon.method=fbp")) == 2
+        err = capsys.readouterr().err
+        assert "recon.method must be multiplier|lsqr|both" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_spot_checks_fill_the_lattice_without_repeats(self, tmp_path,
                                                           monkeypatch):
@@ -267,6 +295,24 @@ class TestVerbs:
         assert (tmp_path / "truth.pgm").exists()
         assert (tmp_path / "truth_slice.csv").exists()
         assert (tmp_path / "report.txt").exists()
+
+    def test_medium_overrides_of_the_derived_values(self, tmp_path, capsys):
+        # medium.D and medium.A set to what the defaults derive give the
+        # same weight, byte for byte; zero values are refused
+        _, D = derived_optics(*(float(DEFAULTS[f"medium.{key}"])
+                                for key in ("mu_a", "mu_s", "g")))
+        A = robin_coefficient(float(DEFAULTS["medium.refractive_index"]))
+        assert main(small_args("weight", tmp_path / "derived")) == 0
+        assert main(small_args("weight", tmp_path / "set", f"medium.D={D!r}",
+                               f"medium.A={A!r}")) == 0
+        assert ((tmp_path / "set" / "weight.ltf").read_bytes()
+                == (tmp_path / "derived" / "weight.ltf").read_bytes())
+        for item in ("medium.D=0", "medium.A=0"):
+            capsys.readouterr()
+            assert main(small_args("weight", tmp_path / "bad", item)) == 2
+            err = capsys.readouterr().err
+            assert "bad medium spec" in err
+            assert len(err.strip().splitlines()) == 1
 
     def test_weight_writes_positive_weight(self, tmp_path):
         assert main(small_args("weight", tmp_path)) == 0
@@ -412,18 +458,21 @@ class TestVerbs:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "contradicts" in err
 
-    def test_zero_weight_refused_by_lsqr(self, tmp_path, capsys):
-        # the preconditioner divides by the weight: an all-zero weight file
-        # exits 2 with one line, as it does for the multiplier
+    def test_weight_positive_nowhere_refused_by_every_method(self, tmp_path,
+                                                              capsys):
+        # every method divides by the floored weight: an all-zero or a
+        # negated weight file exits 2 with one line
         assert main(small_args("scan", tmp_path)) == 0
         v = read_field(tmp_path / "weight.ltf")
-        write_field(tmp_path / "weight.ltf",
-                    ScalarField(v.grid, np.zeros(v.grid.cells)))
-        capsys.readouterr()
-        assert main(small_args("reconstruct", tmp_path,
-                               "recon.method=lsqr")) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "weight" in err
+        for bad in (np.zeros(v.grid.cells), -v.values):
+            write_field(tmp_path / "weight.ltf", ScalarField(v.grid, bad))
+            for method in ("multiplier", "lsqr", "both"):
+                capsys.readouterr()
+                assert main(small_args("reconstruct", tmp_path,
+                                       f"recon.method={method}")) == 2
+                err = capsys.readouterr().err
+                assert err.count("\n") == 1
+                assert "the weight v must be positive somewhere" in err
 
     @pytest.mark.parametrize("photons", ["0", "-1e3"])
     def test_non_positive_photons_refused_by_reconstruct(self, tmp_path,
@@ -545,6 +594,10 @@ class TestVerbs:
         ref = noisy(roundoff)
         for perturbation in (-roundoff, roundoff + ulp, roundoff - ulp, 0.0):
             assert np.array_equal(noisy(perturbation), ref)
+
+
+def _no_weight_solve(op, h):
+    raise AssertionError("weight solved before the refusal")
 
 
 def _report(outdir):

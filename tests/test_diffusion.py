@@ -304,7 +304,7 @@ def test_non_finite_rhs_norm_is_refused(grid64, tissue_medium, scale, bad):
 
 
 def test_closed_form_disk_matches_ode(tissue_medium):
-    r, v = radial_ode_solve(tissue_medium, 10.0, 2, 1.0, points=20000)
+    r, v = radial_ode_solve(tissue_medium, 10.0, 2, 1.0)
     h = radial_weight_disk(tissue_medium, 10.0, 10.0)[1]
     closed = np.array([radial_weight_disk(tissue_medium, 10.0, ri)[0]
                        for ri in r]) / h
@@ -312,7 +312,7 @@ def test_closed_form_disk_matches_ode(tissue_medium):
 
 
 def test_closed_form_ball_matches_ode(tissue_medium):
-    r, v = radial_ode_solve(tissue_medium, 10.0, 3, 1.0, points=20000)
+    r, v = radial_ode_solve(tissue_medium, 10.0, 3, 1.0)
     h = radial_weight_ball(tissue_medium, 10.0, 10.0)[1]
     closed = np.array([radial_weight_ball(tissue_medium, 10.0, ri)[0]
                        for ri in r]) / h

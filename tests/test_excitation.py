@@ -852,7 +852,8 @@ class TestFullPhysicsReference:
             return got
 
         monkeypatch.setattr(pipeline, "full_physics_measurements", checked)
-        pipeline._spot_check(cfg, op, h, truth, clean, {})
+        pipeline._spot_check(op, h, truth, clean,
+                              pipeline._spot_points(cfg, truth.grid), {})
         assert calls == [9]
 
     @pytest.mark.parametrize("items,foci", [
@@ -901,7 +902,8 @@ class TestFullPhysicsReference:
 
         monkeypatch.setattr(excitation, "solve_forward", counted_solve)
         monkeypatch.setattr(pipeline, "full_physics_measurements", kept)
-        pipeline._spot_check(cfg, op, h, truth, clean, {})
+        pipeline._spot_check(op, h, truth, clean,
+                              pipeline._spot_points(cfg, truth.grid), {})
         (got,) = measured
         assert got.size == 100 and len(solved) == 63
         assert np.count_nonzero(got) == 63

@@ -130,14 +130,25 @@ def test_divide_by_weight_plain():
     g = make_grid(2, (0, 0), (1, 1), (8, 8))
     num = ScalarField.full(g, 6.0)
     den = ScalarField.full(g, 2.0)
-    out = divide_by_weight(num, den, v_floor=1e-6)
+    out = divide_by_weight(num, den)
     assert np.allclose(out.values, 3.0)
 
 
 def test_divide_by_weight_warns_on_degenerate_support():
+    # a mixed-sign weight: non-positive on half the support, floored at
+    # 1e-6 of its maximum there
     g = make_grid(2, (0, 0), (1, 1), (8, 8))
     num = ScalarField.full(g, 1.0)
-    den = ScalarField(g, np.full(g.cells, -1.0))
+    w = np.full(g.cells, 2.0)
+    w[:4] = -1.0
     with pytest.warns(WeightDegeneracyWarning):
-        out = divide_by_weight(num, den, v_floor=1e-3)
-    assert np.all(np.isfinite(out.values))
+        out = divide_by_weight(num, ScalarField(g, w))
+    assert np.all(out.values[:4] == 1.0 / 2e-6)
+    assert np.all(out.values[4:] == 0.5)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_divide_by_weight_refuses_a_weight_positive_nowhere(value):
+    g = make_grid(2, (0, 0), (1, 1), (8, 8))
+    with pytest.raises(InvalidArgumentError, match="positive somewhere"):
+        divide_by_weight(ScalarField.full(g, 1.0), ScalarField.full(g, value))
