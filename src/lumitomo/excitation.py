@@ -19,6 +19,8 @@ PDE chain per focus point, and the two agree through reciprocity.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -135,7 +137,11 @@ def _kernel_samples(ap: Aperture, grid: Grid, d, self_weight):
     """Midpoint kernel a(d/|d|) / |d|^{n-1} at offsets d (shape (..., dim)),
     with `self_weight` (`_self_cell_weight`, which callers compute once per
     aperture and grid) wherever |d| < 0.49 * min(spacing)."""
-    r = np.sqrt(np.sum(d * d, axis=-1))
+    # the bits of np.sum(d * d, axis=-1), without its slow short reduction
+    r2 = d[..., 0] * d[..., 0]
+    for a in range(1, d.shape[-1]):
+        r2 += d[..., a] * d[..., a]
+    r = np.sqrt(r2)
     near = r < 0.49 * min(grid.spacing)
     r_safe = np.where(near, 1.0, r)
     cosang = np.tensordot(d, np.asarray(ap.axis), axes=([-1], [0])) / r_safe
@@ -145,19 +151,35 @@ def _kernel_samples(ap: Aperture, grid: Grid, d, self_weight):
 
 
 def cone_kernel(ap: Aperture, grid: Grid):
-    """Midpoint kernel table over lattice offsets, shape (2n-1, ...).
+    """Midpoint kernel over the lattice offsets of up to n-1 cells per axis,
+    wrapped onto a circular grid of 2n cells per axis: offset k (in cells)
+    at index k mod 2n, so the zero offset is at index 0 and the entries at
+    offset n, which no pair of cells reaches, are 0.
 
     The kernel is even, K(-d) = K(d), bit for bit: r is a sum of squares,
     the cosine to the axis only changes sign and `profile` takes its
     magnitude.  So it is sampled at the offsets whose first component is
-    <= 0, and the rows with first component > 0 are those rows mirrored
-    through the zero offset.
+    <= 0, and the entries with first component > 0 are those samples
+    mirrored through the zero offset.
     """
-    offsets = [np.arange(-(n - 1), n) * h for n, h in zip(grid.cells, grid.spacing)]
-    offsets[0] = offsets[0][:grid.cells[0]]
+    cells = grid.cells
+    offsets = [np.arange(-(n - 1), n) * h for n, h in zip(cells, grid.spacing)]
+    offsets[0] = offsets[0][:cells[0]]
     d = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1)
     half = _kernel_samples(ap, grid, d, _self_cell_weight(ap, grid))
-    return np.concatenate([half, np.flip(half[:-1])])
+    n0 = cells[0]
+    mirror = np.flip(half[:-1])
+    K = np.zeros(tuple(2 * n for n in cells))
+    # on each later axis, the circular cells of the offsets >= 0 and < 0
+    # and the table's entries for them
+    pairs = [((slice(0, n), slice(n - 1, 2 * n - 1)),
+              (slice(n + 1, 2 * n), slice(0, n - 1))) for n in cells[1:]]
+    for block in itertools.product(*pairs):
+        dst, src = zip(*block)
+        K[(slice(n0 + 1, 2 * n0),) + dst] = half[(slice(0, n0 - 1),) + src]
+        K[(0,) + dst] = half[(n0 - 1,) + src]
+        K[(slice(1, n0),) + dst] = mirror[(slice(None),) + src]
+    return K
 
 
 def _aperture_groups(apertures):
@@ -202,6 +224,13 @@ class ConeConvolution:
     to its row of `spectra`), so each distinct aperture costs one inverse
     FFT in `forward` and one forward FFT in `adjoint`.  A run builds one and
     hands it to the scan, the multiplier and LSQR (their `conv` argument).
+
+    The FFTs write into work arrays, made anew by every call, except inside
+    `with conv.reusing_buffers():`, where calls reuse one set (an iterative
+    solver's loop).  That set lives only while the block runs and is
+    dropped on exit, also on an exception.  The block is not reentrant and
+    not thread-safe.  No method returns a work array, and no result's bytes
+    depend on the block.
     """
 
     def __init__(self, apertures, grid: Grid):
@@ -214,16 +243,17 @@ class ConeConvolution:
         self.grid = grid
         self.cells = tuple(grid.cells)
         self.shape = tuple(2 * n for n in self.cells)
-        self.axes = tuple(range(grid.dim))
         distinct, group = _aperture_groups(apertures)
         self.group = np.array(group, dtype=np.intp)
-        wrap = np.ix_(*[np.arange(-(n - 1), n) % (2 * n) for n in self.cells])
-        spectra = []
-        for ap in distinct:
-            K = np.zeros(self.shape)
-            K[wrap] = cone_kernel(ap, grid)
-            spectra.append(np.fft.rfftn(K, axes=self.axes).real)
-        self.spectra = np.stack(spectra)
+        # the rows of `forward`'s result that each distinct aperture fills
+        self._rows = [np.flatnonzero(self.group == i).tolist()
+                      for i in range(len(distinct))]
+        self._half = self.shape[:-1] + (self.shape[-1] // 2 + 1,)
+        self._buffers = None
+        self.spectra = np.stack([
+            self._spectrum(cone_kernel(ap, grid),
+                           np.empty(self._half, complex)).real
+            for ap in distinct])
 
     def check(self, apertures, grid: Grid):
         """Raise InvalidArgumentError unless this is the operator of
@@ -232,24 +262,69 @@ class ConeConvolution:
             raise InvalidArgumentError(
                 "conv must be the ConeConvolution of the same apertures and grid")
 
-    def _inverse(self, X, start=None):
-        """irfftn of a half spectrum, cropped to n cells per axis from
-        `start` (0 by default); each complex pass is cropped before the
-        next, so later passes transform half as many lines."""
+    @contextlib.contextmanager
+    def reusing_buffers(self):
+        """Within the block, calls reuse one set of FFT work arrays."""
+        if self._buffers is not None:
+            raise RuntimeError("reusing_buffers is not reentrant")
+        self._buffers = {}
+        try:
+            yield
+        finally:
+            self._buffers = None
+
+    def _work(self, name, shape, dtype):
+        """An uninitialised array, inside `reusing_buffers` the one cached
+        under this key; the methods share the names "X", "Y" (half spectra),
+        "real" and "summed"."""
+        if self._buffers is None:
+            return np.empty(shape, dtype)
+        key = (name, shape, dtype)
+        if key not in self._buffers:
+            self._buffers[key] = np.empty(shape, dtype)
+        return self._buffers[key]
+
+    def _spectrum(self, g, out):
+        """rfftn of g zero-padded to the circular grid (or already its
+        shape) into `out`, a half spectrum, bit for bit: np.fft.rfftn's
+        passes in its order, the rfft into the corner block of `out` and
+        the complex passes in place over the zero-padded lines."""
+        lead = tuple(slice(0, m) for m in g.shape[:-1])
+        np.fft.rfft(g, self.shape[-1], axis=-1, out=out[lead])
+        for ax, m in enumerate(g.shape[:-1]):
+            out[lead[:ax] + (slice(m, None),)] = 0.0
+        for ax in range(len(lead) - 1, -1, -1):
+            X = out[lead[:ax]]
+            np.fft.fft(X, axis=ax, out=X)
+        return out
+
+    def _inverse(self, X, out, start=None):
+        """irfftn of the half spectrum X (overwritten) cropped to n cells per
+        axis from `start` (0 by default), into `out`; each complex pass is
+        made in place and cropped before the next, so later passes
+        transform half as many lines."""
         start = start or (0,) * len(self.cells)
         crop = [slice(k, k + n) for k, n in zip(start, self.cells)]
         for i in range(len(crop) - 1):
-            X = np.fft.ifft(X, axis=i)[(slice(None),) * i + (crop[i],)]
-        return np.fft.irfft(X, self.shape[-1], axis=-1)[..., crop[-1]]
+            np.fft.ifft(X, axis=i, out=X)
+            X = X[(slice(None),) * i + (crop[i],)]
+        R = np.fft.irfft(X, self.shape[-1], axis=-1, out=self._work(
+            "real", X.shape[:-1] + (self.shape[-1],), float))
+        out[...] = R[..., crop[-1]]
+        return out
 
     def forward(self, g):
         """Quadrature sums of the source g (grid-shaped), one per aperture
         along a leading axis; one FFT of g serves every aperture, and
         apertures of one group get copies of one inverse FFT."""
-        G = np.fft.rfftn(g, self.shape, axes=self.axes)
+        G = self._spectrum(g, self._work("X", self._half, complex))
+        P = self._work("Y", self._half, complex)
         out = np.empty((len(self.group),) + self.cells)
-        for i, S in enumerate(self.spectra):
-            out[self.group == i] = self._inverse(G * S)
+        for rows, S in zip(self._rows, self.spectra):
+            np.multiply(G, S, out=P)
+            self._inverse(P, out[rows[0]])
+            for j in rows[1:]:
+                out[j] = out[rows[0]]
         return out
 
     def filter(self, g, symbol, start=None):
@@ -257,21 +332,27 @@ class ConeConvolution:
         times `symbol` (a real half spectrum on it, like `spectra`), cropped
         as by `_inverse`: a circular convolution, its own transpose for an
         even symbol and padded g."""
-        return self._inverse(np.fft.rfftn(g, self.shape, axes=self.axes) * symbol,
-                             start)
+        X = self._spectrum(g, self._work("X", self._half, complex))
+        X *= symbol
+        return self._inverse(X, np.empty(self.cells), start)
 
     def adjoint(self, y):
         """Transpose of `forward`: per-aperture fields stacked along a
         leading axis to one grid-shaped field.  The fields of each group
         are added before its FFT, and the spectra are summed before one
         inverse FFT."""
-        summed = np.zeros((len(self.spectra),) + self.cells)
-        for i, yj in zip(self.group, y):
-            summed[i] += yj
-        acc = np.zeros(self.spectra.shape[1:], dtype=complex)
-        for yi, S in zip(summed, self.spectra):
-            acc += np.fft.rfftn(yi, self.shape, axes=self.axes) * S
-        return self._inverse(acc)
+        summed = self._work("summed", self.cells, float)
+        Y = self._work("Y", self._half, complex)
+        acc = self._work("X", self._half, complex)
+        acc.fill(0.0)
+        for rows, S in zip(self._rows, self.spectra):
+            summed.fill(0.0)
+            for j in rows:
+                summed += y[j]
+            self._spectrum(summed, Y)
+            Y *= S
+            acc += Y
+        return self._inverse(acc, np.empty(self.cells))
 
 
 def _nested_offset(field_grid: Grid, focus_grid: Grid):

@@ -179,7 +179,10 @@ def ellipticity_margin(apertures) -> MarginReport:
     dim = apertures[0].dim
     dirs = _direction_samples(
         dim, MARGIN_SAMPLES_2D if dim == 2 else MARGIN_SAMPLES_3D)
-    total = _summed_factor(_distinct_apertures(apertures), dirs)
+    # huge amplitudes overflow to inf (and inf * 0 to nan); both are
+    # refused below, so numpy's warnings would only precede the error
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _summed_factor(_distinct_apertures(apertures), dirs)
     if not np.all(np.isfinite(total)):
         raise InvalidArgumentError(
             "summed angular factor overflows; the aperture amplitudes are too large")

@@ -280,9 +280,10 @@ def _reconstruct(cfg, method, data, v, conv, report):
         stop = (0.0 if kappa is None
                 else np.sqrt(max(float(np.sum(b)), 0.0) / kappa))
         precond = parametrix_preconditioner(conv, v)
-        z, history = lsqr(compose(scan_linear_map(data.apertures, v, conv=conv),
-                                  precond),
-                          b, max_iters=max_iters, atol=atol, stop_residual=stop)
+        with conv.reusing_buffers():
+            z, history = lsqr(
+                compose(scan_linear_map(data.apertures, v, conv=conv), precond),
+                b, max_iters=max_iters, atol=atol, stop_residual=stop)
         x = precond.forward(z)
         if nonneg:
             x = np.maximum(x, 0.0)

@@ -41,6 +41,13 @@ def two_bump_phantom(grid):
     return ScalarField(grid, vals)
 
 
+def centered_table(K):
+    """The kernel table over offsets of up to n-1 cells per axis, zero offset
+    at the centre (shape 2n-1 per axis), of a kernel wrapped onto a circular
+    grid of 2n cells per axis (`cone_kernel`)."""
+    return K[np.ix_(*[np.arange(-(m // 2 - 1), m // 2) % m for m in K.shape])]
+
+
 def fan_apertures(count, half_angle_deg, start_deg=0.0):
     """2D double-cone apertures with axes fanned uniformly over 180 degrees."""
     angles = np.deg2rad(start_deg) + np.arange(count) * (np.pi / count)

@@ -1,6 +1,10 @@
 """Apertures, cone/X-ray transforms, and boundary-scan simulation."""
 
+import contextlib
+import gc
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +13,8 @@ from lumitomo.diffusion import (BoundaryField, assemble_operator,
                                 boundary_flux, boundary_functional,
                                 solve_adjoint_weight, solve_forward)
 from lumitomo import algebraic, excitation, pipeline
-from lumitomo.algebraic import lsqr, scan_linear_map
+from lumitomo.algebraic import (compose, lsqr, parametrix_preconditioner,
+                                scan_linear_map)
 from lumitomo.config import DEFAULTS, build_apertures
 from lumitomo.errors import InvalidArgumentError
 from lumitomo.excitation import (Aperture, ConeConvolution, ConeScanData,
@@ -20,8 +25,8 @@ from lumitomo.excitation import (Aperture, ConeConvolution, ConeScanData,
 from lumitomo.fields import Grid, ScalarField, make_grid
 from lumitomo.multiplier import invert_multiplier
 
-from conftest import (extended_grid, fan_apertures, reference_cg,
-                      two_bump_phantom)
+from conftest import (centered_table, extended_grid, fan_apertures,
+                      reference_cg, two_bump_phantom)
 
 
 def unit(theta):
@@ -133,7 +138,7 @@ class TestConeTransform:
         f = two_bump_phantom(grid64)
         v = ScalarField.full(grid64, 1.0)
         fast = cone_transform(f, v, ap).values
-        K = cone_kernel(ap, grid64)
+        K = centered_table(cone_kernel(ap, grid64))
         g = f.values * grid64.cell_volume
         c = tuple(n - 1 for n in grid64.cells)
         direct = np.zeros_like(fast)
@@ -213,7 +218,7 @@ class TestConeConvolution:
         g = rng.standard_normal(grid.cells)
         y = rng.standard_normal((len(aps),) + grid.cells)
         conv = ConeConvolution(aps, grid)
-        kernels = [cone_kernel(ap, grid) for ap in aps]
+        kernels = [centered_table(cone_kernel(ap, grid)) for ap in aps]
         fwd = conv.forward(g)
         for j, K in enumerate(kernels):
             assert rel_max(fwd[j], pow2_forward(g, K)) <= 1e-12
@@ -227,7 +232,7 @@ class TestConeConvolution:
         v = ScalarField.full(grid64, 0.5)
         g = np.zeros(big.cells)
         g[32:96, 32:96] = f.values * (0.5 * grid64.cell_volume)
-        kernels = [cone_kernel(ap, big) for ap in aps]
+        kernels = [centered_table(cone_kernel(ap, big)) for ap in aps]
         for out, K in zip(cone_transform(f, v, aps, big), kernels):
             assert out.grid == big
             assert rel_max(out.values, pow2_forward(g, K)) <= 1e-12
@@ -292,13 +297,8 @@ class PerConeConvolution:
         self.shape = tuple(2 * n for n in self.cells)
         self.axes = tuple(range(grid.dim))
         self.group = np.arange(len(apertures))
-        wrap = np.ix_(*[np.arange(-(n - 1), n) % (2 * n) for n in self.cells])
-        spectra = []
-        for ap in apertures:
-            K = np.zeros(self.shape)
-            K[wrap] = cone_kernel(ap, grid)
-            spectra.append(np.fft.rfftn(K, axes=self.axes).real)
-        self.spectra = np.stack(spectra)
+        self.spectra = np.stack([np.fft.rfftn(cone_kernel(ap, grid)).real
+                                 for ap in apertures])
 
     def _inverse(self, X):
         for i, n in enumerate(self.cells[:-1]):
@@ -371,8 +371,8 @@ class TestDistinctCones:
         # the stack by group; each group now fills its rows of one array
         g = np.random.default_rng(26).standard_normal(grid.cells)
         conv = ConeConvolution(aps, grid)
-        G = np.fft.rfftn(g, conv.shape, axes=conv.axes)
-        stacked = np.stack([conv._inverse(G * S)
+        G = np.fft.rfftn(g, conv.shape, axes=(0, 1, 2)[:grid.dim])
+        stacked = np.stack([conv._inverse(G * S, np.empty(grid.cells))
                             for S in conv.spectra])[conv.group]
         assert np.array_equal(conv.forward(g), stacked)
 
@@ -413,6 +413,119 @@ class TestDistinctCones:
         assert len(history) == len(history_ref) == 21
         assert rel_max(x, x_ref) <= 1e-6
         assert rel_max(history[-1], history_ref[-1]) <= 1e-6
+
+
+def operator_calls(conv, seed):
+    """forward, adjoint and filter of `conv` on random inputs: filter on a
+    grid-shaped field, and on one of the circular grid's shape cropped from
+    a block offset (the multiplier's extended scan)."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(conv.cells)
+    y = rng.standard_normal((len(conv.group),) + conv.cells)
+    symbol = rng.random(conv.spectra.shape[1:])
+    g2 = rng.standard_normal(conv.shape)
+    start = tuple(n // 2 for n in conv.cells)
+    return [lambda: conv.forward(g), lambda: conv.adjoint(y),
+            lambda: conv.filter(g, symbol),
+            lambda: conv.filter(g2, symbol, start)]
+
+
+class TestWorkspace:
+    """`ConeConvolution.reusing_buffers`: the same bytes from reused FFT work
+    arrays, which never escape and live only while the block runs."""
+
+    @pytest.mark.parametrize("grid,aps,n_distinct", DUPLICATED,
+                             ids=["2d-48x64", "3d-16"])
+    def test_bytes_equal_inside_and_outside_the_block(self, grid, aps,
+                                                      n_distinct):
+        conv = ConeConvolution(aps, grid)
+        calls = operator_calls(conv, 31)
+        outside = [call().tobytes() for call in calls]
+        with conv.reusing_buffers():
+            # twice: the second pass runs on work arrays the first filled
+            for _ in range(2):
+                assert [call().tobytes() for call in calls] == outside
+
+    @pytest.mark.parametrize("grid,aps,n_distinct", DUPLICATED,
+                             ids=["2d-48x64", "3d-16"])
+    def test_results_do_not_change_on_later_calls(self, grid, aps,
+                                                  n_distinct):
+        conv = ConeConvolution(aps, grid)
+        calls = operator_calls(conv, 32)
+        later = operator_calls(conv, 33)
+        with conv.reusing_buffers():
+            results = [call() for call in calls]
+            saved = [r.copy() for r in results]
+            for call in later:
+                call()
+            for r, s in zip(results, saved):
+                assert r.tobytes() == s.tobytes()
+
+    def test_buffers_are_dropped_on_exit_and_on_an_exception(self, grid64):
+        conv = ConeConvolution(fan_apertures(3, 35.0), grid64)
+        forward = operator_calls(conv, 34)[0]
+        for fail in (False, True):
+            with pytest.raises(ZeroDivisionError) if fail else \
+                    contextlib.nullcontext():
+                with conv.reusing_buffers():
+                    forward()
+                    refs = [weakref.ref(b) for b in conv._buffers.values()]
+                    assert refs
+                    if fail:
+                        1 / 0
+            assert conv._buffers is None
+            gc.collect()
+            assert all(ref() is None for ref in refs)
+
+    def test_not_reentrant(self, grid64):
+        conv = ConeConvolution(fan_apertures(3, 35.0), grid64)
+        with conv.reusing_buffers():
+            with pytest.raises(RuntimeError, match="not reentrant"):
+                with conv.reusing_buffers():
+                    pass
+            # the refused entry leaves the outer block's buffers alone
+            assert conv._buffers is not None
+        assert conv._buffers is None
+
+    def test_calls_in_the_block_allocate_only_their_results(self):
+        grid = make_grid(2, (-10, -10), (20, 20), (64, 64))
+        conv = ConeConvolution(build_apertures(DEFAULTS, 2), grid)
+        calls = operator_calls(conv, 35)
+        # the result, numpy's buffer for casting a real spectrum to complex
+        # in a product, and a few views
+        bound = np.getbufsize() * np.dtype(complex).itemsize + 16384
+
+        def peak_over_result(call):
+            tracemalloc.start()
+            try:
+                size = call().nbytes
+                return tracemalloc.get_traced_memory()[1] - size
+            finally:
+                tracemalloc.stop()
+
+        with conv.reusing_buffers():
+            for call in calls:
+                call()
+                assert peak_over_result(call) <= bound
+        # outside the block every call makes its own FFT arrays
+        assert all(peak_over_result(call) > bound for call in calls)
+
+    def test_preconditioned_lsqr_bytes_equal_with_the_block(self):
+        grid = make_grid(2, (-10, -10), (20, 20), (32, 32))
+        aps = build_apertures(DEFAULTS, 2)
+        v = ScalarField(grid, 1.0 + np.random.default_rng(36).random(grid.cells))
+        conv = ConeConvolution(aps, grid)
+        linmap = compose(scan_linear_map(aps, v, conv=conv),
+                         parametrix_preconditioner(conv, v))
+        data = scan_linear_map(aps, v, conv=conv).forward(
+            two_bump_phantom(grid).values.ravel())
+        data += 1e-3 * np.max(data) * np.random.default_rng(37).random(data.size)
+        x, history = lsqr(linmap, data, max_iters=15, atol=0.0)
+        with conv.reusing_buffers():
+            x_ws, history_ws = lsqr(linmap, data, max_iters=15, atol=0.0)
+        assert len(history) == 16
+        assert x_ws.tobytes() == x.tobytes()
+        assert np.asarray(history_ws).tobytes() == np.asarray(history).tobytes()
 
 
 def xray_per_ray(g, angles, offsets):
@@ -654,6 +767,38 @@ def reference_cone_kernel(ap, grid):
     return K
 
 
+def wrapped_table(T):
+    """A (2n-1)-per-axis kernel table copied into a zero circular grid of 2n
+    cells per axis at its offsets modulo 2n, as `ConeConvolution` wrapped
+    `cone_kernel`'s table before the table was written there directly."""
+    cells = tuple((m + 1) // 2 for m in T.shape)
+    K = np.zeros(tuple(2 * n for n in cells))
+    K[np.ix_(*[np.arange(-(n - 1), n) % (2 * n) for n in cells])] = T
+    return K
+
+
+def former_spectra(apertures, grid):
+    """`ConeConvolution.spectra` by their former construction, kept as the
+    reference: per distinct aperture the half table with the radius from
+    np.sum, np.concatenate with its mirror, `wrapped_table` and
+    np.fft.rfftn."""
+    distinct, _ = excitation._aperture_groups(apertures)
+    offsets = [np.arange(-(n - 1), n) * h for n, h in zip(grid.cells, grid.spacing)]
+    offsets[0] = offsets[0][:grid.cells[0]]
+    d = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1)
+    r = np.sqrt(np.sum(d * d, axis=-1))
+    near = r < 0.49 * min(grid.spacing)
+    r_safe = np.where(near, 1.0, r)
+    spectra = []
+    for ap in distinct:
+        cosang = np.tensordot(d, np.asarray(ap.axis), axes=([-1], [0])) / r_safe
+        half = ap.profile(cosang) / r_safe ** (grid.dim - 1)
+        half[near] = excitation._self_cell_weight(ap, grid)
+        K = wrapped_table(np.concatenate([half, np.flip(half[:-1])]))
+        spectra.append(np.fft.rfftn(K, axes=tuple(range(grid.dim))).real)
+    return np.stack(spectra)
+
+
 SAMPLER_CASES = [
     (make_grid(2, (-10, -6), (20, 12), (24, 36)), fan_apertures(3, 35.0)),
     (make_grid(3, (-10, -10, -10), (20, 20, 20), (12, 12, 12)),
@@ -684,8 +829,20 @@ class TestKernelSampler:
     @pytest.mark.parametrize("grid,aps", KERNEL_CASES)
     def test_cone_kernel_is_bit_identical(self, grid, aps):
         for ap in aps:
-            assert np.array_equal(cone_kernel(ap, grid),
-                                  reference_cone_kernel(ap, grid))
+            K = cone_kernel(ap, grid)
+            assert K.shape == tuple(2 * n for n in grid.cells)
+            assert K.tobytes() == wrapped_table(
+                reference_cone_kernel(ap, grid)).tobytes()
+
+    @pytest.mark.parametrize("grid,aps", KERNEL_CASES + [
+        (make_grid(2, (-10, -10), (20, 20), (32, 32)),
+         build_apertures(DEFAULTS, 2)),
+        (make_grid(3, (-10, -10, -10), (20, 20, 20), (12, 12, 12)),
+         build_apertures(DEFAULTS, 3))])
+    def test_spectra_are_bit_identical_to_the_former_construction(self, grid,
+                                                                   aps):
+        assert ConeConvolution(aps, grid).spectra.tobytes() == \
+            former_spectra(aps, grid).tobytes()
 
     @pytest.mark.parametrize("grid,aps", SAMPLER_CASES)
     def test_off_lattice_direct_sums_are_bit_identical(self, grid, aps):

@@ -1,5 +1,7 @@
 """Symbols, ellipticity, parametrix weights, and the explicit inversion."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from lumitomo.multiplier import (angular_factor, ellipticity_margin,
                                  parametrix_weights, roi_reconstruct,
                                  total_symbol_table, visible_direction)
 
-from conftest import extended_grid, fan_apertures, rel_l2, two_bump_phantom
+from conftest import (centered_table, extended_grid, fan_apertures, rel_l2,
+                      two_bump_phantom)
 
 
 def unit(theta):
@@ -340,7 +343,7 @@ def reference_wrapped_kernel_spectrum(apertures, padded_cells, spacing,
     table_cells = tuple(n // 2 + 1 for n in padded_cells)
     extent = tuple(h * c for h, c in zip(spacing, table_cells))
     kgrid = make_grid(dim, (0.0,) * dim, extent, table_cells)
-    Ksum = sum(count * cone_kernel(ap, kgrid)
+    Ksum = sum(count * centered_table(cone_kernel(ap, kgrid))
                for ap, count in multiplier._distinct_apertures(apertures))
     Kc = np.zeros(padded_cells)
     idx = [np.arange(n) - n // 2 for n in padded_cells]
@@ -414,12 +417,23 @@ class TestMargin:
                for t in np.deg2rad(np.arange(10) * 36.0)]
         assert ellipticity_margin(aps).margin > 0
 
+    @staticmethod
+    def _refused_without_warnings(axes):
+        # an infinite summed factor would report margin inf, ratio nan; the
+        # refusal comes with no overflow or invalid-value warning
+        aps = [Aperture(dim=len(ax), axis=ax, half_angle=0.6, amplitude=1e308)
+               for ax in axes]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="overflows"):
+                ellipticity_margin(aps)
+
     def test_overflowing_amplitude_refused(self):
-        # an infinite summed factor would report margin inf, ratio nan
-        aps = [Aperture(dim=2, axis=(np.cos(t), np.sin(t)), half_angle=0.6,
-                        amplitude=1e308) for t in (0.0, 1.0, 2.0)]
-        with pytest.raises(InvalidArgumentError):
-            ellipticity_margin(aps)
+        self._refused_without_warnings(
+            [(np.cos(t), np.sin(t)) for t in (0.0, 1.0, 2.0)])
+
+    def test_overflowing_amplitude_refused_in_3d(self):
+        self._refused_without_warnings([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
 class TestParametrix:
@@ -534,7 +548,8 @@ def reference_filter(conv, g, symbol, start):
     pad = np.zeros(conv.shape)
     pad[tuple(slice(0, n) for n in g.shape)] = g
     crop = tuple(slice(k, k + n) for k, n in zip(start, conv.cells))
-    return np.fft.irfftn(np.fft.rfftn(pad) * symbol, conv.shape, conv.axes)[crop]
+    return np.fft.irfftn(np.fft.rfftn(pad) * symbol, conv.shape,
+                         tuple(range(len(conv.shape))))[crop]
 
 
 def reference_invert(scan, v, eps):
