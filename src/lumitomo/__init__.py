@@ -30,8 +30,8 @@ from .diffusion import (BoundaryField, DiscreteOperator, assemble_operator,
                         radial_weight_ball, radial_weight_disk,
                         reciprocity_residual, solve_adjoint_weight,
                         solve_forward)
-from .excitation import (Aperture, ConeScanData, Sinogram, aperture_eval,
-                         cone_intensity, cone_transform,
+from .excitation import (Aperture, ConeConvolution, ConeScanData, Sinogram,
+                         aperture_eval, cone_intensity, cone_transform,
                          full_physics_measurements, simulate_boundary_scan,
                          xray_transform)
 from .multiplier import (MarginReport, RoiReconstruction, ellipticity_margin,

@@ -41,20 +41,17 @@ class LinearMap:
         return abs(lhs - rhs) / scale
 
 
-def scan_linear_map(apertures, v: ScalarField,
-                    conv: ConeConvolution = None) -> LinearMap:
+def scan_linear_map(conv: ConeConvolution, v: ScalarField) -> LinearMap:
     """Matrix-free fast-mode scan operator f -> stacked per-cone data.
 
-    The apertures' ConeConvolution on the grid of v (`conv`, built when
-    None) with the v * cell-volume weighting: the operator the fast scan
-    applies, so forward and adjoint share one set of real kernel spectra
-    and the dot test holds to machine precision.
+    `conv`, the cone operator on the grid of v, with the v * cell-volume
+    weighting: the operator the fast scan applies, so forward and adjoint
+    share one set of real kernel spectra and the dot test holds to machine
+    precision.
     """
     grid = v.grid
-    if conv is None:
-        conv = ConeConvolution(apertures, grid)
-    else:
-        conv.check(apertures, grid)
+    if conv.grid != grid:
+        raise InvalidArgumentError("conv and v must share a grid")
     vvol = v.values * grid.cell_volume
     stacked = (len(conv.group),) + tuple(grid.cells)
 
@@ -69,7 +66,7 @@ def scan_linear_map(apertures, v: ScalarField,
 
 
 def parametrix_preconditioner(conv: ConeConvolution, v: ScalarField) -> LinearMap:
-    """Right preconditioner of `scan_linear_map(conv.apertures, v, conv)`.
+    """Right preconditioner of `scan_linear_map(conv, v)`.
 
     With V = v * cell volume (v floored by `diffusion._floored_weight`, as
     in every division by the weight) and P = (sum_j S_j^2 + delta^2)^(-1/2)

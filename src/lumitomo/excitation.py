@@ -6,15 +6,14 @@ Double-cone apertures give the focused-beam transform
 
 evaluated by midpoint quadrature with an analytic polar correction at the
 singular self cell.  One private sampler evaluates that kernel at any
-offsets: `cone_kernel` tabulates it over the lattice offsets, and the
-cone sources of the full-physics chain and the direct sums at focus points
-off the field lattice sample it at their own offsets.  On the lattice the
+offsets: `cone_kernel` tabulates it over the lattice offsets, and the cone
+sources of the full-physics chain sample it at their own offsets.  The
 transform is one circular FFT convolution per distinct double cone
-(`ConeConvolution`), whose real half spectra the fast scan, the LSQR
-operator and the multiplier's low-frequency shell share.  Single-line
-excitation gives the parallel-beam sinogram of v * f.  The fast boundary
-scan evaluates the transform directly; `full_physics_measurements` runs the
-PDE chain per focus point, and the two agree through reciprocity.
+(`ConeConvolution`), the one operator through which the fast scan, the
+LSQR operator and the multiplier's low-frequency shell take a cone set and
+its grid.  Single-line excitation gives the parallel-beam sinogram of
+v * f.  `full_physics_measurements` runs the PDE chain per focus point,
+and through reciprocity it agrees with the fast scan.
 """
 
 from __future__ import annotations
@@ -223,7 +222,8 @@ class ConeConvolution:
     are the same double cone share one spectrum (`group` maps each aperture
     to its row of `spectra`), so each distinct aperture costs one inverse
     FFT in `forward` and one forward FFT in `adjoint`.  A run builds one and
-    hands it to the scan, the multiplier and LSQR (their `conv` argument).
+    hands it to the scan, the multiplier and LSQR: their `conv` argument is
+    the only way they take a cone set and its grid.
 
     The FFTs write into work arrays, made anew by every call, except inside
     `with conv.reusing_buffers():`, where calls reuse one set (an iterative
@@ -254,13 +254,6 @@ class ConeConvolution:
             self._spectrum(cone_kernel(ap, grid),
                            np.empty(self._half, complex)).real
             for ap in distinct])
-
-    def check(self, apertures, grid: Grid):
-        """Raise InvalidArgumentError unless this is the operator of
-        `apertures` on `grid`."""
-        if self.grid != grid or self.apertures != tuple(apertures):
-            raise InvalidArgumentError(
-                "conv must be the ConeConvolution of the same apertures and grid")
 
     @contextlib.contextmanager
     def reusing_buffers(self):
@@ -379,44 +372,27 @@ def _nested_offset(field_grid: Grid, focus_grid: Grid):
     return tuple(offs)
 
 
-def cone_transform(f: ScalarField, v: ScalarField, ap,
-                   focus_grid: Grid = None, conv: ConeConvolution = None):
-    """Weighted double-cone transform of f, sampled at focus-grid centers.
+def cone_transform(f: ScalarField, v: ScalarField, conv: ConeConvolution):
+    """Weighted double-cone transform of f, one ScalarField per aperture of
+    `conv`, sampled at the centers of its grid, the focus grid.
 
-    `ap` is one Aperture, giving one ScalarField, or a sequence of them,
-    giving a list of fields.  When the focus grid coincides with the field
-    grid or contains it as an aligned sub-block (e.g. a scan extended past
-    the object support), v*f is embedded in the focus grid and convolved
-    by the apertures' ConeConvolution on the focus grid (`conv`, built when
-    None); otherwise each focus point is a direct vectorized quadrature.
+    The focus grid is the field grid or contains it as an aligned sub-block
+    (e.g. a scan extended past the object support); v*f is embedded in it
+    and convolved by `conv`.  Any other focus grid is refused.
     """
     grid = f.grid
     if v.grid != grid:
         raise InvalidArgumentError("f and v must share a grid")
-    if focus_grid is None:
-        focus_grid = grid
-    apertures = [ap] if isinstance(ap, Aperture) else list(ap)
-    if conv is not None:
-        conv.check(apertures, focus_grid)
-    g = f.values * (v.values * grid.cell_volume)
+    focus_grid = conv.grid
     offs = _nested_offset(grid, focus_grid)
-    if offs is not None:
-        g_emb = np.zeros(focus_grid.cells)
-        g_emb[tuple(slice(k, k + n) for k, n in zip(offs, grid.cells))] = g
-        if conv is None:
-            conv = ConeConvolution(apertures, focus_grid)
-        values = conv.forward(g_emb)
-    else:
-        centers = grid.centers()
-        foci = focus_grid.centers().reshape(-1, grid.dim)
-        values = []
-        for a in apertures:
-            w0 = _self_cell_weight(a, grid)
-            values.append(np.array([
-                np.vdot(_kernel_samples(a, grid, x - centers, w0), g)
-                for x in foci]).reshape(focus_grid.cells))
-    fields = [ScalarField(focus_grid, x) for x in values]
-    return fields[0] if isinstance(ap, Aperture) else fields
+    if offs is None:
+        raise InvalidArgumentError(
+            "the cone operator's grid must equal the field grid or contain it "
+            "as an aligned block")
+    g = f.values * (v.values * grid.cell_volume)
+    g_emb = np.zeros(focus_grid.cells)
+    g_emb[tuple(slice(k, k + n) for k, n in zip(offs, grid.cells))] = g
+    return [ScalarField(focus_grid, x) for x in conv.forward(g_emb)]
 
 
 @dataclass
@@ -545,19 +521,14 @@ def xray_transform(g: ScalarField, angles, offsets) -> Sinogram:
     return Sinogram(angles, offsets, vals)
 
 
-def simulate_boundary_scan(f: ScalarField, v: ScalarField, apertures,
-                           focus_grid: Grid = None,
-                           conv: ConeConvolution = None) -> ConeScanData:
-    """The fast scan: the weighted cone transform of f for every cone at
-    every focus-grid center (the field grid by default), by `conv` when
-    given (see `cone_transform`).  Through the reciprocity identity it
-    equals `full_physics_measurements` with v the adjoint weight of the
-    boundary datum."""
-    apertures = list(apertures)
-    if focus_grid is None:
-        focus_grid = f.grid
-    return ConeScanData(
-        focus_grid, cone_transform(f, v, apertures, focus_grid, conv), apertures)
+def simulate_boundary_scan(f: ScalarField, v: ScalarField,
+                           conv: ConeConvolution) -> ConeScanData:
+    """The fast scan: the weighted cone transform of f for every cone of
+    `conv` at every center of its grid (see `cone_transform`).  Through the
+    reciprocity identity it equals `full_physics_measurements` with v the
+    adjoint weight of the boundary datum."""
+    return ConeScanData(conv.grid, cone_transform(f, v, conv),
+                        list(conv.apertures))
 
 
 def full_physics_measurements(op: DiscreteOperator, h: BoundaryField,

@@ -35,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidArgumentError, StabilityViolationError,
-                     UndefinedDirectionError)
+from .errors import InvalidArgumentError, UndefinedDirectionError
 from .fields import ScalarField
 from .excitation import (Aperture, ConeConvolution, ConeScanData,
                          _distinct_apertures, _nested_offset)
@@ -250,11 +249,10 @@ def _kernel_spectrum(conv: ConeConvolution):
             * conv.grid.cell_volume)
 
 
-def invert_multiplier(scan: ConeScanData, v: ScalarField, eps=1e-3,
-                      check_margin=True, conv: ConeConvolution = None,
-                      stats=None) -> ScalarField:
-    """Explicit Fourier inversion of the summed data of the scan's cones
-    (`scan.apertures`).
+def invert_multiplier(scan: ConeScanData, v: ScalarField, conv: ConeConvolution,
+                      eps=1e-3, stats=None) -> ScalarField:
+    """Explicit Fourier inversion of the summed data of a scan whose cones
+    are those of `conv`, the cone operator on the grid of v.
 
     The data is filtered on the circular grid of twice the field grid's
     cells per axis (`conv.filter`), which suppresses the periodization of
@@ -264,23 +262,17 @@ def invert_multiplier(scan: ConeScanData, v: ScalarField, eps=1e-3,
     the Tikhonov-regularized total multiplier m/(m^2 + (eps*m_ref)^2),
     m_ref the median positive entry of its half-spectrum table, and the
     result is divided by the weight as `diffusion._floored_weight` floors
-    it (InvalidArgumentError for a weight positive nowhere).  m is the analytic symbol
-    except on the lowest shell of grid frequencies, zero included, where
-    it is the spectrum of the discrete quadrature kernel (`_kernel_spectrum`
-    of `conv`, the scan's ConeConvolution on the field grid, built when
-    None).  A dict `stats` receives m_ref and suppressed_fraction, the share
-    of table entries with m < eps * m_ref; the filter passes less than half
-    of 1/m at such an entry when m > 0.
+    it (InvalidArgumentError for a weight positive nowhere).  m is the
+    analytic symbol except on the lowest shell of grid frequencies, zero
+    included, where it is the spectrum of the discrete quadrature kernel
+    (`_kernel_spectrum` of `conv`).  A dict `stats` receives m_ref and
+    suppressed_fraction, the share of table entries with m < eps * m_ref;
+    the filter passes less than half of 1/m at such an entry when m > 0.
+    The cone set is not checked for invisible directions: callers gate it
+    with `ellipticity_margin` (the pipelines' `_gate`).
     """
     grid = v.grid
     focus = scan.focus_grid
-    apertures = scan.apertures
-    if check_margin:
-        rep = ellipticity_margin(apertures)
-        if rep.margin <= 0.0:
-            raise StabilityViolationError(
-                f"invisible directions remain (margin = {rep.margin:g}); "
-                "use check_margin=False to force a pseudo-inversion")
     start = None
     if focus != grid:
         start = _nested_offset(grid, focus)
@@ -288,11 +280,11 @@ def invert_multiplier(scan: ConeScanData, v: ScalarField, eps=1e-3,
             raise InvalidArgumentError(
                 "scan focus grid must equal the field grid or cover it as an "
                 "aligned block of a grid with twice the cells per axis")
-    if conv is None:
-        conv = ConeConvolution(apertures, grid)
-    else:
-        conv.check(apertures, grid)
-    m = total_symbol_table(apertures, conv.shape, grid.spacing)
+    if conv.grid != grid or conv.apertures != tuple(scan.apertures):
+        raise InvalidArgumentError(
+            "conv must be the cone operator of the scan's apertures on the "
+            "grid of v")
+    m = total_symbol_table(conv.apertures, conv.shape, grid.spacing)
     xi = _frequency_grid(conv.shape, grid.spacing)
     mag = np.sqrt(np.sum(xi * xi, axis=-1))
     xi_min = min(2.0 * np.pi / (n * h) for n, h in zip(conv.shape, grid.spacing))
@@ -318,16 +310,17 @@ class RoiReconstruction:
     mask: np.ndarray
 
 
-def roi_reconstruct(scan: ConeScanData, v: ScalarField, eps,
-                    roi) -> RoiReconstruction:
+def roi_reconstruct(scan: ConeScanData, v: ScalarField, conv: ConeConvolution,
+                    eps, roi) -> RoiReconstruction:
     """Windowed multiplier inversion restricted to a region of interest.
 
     `roi` is a tuple of (lo, hi) index bounds per axis, strictly inside the
     grid.  Data outside the ROI is discarded; inside, a cosine rolloff over
     ROI_ROLLOFF_CELLS cells tapers it to zero at the ROI boundary.  Edges
     with visible normal directions are recovered inside the mask; constants
-    are biased near the ROI boundary.  A cone set with invisible directions
-    is refused, as by `invert_multiplier`.
+    are biased near the ROI boundary.  `conv` is the cone operator of the
+    scan's apertures on the grid of v, as for `invert_multiplier`, which
+    does not check the cone set for invisible directions either.
     """
     grid = scan.focus_grid
     k = ROI_ROLLOFF_CELLS
@@ -351,7 +344,7 @@ def roi_reconstruct(scan: ConeScanData, v: ScalarField, eps,
         window = window * w.reshape(shape)
     windowed = [ScalarField(grid, fld.values * window) for fld in scan.fields]
     wscan = ConeScanData(grid, windowed, scan.apertures)
-    rec = invert_multiplier(wscan, v, eps)
+    rec = invert_multiplier(wscan, v, conv, eps)
     mask = np.zeros(grid.cells, dtype=bool)
     mask[tuple(slice(lo + k, hi - k) for (lo, hi) in roi)] = True
     return RoiReconstruction(field=rec, mask=mask)

@@ -154,9 +154,9 @@ def _cone_scan(truth, v, apertures, report):
     operator it applied, which the reconstruction reuses."""
     conv = ConeConvolution(apertures, truth.grid)
     report["scan.mode"] = "fast"
-    report["scan.focus_grid"] = "field grid (ROI pitch not separately configured)"
+    report["scan.focus_grid"] = ",".join(str(n) for n in conv.grid.cells)
     report["scan.distinct_apertures"] = str(len(conv.spectra))
-    return simulate_boundary_scan(truth, v, apertures, conv=conv), conv
+    return simulate_boundary_scan(truth, v, conv), conv
 
 
 def _spot_points(cfg, grid):
@@ -258,7 +258,7 @@ def _recon_method(cfg):
 def _reconstruct(cfg, method, data, v, conv, report):
     """Invert cone data by `method` (`_recon_method`) with `conv`, the cone
     operator of the data's apertures on the grid of v; returns (fields,
-    history).  The multiplier runs unchecked: callers `_gate` the cone set.
+    history).  The multiplier does not check the cone set: callers `_gate` it.
     LSQR runs on A M, M the parametrix preconditioner, and stops once the
     residual norm is down to the noise, sqrt(sum b / noise.photons) for
     Poisson data b (the discrepancy principle)."""
@@ -271,7 +271,7 @@ def _reconstruct(cfg, method, data, v, conv, report):
     if method != "lsqr":
         stats = {}
         fields["recon_multiplier"] = invert_multiplier(
-            data, v, eps=eps, check_margin=False, conv=conv, stats=stats)
+            data, v, conv, eps=eps, stats=stats)
         report["multiplier.m_ref"] = f"{stats['m_ref']:.6e}"
         report["multiplier.suppressed_fraction"] = \
             f"{stats['suppressed_fraction']:.6e}"
@@ -282,7 +282,7 @@ def _reconstruct(cfg, method, data, v, conv, report):
         precond = parametrix_preconditioner(conv, v)
         with conv.reusing_buffers():
             z, history = lsqr(
-                compose(scan_linear_map(data.apertures, v, conv=conv), precond),
+                compose(scan_linear_map(conv, v), precond),
                 b, max_iters=max_iters, atol=atol, stop_residual=stop)
         x = precond.forward(z)
         if nonneg:
@@ -417,6 +417,10 @@ def reconstruct(cfg):
     with _timed(report, "setup"):
         data = ltfio.read_scan(manifest)
         v = ltfio.read_field(weight_path)
+        if method != "multiplier" and data.focus_grid != v.grid:
+            raise InvalidArgumentError(
+                f"LSQR needs the scan on the weight's grid, got {data.focus_grid} "
+                f"and {v.grid}")
         cfg = _recorded_noise(cfg, data)
     with _timed(report, "reconstruct"):
         if method != "lsqr":

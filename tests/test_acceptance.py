@@ -16,8 +16,8 @@ from lumitomo.diffusion import (BoundaryField, assemble_operator,
                                 null_space_defect, radial_ode_solve,
                                 radial_weight_ball, radial_weight_disk,
                                 reciprocity_residual, solve_adjoint_weight)
-from lumitomo.excitation import (Aperture, ConeScanData, cone_transform,
-                                 xray_transform)
+from lumitomo.excitation import (Aperture, ConeConvolution, ConeScanData,
+                                 cone_transform, xray_transform)
 from lumitomo.fields import (OpticalMedium, ScalarField, derived_optics,
                              make_grid, robin_coefficient)
 from lumitomo.multiplier import (ellipticity_margin, invert_multiplier,
@@ -168,9 +168,9 @@ def test_criterion_07_multiplier_round_trip():
         f = two_bump_phantom(g)
         v = ScalarField.full(g, 1.0)
         fg = extended_grid(g)
-        scan = ConeScanData(fg, [cone_transform(f, v, ap, fg) for ap in aps],
+        scan = ConeScanData(fg, cone_transform(f, v, ConeConvolution(aps, fg)),
                             list(aps))
-        rec = invert_multiplier(scan, v, eps=1e-3)
+        rec = invert_multiplier(scan, v, ConeConvolution(aps, g), eps=1e-3)
         errors.append(rel_l2(rec.values, f.values))
     elapsed = time.perf_counter() - t0
     ok = errors[0] <= 0.05 and errors[1] < errors[0] and elapsed < 30.0
@@ -258,7 +258,7 @@ def test_criterion_10_lsqr():
         ref = np.linalg.lstsq(A, b, rcond=None)[0]
         worst = max(worst, float(np.max(np.abs(x - ref))))
     g = make_grid(2, (-10, -10), (20, 20), (64, 64))
-    defect = scan_linear_map(fan_apertures(3, 35.0),
+    defect = scan_linear_map(ConeConvolution(fan_apertures(3, 35.0), g),
                              ScalarField.full(g, 1.0)).dot_test(seed=2)
     ok = worst <= 1e-8 and defect <= 1e-10
     check(10, ok, f"dense-oracle error {worst:.2e}, dot test {defect:.2e}")

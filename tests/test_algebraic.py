@@ -145,7 +145,7 @@ class TestScanLinearMap:
     def test_dot_test_machine_precision(self, grid64):
         aps = fan_apertures(3, 35.0)
         v = ScalarField.full(grid64, 1.0)
-        linmap = scan_linear_map(aps, v)
+        linmap = scan_linear_map(ConeConvolution(aps, grid64), v)
         assert linmap.dot_test(seed=1) <= 1e-12
 
     def test_dot_test_3d(self):
@@ -153,22 +153,24 @@ class TestScanLinearMap:
         aps = [Aperture(dim=3, axis=ax, half_angle=0.5)
                for ax in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))]
         v = ScalarField(g, 1.0 + np.random.default_rng(2).random(g.cells))
-        assert scan_linear_map(aps, v).dot_test(seed=3) <= 1e-12
+        conv = ConeConvolution(aps, g)
+        assert scan_linear_map(conv, v).dot_test(seed=3) <= 1e-12
 
     def test_forward_is_the_stacked_cone_transform(self, grid64):
         # the scan and LSQR apply one operator
         aps = fan_apertures(3, 35.0)
         f = two_bump_phantom(grid64)
         v = ScalarField(grid64, 1.0 + np.random.default_rng(4).random(grid64.cells))
+        conv = ConeConvolution(aps, grid64)
         stacked = np.concatenate([fld.values.ravel()
-                                  for fld in cone_transform(f, v, aps)])
-        forward = scan_linear_map(aps, v).forward(f.values.ravel())
+                                  for fld in cone_transform(f, v, conv)])
+        forward = scan_linear_map(conv, v).forward(f.values.ravel())
         assert np.array_equal(forward, stacked)
 
     def test_shapes(self, grid64):
         aps = fan_apertures(2, 30.0)
         v = ScalarField.full(grid64, 1.0)
-        linmap = scan_linear_map(aps, v)
+        linmap = scan_linear_map(ConeConvolution(aps, grid64), v)
         assert linmap.n_model == grid64.n_cells
         assert linmap.n_data == 2 * grid64.n_cells
         out = linmap.forward(np.zeros(linmap.n_model))
@@ -178,7 +180,7 @@ class TestScanLinearMap:
         aps = fan_apertures(3, 35.0)
         f = two_bump_phantom(grid64)
         v = ScalarField.full(grid64, 1.0)
-        linmap = scan_linear_map(aps, v)
+        linmap = scan_linear_map(ConeConvolution(aps, grid64), v)
         data = linmap.forward(f.values.ravel())
         x, _ = lsqr(linmap, data, max_iters=200, atol=1e-10)
         rec = x.reshape(grid64.cells)
@@ -205,7 +207,7 @@ def plain_capped_lsqr(data, v, conv, max_iters=200, atol=1e-8):
     level, clipped at zero; kept as the reference for the preconditioned
     one."""
     b = np.concatenate([f.values.ravel() for f in data.fields])
-    x, _ = lsqr(scan_linear_map(data.apertures, v, conv=conv), b,
+    x, _ = lsqr(scan_linear_map(conv, v), b,
                 max_iters=max_iters, atol=atol)
     return ScalarField(v.grid, np.maximum(x, 0.0).reshape(v.grid.cells))
 
@@ -228,7 +230,7 @@ class TestParametrixPreconditioner:
         conv = ConeConvolution(aps, grid)
         M = parametrix_preconditioner(conv, v)
         assert M.dot_test(seed=1) <= 1e-12
-        AM = compose(scan_linear_map(aps, v, conv=conv), M)
+        AM = compose(scan_linear_map(conv, v), M)
         assert (AM.n_data, AM.n_model) == (len(aps) * grid.n_cells,
                                            grid.n_cells)
         assert AM.dot_test(seed=2) <= 1e-12
@@ -270,7 +272,7 @@ class TestParametrixPreconditioner:
                for a in np.deg2rad([0.0, 60.0, 120.0])]
         v = random_weight(grid, 2)
         conv = ConeConvolution(aps, grid)
-        A = scan_linear_map(aps, v, conv=conv)
+        A = scan_linear_map(conv, v)
         dense = np.stack([A.forward(e) for e in np.eye(grid.n_cells)], axis=1)
         b = np.random.default_rng(3).standard_normal(A.n_data)
         ref = np.linalg.lstsq(dense, b, rcond=None)[0]

@@ -281,6 +281,23 @@ class TestExitCodes:
                                f"recon.method={method}")) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("method", ["multiplier", "lsqr", "both"])
+    def test_reconstruct_refuses_a_weight_of_another_grid(
+            self, tmp_path, capsys, method):
+        # the same cells over a larger box: LSQR's data and operator would
+        # have the same sizes, so only the grids tell them apart
+        assert main(["scan", "-o", str(tmp_path),
+                     "--set", "grid.cells=32,32"]) == 0
+        assert main(["weight", "-o", str(tmp_path / "w"),
+                     "--set", "grid.cells=32,32",
+                     "--set", "grid.extent=30,30"]) == 0
+        os.replace(tmp_path / "w" / "weight.ltf", tmp_path / "weight.ltf")
+        capsys.readouterr()
+        assert main(["reconstruct", "-o", str(tmp_path),
+                     "--set", f"recon.method={method}"]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not list(tmp_path.glob("recon_*"))
+
     def test_seed_beyond_64_bits_is_accepted(self, tmp_path):
         assert main(small_args("scan", tmp_path, "noise.kind=poisson",
                                f"run.seed={2 ** 128 - 1}")) == 0
@@ -625,6 +642,8 @@ class TestWallClock:
             keys = {k for k in report if k.startswith("wall_clock.")}
             assert keys == {f"wall_clock.{stage}" for stage in stages}, verb
             assert all(float(report[key]) >= 0.0 for key in keys)
+            if verb in ("run-xmlt", "scan"):
+                assert report["scan.focus_grid"] == "48,48", verb
 
     def test_reports_equal_without_wall_clock_lines(self, tmp_path):
         def stripped():

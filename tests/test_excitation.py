@@ -12,7 +12,7 @@ import pytest
 from lumitomo.diffusion import (BoundaryField, assemble_operator,
                                 boundary_flux, boundary_functional,
                                 solve_adjoint_weight, solve_forward)
-from lumitomo import algebraic, excitation, pipeline
+from lumitomo import excitation, pipeline
 from lumitomo.algebraic import (compose, lsqr, parametrix_preconditioner,
                                 scan_linear_map)
 from lumitomo.config import DEFAULTS, build_apertures
@@ -92,7 +92,7 @@ class TestConeTransform:
         vals[src_idx] = 1.0
         f = ScalarField(grid128, vals)
         v = ScalarField.full(grid128, 1.0)
-        out = cone_transform(f, v, ap)
+        (out,) = cone_transform(f, v, ConeConvolution([ap], grid128))
         focus = (5.0, 0.3)
         expected = cone_intensity(ap, focus, (-5.0, 0.0)) * grid128.cell_volume
         got = out.values[grid128.index_of(focus)]
@@ -100,17 +100,21 @@ class TestConeTransform:
 
     def test_zero_field(self, grid128):
         ap = Aperture(dim=2, axis=(1, 0), half_angle=0.4)
-        out = cone_transform(ScalarField.zeros(grid128),
-                             ScalarField.full(grid128, 1.0), ap)
+        (out,) = cone_transform(ScalarField.zeros(grid128),
+                                ScalarField.full(grid128, 1.0),
+                                ConeConvolution([ap], grid128))
         assert np.all(out.values == 0)
 
     def test_linearity_in_f_and_v(self, grid64):
         ap = Aperture(dim=2, axis=unit(1.1), half_angle=0.5)
         f = two_bump_phantom(grid64)
         v = ScalarField.full(grid64, 1.0)
-        base = cone_transform(f, v, ap).values
-        doubled_f = cone_transform(ScalarField(grid64, 2 * f.values), v, ap).values
-        scaled_v = cone_transform(f, ScalarField.full(grid64, 3.0), ap).values
+        conv = ConeConvolution([ap], grid64)
+        base = cone_transform(f, v, conv)[0].values
+        doubled_f = cone_transform(ScalarField(grid64, 2 * f.values), v,
+                                   conv)[0].values
+        scaled_v = cone_transform(f, ScalarField.full(grid64, 3.0),
+                                  conv)[0].values
         assert np.allclose(doubled_f, 2 * base)
         assert np.allclose(scaled_v, 3 * base)
 
@@ -126,7 +130,7 @@ class TestConeTransform:
         X = g.centers()
         f = ScalarField(g, np.exp(-(X[..., 0] ** 2 + X[..., 1] ** 2) / 2.0))
         v = ScalarField.full(g, 1.0)
-        out = cone_transform(f, v, ap)
+        (out,) = cone_transform(f, v, ConeConvolution([ap], g))
         r = np.linspace(0, 10, 20001)
         oracle = 2 * np.pi * np.trapezoid(np.exp(-r ** 2 / 2), r)
         center = out.values[g.index_of((0.0, 0.0))]
@@ -137,7 +141,7 @@ class TestConeTransform:
         ap = Aperture(dim=2, axis=unit(0.4), half_angle=0.5)
         f = two_bump_phantom(grid64)
         v = ScalarField.full(grid64, 1.0)
-        fast = cone_transform(f, v, ap).values
+        fast = cone_transform(f, v, ConeConvolution([ap], grid64))[0].values
         K = centered_table(cone_kernel(ap, grid64))
         g = f.values * grid64.cell_volume
         c = tuple(n - 1 for n in grid64.cells)
@@ -155,7 +159,7 @@ class TestConeTransform:
         f = two_bump_phantom(grid64)
         v = ScalarField.full(grid64, 1.0)
         big = extended_grid(grid64)
-        out = cone_transform(f, v, ap, big)
+        (out,) = cone_transform(f, v, ConeConvolution([ap], big))
         assert out.grid == big
         # compare a few foci against the direct sum
         centers = grid64.centers().reshape(-1, 2)
@@ -233,7 +237,8 @@ class TestConeConvolution:
         g = np.zeros(big.cells)
         g[32:96, 32:96] = f.values * (0.5 * grid64.cell_volume)
         kernels = [centered_table(cone_kernel(ap, big)) for ap in aps]
-        for out, K in zip(cone_transform(f, v, aps, big), kernels):
+        for out, K in zip(cone_transform(f, v, ConeConvolution(aps, big)),
+                          kernels, strict=True):
             assert out.grid == big
             assert rel_max(out.values, pow2_forward(g, K)) <= 1e-12
         y = np.random.default_rng(12).standard_normal((len(aps),) + big.cells)
@@ -244,47 +249,37 @@ class TestConeConvolution:
         aps = fan_apertures(3, 35.0)
         f = two_bump_phantom(grid64)
         v = ScalarField.full(grid64, 1.0)
-        fields = cone_transform(f, v, aps)
+        fields = cone_transform(f, v, ConeConvolution(aps, grid64))
         assert len(fields) == 3
         for fld, ap in zip(fields, aps):
-            assert np.array_equal(fld.values, cone_transform(f, v, ap).values)
-
-    def test_shared_operator_gives_the_same_bits(self, grid64):
-        aps = fan_apertures(3, 35.0)
-        conv = ConeConvolution(aps, grid64)
-        f = two_bump_phantom(grid64)
-        v = ScalarField(grid64,
-                        1.0 + np.random.default_rng(13).random(grid64.cells))
-        scan = simulate_boundary_scan(f, v, aps)
-        shared = simulate_boundary_scan(f, v, aps, conv=conv)
-        for a, b in zip(scan.fields, shared.fields, strict=True):
-            assert np.array_equal(a.values, b.values)
-        assert np.array_equal(invert_multiplier(scan, v).values,
-                              invert_multiplier(scan, v, conv=conv).values)
-        x = f.values.ravel()
-        own, given = scan_linear_map(aps, v), scan_linear_map(aps, v, conv=conv)
-        y = own.forward(x)
-        assert np.array_equal(y, given.forward(x))
-        assert np.array_equal(own.adjoint(y), given.adjoint(y))
+            (single,) = cone_transform(f, v, ConeConvolution([ap], grid64))
+            assert np.array_equal(fld.values, single.values)
 
     def test_empty_cone_set_is_refused(self, grid64):
         with pytest.raises(InvalidArgumentError, match="at least one aperture"):
             ConeConvolution([], grid64)
 
     def test_operator_of_other_cones_or_grid_is_refused(self, grid64):
+        # the cone operator carries the cone set and its grid; only the
+        # inversion also takes the scan's cones, which must be the same
         aps = fan_apertures(3, 35.0)
         f = two_bump_phantom(grid64)
         v = ScalarField.full(grid64, 1.0)
-        scan = simulate_boundary_scan(f, v, aps)
-        coarse = make_grid(2, grid64.origin, grid64.extent, (32, 32))
-        for conv in (ConeConvolution(aps[:2], grid64),
-                     ConeConvolution(aps, coarse)):
+        scan = simulate_boundary_scan(f, v, ConeConvolution(aps, grid64))
+        coarse = ConeConvolution(aps, make_grid(2, grid64.origin,
+                                                grid64.extent, (32, 32)))
+        # the field grid's spacing, but its cells between the focus points
+        shifted = ConeConvolution(aps, make_grid(
+            2, tuple(o + 0.3 for o in grid64.origin), grid64.extent,
+            grid64.cells))
+        for conv in (coarse, shifted):
+            with pytest.raises(InvalidArgumentError, match="aligned block"):
+                cone_transform(f, v, conv)
+        with pytest.raises(InvalidArgumentError):
+            scan_linear_map(coarse, v)
+        for conv in (ConeConvolution(aps[:2], grid64), coarse):
             with pytest.raises(InvalidArgumentError):
-                cone_transform(f, v, aps, conv=conv)
-            with pytest.raises(InvalidArgumentError):
-                invert_multiplier(scan, v, conv=conv)
-            with pytest.raises(InvalidArgumentError):
-                scan_linear_map(aps, v, conv=conv)
+                invert_multiplier(scan, v, conv)
 
 
 class PerConeConvolution:
@@ -293,6 +288,7 @@ class PerConeConvolution:
     cone."""
 
     def __init__(self, apertures, grid):
+        self.grid = grid
         self.cells = tuple(grid.cells)
         self.shape = tuple(2 * n for n in self.cells)
         self.axes = tuple(range(grid.dim))
@@ -386,11 +382,11 @@ class TestDistinctCones:
                              ids=["2d-48x64", "3d-16"])
     def test_dot_test_with_duplicates(self, grid, aps, n_distinct):
         v = ScalarField(grid, 1.0 + np.random.default_rng(23).random(grid.cells))
-        linmap = scan_linear_map(aps, v)
+        linmap = scan_linear_map(ConeConvolution(aps, grid), v)
         assert linmap.n_data == len(aps) * grid.n_cells
         assert linmap.dot_test(seed=5) <= 1e-12
 
-    def test_lsqr_iterates_match_per_cone_reference(self, monkeypatch):
+    def test_lsqr_iterates_match_per_cone_reference(self):
         # LSQR drifts from roundoff as it runs (~1e-3 of the maximum by 50
         # iterations), so the two operators are compared after 20; the
         # residual estimates of iterations 13-15 differ by up to 0.5% here
@@ -400,16 +396,15 @@ class TestDistinctCones:
         v = ScalarField(grid, 1.0 + np.random.default_rng(24).random(grid.cells))
         f = two_bump_phantom(grid).values.ravel()
 
-        def solve():
-            linmap = scan_linear_map(aps, v)
+        def solve(conv):
+            linmap = scan_linear_map(conv, v)
             data = linmap.forward(f)
             noise = np.random.default_rng(25).random(data.size)
             data += 1e-3 * np.max(data) * noise
             return lsqr(linmap, data, max_iters=20, atol=0.0)
 
-        x, history = solve()
-        monkeypatch.setattr(algebraic, "ConeConvolution", PerConeConvolution)
-        x_ref, history_ref = solve()
+        x, history = solve(ConeConvolution(aps, grid))
+        x_ref, history_ref = solve(PerConeConvolution(aps, grid))
         assert len(history) == len(history_ref) == 21
         assert rel_max(x, x_ref) <= 1e-6
         assert rel_max(history[-1], history_ref[-1]) <= 1e-6
@@ -515,9 +510,9 @@ class TestWorkspace:
         aps = build_apertures(DEFAULTS, 2)
         v = ScalarField(grid, 1.0 + np.random.default_rng(36).random(grid.cells))
         conv = ConeConvolution(aps, grid)
-        linmap = compose(scan_linear_map(aps, v, conv=conv),
+        linmap = compose(scan_linear_map(conv, v),
                          parametrix_preconditioner(conv, v))
-        data = scan_linear_map(aps, v, conv=conv).forward(
+        data = scan_linear_map(conv, v).forward(
             two_bump_phantom(grid).values.ravel())
         data += 1e-3 * np.max(data) * np.random.default_rng(37).random(data.size)
         x, history = lsqr(linmap, data, max_iters=15, atol=0.0)
@@ -823,8 +818,8 @@ KERNEL_CASES = SAMPLER_CASES + [
 
 
 class TestKernelSampler:
-    """One sampler serves the lattice table, the direct sums and the cone
-    sources; each keeps the bits of the code it replaced."""
+    """One sampler serves the lattice table and the cone sources; each
+    keeps the bits of the code it replaced."""
 
     @pytest.mark.parametrize("grid,aps", KERNEL_CASES)
     def test_cone_kernel_is_bit_identical(self, grid, aps):
@@ -843,23 +838,6 @@ class TestKernelSampler:
                                                                    aps):
         assert ConeConvolution(aps, grid).spectra.tobytes() == \
             former_spectra(aps, grid).tobytes()
-
-    @pytest.mark.parametrize("grid,aps", SAMPLER_CASES)
-    def test_off_lattice_direct_sums_are_bit_identical(self, grid, aps):
-        f = ScalarField(grid, np.cos(grid.centers()[..., 0]) + 2.0)
-        v = ScalarField.full(grid, 0.7)
-        g = (f.values * (v.values * grid.cell_volume)).ravel()
-        # foci on every third cell centre (self-cell weight), then foci
-        # between centres
-        for focus in (make_grid(grid.dim, grid.origin, grid.extent,
-                                tuple(n // 3 for n in grid.cells)),
-                      make_grid(grid.dim, tuple(o + 0.3 for o in grid.origin),
-                                tuple(0.5 * e for e in grid.extent),
-                                (4,) * grid.dim)):
-            for ap, out in zip(aps, cone_transform(f, v, aps, focus)):
-                ref = [np.dot(reference_samples(ap, grid, x), g)
-                       for x in focus.centers().reshape(-1, grid.dim)]
-                assert np.array_equal(out.values.ravel(), ref)
 
     @pytest.mark.parametrize("grid,aps", SAMPLER_CASES)
     def test_cone_source_is_bit_identical(self, grid, aps, tissue_medium,
@@ -894,14 +872,16 @@ class TestBoundaryScan:
         h = BoundaryField.constant(g, 1.0)
         f = two_bump_phantom(g)
         ap = Aperture(dim=2, axis=(1, 0), half_angle=np.deg2rad(19.2))
-        focus = make_grid(2, (-4, -4), (8, 8), (4, 4))
+        # lattice foci within 3 mm of the centre, as the spot check's
+        points = [(i, j) for i in (11, 14, 17, 20) for j in (11, 14, 17, 20)]
         v = solve_adjoint_weight(op, h)
-        fast = simulate_boundary_scan(f, v, [ap], focus_grid=focus)
+        scan = simulate_boundary_scan(f, v, ConeConvolution([ap], g))
+        fast = np.array([scan.fields[0].values[p] for p in points])
         full = full_physics_measurements(op, h, f, ap,
-                                         focus.centers().reshape(-1, 2))
-        scale = np.max(np.abs(fast.fields[0].values))
-        mismatch = np.max(np.abs(fast.fields[0].values.ravel() - full))
-        assert mismatch <= 2e-2 * scale
+                                         [g.centers()[p] for p in points])
+        scale = np.max(np.abs(fast))
+        mismatch = np.max(np.abs(fast - full))
+        assert mismatch <= 1e-10 * scale
 
     def test_zero_phantom_both_modes(self, tissue_medium):
         g = make_grid(2, (-10, -10), (20, 20), (16, 16))
@@ -909,12 +889,12 @@ class TestBoundaryScan:
         h = BoundaryField.constant(g, 1.0)
         f = ScalarField.zeros(g)
         ap = Aperture(dim=2, axis=(1, 0), half_angle=0.4)
-        focus = make_grid(2, (-4, -4), (8, 8), (4, 4))
-        scan = simulate_boundary_scan(f, solve_adjoint_weight(op, h), [ap],
-                                      focus_grid=focus)
+        points = [(i, j) for i in (5, 7, 8, 10) for j in (5, 7, 8, 10)]
+        scan = simulate_boundary_scan(f, solve_adjoint_weight(op, h),
+                                      ConeConvolution([ap], g))
         assert np.max(np.abs(scan.fields[0].values)) <= 1e-12
         full = full_physics_measurements(op, h, f, ap,
-                                         focus.centers().reshape(-1, 2))
+                                         [g.centers()[p] for p in points])
         assert np.max(np.abs(full)) <= 1e-12
 
     def test_full_physics_matches_former_spot_check_loop(self, grid64,
@@ -944,8 +924,9 @@ class TestBoundaryScan:
         f2 = ScalarField(grid64, 2 * f.values)
         aps = fan_apertures(3, 35.0)
         v = solve_adjoint_weight(op, h)
-        s1 = simulate_boundary_scan(f, v, aps)
-        s2 = simulate_boundary_scan(f2, v, aps)
+        conv = ConeConvolution(aps, grid64)
+        s1 = simulate_boundary_scan(f, v, conv)
+        s2 = simulate_boundary_scan(f2, v, conv)
         for a, b in zip(s1.fields, s2.fields):
             assert np.allclose(2 * a.values, b.values)
 
