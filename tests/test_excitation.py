@@ -259,6 +259,20 @@ class TestConeConvolution:
         with pytest.raises(InvalidArgumentError, match="at least one aperture"):
             ConeConvolution([], grid64)
 
+    @pytest.mark.parametrize("grid,aps", [
+        (make_grid(2, (-10, -10), (20, 20), (16, 16)), apertures_3d()),
+        (make_grid(3, (-8, -8, -8), (16, 16, 16), (8, 8, 8)),
+         fan_apertures(3, 35.0)),
+    ], ids=["3d-cones-on-2d-grid", "2d-cones-on-3d-grid"])
+    def test_apertures_of_another_dimension_are_refused(self, grid, aps):
+        with pytest.raises(InvalidArgumentError,
+                           match=f"must be {grid.dim}D to match the grid"):
+            ConeConvolution(aps, grid)
+        # one stray aperture in an otherwise matching set is refused too
+        with pytest.raises(InvalidArgumentError, match="to match the grid"):
+            ConeConvolution([Aperture(dim=grid.dim, axis=(1,) + (0,) * (
+                grid.dim - 1), half_angle=0.5), aps[0]], grid)
+
     def test_operator_of_other_cones_or_grid_is_refused(self, grid64):
         # the cone operator carries the cone set and its grid; only the
         # inversion also takes the scan's cones, which must be the same
