@@ -19,25 +19,18 @@ if _os.environ.get("LUMITOMO_THREADS"):
 from .errors import (ConfigError, EmptyMaskError, InvalidArgumentError,
                      InvalidOperatorError, LumitomoError,
                      SolverFailureError, StabilityViolationError,
-                     UndefinedDirectionError, WeightDegeneracyWarning)
+                     WeightDegeneracyWarning)
 from .fields import (Grid, OpticalMedium, PhantomSpec, ScalarField,
                      build_phantom, derived_optics, make_grid,
                      robin_coefficient)
-from .bessel import bessel_i0, bessel_i1, bessel_k0
 from .diffusion import (BoundaryField, DiscreteOperator, assemble_operator,
-                        boundary_flux, boundary_functional, greens_3d,
-                        null_space_defect, radial_ode_solve,
-                        radial_weight_ball, radial_weight_disk,
-                        reciprocity_residual, solve_adjoint_weight,
-                        solve_forward)
+                        boundary_flux, boundary_functional,
+                        solve_adjoint_weight, solve_forward)
 from .excitation import (Aperture, ConeConvolution, ConeScanData, Sinogram,
-                         aperture_eval, cone_intensity, cone_transform,
-                         full_physics_measurements, simulate_boundary_scan,
-                         xray_transform)
-from .multiplier import (MarginReport, RoiReconstruction, ellipticity_margin,
-                         invert_multiplier, multiplier_symbol,
-                         parametrix_weights, roi_reconstruct,
-                         visible_direction)
+                         cone_transform, full_physics_measurements,
+                         simulate_boundary_scan, xray_transform)
+from .multiplier import (MarginReport, ellipticity_margin, invert_multiplier,
+                         multiplier_symbol)
 from .fbp import FbpFilter, divide_by_weight, fbp
 from .algebraic import (LinearMap, apply_noise, lsqr, relative_error,
                         scan_linear_map)

@@ -3,8 +3,9 @@
 Verbs: phantom, weight, scan, reconstruct, check-stability, run-xmlt,
 run-xlct.  Each accepts --config <path> and repeated --set key=value
 overrides.  Exit codes: 0 success; 2 invalid config or arguments, and any
-other toolkit error; 3 stability violation or a frequency direction no cone
-sees; 4 solver failure or a linear map failing its dot test.
+other toolkit error; 3 stability violation (a cone set with invisible
+directions, refused when the multiplier runs); 4 solver failure or a linear
+map failing its dot test.
 
 Each verb runs the `lumitomo.pipeline` function of its name (dashes become
 underscores).  LUMITOMO_THREADS is applied by `import lumitomo`.
@@ -41,8 +42,7 @@ def main(argv=None):
     from .config import load_config
     from .errors import (ConfigError, InvalidArgumentError,
                          InvalidOperatorError, LumitomoError,
-                         SolverFailureError, StabilityViolationError,
-                         UndefinedDirectionError)
+                         SolverFailureError, StabilityViolationError)
 
     try:
         cfg = load_config(args.config, args.overrides)
@@ -71,7 +71,7 @@ def main(argv=None):
     except InvalidArgumentError as exc:
         print(f"invalid argument: {exc}", file=sys.stderr)
         return 2
-    except (StabilityViolationError, UndefinedDirectionError) as exc:
+    except StabilityViolationError as exc:
         print(f"stability violation: {exc}", file=sys.stderr)
         return 3
     except (SolverFailureError, InvalidOperatorError) as exc:

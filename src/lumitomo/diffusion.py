@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError, SolverFailureError
 from .fields import Grid, OpticalMedium, ScalarField
-from .bessel import bessel_i0, bessel_i1
 
 V_FLOOR_FRACTION = 1e-6  # relative floor used wherever a weight divides
 
@@ -79,10 +78,6 @@ class BoundaryField:
     @classmethod
     def constant(cls, grid, value):
         return cls(grid, np.full(boundary_face_count(grid), float(value)))
-
-    def measure(self):
-        """Total surface measure of the boundary (perimeter or area)."""
-        return float(np.sum(self.areas))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +173,7 @@ class DiscreteOperator:
             rhs[side] += coeff * h.values[faces].reshape(rhs[side].shape)
         return rhs
 
-    def solve(self, rhs, tol=1e-10, max_iter=None):
+    def solve(self, rhs, tol=1e-10):
         """Conjugate gradients preconditioned by `_precondition`.
 
         With constant mu_a the preconditioner is the exact inverse, so CG
@@ -187,7 +182,8 @@ class DiscreteOperator:
         ||b - Lx|| <= tol * ||b||, tested as soon as the residual is updated
         so a converged iterate costs no preconditioner pass, and records
         (iterations, relative residual) in `last_solve`; raises
-        SolverFailureError at the iteration cap, and InvalidArgumentError
+        SolverFailureError at the cap of max(200, 20 * n_cells^(1/dim))
+        iterations, and InvalidArgumentError
         when ||b|| is not finite, which no residual can be measured against.
         Accumulation order is fixed, so results are reproducible bit-for-bit.
         """
@@ -200,8 +196,7 @@ class DiscreteOperator:
         if b_norm == 0.0:
             self.last_solve = (0, 0.0)
             return np.zeros(g.cells)
-        if max_iter is None:
-            max_iter = max(200, int(20 * g.n_cells ** (1.0 / g.dim)))
+        max_iter = max(200, int(20 * g.n_cells ** (1.0 / g.dim)))
         x = np.zeros(g.cells)
         res = b_norm
         r = b.copy()
@@ -295,14 +290,10 @@ def _floored_weight(v: ScalarField):
     return np.maximum(v.values, V_FLOOR_FRACTION * v_max)
 
 
-def boundary_flux(op: DiscreteOperator, u: ScalarField, mode="consistent"):
-    """Outgoing flux Q = u_face / (2A) on every boundary face.
-
-    mode "consistent" uses the face trace implied by the ghost closure
-    (exactly compatible with the discrete reciprocity identity); mode
-    "continuum" extrapolates the trace from the three nearest cell values,
-    an independent discretization whose error vanishes under refinement.
-    """
+def boundary_flux(op: DiscreteOperator, u: ScalarField):
+    """Outgoing flux Q = u_face / (2A) on every boundary face, with the face
+    trace implied by the ghost closure: exactly compatible with the discrete
+    reciprocity identity."""
     if u.grid != op.grid:
         raise InvalidArgumentError("field grid mismatch")
     g, med = op.grid, op.medium
@@ -310,18 +301,8 @@ def boundary_flux(op: DiscreteOperator, u: ScalarField, mode="consistent"):
     vals = np.empty(boundary_face_count(g))
     for ax, edge, faces in _sides(g):
         u1 = np.ravel(np.take(u.values, edge, axis=ax))
-        if mode == "consistent":
-            # face trace (u_ghost + u_in)/2 under the homogeneous closure
-            q = med.D * u1 / (op._c_plus[ax] * spacing[ax])
-        elif mode == "continuum":
-            # quadratic extrapolation through the cells at dx/2, 3dx/2, 5dx/2
-            step = 1 if edge == 0 else -1
-            u2 = np.ravel(np.take(u.values, edge + step, axis=ax))
-            u3 = np.ravel(np.take(u.values, edge + 2 * step, axis=ax))
-            q = (15.0 * u1 - 10.0 * u2 + 3.0 * u3) / (8.0 * 2.0 * med.A)
-        else:
-            raise InvalidArgumentError(f"unknown flux mode {mode!r}")
-        vals[faces] = q
+        # face trace (u_ghost + u_in)/2 under the homogeneous closure
+        vals[faces] = med.D * u1 / (op._c_plus[ax] * spacing[ax])
     return BoundaryField(g, vals)
 
 
@@ -330,139 +311,3 @@ def boundary_functional(h: BoundaryField, Q: BoundaryField):
     if h.grid != Q.grid:
         raise InvalidArgumentError("boundary field grid mismatch")
     return float(np.sum(h.values * Q.values * h.areas))
-
-
-def reciprocity_residual(op: DiscreteOperator, h: BoundaryField,
-                         source: ScalarField, mode="consistent"):
-    """Relative gap between the interior and boundary sides of reciprocity.
-
-    Computes | <V h, s> - int_bdry h Q | / max(|<V h, s>|, tiny) by running
-    the adjoint solve, the forward solve (both to tol 1e-12) and the flux
-    extraction.
-    """
-    v = solve_adjoint_weight(op, h, tol=1e-12)
-    u = solve_forward(op, source, tol=1e-12)
-    Q = boundary_flux(op, u, mode=mode)
-    lhs = float(np.sum(v.values * source.values) * op.grid.cell_volume)
-    rhs = boundary_functional(h, Q)
-    return abs(lhs - rhs) / max(abs(lhs), 1e-300)
-
-
-def null_space_defect(op: DiscreteOperator, h: BoundaryField,
-                      phi: ScalarField):
-    """Size of <V h, L phi> for interior-supported phi (zero in theory).
-
-    phi must vanish on a boundary collar of 2 cells; the result is
-    normalized by the L2 norm of phi.
-    """
-    g = op.grid
-    if phi.grid != g:
-        raise InvalidArgumentError("phi grid mismatch")
-    interior = np.zeros(g.cells, dtype=bool)
-    interior[tuple(slice(2, n - 2) for n in g.cells)] = True
-    if np.any(phi.values[~interior] != 0.0):
-        raise InvalidArgumentError("phi must vanish on a 2-cell boundary collar")
-    norm = phi.l2_norm()
-    if norm == 0.0:
-        return 0.0
-    v = solve_adjoint_weight(op, h)
-    val = float(np.sum(v.values * op.apply(phi.values)) * g.cell_volume)
-    return abs(val) / norm
-
-
-# ---------------------------------------------------------------------------
-# closed forms for constant coefficients
-# ---------------------------------------------------------------------------
-
-def greens_3d(medium: OpticalMedium, x, y):
-    """Free-space kernel exp(-k r) / (4 pi D r) of -D Lap + mu_a in 3D."""
-    r = float(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float)))
-    if r == 0.0:
-        raise InvalidArgumentError("greens_3d is singular at x == y")
-    k = medium.k
-    return np.exp(-k * r) / (4.0 * np.pi * medium.D * r)
-
-
-def radial_weight_ball(medium: OpticalMedium, a, r):
-    """Closed-form 3D radial weight sinh(k r)/r on a ball of radius a.
-
-    Returns (v(r), h) with h the constant Robin trace v(a) + 2AD v'(a).
-    The derivative term uses d/dr [sinh(kr)/r] = k cosh(kr)/r - sinh(kr)/r^2.
-    """
-    if a <= 0 or not (0 <= r <= a):
-        raise InvalidArgumentError("need 0 <= r <= a with a > 0")
-    k = medium.k
-    if r == 0.0:
-        v = k  # limit of sinh(kr)/r
-    else:
-        v = np.sinh(k * r) / r
-    dv = k * np.cosh(k * a) / a - np.sinh(k * a) / a ** 2
-    h = np.sinh(k * a) / a + 2.0 * medium.A * medium.D * dv
-    return float(v), float(h)
-
-
-def radial_weight_disk(medium: OpticalMedium, a, r):
-    """Closed-form 2D radial weight I0(k r) on a disk of radius a.
-
-    Returns (v(r), h) with h = I0(k a) + 2 A D k I1(k a); the factor k comes
-    from d/dr I0(kr) = k I1(kr).
-    """
-    if a <= 0 or not (0 <= r <= a):
-        raise InvalidArgumentError("need 0 <= r <= a with a > 0")
-    k = medium.k
-    v = bessel_i0(k * r)
-    h = bessel_i0(k * a) + 2.0 * medium.A * medium.D * k * bessel_i1(k * a)
-    return float(v), float(h)
-
-
-def _tridiag_solve(lower, diag, upper, rhs):
-    """Thomas algorithm; lower[i] multiplies x[i-1], upper[i] multiplies x[i+1]."""
-    n = diag.size
-    c = np.zeros(n)
-    d = np.zeros(n)
-    c[0] = upper[0] / diag[0]
-    d[0] = rhs[0] / diag[0]
-    for i in range(1, n):
-        denom = diag[i] - lower[i] * c[i - 1]
-        c[i] = upper[i] / denom if i < n - 1 else 0.0
-        d[i] = (rhs[i] - lower[i] * d[i - 1]) / denom
-    x = np.zeros(n)
-    x[-1] = d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
-    return x
-
-
-def radial_ode_solve(medium: OpticalMedium, a, n_dim, h_const):
-    """Second-order FD solve of the radial weight ODE; validation oracle.
-
-    Solves -D (v'' + (n-1)/r v') + mu_a v = 0 on [0, a] with regularity
-    v'(0) = 0 and Robin v(a) + 2AD v'(a) = h_const on 20000 uniform
-    intervals.  Returns (r_nodes, v).
-    """
-    if n_dim not in (2, 3):
-        raise InvalidArgumentError("n_dim must be 2 or 3")
-    D, mu_a, A = medium.D, medium.mu_a, medium.A
-    M = 20000
-    dr = a / M
-    r = np.arange(M + 1) * dr
-    lower = np.zeros(M + 1)
-    diag = np.zeros(M + 1)
-    upper = np.zeros(M + 1)
-    rhs = np.zeros(M + 1)
-    # r = 0: symmetric limit, v'' + (n-1)/r v' -> n v''(0), ghost v[-1]=v[1]
-    diag[0] = 2.0 * n_dim * D / dr ** 2 + mu_a
-    upper[0] = -2.0 * n_dim * D / dr ** 2
-    # interior rows
-    ri = r[1:M]
-    lower[1:M] = -D / dr ** 2 + D * (n_dim - 1) / (2.0 * dr * ri)
-    diag[1:M] = 2.0 * D / dr ** 2 + mu_a
-    upper[1:M] = -D / dr ** 2 - D * (n_dim - 1) / (2.0 * dr * ri)
-    # r = a: Robin ghost  v_{M+1} = v_{M-1} + (h - v_M) dr / (A D)
-    lo = -D / dr ** 2 + D * (n_dim - 1) / (2.0 * dr * a)
-    up = -D / dr ** 2 - D * (n_dim - 1) / (2.0 * dr * a)
-    lower[M] = lo + up
-    diag[M] = 2.0 * D / dr ** 2 + mu_a + up * dr / (A * D) * (-1.0)
-    rhs[M] = -up * dr / (A * D) * h_const
-    v = _tridiag_solve(lower, diag, upper, rhs)
-    return r, v

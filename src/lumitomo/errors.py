@@ -25,10 +25,6 @@ class StabilityViolationError(LumitomoError, RuntimeError):
     """The cone configuration leaves invisible directions (margin <= 0)."""
 
 
-class UndefinedDirectionError(LumitomoError, ValueError):
-    """All cone symbols vanish at the requested frequency direction."""
-
-
 class InvalidOperatorError(LumitomoError, ValueError):
     """A linear map failed its forward/adjoint consistency (dot) test."""
 

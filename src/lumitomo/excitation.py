@@ -94,25 +94,6 @@ class Aperture:
         return float(np.trapezoid(vals, mu) * 2.0 * np.pi)
 
 
-def aperture_eval(ap: Aperture, theta):
-    """Angular density at a unit direction theta (even by construction)."""
-    th = np.asarray(theta, dtype=np.float64)
-    if th.shape != (ap.dim,):
-        raise InvalidArgumentError(f"theta must be a {ap.dim}-vector")
-    if abs(np.linalg.norm(th) - 1.0) > 1e-12:
-        raise InvalidArgumentError("theta must be a unit vector")
-    return float(ap.profile(np.dot(th, ap.axis)))
-
-
-def cone_intensity(ap: Aperture, x_focus, y):
-    """Beam intensity kernel a((x-y)/|x-y|) / |x-y|^{n-1} at a source point."""
-    d = np.asarray(x_focus, float) - np.asarray(y, float)
-    r = np.linalg.norm(d)
-    if r == 0.0:
-        raise InvalidArgumentError("cone_intensity is singular at the focus")
-    return float(ap.profile(np.dot(d / r, ap.axis)) / r ** (ap.dim - 1))
-
-
 def _equal_volume_radius(grid: Grid):
     """Radius of the disk/ball with the same measure as one grid cell."""
     vol = grid.cell_volume
@@ -535,7 +516,7 @@ def full_physics_measurements(op: DiscreteOperator, h: BoundaryField,
                               f: ScalarField, ap: Aperture, foci):
     """Reduced measurements of one cone by the PDE chain, one per focus
     point: a forward solve with the cone's source I_{x,j} * f, then the
-    boundary integral of h times the consistent outgoing flux.
+    boundary integral of h times the outgoing flux (`boundary_flux`).
 
     The source vanishes wherever f does, so the kernel is sampled only on
     the support of f and scattered into a zero field; the kernel is finite,
@@ -558,5 +539,5 @@ def full_physics_measurements(op: DiscreteOperator, h: BoundaryField,
         source = np.zeros(grid.n_cells)
         source[support] = values
         u = solve_forward(op, ScalarField(grid, source))
-        out.append(boundary_functional(h, boundary_flux(op, u, mode="consistent")))
+        out.append(boundary_functional(h, boundary_flux(op, u)))
     return np.array(out)

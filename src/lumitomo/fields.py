@@ -140,9 +140,6 @@ class ScalarField:
         """Volume-weighted L2 norm."""
         return float(np.sqrt(np.sum(self.values ** 2) * self.grid.cell_volume))
 
-    def integral(self):
-        return float(np.sum(self.values) * self.grid.cell_volume)
-
     def __repr__(self):
         return f"ScalarField(cells={self.grid.cells}, range=[{self.values.min():g}, {self.values.max():g}])"
 

@@ -5,13 +5,8 @@ Every file starts with one ASCII header line
     LTFIELD v1 dim=<d> cells=<n1,...> origin=<o1,...> extent=<e1,...>
 
 followed by a newline and the row-major little-endian float64 payload.
-Variants add header tokens:
-
-  boundary=1   boundary-face values; enumeration order is axis 0 low side,
-               axis 0 high side, axis 1 low side, ... with each side's faces
-               in C order of the adjacent boundary cell.
-  sinogram=1   line-integral table; the header carries explicit
-               angles=<...> and offsets=<...> tables instead of a grid.
+A sinogram file adds the header token sinogram=1 and carries explicit
+angles=<...> and offsets=<...> tables instead of a grid.
 
 Floats in headers are written with repr-precision so that a read/write
 round trip is bit-exact.
@@ -26,7 +21,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .fields import Grid, ScalarField, make_grid
-from .diffusion import BoundaryField, boundary_face_count
 from .excitation import Aperture, ConeScanData, Sinogram
 
 _MAGIC = "LTFIELD v1"
@@ -101,25 +95,13 @@ def write_field(path, field: ScalarField):
 
 
 def read_field(path) -> ScalarField:
+    """Read a plain field; a header with a variant token (sinogram=1, or
+    the boundary=1 of earlier versions) is refused."""
     tokens, payload = _read(path)
     if "boundary" in tokens or "sinogram" in tokens:
         raise InvalidArgumentError(f"{path} is not a plain field file")
     grid = _grid_from_tokens(tokens)
     return ScalarField(grid, _shaped(path, payload, grid.cells))
-
-
-def write_boundary_field(path, bf: BoundaryField):
-    _write(path, f"{_MAGIC} boundary=1 {_grid_tokens(bf.grid)}", bf.values)
-
-
-def read_boundary_field(path) -> BoundaryField:
-    tokens, payload = _read(path)
-    if tokens.get("boundary") != "1":
-        raise InvalidArgumentError(f"{path} is not a boundary field file")
-    grid = _grid_from_tokens(tokens)
-    if payload.size != boundary_face_count(grid):
-        raise InvalidArgumentError("boundary payload size mismatch")
-    return BoundaryField(grid, payload)
 
 
 def write_sinogram(path, sino: Sinogram):
@@ -164,15 +146,20 @@ def write_scan(manifest_path, prefix, scan: ConeScanData):
 
 
 def read_scan(manifest_path) -> ConeScanData:
-    """Read a scan manifest: v2 and v3 cone files resolve against the
-    manifest's directory, v1 ones against the working directory; only v3
-    records the noise, as `noise.<key>` config values."""
+    """Read a v2 or v3 scan manifest: cone files resolve against the
+    manifest's directory, and only v3 records the noise, as `noise.<key>`
+    config values.  A v1 manifest, whose files resolved against the
+    working directory, is refused."""
     with open(manifest_path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] not in ("LTSCAN v1", "LTSCAN v2", "LTSCAN v3"):
+    if lines[:1] == ["LTSCAN v1"]:
+        raise InvalidArgumentError(
+            f"{manifest_path} is an LTSCAN v1 manifest, which is no longer "
+            "read; re-run `scan`")
+    if not lines or lines[0] not in ("LTSCAN v2", "LTSCAN v3"):
         raise InvalidArgumentError(f"{manifest_path} is not a scan manifest")
     header, body = lines[0], lines[1:]
-    base = os.path.dirname(manifest_path) if header != "LTSCAN v1" else ""
+    base = os.path.dirname(manifest_path)
     noise = None
     if header == "LTSCAN v3":
         tokens = body.pop(0).split() if body else []

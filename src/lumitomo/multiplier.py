@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, UndefinedDirectionError
+from .errors import InvalidArgumentError
 from .fields import ScalarField
 from .excitation import (Aperture, ConeConvolution, ConeScanData,
                          _distinct_apertures, _nested_offset)
@@ -54,8 +54,6 @@ MARGIN_SAMPLES_3D = 4096
 # than the analytic symbol: the analytic form assumes an unbounded kernel,
 # which the lowest shell of grid frequencies cannot see.
 LOW_FREQ_BINS = 8
-# Cells of the cosine rolloff inside each edge of a `roi_reconstruct` window.
-ROI_ROLLOFF_CELLS = 8
 
 
 def _gauss_legendre(n):
@@ -124,15 +122,6 @@ def multiplier_symbol(ap: Aperture, xi):
     return float(angular_factor(ap, xi / mag)) / mag
 
 
-def visible_direction(apertures, omega):
-    """True iff some cone contains a direction perpendicular to omega."""
-    om = np.asarray(omega, dtype=np.float64)
-    if abs(np.linalg.norm(om) - 1.0) > 1e-9:
-        raise InvalidArgumentError("omega must be a unit vector")
-    total = sum(angular_factor(ap, om) for ap in apertures)
-    return bool(total > 0.0)
-
-
 def _summed_factor(distinct, dirs):
     """Summed angular factor of (aperture, multiplicity) pairs."""
     total = np.zeros(len(dirs))
@@ -192,20 +181,6 @@ def ellipticity_margin(apertures) -> MarginReport:
     return MarginReport(margin=margin, max_factor=max_f, ratio=ratio,
                         worst_direction=tuple(dirs[imin]),
                         invisible_directions=dirs[total <= 0.0])
-
-
-def parametrix_weights(apertures, xi):
-    """Per-cone frequency weights q_j = r_j / sum_k r_k^2.
-
-    Satisfies sum_j q_j r_j = 1 wherever some symbol is nonzero; raises on
-    invisible directions.
-    """
-    r = np.array([multiplier_symbol(ap, xi) for ap in apertures])
-    denom = float(np.sum(r ** 2))
-    if denom == 0.0:
-        raise UndefinedDirectionError(
-            f"all cone symbols vanish at xi = {tuple(np.asarray(xi, float))}")
-    return r / denom
 
 
 def _frequency_grid(cells, spacing):
@@ -300,51 +275,3 @@ def invert_multiplier(scan: ConeScanData, v: ScalarField, conv: ConeConvolution,
     filt = np.divide(m, denom, out=np.zeros_like(m), where=denom > 0)
     rec = conv.filter(scan.summed(), filt, start)
     return ScalarField(grid, rec / _floored_weight(v))
-
-
-@dataclass
-class RoiReconstruction:
-    """Windowed reconstruction with its validity mask (ROI interior)."""
-
-    field: ScalarField
-    mask: np.ndarray
-
-
-def roi_reconstruct(scan: ConeScanData, v: ScalarField, conv: ConeConvolution,
-                    eps, roi) -> RoiReconstruction:
-    """Windowed multiplier inversion restricted to a region of interest.
-
-    `roi` is a tuple of (lo, hi) index bounds per axis, strictly inside the
-    grid.  Data outside the ROI is discarded; inside, a cosine rolloff over
-    ROI_ROLLOFF_CELLS cells tapers it to zero at the ROI boundary.  Edges
-    with visible normal directions are recovered inside the mask; constants
-    are biased near the ROI boundary.  `conv` is the cone operator of the
-    scan's apertures on the grid of v, as for `invert_multiplier`, which
-    does not check the cone set for invisible directions either.
-    """
-    grid = scan.focus_grid
-    k = ROI_ROLLOFF_CELLS
-    roi = tuple((int(lo), int(hi)) for (lo, hi) in roi)
-    if len(roi) != grid.dim:
-        raise InvalidArgumentError("roi must give (lo, hi) bounds per axis")
-    for (lo, hi), n in zip(roi, grid.cells):
-        if lo <= 0 or hi >= n or hi - lo <= 2 * k:
-            raise InvalidArgumentError(
-                "roi must be strictly inside the grid and wider than the rolloff")
-    ramp = 0.5 * (1.0 - np.cos(np.pi * (np.arange(k) + 1) / (k + 1)))
-    window = np.ones(grid.cells)
-    for ax, (lo, hi) in enumerate(roi):
-        n = grid.cells[ax]
-        w = np.zeros(n)
-        w[lo:hi] = 1.0
-        w[lo:lo + k] = ramp
-        w[hi - k:hi] = ramp[::-1]
-        shape = [1] * grid.dim
-        shape[ax] = n
-        window = window * w.reshape(shape)
-    windowed = [ScalarField(grid, fld.values * window) for fld in scan.fields]
-    wscan = ConeScanData(grid, windowed, scan.apertures)
-    rec = invert_multiplier(wscan, v, conv, eps)
-    mask = np.zeros(grid.cells, dtype=bool)
-    mask[tuple(slice(lo + k, hi - k) for (lo, hi) in roi)] = True
-    return RoiReconstruction(field=rec, mask=mask)

@@ -54,6 +54,18 @@ def _write_report(path, report):
             fh.write(f"{key} = {report[key]}\n")
 
 
+def _scan_record(path):
+    """The scan.*, solver.weight.* and noise.* lines of the report at `path`,
+    which `reconstruct` carries over from the `scan` that it inverts; {}
+    when there is no report."""
+    if not os.path.exists(path):
+        return {}
+    with open(path, errors="replace") as fh:
+        lines = [ln.rstrip("\n").partition(" = ") for ln in fh]
+    return {key: val for key, sep, val in lines
+            if sep and key.startswith(("scan.", "solver.weight.", "noise."))}
+
+
 def _slice_csv(path, field):
     """CSV of the mid-row slice along the first axis (the z=0 analog)."""
     mid = field.grid.cells[-1] // 2
@@ -139,8 +151,11 @@ def _stability(apertures, report):
     return rep.margin
 
 
-def _gate(cfg, apertures, report):
-    """Refuse a cone set with invisible directions unless forced."""
+def _gate(cfg, method, apertures, report):
+    """Refuse a cone set with invisible directions unless forced, when the
+    multiplier runs (`method` other than lsqr); LSQR needs no gate."""
+    if method == "lsqr":
+        return
     force = _bool(cfg, "run.force_pseudo")
     margin = _stability(apertures, report)
     if margin <= 0 and not force:
@@ -325,7 +340,7 @@ def run_xmlt(cfg):
         points = _spot_points(cfg, truth.grid)
         op, h, v = _diffusion(cfg, truth.grid, report)
     with _timed(report, "gate"):
-        _gate(cfg, apertures, report)
+        _gate(cfg, method, apertures, report)
     with _timed(report, "scan"):
         clean, conv = _cone_scan(truth, v, apertures, report)
     with _timed(report, "spot_check"):
@@ -404,7 +419,9 @@ def scan(cfg):
 
 
 def reconstruct(cfg):
-    """The `reconstruct` verb: invert the scan and weight that `scan` wrote."""
+    """The `reconstruct` verb: invert the scan and weight that `scan` wrote,
+    keeping the scan's record (`_scan_record`) in the report; the verb's
+    own keys win."""
     t0 = time.perf_counter()
     method = _recon_method(cfg)
     outdir = cfg["run.output_dir"]
@@ -413,7 +430,7 @@ def reconstruct(cfg):
     if not (os.path.exists(manifest) and os.path.exists(weight_path)):
         raise ConfigError(
             f"reconstruct needs {manifest} and {weight_path}; run `scan` first")
-    report = {}
+    report = _scan_record(os.path.join(outdir, "report.txt"))
     with _timed(report, "setup"):
         data = ltfio.read_scan(manifest)
         v = ltfio.read_field(weight_path)
@@ -423,8 +440,7 @@ def reconstruct(cfg):
                 f"and {v.grid}")
         cfg = _recorded_noise(cfg, data)
     with _timed(report, "reconstruct"):
-        if method != "lsqr":
-            _gate(cfg, data.apertures, report)
+        _gate(cfg, method, data.apertures, report)
         conv = ConeConvolution(data.apertures, v.grid)
         report["scan.distinct_apertures"] = str(len(conv.spectra))
         fields, history = _reconstruct(cfg, method, data, v, conv, report)

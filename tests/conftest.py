@@ -61,7 +61,7 @@ def rel_l2(recon, truth):
     return float(np.sqrt(np.sum(d ** 2) / np.sum(np.asarray(truth, float) ** 2)))
 
 
-def reference_cg(op, rhs, tol=1e-10, max_iter=None):
+def reference_cg(op, rhs, tol=1e-10):
     """`DiscreteOperator.solve` as it was when it tested for convergence at
     the top of each iteration, after a preconditioner pass on the updated
     residual: the reference for the solve, which now tests first and skips
@@ -71,8 +71,7 @@ def reference_cg(op, rhs, tol=1e-10, max_iter=None):
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         return np.zeros(g.cells), (0, 0.0)
-    if max_iter is None:
-        max_iter = max(200, int(20 * g.n_cells ** (1.0 / g.dim)))
+    max_iter = max(200, int(20 * g.n_cells ** (1.0 / g.dim)))
     x = np.zeros(g.cells)
     r = b.copy()
     z = op._precondition(r)

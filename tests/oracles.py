@@ -1,0 +1,208 @@
+"""Reference computations that the tests check the toolkit against.
+
+None of these runs in a pipeline or CLI verb: each is an independent
+discretization or closed form that an acceptance criterion or unit test
+compares the runtime path with.
+
+- `bessel_i0`, `bessel_i1`: modified Bessel functions of the first kind by
+  their ascending power series, which has no cancellation (all terms
+  positive) and converges fast enough over the working range [0, 50];
+- `radial_weight_disk`, `radial_weight_ball`: closed-form radial weights
+  of a disk and a ball, and `radial_ode_solve`, a 1D finite-difference
+  solve of their ODE;
+- `continuum_flux`: the outgoing flux with the face trace extrapolated
+  from the cells, and `reciprocity_residual`, the gap of the reciprocity
+  identity under that flux or the runtime `boundary_flux`;
+- `null_space_defect`: <V h, L phi> for interior-supported phi;
+- `cone_intensity`: the cone kernel at one source point.
+"""
+
+import numpy as np
+
+from lumitomo.diffusion import (BoundaryField, _sides, boundary_face_count,
+                                boundary_flux, boundary_functional,
+                                solve_adjoint_weight, solve_forward)
+from lumitomo.errors import InvalidArgumentError
+
+_MAX_TERMS = 400
+
+
+def bessel_i0(x):
+    """Modified Bessel function of the first kind, order 0."""
+    if x < 0:
+        raise InvalidArgumentError(f"bessel_i0 requires x >= 0, got {x}")
+    q = 0.25 * x * x
+    term = 1.0
+    total = 1.0
+    for k in range(1, _MAX_TERMS):
+        term *= q / (k * k)
+        total += term
+        if term < total * 1e-18:
+            break
+    return total
+
+
+def bessel_i1(x):
+    """Modified Bessel function of the first kind, order 1."""
+    if x < 0:
+        raise InvalidArgumentError(f"bessel_i1 requires x >= 0, got {x}")
+    q = 0.25 * x * x
+    term = 0.5 * x
+    total = term
+    for k in range(1, _MAX_TERMS):
+        term *= q / (k * (k + 1))
+        total += term
+        if term < total * 1e-18:
+            break
+    return total
+
+
+def radial_weight_ball(medium, a, r):
+    """Closed-form 3D radial weight sinh(k r)/r on a ball of radius a.
+
+    Returns (v(r), h) with h the constant Robin trace v(a) + 2AD v'(a).
+    The derivative term uses d/dr [sinh(kr)/r] = k cosh(kr)/r - sinh(kr)/r^2.
+    """
+    if a <= 0 or not (0 <= r <= a):
+        raise InvalidArgumentError("need 0 <= r <= a with a > 0")
+    k = medium.k
+    if r == 0.0:
+        v = k  # limit of sinh(kr)/r
+    else:
+        v = np.sinh(k * r) / r
+    dv = k * np.cosh(k * a) / a - np.sinh(k * a) / a ** 2
+    h = np.sinh(k * a) / a + 2.0 * medium.A * medium.D * dv
+    return float(v), float(h)
+
+
+def radial_weight_disk(medium, a, r):
+    """Closed-form 2D radial weight I0(k r) on a disk of radius a.
+
+    Returns (v(r), h) with h = I0(k a) + 2 A D k I1(k a); the factor k comes
+    from d/dr I0(kr) = k I1(kr).
+    """
+    if a <= 0 or not (0 <= r <= a):
+        raise InvalidArgumentError("need 0 <= r <= a with a > 0")
+    k = medium.k
+    v = bessel_i0(k * r)
+    h = bessel_i0(k * a) + 2.0 * medium.A * medium.D * k * bessel_i1(k * a)
+    return float(v), float(h)
+
+
+def _tridiag_solve(lower, diag, upper, rhs):
+    """Thomas algorithm; lower[i] multiplies x[i-1], upper[i] multiplies x[i+1]."""
+    n = diag.size
+    c = np.zeros(n)
+    d = np.zeros(n)
+    c[0] = upper[0] / diag[0]
+    d[0] = rhs[0] / diag[0]
+    for i in range(1, n):
+        denom = diag[i] - lower[i] * c[i - 1]
+        c[i] = upper[i] / denom if i < n - 1 else 0.0
+        d[i] = (rhs[i] - lower[i] * d[i - 1]) / denom
+    x = np.zeros(n)
+    x[-1] = d[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = d[i] - c[i] * x[i + 1]
+    return x
+
+
+def radial_ode_solve(medium, a, n_dim, h_const):
+    """Second-order FD solve of the radial weight ODE.
+
+    Solves -D (v'' + (n-1)/r v') + mu_a v = 0 on [0, a] with regularity
+    v'(0) = 0 and Robin v(a) + 2AD v'(a) = h_const on 20000 uniform
+    intervals.  Returns (r_nodes, v).
+    """
+    if n_dim not in (2, 3):
+        raise InvalidArgumentError("n_dim must be 2 or 3")
+    D, mu_a, A = medium.D, medium.mu_a, medium.A
+    M = 20000
+    dr = a / M
+    r = np.arange(M + 1) * dr
+    lower = np.zeros(M + 1)
+    diag = np.zeros(M + 1)
+    upper = np.zeros(M + 1)
+    rhs = np.zeros(M + 1)
+    # r = 0: symmetric limit, v'' + (n-1)/r v' -> n v''(0), ghost v[-1]=v[1]
+    diag[0] = 2.0 * n_dim * D / dr ** 2 + mu_a
+    upper[0] = -2.0 * n_dim * D / dr ** 2
+    # interior rows
+    ri = r[1:M]
+    lower[1:M] = -D / dr ** 2 + D * (n_dim - 1) / (2.0 * dr * ri)
+    diag[1:M] = 2.0 * D / dr ** 2 + mu_a
+    upper[1:M] = -D / dr ** 2 - D * (n_dim - 1) / (2.0 * dr * ri)
+    # r = a: Robin ghost  v_{M+1} = v_{M-1} + (h - v_M) dr / (A D)
+    lo = -D / dr ** 2 + D * (n_dim - 1) / (2.0 * dr * a)
+    up = -D / dr ** 2 - D * (n_dim - 1) / (2.0 * dr * a)
+    lower[M] = lo + up
+    diag[M] = 2.0 * D / dr ** 2 + mu_a + up * dr / (A * D) * (-1.0)
+    rhs[M] = -up * dr / (A * D) * h_const
+    v = _tridiag_solve(lower, diag, upper, rhs)
+    return r, v
+
+
+def continuum_flux(op, u):
+    """Outgoing flux Q = u_face / (2A) on every boundary face, the trace
+    extrapolated from the three nearest cell values: an independent
+    discretization of `diffusion.boundary_flux` whose error vanishes under
+    refinement."""
+    if u.grid != op.grid:
+        raise InvalidArgumentError("field grid mismatch")
+    g, med = op.grid, op.medium
+    vals = np.empty(boundary_face_count(g))
+    for ax, edge, faces in _sides(g):
+        u1 = np.ravel(np.take(u.values, edge, axis=ax))
+        # quadratic extrapolation through the cells at dx/2, 3dx/2, 5dx/2
+        step = 1 if edge == 0 else -1
+        u2 = np.ravel(np.take(u.values, edge + step, axis=ax))
+        u3 = np.ravel(np.take(u.values, edge + 2 * step, axis=ax))
+        vals[faces] = (15.0 * u1 - 10.0 * u2 + 3.0 * u3) / (8.0 * 2.0 * med.A)
+    return BoundaryField(g, vals)
+
+
+def reciprocity_residual(op, h, source, mode="consistent"):
+    """Relative gap between the interior and boundary sides of reciprocity.
+
+    Computes | <V h, s> - int_bdry h Q | / max(|<V h, s>|, tiny) by running
+    the adjoint solve, the forward solve (both to tol 1e-12) and the flux
+    extraction: `boundary_flux` for mode "consistent", `continuum_flux` for
+    mode "continuum".
+    """
+    v = solve_adjoint_weight(op, h, tol=1e-12)
+    u = solve_forward(op, source, tol=1e-12)
+    Q = {"consistent": boundary_flux,
+         "continuum": continuum_flux}[mode](op, u)
+    lhs = float(np.sum(v.values * source.values) * op.grid.cell_volume)
+    rhs = boundary_functional(h, Q)
+    return abs(lhs - rhs) / max(abs(lhs), 1e-300)
+
+
+def null_space_defect(op, h, phi):
+    """Size of <V h, L phi> for interior-supported phi (zero in theory).
+
+    phi must vanish on a boundary collar of 2 cells; the result is
+    normalized by the L2 norm of phi.
+    """
+    g = op.grid
+    if phi.grid != g:
+        raise InvalidArgumentError("phi grid mismatch")
+    interior = np.zeros(g.cells, dtype=bool)
+    interior[tuple(slice(2, n - 2) for n in g.cells)] = True
+    if np.any(phi.values[~interior] != 0.0):
+        raise InvalidArgumentError("phi must vanish on a 2-cell boundary collar")
+    norm = phi.l2_norm()
+    if norm == 0.0:
+        return 0.0
+    v = solve_adjoint_weight(op, h)
+    val = float(np.sum(v.values * op.apply(phi.values)) * g.cell_volume)
+    return abs(val) / norm
+
+
+def cone_intensity(ap, x_focus, y):
+    """Beam intensity kernel a((x-y)/|x-y|) / |x-y|^{n-1} at a source point."""
+    d = np.asarray(x_focus, float) - np.asarray(y, float)
+    r = np.linalg.norm(d)
+    if r == 0.0:
+        raise InvalidArgumentError("cone_intensity is singular at the focus")
+    return float(ap.profile(np.dot(d / r, ap.axis)) / r ** (ap.dim - 1))

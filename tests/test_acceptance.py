@@ -13,9 +13,7 @@ import pytest
 from lumitomo.algebraic import LinearMap, lsqr, scan_linear_map
 from lumitomo.config import load_config
 from lumitomo.diffusion import (BoundaryField, assemble_operator,
-                                null_space_defect, radial_ode_solve,
-                                radial_weight_ball, radial_weight_disk,
-                                reciprocity_residual, solve_adjoint_weight)
+                                solve_adjoint_weight)
 from lumitomo.excitation import (Aperture, ConeConvolution, ConeScanData,
                                  cone_transform, xray_transform)
 from lumitomo.fields import (OpticalMedium, ScalarField, derived_optics,
@@ -25,6 +23,8 @@ from lumitomo.multiplier import (ellipticity_margin, invert_multiplier,
 from lumitomo.pipeline import run_xlct, run_xmlt
 
 from conftest import extended_grid, fan_apertures, rel_l2, two_bump_phantom
+from oracles import (null_space_defect, radial_ode_solve, radial_weight_ball,
+                     radial_weight_disk, reciprocity_residual)
 
 
 def check(num, ok, detail):

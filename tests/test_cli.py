@@ -16,7 +16,7 @@ from lumitomo.config import (DEFAULTS, build_apertures, derive_seed,
                              load_config, parse_config_text)
 from lumitomo.errors import (ConfigError, EmptyMaskError,
                              InvalidOperatorError, SolverFailureError,
-                             UndefinedDirectionError)
+                             StabilityViolationError)
 from lumitomo.fields import ScalarField, derived_optics, robin_coefficient
 from lumitomo.ltfio import read_field, write_field
 
@@ -104,6 +104,18 @@ class TestExitCodes:
                     + ["--set", "recon.method=lsqr"]) == 0
         assert not any(k.startswith("stability.") for k in _report(tmp_path))
 
+    def test_run_xmlt_gates_only_the_multiplier(self, tmp_path, capsys):
+        args = ["run-xmlt", "-o", str(tmp_path), "--set", "grid.cells=32,32",
+                "--set", "cones.count=1"]
+        assert main(args + ["--set", "recon.method=lsqr"]) == 0
+        report = _report(tmp_path)
+        assert "recon_lsqr.ltf" in os.listdir(tmp_path)
+        assert not any(k.startswith("stability.") for k in report)
+        assert "wall_clock.gate" in report
+        capsys.readouterr()
+        assert main(args) == 3
+        assert "stability" in capsys.readouterr().err
+
     def test_solver_failure_maps_to_4(self, tmp_path, monkeypatch, capsys):
         def boom(cfg):
             raise SolverFailureError("did not converge", residual=1.0,
@@ -113,7 +125,7 @@ class TestExitCodes:
         assert "solver failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("exc,code", [
-        (UndefinedDirectionError, 3), (InvalidOperatorError, 4),
+        (StabilityViolationError, 3), (InvalidOperatorError, 4),
         (EmptyMaskError, 2)])
     def test_other_toolkit_errors_map_to_exit_codes(self, tmp_path,
                                                     monkeypatch, exc, code):
@@ -360,6 +372,28 @@ class TestVerbs:
         assert corr > 0.7
         assert (tmp_path / "recon_lsqr.ltf").exists()
         assert (tmp_path / "lsqr_history.csv").exists()
+
+    def test_reconstruct_keeps_the_scan_record(self, tmp_path):
+        def record(report):
+            return {k: v for k, v in report.items()
+                    if k.startswith(("scan.", "solver.weight.", "noise."))}
+
+        assert main(small_args("scan", tmp_path, "noise.kind=poisson")) == 0
+        scanned = record(_report(tmp_path))
+        assert {"scan.mode", "solver.weight.iterations",
+                "noise.applied"} <= set(scanned)
+        assert main(small_args("reconstruct", tmp_path,
+                               "recon.method=both")) == 0
+        report = _report(tmp_path)
+        assert record(report) == scanned
+        assert "lsqr.iterations" in report
+        assert main(small_args("reconstruct", tmp_path,
+                               "recon.method=multiplier")) == 0
+        report = _report(tmp_path)
+        assert record(report) == scanned
+        assert not any(k.startswith("lsqr.") for k in report)
+        assert {k for k in report if k.startswith("wall_clock.")} == {
+            "wall_clock.setup", "wall_clock.reconstruct", "wall_clock.emit"}
 
     def test_scan_manifest_read_from_another_directory(self, tmp_path,
                                                        monkeypatch):

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lumitomo.diffusion import BoundaryField, boundary_face_count
+from lumitomo.cli import main
 from lumitomo.errors import InvalidArgumentError, LumitomoError
 from lumitomo.excitation import Aperture, ConeScanData, Sinogram
 from lumitomo.fields import ScalarField, make_grid
-from lumitomo.ltfio import (read_boundary_field, read_field, read_scan,
-                            read_sinogram, write_boundary_field, write_field,
+from lumitomo.ltfio import (read_field, read_scan, read_sinogram, write_field,
                             write_pgm, write_scan, write_sinogram)
 
 from conftest import two_bump_phantom
@@ -40,27 +39,17 @@ def test_field_irrational_geometry_survives(tmp_path):
     assert np.array_equal(back.values, f.values)
 
 
-def test_boundary_round_trip(tmp_path, grid64):
-    vals = np.random.default_rng(1).uniform(0.1, 2.0,
-                                            boundary_face_count(grid64))
-    bf = BoundaryField(grid64, vals)
-    p = tmp_path / "b.ltf"
-    write_boundary_field(p, bf)
-    back = read_boundary_field(p)
-    assert back.grid == grid64
-    assert np.array_equal(back.values, vals)
-
-
 def test_variant_mismatch_rejected(tmp_path, grid64):
     f = two_bump_phantom(grid64)
     p = tmp_path / "f.ltf"
     write_field(p, f)
     with pytest.raises(InvalidArgumentError):
-        read_boundary_field(p)
-    with pytest.raises(InvalidArgumentError):
         read_sinogram(p)
+    # the boundary-face files of earlier versions are no plain field either
+    header, _, payload = p.read_bytes().partition(b"\n")
     b = tmp_path / "b.ltf"
-    write_boundary_field(b, BoundaryField.constant(grid64, 1.0))
+    b.write_bytes(header.replace(b"v1 ", b"v1 boundary=1 ") + b"\n"
+                  + payload[:8 * 4 * 64])
     with pytest.raises(InvalidArgumentError):
         read_field(b)
 
@@ -93,10 +82,6 @@ def test_header_sizes_overflowing_int64_rejected(tmp_path):
                   b"origin=0,0 extent=1,1\n")
     with pytest.raises(InvalidArgumentError):
         read_field(p)
-    p.write_bytes(b"LTFIELD v1 boundary=1 dim=2 cells=4294967296,4294967296 "
-                  b"origin=0,0 extent=1,1\n")
-    with pytest.raises(InvalidArgumentError):
-        read_boundary_field(p)
 
 
 @pytest.mark.parametrize("geometry", [b"origin=nan,0 extent=1,1",
@@ -174,15 +159,13 @@ def test_fuzzed_files_fail_only_with_toolkit_errors(tmp_path, data):
     p = tmp_path / "fuzz.ltf"
     p.write_bytes(data)
     n_payload = (len(data) - data.index(b"\n") - 1) // 8
-    for reader in (read_field, read_boundary_field, read_sinogram):
+    for reader in (read_field, read_sinogram):
         try:
             read = reader(p)
         except LumitomoError:
             continue
         if reader is read_sinogram:
             assert read.angles.size * read.offsets.size == n_payload
-        elif reader is read_boundary_field:
-            assert boundary_face_count(read.grid) == n_payload
         else:
             assert read.grid.n_cells == n_payload
 
@@ -253,20 +236,21 @@ def test_scan_file_name_with_whitespace_rejected(tmp_path, grid64):
         write_scan(tmp_path / "scan.txt", str(tmp_path / "my scan"), scan)
 
 
-def test_scan_v1_manifest_resolves_against_working_directory(
-        tmp_path, grid64, monkeypatch):
+def test_scan_v1_manifest_is_refused(tmp_path, grid64, capsys):
     ap = Aperture(dim=2, axis=(1.0, 0.0), half_angle=0.5)
     scan = ConeScanData(grid64, [two_bump_phantom(grid64)], [ap])
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "sub").mkdir()
-    manifest = tmp_path / "sub" / "scan.txt"
-    write_scan(manifest, "sub/scan", scan)
+    manifest = tmp_path / "scan_manifest.txt"
+    write_scan(manifest, str(tmp_path / "scan"), scan)
     text = manifest.read_text()
     assert text.startswith("LTSCAN v2\ncone file=scan_cone00.ltf ")
-    manifest.write_text(text.replace("LTSCAN v2", "LTSCAN v1")
-                            .replace("file=", "file=sub/"))
-    back = read_scan(manifest)
-    assert np.array_equal(back.fields[0].values, scan.fields[0].values)
+    manifest.write_text(text.replace("LTSCAN v2", "LTSCAN v1"))
+    with pytest.raises(InvalidArgumentError, match="LTSCAN v1.*re-run `scan`"):
+        read_scan(manifest)
+    write_field(tmp_path / "weight.ltf", ScalarField.full(grid64, 1.0))
+    assert main(["reconstruct", "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "LTSCAN v1" in err and "re-run `scan`" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_scan_noise_round_trip(tmp_path, grid64):
@@ -305,7 +289,7 @@ def test_scan_bad_noise_line(tmp_path, grid64, line):
 
 def test_scan_bad_manifest(tmp_path):
     p = tmp_path / "scan.txt"
-    p.write_text("LTSCAN v1\nblob file=nope.ltf\n")
+    p.write_text("LTSCAN v2\nblob file=nope.ltf\n")
     with pytest.raises(InvalidArgumentError):
         read_scan(p)
     p.write_text("something else\n")
