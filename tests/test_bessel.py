@@ -6,6 +6,8 @@ import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
+from lumitomo.errors import InvalidArgumentError
+
 from oracles import bessel_i0, bessel_i1
 
 
@@ -19,6 +21,12 @@ def test_i0_matches_mpmath(x):
 def test_i1_matches_mpmath(x):
     ref = float(mpmath.besseli(1, x))
     assert bessel_i1(x) == pytest.approx(ref, rel=1e-13, abs=1e-300)
+
+
+@pytest.mark.parametrize("bessel", [bessel_i0, bessel_i1])
+def test_negative_argument_refused(bessel):
+    with pytest.raises(InvalidArgumentError):
+        bessel(-1e-3)
 
 
 def test_monotone_growth():

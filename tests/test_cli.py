@@ -15,7 +15,8 @@ from lumitomo.cli import main
 from lumitomo.config import (DEFAULTS, build_apertures, derive_seed,
                              load_config, parse_config_text)
 from lumitomo.errors import (ConfigError, EmptyMaskError,
-                             InvalidOperatorError, SolverFailureError,
+                             InvalidArgumentError, InvalidOperatorError,
+                             LumitomoError, SolverFailureError,
                              StabilityViolationError)
 from lumitomo.fields import ScalarField, derived_optics, robin_coefficient
 from lumitomo.ltfio import read_field, write_field
@@ -104,17 +105,20 @@ class TestExitCodes:
                     + ["--set", "recon.method=lsqr"]) == 0
         assert not any(k.startswith("stability.") for k in _report(tmp_path))
 
-    def test_run_xmlt_gates_only_the_multiplier(self, tmp_path, capsys):
-        args = ["run-xmlt", "-o", str(tmp_path), "--set", "grid.cells=32,32",
-                "--set", "cones.count=1"]
-        assert main(args + ["--set", "recon.method=lsqr"]) == 0
+    @pytest.mark.parametrize("method,code", [
+        ("lsqr", 0), (DEFAULTS["recon.method"], 3), ("both", 3)])
+    def test_run_xmlt_gates_only_the_multiplier(self, tmp_path, capsys,
+                                                method, code):
+        assert main(["run-xmlt", "-o", str(tmp_path), "--set",
+                     "grid.cells=32,32", "--set", "cones.count=1", "--set",
+                     f"recon.method={method}"]) == code
+        if code:
+            assert "stability" in capsys.readouterr().err
+            return
         report = _report(tmp_path)
         assert "recon_lsqr.ltf" in os.listdir(tmp_path)
         assert not any(k.startswith("stability.") for k in report)
         assert "wall_clock.gate" in report
-        capsys.readouterr()
-        assert main(args) == 3
-        assert "stability" in capsys.readouterr().err
 
     def test_solver_failure_maps_to_4(self, tmp_path, monkeypatch, capsys):
         def boom(cfg):
@@ -126,7 +130,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("exc,code", [
         (StabilityViolationError, 3), (InvalidOperatorError, 4),
-        (EmptyMaskError, 2)])
+        (EmptyMaskError, 2), (ConfigError, 2), (InvalidArgumentError, 2),
+        (LumitomoError, 2)])
     def test_other_toolkit_errors_map_to_exit_codes(self, tmp_path,
                                                     monkeypatch, exc, code):
         def boom(cfg):

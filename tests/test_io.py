@@ -45,13 +45,16 @@ def test_variant_mismatch_rejected(tmp_path, grid64):
     write_field(p, f)
     with pytest.raises(InvalidArgumentError):
         read_sinogram(p)
-    # the boundary-face files of earlier versions are no plain field either
-    header, _, payload = p.read_bytes().partition(b"\n")
-    b = tmp_path / "b.ltf"
-    b.write_bytes(header.replace(b"v1 ", b"v1 boundary=1 ") + b"\n"
-                  + payload[:8 * 4 * 64])
-    with pytest.raises(InvalidArgumentError):
-        read_field(b)
+
+
+# boundary=1 marked the boundary-face files of earlier versions
+@pytest.mark.parametrize("token", [b"boundary=1", b"sinogram=1"])
+def test_read_field_refuses_variant_token(tmp_path, grid64, token):
+    p = tmp_path / "f.ltf"
+    write_field(p, two_bump_phantom(grid64))
+    p.write_bytes(p.read_bytes().replace(b"v1 ", b"v1 " + token + b" ", 1))
+    with pytest.raises(InvalidArgumentError, match="not a plain field"):
+        read_field(p)
 
 
 def test_not_ltfield_rejected(tmp_path):
@@ -251,6 +254,14 @@ def test_scan_v1_manifest_is_refused(tmp_path, grid64, capsys):
     err = capsys.readouterr().err
     assert "LTSCAN v1" in err and "re-run `scan`" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("header", ["LTSCAN v0", "LTSCAN v4", "LTSCAN"])
+def test_scan_unknown_version_refused(tmp_path, header):
+    p = tmp_path / "scan.txt"
+    p.write_text(f"{header}\ncone file=c.ltf\n")
+    with pytest.raises(InvalidArgumentError, match="not a scan manifest"):
+        read_scan(p)
 
 
 def test_scan_noise_round_trip(tmp_path, grid64):

@@ -387,6 +387,14 @@ class TestVisibility:
         assert angular_factor(ap, (1.0, 0.0)) == 0.0
         assert angular_factor(ap, (0.0, 1.0)) > 0.0
 
+    @pytest.mark.parametrize("half_deg", [10.0, 30.0, 45.0, 60.0, 85.0])
+    def test_2d_visible_iff_the_perpendicular_meets_the_cone(self, half_deg):
+        ap = Aperture(dim=2, axis=(1, 0), half_angle=np.deg2rad(half_deg))
+        deg = np.arange(0.5, 180.0, 1.0)
+        dirs = np.stack([np.cos(np.deg2rad(deg)), np.sin(np.deg2rad(deg))], 1)
+        assert np.array_equal(angular_factor(ap, dirs) > 0,
+                              np.abs(deg - 90.0) < half_deg)
+
 
 class TestMargin:
     def test_single_narrow_cone_margin_zero(self):
