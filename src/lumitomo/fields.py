@@ -53,17 +53,6 @@ class Grid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1)
 
-    def index_of(self, point):
-        """Multi-index of the cell whose box contains `point`."""
-        idx = []
-        for a in range(self.dim):
-            i = int(np.floor((point[a] - self.origin[a]) / self.spacing[a]))
-            if i < 0 or i >= self.cells[a]:
-                raise InvalidArgumentError(
-                    f"point {tuple(point)} lies outside the grid on axis {a}")
-            idx.append(i)
-        return tuple(idx)
-
     def contains(self, point):
         return all(
             self.origin[a] <= point[a] <= self.origin[a] + self.extent[a]
@@ -128,18 +117,6 @@ class ScalarField:
         self.grid = grid
         self.values = values
 
-    @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.cells))
-
-    @classmethod
-    def full(cls, grid, value):
-        return cls(grid, np.full(grid.cells, float(value)))
-
-    def l2_norm(self):
-        """Volume-weighted L2 norm."""
-        return float(np.sqrt(np.sum(self.values ** 2) * self.grid.cell_volume))
-
     def __repr__(self):
         return f"ScalarField(cells={self.grid.cells}, range=[{self.values.min():g}, {self.values.max():g}])"
 
@@ -164,11 +141,6 @@ class OpticalMedium:
             raise InvalidArgumentError(f"D must be > 0, got {self.D}")
         if self.A <= 0:
             raise InvalidArgumentError(f"A must be > 0, got {self.A}")
-
-    @property
-    def k(self):
-        """Effective attenuation wavenumber sqrt(mu_a / D) [1/mm]."""
-        return float(np.sqrt(self.mu_a / self.D))
 
 
 def derived_optics(mu_a, mu_s, g):

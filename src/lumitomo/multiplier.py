@@ -84,8 +84,9 @@ def angular_factor(ap: Aperture, omega):
     """c(omega) = |xi| * r0(xi) for xi in direction omega; vectorized over rows.
 
     In 3D the factor depends on omega only through s = |omega . axis|, so
-    the taper rule runs once per distinct s and the values are gathered
-    back to the rows, bit for bit the per-row values.
+    the taper rule runs once per distinct s among the rows whose great
+    circle meets the cone and the values are gathered back to the rows,
+    bit for bit the per-row values.
     """
     om = np.atleast_2d(np.asarray(omega, dtype=np.float64))
     axis = np.asarray(ap.axis)
@@ -94,7 +95,15 @@ def angular_factor(ap: Aperture, omega):
         c = perp @ axis
         out = np.pi * (ap.profile(c) + ap.profile(-c))
     else:
-        s, inv = np.unique(np.minimum(np.abs(om @ axis), 1.0), return_inverse=True)
+        s = np.abs(om @ axis)
+        np.minimum(s, 1.0, out=s)
+        A = 1.0 - s
+        A *= 1.0 + s
+        # only rows whose great circle meets the cone (A > cos(half_angle))
+        # have a nonzero arc; the rest keep 4 pi amplitude * 0.0
+        meet = np.sqrt(A, out=A) > np.cos(ap.half_angle)
+        del A
+        s, inv = np.unique(s[meet], return_inverse=True)
         A = np.sqrt((1.0 - s) * (1.0 + s))
         inner = ap.half_angle - ap.taper_width
         arc = _arc_to(A, inner)
@@ -109,7 +118,8 @@ def angular_factor(ap: Aperture, omega):
                 angle = np.arccos(Ab * np.cos(mid + half * x))
                 taper += w * 0.5 * (1.0 + np.cos(np.pi * (angle - inner) / ap.taper_width))
             arc[band] += half * taper
-        out = (4.0 * np.pi * ap.amplitude * arc)[inv]
+        out = np.full(meet.size, 4.0 * np.pi * ap.amplitude * 0.0)
+        out[meet] = (4.0 * np.pi * ap.amplitude * arc)[inv]
     return out if np.asarray(omega).ndim > 1 else float(out[0])
 
 
@@ -183,34 +193,53 @@ def ellipticity_margin(apertures) -> MarginReport:
                         invisible_directions=dirs[total <= 0.0])
 
 
-def _frequency_grid(cells, spacing):
-    """Angular frequencies of the rfftn half spectrum of a grid: full FFT
+def _frequency_axes(cells, spacing):
+    """Angular frequencies of the rfftn half spectrum of a grid, one 1-D
+    axis each, shaped to broadcast against the others: full FFT
     frequencies on every axis but the last, which keeps its n//2 + 1
     non-negative ones."""
     axes = [2.0 * np.pi * np.fft.fftfreq(n, d=h)
             for n, h in zip(cells[:-1], spacing[:-1])]
     axes.append(2.0 * np.pi * np.fft.rfftfreq(cells[-1], d=spacing[-1]))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1)
+    return [a.reshape((-1,) + (1,) * (len(cells) - 1 - k))
+            for k, a in enumerate(axes)]
 
 
-def total_symbol_table(apertures, cells, spacing):
-    """Summed symbol on the rfftn half spectrum of a grid (`_frequency_grid`),
+def _frequency_magnitudes(cells, spacing):
+    """|xi| on the rfftn half spectrum of a grid (`_frequency_axes`): the
+    squares summed in axis order, the bits of np.sum(xi * xi, axis=-1)."""
+    axes = _frequency_axes(cells, spacing)
+    sq = axes[0] * axes[0]
+    for a in axes[1:]:
+        sq = sq + a * a
+    return np.sqrt(sq, out=sq)
+
+
+def total_symbol_table(apertures, cells, spacing, mag=None):
+    """Summed symbol on the rfftn half spectrum of a grid (`_frequency_axes`),
     0 at the zero frequency, where the 1/|xi| symbol is undefined;
     `invert_multiplier` takes that entry, with the rest of the lowest
-    frequency shell, from the kernel spectrum."""
+    frequency shell, from the kernel spectrum.  `mag` is
+    `_frequency_magnitudes(cells, spacing)` when the caller has it.
+
+    With T the table's bytes, it holds |xi| (T), the unit directions of
+    its nonzero entries (dim T, filled one axis at a time) and the summed
+    factor with one aperture's work arrays (about 4 T): 9.6 T at the peak
+    for the default 3D cones on the half spectrum of 64^3 cells.
+    """
     if not apertures:
         raise InvalidArgumentError("need at least one aperture")
-    dim = apertures[0].dim
-    xi = _frequency_grid(cells, spacing)
-    mag = np.sqrt(np.sum(xi * xi, axis=-1))
-    flat_dirs = xi.reshape(-1, dim)
-    flat_mag = mag.ravel()
-    nz = flat_mag > 0
-    dirs = flat_dirs[nz] / flat_mag[nz][:, None]
-    m = np.zeros(flat_mag.size)
-    m[nz] = _summed_factor(_distinct_apertures(apertures), dirs) / flat_mag[nz]
-    return m.reshape(mag.shape)
+    if mag is None:
+        mag = _frequency_magnitudes(cells, spacing)
+    # the table before its work arrays: allocated after them, it can sit
+    # above them in the heap and keep glibc from trimming their pages
+    m = np.zeros(mag.shape)
+    nz = mag > 0
+    dirs = np.empty((np.count_nonzero(nz), len(cells)))
+    for k, a in enumerate(_frequency_axes(cells, spacing)):
+        np.divide(np.broadcast_to(a, mag.shape)[nz], mag[nz], out=dirs[:, k])
+    m[nz] = _summed_factor(_distinct_apertures(apertures), dirs) / mag[nz]
+    return m
 
 
 def _kernel_spectrum(conv: ConeConvolution):
@@ -222,6 +251,18 @@ def _kernel_spectrum(conv: ConeConvolution):
     counts = np.bincount(conv.group)
     return (sum(c * S for c, S in zip(counts, conv.spectra))
             * conv.grid.cell_volume)
+
+
+def _median(x):
+    """np.median of a 1-D array, 0.0 when it is empty, by np.partition:
+    np.median imports numpy.ma."""
+    if not x.size:
+        return 0.0
+    k = x.size // 2
+    if x.size % 2:
+        return float(np.partition(x, k)[k])
+    part = np.partition(x, (k - 1, k))
+    return float((part[k - 1] + part[k]) / 2.0)
 
 
 def invert_multiplier(scan: ConeScanData, v: ScalarField, conv: ConeConvolution,
@@ -259,14 +300,13 @@ def invert_multiplier(scan: ConeScanData, v: ScalarField, conv: ConeConvolution,
         raise InvalidArgumentError(
             "conv must be the cone operator of the scan's apertures on the "
             "grid of v")
-    m = total_symbol_table(conv.apertures, conv.shape, grid.spacing)
-    xi = _frequency_grid(conv.shape, grid.spacing)
-    mag = np.sqrt(np.sum(xi * xi, axis=-1))
+    mag = _frequency_magnitudes(conv.shape, grid.spacing)
     xi_min = min(2.0 * np.pi / (n * h) for n, h in zip(conv.shape, grid.spacing))
     low = mag <= LOW_FREQ_BINS * xi_min * (1.0 + 1e-9)
+    m = total_symbol_table(conv.apertures, conv.shape, grid.spacing, mag)
+    del mag
     m[low] = _kernel_spectrum(conv)[low]
-    nonzero = m > 0
-    m_ref = float(np.median(m[nonzero])) if np.any(nonzero) else 0.0
+    m_ref = _median(m[m > 0])
     if stats is not None:
         stats["m_ref"] = m_ref
         stats["suppressed_fraction"] = float(np.mean(m < eps * m_ref))

@@ -2,12 +2,14 @@
 
 Runs and CLI verbs compose the same private stages, each of which parses
 the config values it uses when it starts, with two exceptions that refuse
-a bad value before any work: a verb parses recon.method before its first
-stage, and the setup stage parses the cone set and run.spot_checks before
-the weight solve.  Each stage's wall time goes into
-the report as `wall_clock.<stage>` (setup, gate, scan, spot_check, noise,
-reconstruct, emit); report lines starting with `wall_clock` are the only
-ones that differ between repeated runs.
+a bad value before any work: a verb parses recon.method and the settings
+of the methods it runs before its first stage, and the setup stage parses
+the cone set and run.spot_checks before the weight solve.  Each stage's
+wall time goes into the report as `wall_clock.<stage>` (setup, gate, scan,
+spot_check, noise, reconstruct, emit), and within reconstruct each
+method's as `wall_clock.multiplier` and `wall_clock.lsqr` when it runs;
+report lines starting with `wall_clock` are the only ones that differ
+between repeated runs.
 """
 
 from __future__ import annotations
@@ -263,10 +265,18 @@ def _recorded_noise(cfg, data):
 
 
 def _recon_method(cfg):
-    """recon.method, refused unless it is multiplier, lsqr or both."""
+    """recon.method, refused unless it is multiplier, lsqr or both, and
+    the settings of the methods it runs: the multiplier needs
+    recon.eps >= 0 (a negative one regularizes as its magnitude does but
+    counts no entry as suppressed), LSQR recon.lsqr_iters >= 1 (zero
+    iterations return the zero image)."""
     method = cfg["recon.method"]
     if method not in ("multiplier", "lsqr", "both"):
         raise ConfigError(f"recon.method must be multiplier|lsqr|both, got {method!r}")
+    if method != "lsqr" and (eps := _float(cfg, "recon.eps")) < 0:
+        raise ConfigError(f"recon.eps must be >= 0, got {eps:g}")
+    if method != "multiplier" and (iters := _int(cfg, "recon.lsqr_iters")) < 1:
+        raise ConfigError(f"recon.lsqr_iters must be >= 1, got {iters}")
     return method
 
 
@@ -285,24 +295,26 @@ def _reconstruct(cfg, method, data, v, conv, report):
     fields, history = {}, None
     if method != "lsqr":
         stats = {}
-        fields["recon_multiplier"] = invert_multiplier(
-            data, v, conv, eps=eps, stats=stats)
+        with _timed(report, "multiplier"):
+            fields["recon_multiplier"] = invert_multiplier(
+                data, v, conv, eps=eps, stats=stats)
         report["multiplier.m_ref"] = f"{stats['m_ref']:.6e}"
         report["multiplier.suppressed_fraction"] = \
             f"{stats['suppressed_fraction']:.6e}"
     if method != "multiplier":
-        b = np.concatenate([f.values.ravel() for f in data.fields])
-        stop = (0.0 if kappa is None
-                else np.sqrt(max(float(np.sum(b)), 0.0) / kappa))
-        precond = parametrix_preconditioner(conv, v)
-        with conv.reusing_buffers():
-            z, history = lsqr(
-                compose(scan_linear_map(conv, v), precond),
-                b, max_iters=max_iters, atol=atol, stop_residual=stop)
-        x = precond.forward(z)
-        if nonneg:
-            x = np.maximum(x, 0.0)
-        fields["recon_lsqr"] = ScalarField(v.grid, x.reshape(v.grid.cells))
+        with _timed(report, "lsqr"):
+            b = np.concatenate([f.values.ravel() for f in data.fields])
+            stop = (0.0 if kappa is None
+                    else np.sqrt(max(float(np.sum(b)), 0.0) / kappa))
+            precond = parametrix_preconditioner(conv, v)
+            with conv.reusing_buffers():
+                z, history = lsqr(
+                    compose(scan_linear_map(conv, v), precond),
+                    b, max_iters=max_iters, atol=atol, stop_residual=stop)
+            x = precond.forward(z)
+            if nonneg:
+                x = np.maximum(x, 0.0)
+            fields["recon_lsqr"] = ScalarField(v.grid, x.reshape(v.grid.cells))
         report["lsqr.preconditioner"] = "parametrix"
         report["lsqr.iterations"] = str(int(history[-1][0]))
         report["lsqr.stop_reason"] = lsqr_stop_reason(history, max_iters, stop)

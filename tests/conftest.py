@@ -1,5 +1,7 @@
 """Shared fixtures: reference medium, grids, smooth phantoms, cone sets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,28 @@ def grid64():
 @pytest.fixture
 def grid128():
     return make_grid(2, (-10.0, -10.0), (20.0, 20.0), (128, 128))
+
+
+def constant_field(grid, value):
+    """The field equal to `value` at every cell of `grid`."""
+    return ScalarField(grid, np.full(grid.cells, float(value)))
+
+
+def cell_index(grid, point):
+    """Multi-index of the cell of `grid` whose box contains `point`."""
+    idx = tuple(int(np.floor((p - o) / h))
+                for p, o, h in zip(point, grid.origin, grid.spacing))
+    assert all(0 <= i < n for i, n in zip(idx, grid.cells)), point
+    return idx
+
+
+def traced_peak(call):
+    """call() and the peak of the memory that tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def extended_grid(grid):

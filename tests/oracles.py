@@ -57,6 +57,17 @@ def bessel_i1(x):
     return total
 
 
+def attenuation(medium):
+    """Effective attenuation wavenumber sqrt(mu_a / D) [1/mm] of an
+    `OpticalMedium`."""
+    return float(np.sqrt(medium.mu_a / medium.D))
+
+
+def l2_norm(field):
+    """Volume-weighted L2 norm of a `ScalarField`."""
+    return float(np.sqrt(np.sum(field.values ** 2) * field.grid.cell_volume))
+
+
 def radial_weight_ball(medium, a, r):
     """Closed-form 3D radial weight sinh(k r)/r on a ball of radius a.
 
@@ -65,7 +76,7 @@ def radial_weight_ball(medium, a, r):
     """
     if a <= 0 or not (0 <= r <= a):
         raise InvalidArgumentError("need 0 <= r <= a with a > 0")
-    k = medium.k
+    k = attenuation(medium)
     if r == 0.0:
         v = k  # limit of sinh(kr)/r
     else:
@@ -83,7 +94,7 @@ def radial_weight_disk(medium, a, r):
     """
     if a <= 0 or not (0 <= r <= a):
         raise InvalidArgumentError("need 0 <= r <= a with a > 0")
-    k = medium.k
+    k = attenuation(medium)
     v = bessel_i0(k * r)
     h = bessel_i0(k * a) + 2.0 * medium.A * medium.D * k * bessel_i1(k * a)
     return float(v), float(h)
@@ -191,7 +202,7 @@ def null_space_defect(op, h, phi):
     interior[tuple(slice(2, n - 2) for n in g.cells)] = True
     if np.any(phi.values[~interior] != 0.0):
         raise InvalidArgumentError("phi must vanish on a 2-cell boundary collar")
-    norm = phi.l2_norm()
+    norm = l2_norm(phi)
     if norm == 0.0:
         return 0.0
     v = solve_adjoint_weight(op, h)

@@ -22,7 +22,8 @@ from lumitomo.multiplier import (ellipticity_margin, invert_multiplier,
                                  multiplier_symbol)
 from lumitomo.pipeline import run_xlct, run_xmlt
 
-from conftest import extended_grid, fan_apertures, rel_l2, two_bump_phantom
+from conftest import (constant_field, extended_grid, fan_apertures, rel_l2,
+                      two_bump_phantom)
 from oracles import (null_space_defect, radial_ode_solve, radial_weight_ball,
                      radial_weight_disk, reciprocity_residual)
 
@@ -166,7 +167,7 @@ def test_criterion_07_multiplier_round_trip():
     for n in (128, 256):
         g = make_grid(2, (-10, -10), (20, 20), (n, n))
         f = two_bump_phantom(g)
-        v = ScalarField.full(g, 1.0)
+        v = constant_field(g, 1.0)
         fg = extended_grid(g)
         scan = ConeScanData(fg, cone_transform(f, v, ConeConvolution(aps, fg)),
                             list(aps))
@@ -259,7 +260,7 @@ def test_criterion_10_lsqr():
         worst = max(worst, float(np.max(np.abs(x - ref))))
     g = make_grid(2, (-10, -10), (20, 20), (64, 64))
     defect = scan_linear_map(ConeConvolution(fan_apertures(3, 35.0), g),
-                             ScalarField.full(g, 1.0)).dot_test(seed=2)
+                             constant_field(g, 1.0)).dot_test(seed=2)
     ok = worst <= 1e-8 and defect <= 1e-10
     check(10, ok, f"dense-oracle error {worst:.2e}, dot test {defect:.2e}")
 

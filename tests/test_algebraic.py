@@ -14,7 +14,7 @@ from lumitomo.errors import (EmptyMaskError, InvalidArgumentError,
 from lumitomo.excitation import Aperture, ConeConvolution, cone_transform
 from lumitomo.fields import ScalarField, make_grid
 
-from conftest import fan_apertures, two_bump_phantom
+from conftest import constant_field, fan_apertures, two_bump_phantom
 
 
 def dense_map(A):
@@ -144,7 +144,7 @@ class TestLsqr:
 class TestScanLinearMap:
     def test_dot_test_machine_precision(self, grid64):
         aps = fan_apertures(3, 35.0)
-        v = ScalarField.full(grid64, 1.0)
+        v = constant_field(grid64, 1.0)
         linmap = scan_linear_map(ConeConvolution(aps, grid64), v)
         assert linmap.dot_test(seed=1) <= 1e-12
 
@@ -169,7 +169,7 @@ class TestScanLinearMap:
 
     def test_shapes(self, grid64):
         aps = fan_apertures(2, 30.0)
-        v = ScalarField.full(grid64, 1.0)
+        v = constant_field(grid64, 1.0)
         linmap = scan_linear_map(ConeConvolution(aps, grid64), v)
         assert linmap.n_model == grid64.n_cells
         assert linmap.n_data == 2 * grid64.n_cells
@@ -179,7 +179,7 @@ class TestScanLinearMap:
     def test_lsqr_recovers_phantom(self, grid64):
         aps = fan_apertures(3, 35.0)
         f = two_bump_phantom(grid64)
-        v = ScalarField.full(grid64, 1.0)
+        v = constant_field(grid64, 1.0)
         linmap = scan_linear_map(ConeConvolution(aps, grid64), v)
         data = linmap.forward(f.values.ravel())
         x, _ = lsqr(linmap, data, max_iters=200, atol=1e-10)

@@ -1,5 +1,6 @@
 """Config loading, CLI verbs, exit codes, and pipeline outputs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -222,6 +223,40 @@ class TestExitCodes:
         assert "recon.method must be multiplier|lsqr|both" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("items,message", [
+        (["recon.eps=-1"], "recon.eps must be >= 0, got -1"),
+        (["recon.method=both", "recon.eps=-1e-3"], "recon.eps must be >= 0"),
+        (["recon.method=lsqr", "recon.lsqr_iters=0"],
+         "recon.lsqr_iters must be >= 1, got 0"),
+        (["recon.method=both", "recon.lsqr_iters=-2"],
+         "recon.lsqr_iters must be >= 1")],
+        ids=["eps-multiplier", "eps-both", "iters-lsqr", "iters-both"])
+    @pytest.mark.parametrize("verb", ["run-xmlt", "reconstruct"])
+    def test_bad_recon_settings_refused_before_the_first_stage(
+            self, tmp_path, capsys, monkeypatch, verb, items, message):
+        # a negative eps gave eps = |eps|'s image with suppressed_fraction
+        # 0; zero LSQR iterations an all-zero image with stop reason cap
+        if verb == "reconstruct":
+            assert main(small_args("scan", tmp_path)) == 0
+            capsys.readouterr()
+        monkeypatch.setattr(pipeline, "solve_adjoint_weight", _no_weight_solve)
+
+        def no_kernel(ap, grid):
+            raise AssertionError("cone kernel built before the refusal")
+        monkeypatch.setattr(excitation, "cone_kernel", no_kernel)
+        assert main(small_args(verb, tmp_path, *items)) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("items", [
+        ["recon.method=lsqr", "recon.eps=-1"],
+        ["recon.method=multiplier", "recon.lsqr_iters=0"]],
+        ids=["eps-lsqr", "iters-multiplier"])
+    def test_settings_of_a_method_that_does_not_run_are_not_checked(
+            self, tmp_path, items):
+        assert main(small_args("run-xmlt", tmp_path, *items)) == 0
+
     def test_spot_checks_fill_the_lattice_without_repeats(self, tmp_path,
                                                           monkeypatch):
         foci = []
@@ -398,7 +433,8 @@ class TestVerbs:
         assert record(report) == scanned
         assert not any(k.startswith("lsqr.") for k in report)
         assert {k for k in report if k.startswith("wall_clock.")} == {
-            "wall_clock.setup", "wall_clock.reconstruct", "wall_clock.emit"}
+            "wall_clock.setup", "wall_clock.reconstruct",
+            "wall_clock.multiplier", "wall_clock.emit"}
 
     def test_scan_manifest_read_from_another_directory(self, tmp_path,
                                                        monkeypatch):
@@ -667,12 +703,12 @@ class TestWallClock:
     def test_stage_keys(self, tmp_path):
         expected = {
             "run-xmlt": ["setup", "gate", "scan", "spot_check", "noise",
-                         "reconstruct", "emit"],
+                         "reconstruct", "multiplier", "emit"],
             "run-xlct": ["setup", "scan", "noise", "reconstruct", "emit"],
             "phantom": ["setup", "emit"],
             "weight": ["setup", "emit"],
             "scan": ["setup", "scan", "noise", "emit"],
-            "reconstruct": ["setup", "reconstruct", "emit"],
+            "reconstruct": ["setup", "reconstruct", "multiplier", "emit"],
         }
         for verb, stages in expected.items():
             outdir = tmp_path / ("scan" if verb == "reconstruct" else verb)
@@ -683,6 +719,14 @@ class TestWallClock:
             assert all(float(report[key]) >= 0.0 for key in keys)
             if verb in ("run-xmlt", "scan"):
                 assert report["scan.focus_grid"] == "48,48", verb
+        # each method's sub-stage only when it runs
+        for method, ran in [("lsqr", {"lsqr"}), ("both", {"multiplier", "lsqr"})]:
+            assert main(small_args("reconstruct", tmp_path / "scan",
+                                   f"recon.method={method}")) == 0
+            report = _report(tmp_path / "scan")
+            assert {k for k in report if k.startswith("wall_clock.")} == {
+                f"wall_clock.{stage}"
+                for stage in ["setup", "reconstruct", "emit", *ran]}, method
 
     def test_reports_equal_without_wall_clock_lines(self, tmp_path):
         def stripped():
@@ -695,8 +739,8 @@ class TestWallClock:
         assert stripped() == stripped()
 
     @pytest.mark.parametrize("verb,extra,stages", [
-        ("run-xmlt", [], ["emit", "gate", "noise", "reconstruct", "scan",
-                          "setup", "spot_check"]),
+        ("run-xmlt", [], ["emit", "gate", "multiplier", "noise", "reconstruct",
+                          "scan", "setup", "spot_check"]),
         ("run-xlct", XLCT, ["emit", "noise", "reconstruct", "scan", "setup"])])
     def test_cli_prints_stage_times(self, tmp_path, capsys, verb, extra, stages):
         # every wall_clock.<stage> report line, sorted, after the summary
@@ -722,6 +766,26 @@ def test_thread_cap_is_set_by_package_import():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["3", "3", "3"]
+
+
+def test_runs_do_not_import_numpy_ma(tmp_path):
+    # np.median imports numpy.ma: about 1 MB of peak RSS and 15-30 ms of
+    # a cold run; a fresh interpreter, since the tests import it anyway
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(lumitomo.__file__))
+    out = str(tmp_path)
+    runs = [["run-xmlt", "-o", out, "--set", "grid.cells=32,32",
+             "--set", "recon.method=both"],
+            ["run-xmlt", "-o", out, "--set", "grid.dim=3",
+             "--set", "grid.origin=-10,-10,-10", "--set", "grid.extent=20,20,20",
+             "--set", "grid.cells=12,12,12",
+             "--set", "phantom.inclusions=2.5,2.5,0,1.5,5.0; -3.5,0,0,1.5,10.0"]]
+    code = ("import json, sys; from lumitomo.cli import main; "
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(codes, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False", proc.stderr
 
 
 @pytest.mark.parametrize("args", [

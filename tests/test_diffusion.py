@@ -10,7 +10,7 @@ from lumitomo.diffusion import (BoundaryField, _robin_modes, assemble_operator,
 from lumitomo.errors import InvalidArgumentError, SolverFailureError
 from lumitomo.fields import OpticalMedium, ScalarField, make_grid
 
-from conftest import reference_cg, two_bump_phantom
+from conftest import constant_field, reference_cg, two_bump_phantom
 from oracles import (continuum_flux, null_space_defect, radial_ode_solve,
                      radial_weight_ball, radial_weight_disk,
                      reciprocity_residual)
@@ -184,7 +184,7 @@ def test_null_space_defect_requires_collar(grid64, tissue_medium):
     op = assemble_operator(grid64, tissue_medium)
     h = BoundaryField.constant(grid64, 1.0)
     with pytest.raises(InvalidArgumentError):
-        null_space_defect(op, h, ScalarField.full(grid64, 1.0))
+        null_space_defect(op, h, constant_field(grid64, 1.0))
 
 
 def test_boundary_flux_consistent_vs_continuum(grid64, tissue_medium):

@@ -8,7 +8,7 @@ from lumitomo.excitation import Sinogram, xray_transform
 from lumitomo.fbp import FbpFilter, _backproject, divide_by_weight, fbp
 from lumitomo.fields import ScalarField, make_grid
 
-from conftest import rel_l2, two_bump_phantom
+from conftest import constant_field, rel_l2, two_bump_phantom
 
 
 def make_sinogram(f, n_angles=180, n_offsets=363):
@@ -128,8 +128,8 @@ def test_backprojection_matches_masked_reference(half_width):
 
 def test_divide_by_weight_plain():
     g = make_grid(2, (0, 0), (1, 1), (8, 8))
-    num = ScalarField.full(g, 6.0)
-    den = ScalarField.full(g, 2.0)
+    num = constant_field(g, 6.0)
+    den = constant_field(g, 2.0)
     out = divide_by_weight(num, den)
     assert np.allclose(out.values, 3.0)
 
@@ -138,7 +138,7 @@ def test_divide_by_weight_warns_on_degenerate_support():
     # a mixed-sign weight: non-positive on half the support, floored at
     # 1e-6 of its maximum there
     g = make_grid(2, (0, 0), (1, 1), (8, 8))
-    num = ScalarField.full(g, 1.0)
+    num = constant_field(g, 1.0)
     w = np.full(g.cells, 2.0)
     w[:4] = -1.0
     with pytest.warns(WeightDegeneracyWarning):
@@ -151,4 +151,4 @@ def test_divide_by_weight_warns_on_degenerate_support():
 def test_divide_by_weight_refuses_a_weight_positive_nowhere(value):
     g = make_grid(2, (0, 0), (1, 1), (8, 8))
     with pytest.raises(InvalidArgumentError, match="positive somewhere"):
-        divide_by_weight(ScalarField.full(g, 1.0), ScalarField.full(g, value))
+        divide_by_weight(constant_field(g, 1.0), constant_field(g, value))

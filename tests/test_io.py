@@ -13,7 +13,7 @@ from lumitomo.fields import ScalarField, make_grid
 from lumitomo.ltfio import (read_field, read_scan, read_sinogram, write_field,
                             write_pgm, write_scan, write_sinogram)
 
-from conftest import two_bump_phantom
+from conftest import constant_field, two_bump_phantom
 
 
 def test_field_round_trip_bit_exact(tmp_path, grid64):
@@ -222,7 +222,7 @@ def test_scan_round_trip(tmp_path, grid64):
 def test_scan_round_trip_keeps_every_cone(tmp_path, grid64):
     aps = [Aperture(dim=2, axis=(np.cos(t), np.sin(t)), half_angle=0.5)
            for t in (0.0, 1.0, 2.0)]
-    scan = ConeScanData(grid64, [ScalarField.full(grid64, float(j))
+    scan = ConeScanData(grid64, [constant_field(grid64, float(j))
                                  for j in range(3)], aps)
     manifest = tmp_path / "scan.txt"
     write_scan(manifest, str(tmp_path / "scan"), scan)
@@ -249,7 +249,7 @@ def test_scan_v1_manifest_is_refused(tmp_path, grid64, capsys):
     manifest.write_text(text.replace("LTSCAN v2", "LTSCAN v1"))
     with pytest.raises(InvalidArgumentError, match="LTSCAN v1.*re-run `scan`"):
         read_scan(manifest)
-    write_field(tmp_path / "weight.ltf", ScalarField.full(grid64, 1.0))
+    write_field(tmp_path / "weight.ltf", constant_field(grid64, 1.0))
     assert main(["reconstruct", "-o", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "LTSCAN v1" in err and "re-run `scan`" in err
@@ -322,4 +322,4 @@ def test_pgm_header_and_size(tmp_path, grid64):
 def test_pgm_requires_2d(tmp_path):
     g = make_grid(3, (0, 0, 0), (1, 1, 1), (4, 4, 4))
     with pytest.raises(InvalidArgumentError):
-        write_pgm(tmp_path / "f.pgm", ScalarField.full(g, 1.0))
+        write_pgm(tmp_path / "f.pgm", constant_field(g, 1.0))

@@ -17,8 +17,8 @@ from lumitomo.multiplier import (angular_factor, ellipticity_margin,
                                  invert_multiplier, multiplier_symbol,
                                  total_symbol_table)
 
-from conftest import (centered_table, extended_grid, fan_apertures, rel_l2,
-                      two_bump_phantom)
+from conftest import (centered_table, constant_field, extended_grid,
+                      fan_apertures, rel_l2, traced_peak, two_bump_phantom)
 
 
 def unit(theta):
@@ -212,7 +212,7 @@ class TestDistinctApertures:
         grid = make_grid(dim, (-10.0,) * dim, (20.0,) * dim, (n,) * dim)
         X = grid.centers()
         f = ScalarField(grid, np.exp(-np.sum((X - 1.0) ** 2, axis=-1) / 8.0))
-        v = ScalarField.full(grid, 1.0)
+        v = constant_field(grid, 1.0)
         conv = ConeConvolution(aps, grid)
         scan = ConeScanData(grid, cone_transform(f, v, conv), aps)
         padded = tuple(2 * c for c in grid.cells)
@@ -259,6 +259,31 @@ def reference_angular_factor(ap, omega):
     return out if np.asarray(omega).ndim > 1 else float(out[0])
 
 
+def former_frequency_grid(cells, spacing):
+    """The (..., dim) stack of half-spectrum angular frequencies from which
+    the symbol table and the inversion took |xi| and the directions before
+    they broadcast the 1-D axes."""
+    axes = [2.0 * np.pi * np.fft.fftfreq(n, d=h)
+            for n, h in zip(cells[:-1], spacing[:-1])]
+    axes.append(2.0 * np.pi * np.fft.rfftfreq(cells[-1], d=spacing[-1]))
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+def former_symbol_table(apertures, cells, spacing):
+    """`total_symbol_table` by its former construction from
+    `former_frequency_grid`: the directions as the stack over its norm."""
+    dim = len(cells)
+    xi = former_frequency_grid(cells, spacing)
+    mag = np.sqrt(np.sum(xi * xi, axis=-1))
+    flat_mag = mag.ravel()
+    nz = flat_mag > 0
+    dirs = xi.reshape(-1, dim)[nz] / flat_mag[nz][:, None]
+    m = np.zeros(flat_mag.size)
+    m[nz] = (multiplier._summed_factor(multiplier._distinct_apertures(apertures),
+                                       dirs) / flat_mag[nz])
+    return m.reshape(mag.shape)
+
+
 def reference_summed_factor(distinct, dirs):
     """The summed factor with one `reference_angular_factor` call per
     distinct aperture on every row."""
@@ -296,6 +321,26 @@ class TestSymbolTableReference:
         assert ((rep.margin, rep.max_factor, rep.ratio, rep.worst_direction)
                 == (ref.margin, ref.max_factor, ref.ratio, ref.worst_direction))
         assert np.array_equal(rep.invisible_directions, ref.invisible_directions)
+
+    @pytest.mark.parametrize("aps,cells,spacing", [
+        (build_apertures(DEFAULTS, 2), (64, 48), (0.3, 0.45)),
+        (build_apertures(DEFAULTS, 3), (32, 32, 32), (20.0 / 16,) * 3),
+        (MIXED_3D, (20, 16, 13), (0.7, 0.9, 1.3))],
+        ids=["defaults-2d", "defaults-3d", "mixed"])
+    def test_table_equals_former_construction(self, aps, cells, spacing):
+        table = total_symbol_table(aps, cells, spacing)
+        assert table.tobytes() == former_symbol_table(aps, cells, spacing).tobytes()
+        mag = multiplier._frequency_magnitudes(cells, spacing)
+        assert total_symbol_table(aps, cells, spacing, mag).tobytes() == table.tobytes()
+
+    def test_table_working_set(self):
+        # magnitudes, directions, the summed factor and one aperture's
+        # work arrays: measured 9.6x the table (15.7x with the (..., dim)
+        # frequency stack and np.unique over every row)
+        aps = build_apertures(DEFAULTS, 3)
+        table, peak = traced_peak(
+            lambda: total_symbol_table(aps, (64, 64, 64), (20.0 / 32,) * 3))
+        assert peak <= 12 * table.nbytes
 
     def test_factor_on_edge_rows_is_bit_identical(self):
         # rows on and next to the axis (s = 1 and just below), rows whose
@@ -362,8 +407,7 @@ class TestLowShell:
         grid = make_grid(dim, (-10.0,) * dim, (20.0,) * dim, (n,) * dim)
         aps = build_apertures(DEFAULTS, dim)
         padded = tuple(2 * c for c in grid.cells)
-        xi = multiplier._frequency_grid(padded, grid.spacing)
-        mag = np.sqrt(np.sum(xi * xi, axis=-1))
+        mag = multiplier._frequency_magnitudes(padded, grid.spacing)
         xi_min = min(2.0 * np.pi / (c * h) for c, h in zip(padded, grid.spacing))
         low = mag <= multiplier.LOW_FREQ_BINS * xi_min * (1.0 + 1e-9)
         new = multiplier._kernel_spectrum(ConeConvolution(aps, grid))[low]
@@ -375,10 +419,16 @@ class TestLowShell:
         assert np.max(np.abs(new - old)) <= tol * np.max(np.abs(old))
 
     def test_half_spectrum_frequencies(self):
-        xi = multiplier._frequency_grid((8, 6), (0.5, 2.0))
-        assert xi.shape == (8, 4, 2)
-        assert np.allclose(xi[:, 0, 0], 2 * np.pi * np.fft.fftfreq(8, 0.5))
-        assert np.allclose(xi[0, :, 1], 2 * np.pi * np.fft.rfftfreq(6, 2.0))
+        axes = multiplier._frequency_axes((8, 6), (0.5, 2.0))
+        assert [a.shape for a in axes] == [(8, 1), (4,)]
+        assert np.allclose(axes[0][:, 0], 2 * np.pi * np.fft.fftfreq(8, 0.5))
+        assert np.allclose(axes[1], 2 * np.pi * np.fft.rfftfreq(6, 2.0))
+        # the magnitudes keep the bits of the former (..., dim) stack's
+        for cells, spacing in [((8, 6), (0.5, 2.0)), ((20, 16, 13), (0.7, 0.9, 1.3)),
+                               ((48, 48, 48), (20.0 / 24,) * 3)]:
+            xi = former_frequency_grid(cells, spacing)
+            mag = multiplier._frequency_magnitudes(cells, spacing)
+            assert mag.tobytes() == np.sqrt(np.sum(xi * xi, axis=-1)).tobytes()
 
 
 class TestVisibility:
@@ -454,7 +504,7 @@ class TestInversion:
     def test_round_trip_extended_scan(self, grid128):
         aps = fan_apertures(3, 35.0)
         f = two_bump_phantom(grid128)
-        v = ScalarField.full(grid128, 1.0)
+        v = constant_field(grid128, 1.0)
         scan = self._scan(grid128, f, v, aps, extended_grid(grid128))
         rec = invert(scan, v, 1e-3)
         assert rel_l2(rec.values, f.values) <= 0.05
@@ -465,7 +515,7 @@ class TestInversion:
             g = make_grid(2, (-10, -10), (20, 20), (n, n))
             aps = fan_apertures(3, 35.0)
             f = two_bump_phantom(g)
-            v = ScalarField.full(g, 1.0)
+            v = constant_field(g, 1.0)
             scan = self._scan(g, f, v, aps, extended_grid(g))
             rec = invert(scan, v, 1e-3)
             errors.append(rel_l2(rec.values, f.values))
@@ -474,8 +524,8 @@ class TestInversion:
 
     def test_zero_data_gives_zero(self, grid64):
         aps = fan_apertures(3, 35.0)
-        v = ScalarField.full(grid64, 1.0)
-        scan = ConeScanData(grid64, [ScalarField.zeros(grid64) for _ in aps],
+        v = constant_field(grid64, 1.0)
+        scan = ConeScanData(grid64, [constant_field(grid64, 0.0) for _ in aps],
                             list(aps))
         rec = invert(scan, v, 1e-3)
         assert np.max(np.abs(rec.values)) <= 1e-14
@@ -483,7 +533,7 @@ class TestInversion:
     def test_scaling_linearity(self, grid64):
         aps = fan_apertures(3, 35.0)
         f = two_bump_phantom(grid64)
-        v = ScalarField.full(grid64, 1.0)
+        v = constant_field(grid64, 1.0)
         scan = self._scan(grid64, f, v, aps)
         scaled = ConeScanData(grid64,
                               [ScalarField(grid64, 3.0 * s.values)
@@ -499,7 +549,7 @@ class TestInversion:
         X = grid128.centers()
         r = np.hypot(X[..., 0] - 1.0, X[..., 1] + 1.0)
         f = ScalarField(grid128, (r <= 2.0).astype(float))
-        v = ScalarField.full(grid128, 1.0)
+        v = constant_field(grid128, 1.0)
         scan = self._scan(grid128, f, v, [ap])
         rec = invert(scan, v, 1e-2)
         F = np.abs(np.fft.fftn(rec.values)) ** 2
@@ -514,9 +564,9 @@ class TestInversion:
     def test_grid_mismatch_rejected(self, grid64, grid128):
         aps = fan_apertures(3, 35.0)
         f = two_bump_phantom(grid64)
-        v64 = ScalarField.full(grid64, 1.0)
+        v64 = constant_field(grid64, 1.0)
         scan = self._scan(grid64, f, v64, aps)
-        v128 = ScalarField.full(grid128, 1.0)
+        v128 = constant_field(grid128, 1.0)
         with pytest.raises(InvalidArgumentError):
             invert(scan, v128, 1e-3)
 
@@ -541,8 +591,8 @@ def reference_invert(scan, v, eps):
         start = (0,) * grid.dim
     else:
         start = excitation._nested_offset(grid, scan.focus_grid)
-    m = total_symbol_table(scan.apertures, conv.shape, grid.spacing)
-    xi = multiplier._frequency_grid(conv.shape, grid.spacing)
+    m = former_symbol_table(scan.apertures, conv.shape, grid.spacing)
+    xi = former_frequency_grid(conv.shape, grid.spacing)
     mag = np.sqrt(np.sum(xi * xi, axis=-1))
     xi_min = min(2.0 * np.pi / (n * h) for n, h in zip(conv.shape, grid.spacing))
     low = mag <= multiplier.LOW_FREQ_BINS * xi_min * (1.0 + 1e-9)

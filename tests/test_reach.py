@@ -1,9 +1,11 @@
-"""Reach guard: every public function of the package runs in some CLI verb.
+"""Reach guard: every public function, method and property of the package
+runs in some CLI verb.
 
 Each verb runs once on a small grid under `sys.setprofile`, which records
-the code object of every Python call.  A public module-level function that
-no verb calls is library code without a run behind it; it belongs in the
-tests (see `oracles.py`) or nowhere.
+the code object of every Python call.  A public module-level function, or
+a public method or property of a class the package defines, that no verb
+calls is library code without a run behind it; it belongs in the tests
+(see `oracles.py` and `conftest.py`) or nowhere.
 """
 
 import importlib
@@ -27,16 +29,36 @@ SMALL = ["--set", "grid.cells=32,32", "--set", "xray.n_angles=16",
          "--set", "xray.n_offsets=48"]
 
 
+def _function(attr):
+    """The function behind a class attribute, unwrapped: a method's, a
+    static or class method's, or a property's getter; None for anything
+    else."""
+    if isinstance(attr, property):
+        attr = attr.fget
+    elif isinstance(attr, (staticmethod, classmethod)):
+        attr = attr.__func__
+    # a context manager's wrapper runs for every context manager
+    return inspect.unwrap(attr) if inspect.isfunction(attr) else None
+
+
 def public_functions():
-    """{"module.name": function} over every module of the package."""
+    """{"module.name": function} over every module of the package, with
+    {"module.Class.name": function} for the public methods and properties
+    of the classes it defines."""
     out = {}
     for info in pkgutil.iter_modules(lumitomo.__path__, "lumitomo."):
         mod = importlib.import_module(info.name)
         short = info.name.split(".", 1)[1]
         for name, obj in vars(mod).items():
-            if (not name.startswith("_") and inspect.isfunction(obj)
-                    and obj.__module__ == info.name):
-                out[f"{short}.{name}"] = obj
+            if name.startswith("_") or getattr(obj, "__module__", None) != info.name:
+                continue
+            if inspect.isclass(obj):
+                for attr_name, attr in vars(obj).items():
+                    fn = _function(attr)
+                    if not attr_name.startswith("_") and fn is not None:
+                        out[f"{short}.{name}.{attr_name}"] = fn
+            elif inspect.isfunction(obj):
+                out[f"{short}.{name}"] = inspect.unwrap(obj)
     return out
 
 
