@@ -3,8 +3,9 @@
 The format is plain text, one `key = value` per line, with dotted section
 prefixes (e.g. `medium.mu_a = 0.05`) and `#` comments.  Every key has a
 default; the resolved configuration (defaults included) is echoed into the
-run report so no silent default can hide.  Values stay strings here: each
-one is parsed, by the helpers below, at the start of the stage that uses it.
+run report so no silent default can hide.  Only this module reads the
+strings: a verb parses every key once, into a `Settings`, before its first
+stage.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .errors import ConfigError
 from .fields import (OpticalMedium, PhantomSpec, derived_optics, make_grid,
                      robin_coefficient)
 from .excitation import Aperture
+from .fbp import FbpFilter
 
 DEFAULTS = {
     "grid.dim": "2",
@@ -87,23 +89,27 @@ def load_config(path=None, overrides=None):
     return cfg
 
 
-def _number(text, key, kind=float):
-    """One finite number of config `key`; ConfigError otherwise."""
+def _number(text, key, kind=float, low=None, strict=False):
+    """One finite number of config `key`, at least `low` (above it when
+    `strict`) unless low is None; ConfigError otherwise."""
     try:
         val = kind(text)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {text!r}") from None
     if kind is float and not np.isfinite(val):
         raise ConfigError(f"{key} must be finite, got {text!r}")
-    return val
+    if low is None or val > low or (val == low and not strict):
+        return val
+    raise ConfigError(f"{key} must be {'>' if strict else '>='} {low}, "
+                      f"got {text}")
 
 
-def _float(cfg, key):
-    return _number(cfg[key], key)
+def _float(cfg, key, low=None, strict=False):
+    return _number(cfg[key], key, float, low, strict)
 
 
-def _int(cfg, key):
-    return _number(cfg[key], key, int)
+def _int(cfg, key, low=None):
+    return _number(cfg[key], key, int, low)
 
 
 def _floats(text, key):
@@ -147,7 +153,8 @@ def build_medium(cfg):
         raise ConfigError(f"bad medium spec: {exc}") from exc
 
 
-def build_phantom_spec(cfg, dim):
+def build_phantom_spec(cfg, grid):
+    dim = grid.dim
     text = cfg["phantom.inclusions"].strip()
     inclusions = []
     if text:
@@ -157,6 +164,9 @@ def build_phantom_spec(cfg, dim):
                 raise ConfigError(
                     f"inclusion needs {dim + 2} numbers (center, radius, "
                     f"concentration), got {item.strip()!r}")
+            if not grid.contains(vals[:dim]):
+                raise ConfigError(
+                    f"inclusion center {vals[:dim]} lies outside the grid")
             inclusions.append((vals[:dim], vals[dim], vals[dim + 1]))
     return PhantomSpec(background=_float(cfg, "phantom.background"),
                        inclusions=tuple(inclusions))
@@ -164,9 +174,7 @@ def build_phantom_spec(cfg, dim):
 
 def build_apertures(cfg, dim):
     """Cone set with axes fanned in the xy-plane from start_deg."""
-    count = _int(cfg, "cones.count")
-    if count < 1:
-        raise ConfigError("cones.count must be >= 1")
+    count = _int(cfg, "cones.count", 1)
     start = np.deg2rad(_float(cfg, "cones.start_deg"))
     half = np.deg2rad(_float(cfg, "cones.half_angle_deg"))
     taper = _float(cfg, "cones.taper_frac") * half
@@ -179,6 +187,69 @@ def build_apertures(cfg, dim):
         apertures.append(Aperture(dim=dim, axis=axis, half_angle=half,
                                   taper_width=taper, amplitude=amp))
     return apertures
+
+
+class Settings:
+    """The values of a resolved config `cfg`, every key parsed and
+    range-checked whatever the verb reads (`text` keeps the strings); with
+    `inverts`, also the settings of the methods that recon.method runs."""
+
+    def __init__(self, cfg, inverts=False):
+        self.text = dict(cfg)
+        self.grid = build_grid(cfg)
+        self.phantom = build_phantom_spec(cfg, self.grid)
+        self.medium = build_medium(cfg)
+        self.boundary_h = _float(cfg, "boundary.h", 0, strict=True)
+        self.apertures = build_apertures(cfg, self.grid.dim)
+        self.spot_checks = _int(cfg, "run.spot_checks", 1)
+        kind = cfg["noise.kind"]
+        if kind not in ("none", "poisson"):
+            raise ConfigError(f"noise.kind must be none|poisson, got {kind!r}")
+        photons = _float(cfg, "noise.photons", 0, strict=True)
+        self.photons = photons if kind == "poisson" else None
+        self.seed = _int(cfg, "run.seed", 0)
+        self.method = cfg["recon.method"]
+        if self.method not in ("multiplier", "lsqr", "both"):
+            raise ConfigError("recon.method must be multiplier|lsqr|both, "
+                              f"got {self.method!r}")
+        multiplier = inverts and self.method != "lsqr"
+        lsqr = inverts and self.method != "multiplier"
+        self.eps = _float(cfg, "recon.eps", 0 if multiplier else None)
+        self.lsqr_iters = _int(cfg, "recon.lsqr_iters", 1 if lsqr else None)
+        self.lsqr_atol = _float(cfg, "recon.lsqr_atol", 0 if lsqr else None)
+        self.nonneg = _bool(cfg, "recon.nonneg")
+        self.force_pseudo = _bool(cfg, "run.force_pseudo")
+        self.eps_bg = _float(cfg, "error.eps_bg", 0)
+        self.n_angles = _int(cfg, "xray.n_angles", 8)
+        self.n_offsets = _int(cfg, "xray.n_offsets", 2)
+        try:
+            self.fbp_filter = FbpFilter(kind=cfg["recon.filter"],
+                                        cutoff=_float(cfg, "recon.cutoff"))
+        except ValueError as exc:
+            raise ConfigError(f"bad recon.filter or recon.cutoff: {exc}") from exc
+        self.output_dir = cfg["run.output_dir"]
+
+    @property
+    def noise_record(self):
+        """The noise.* strings that a scan records in its manifest."""
+        return ({"noise.kind": "none"} if self.photons is None else
+                {"noise.kind": "poisson", "noise.photons": f"{self.photons:.17g}"})
+
+    def use_recorded_noise(self, record):
+        """Take the noise that a scan records (its manifest's `noise_record`,
+        None for none): noise.kind=none, the default, defers to it; any
+        other noise config must agree with it (ConfigError otherwise)."""
+        if record is None:
+            return
+        photons = (_float(record, "noise.photons", 0, strict=True)
+                   if record["noise.kind"] == "poisson" else None)
+        if self.photons not in (None, photons):
+            raise ConfigError(
+                f"noise.kind={self.text['noise.kind']} noise.photons="
+                f"{self.text['noise.photons']} contradicts the scan manifest's "
+                + " ".join(f"{k}={v}" for k, v in record.items()))
+        self.photons = photons
+        self.text.update(record)
 
 
 def derive_seed(base_seed, stream_name):

@@ -1,11 +1,10 @@
 """End-to-end experiment orchestration and file emission.
 
-Runs and CLI verbs compose the same private stages, each of which parses
-the config values it uses when it starts, with two exceptions that refuse
-a bad value before any work: a verb parses recon.method and the settings
-of the methods it runs before its first stage, and the setup stage parses
-the cone set and run.spot_checks before the weight solve.  Each stage's
-wall time goes into the report as `wall_clock.<stage>` (setup, gate, scan,
+Runs and CLI verbs compose the same private stages.  A verb parses its
+config once, into a `config.Settings`, before its first stage; the stages
+take its values, and the checks that need the grid or the phantom run as
+soon as these are built, before the weight solve.  Each stage's wall time
+goes into the report as `wall_clock.<stage>` (setup, gate, scan,
 spot_check, noise, reconstruct, emit), and within reconstruct each
 method's as `wall_clock.multiplier` and `wall_clock.lsqr` when it runs;
 report lines starting with `wall_clock` are the only ones that differ
@@ -24,15 +23,14 @@ from . import ltfio
 from .algebraic import (apply_noise, compose, lsqr, lsqr_stop_reason,
                         parametrix_preconditioner, relative_error,
                         scan_linear_map)
-from .config import (_bool, _float, _int, build_apertures, build_grid,
-                     build_medium, build_phantom_spec, derive_seed)
+from .config import Settings, derive_seed
 from .diffusion import (BoundaryField, _floored_weight, assemble_operator,
                         solve_adjoint_weight)
 from .errors import ConfigError, InvalidArgumentError, StabilityViolationError
 from .excitation import (ConeConvolution, ConeScanData, Sinogram,
                          full_physics_measurements, simulate_boundary_scan,
                          xray_transform)
-from .fbp import FbpFilter, divide_by_weight, fbp
+from .fbp import divide_by_weight, fbp
 from .fields import ScalarField, build_phantom
 from .multiplier import ellipticity_margin, invert_multiplier
 
@@ -111,27 +109,16 @@ def emit_outputs(outdir, fields, report, sinogram=None, scan=None,
     _write_report(os.path.join(outdir, "report.txt"), report)
 
 
-def _phantom(cfg):
-    grid = build_grid(cfg)
-    return build_phantom(build_phantom_spec(cfg, grid.dim), grid)
-
-
-def _diffusion(cfg, grid, report):
-    """Diffusion operator, boundary datum h and adjoint weight v on a grid;
-    the weight solve's iterations and relative residual go into `report`.
-    A datum h <= 0 gives a weight <= 0, which no reconstruction can divide
-    by, so it is refused before the solve; so is one whose right-hand side
-    overflows, which the solve refuses."""
-    h_value = _float(cfg, "boundary.h")
-    if h_value <= 0:
-        raise ConfigError(f"boundary.h must be > 0, got {h_value:g}")
-    op = assemble_operator(grid, build_medium(cfg))
-    h = BoundaryField.constant(grid, h_value)
+def _diffusion(settings, report):
+    """Diffusion operator, boundary datum h and adjoint weight v, with the
+    weight solve's iterations and relative residual in `report`."""
+    op = assemble_operator(settings.grid, settings.medium)
+    h = BoundaryField.constant(settings.grid, settings.boundary_h)
     try:
         v = solve_adjoint_weight(op, h)
     except InvalidArgumentError as exc:
-        raise ConfigError(
-            f"boundary.h = {h_value:g} gives no finite weight: {exc}") from exc
+        raise ConfigError(f"boundary.h = {settings.boundary_h:g} gives no "
+                          f"finite weight: {exc}") from exc
     iterations, residual = op.last_solve
     report["solver.weight.iterations"] = str(iterations)
     report["solver.weight.residual"] = f"{residual:.6e}"
@@ -153,14 +140,13 @@ def _stability(apertures, report):
     return rep.margin
 
 
-def _gate(cfg, method, apertures, report):
+def _gate(settings, apertures, report):
     """Refuse a cone set with invisible directions unless forced, when the
-    multiplier runs (`method` other than lsqr); LSQR needs no gate."""
-    if method == "lsqr":
+    multiplier runs (recon.method other than lsqr); LSQR needs no gate."""
+    if settings.method == "lsqr":
         return
-    force = _bool(cfg, "run.force_pseudo")
     margin = _stability(apertures, report)
-    if margin <= 0 and not force:
+    if margin <= 0 and not settings.force_pseudo:
         raise StabilityViolationError(
             f"ellipticity margin {margin:g} <= 0; "
             "set run.force_pseudo=true to force a pseudo-inversion")
@@ -176,12 +162,9 @@ def _cone_scan(truth, v, apertures, report):
     return simulate_boundary_scan(truth, v, conv), conv
 
 
-def _spot_points(cfg, grid):
+def _spot_points(n_checks, grid):
     """The run.spot_checks cell indices of the spot check: a lattice over
     the middle half of the first two axes, mid-grid on the third."""
-    n_checks = _int(cfg, "run.spot_checks")
-    if n_checks < 1:
-        raise ConfigError(f"run.spot_checks must be >= 1, got {n_checks}")
     span = min(3 * n // 4 - n // 4 + 1 for n in grid.cells[:2])
     if n_checks > span ** 2:  # a longer side than `span` repeats points
         raise ConfigError(f"run.spot_checks must be <= {span ** 2}, the "
@@ -205,229 +188,174 @@ def _spot_check(op, h, truth, clean, points, report):
     report["spot_check.max_relative_mismatch"] = f"{worst:.6e}"
 
 
-def _photons(cfg):
-    """noise.photons for noise.kind=poisson, None for noise.kind=none."""
-    kind = cfg["noise.kind"]
-    if kind == "none":
-        return None
-    if kind != "poisson":
-        raise ConfigError(f"unknown noise kind {kind!r}")
-    kappa = _float(cfg, "noise.photons")
-    if kappa <= 0:
-        raise ConfigError(f"noise.photons must be > 0, got {kappa:g}")
-    return kappa
-
-
-def _noise(cfg, pairs, report):
+def _noise(pairs, settings, report):
     """Poisson draws on (array, stream name) pairs, seeded per stream, after
     zeroing values at or below NOISE_FLOOR_FRACTION of the array's maximum;
     the arrays as given for noise.kind=none."""
-    kappa = _photons(cfg)
-    if kappa is None:
+    if settings.photons is None:
         report["noise.applied"] = "false"
         return [values for values, _ in pairs]
-    seed = _int(cfg, "run.seed")
-    if seed < 0:
-        raise ConfigError(f"run.seed must be >= 0, got {seed}")
     report["noise.applied"] = "true"
-    report["noise.photons"] = f"{kappa:g}"
+    report["noise.photons"] = f"{settings.photons:g}"
     return [apply_noise(np.where(values > NOISE_FLOOR_FRACTION * np.max(values),
                                  values, 0.0),
-                        kappa, derive_seed(seed, stream))
+                        settings.photons, derive_seed(settings.seed, stream))
             for values, stream in pairs]
 
 
-def _noisy_scan(cfg, clean, report):
+def _noisy_scan(clean, settings, report):
     """The scan after `_noise`, recording the noise it applied."""
-    noisy = _noise(cfg, [(f.values, f"noise.cone{j}")
-                         for j, f in enumerate(clean.fields)], report)
-    kappa = _photons(cfg)
-    noise = {"noise.kind": cfg["noise.kind"]}
-    if kappa is not None:
-        noise["noise.photons"] = f"{kappa:.17g}"
+    noisy = _noise([(f.values, f"noise.cone{j}")
+                    for j, f in enumerate(clean.fields)], settings, report)
     return ConeScanData(clean.focus_grid,
                         [ScalarField(clean.focus_grid, x) for x in noisy],
-                        clean.apertures, noise)
+                        clean.apertures, settings.noise_record)
 
 
-def _recorded_noise(cfg, data):
-    """cfg with the noise that the scan `data` records (v3 manifests).
-    noise.kind=none, the default, takes the recorded noise; any other noise
-    config must agree with it (ConfigError otherwise)."""
-    if data.noise is None:
-        return cfg
-    if cfg["noise.kind"] != "none" and _photons(cfg) != _photons(data.noise):
-        recorded = " ".join(f"{k}={v}" for k, v in data.noise.items())
-        raise ConfigError(
-            f"noise.kind={cfg['noise.kind']} noise.photons={cfg['noise.photons']} "
-            f"contradicts the scan manifest's {recorded}")
-    return {**cfg, **data.noise}
-
-
-def _recon_method(cfg):
-    """recon.method, refused unless it is multiplier, lsqr or both, and
-    the settings of the methods it runs: the multiplier needs
-    recon.eps >= 0 (a negative one regularizes as its magnitude does but
-    counts no entry as suppressed), LSQR recon.lsqr_iters >= 1 (zero
-    iterations return the zero image)."""
-    method = cfg["recon.method"]
-    if method not in ("multiplier", "lsqr", "both"):
-        raise ConfigError(f"recon.method must be multiplier|lsqr|both, got {method!r}")
-    if method != "lsqr" and (eps := _float(cfg, "recon.eps")) < 0:
-        raise ConfigError(f"recon.eps must be >= 0, got {eps:g}")
-    if method != "multiplier" and (iters := _int(cfg, "recon.lsqr_iters")) < 1:
-        raise ConfigError(f"recon.lsqr_iters must be >= 1, got {iters}")
-    return method
-
-
-def _reconstruct(cfg, method, data, v, conv, report):
-    """Invert cone data by `method` (`_recon_method`) with `conv`, the cone
-    operator of the data's apertures on the grid of v; returns (fields,
-    history).  The multiplier does not check the cone set: callers `_gate` it.
-    LSQR runs on A M, M the parametrix preconditioner, and stops once the
-    residual norm is down to the noise, sqrt(sum b / noise.photons) for
-    Poisson data b (the discrepancy principle)."""
-    eps = _float(cfg, "recon.eps")
-    max_iters = _int(cfg, "recon.lsqr_iters")
-    atol = _float(cfg, "recon.lsqr_atol")
-    nonneg = _bool(cfg, "recon.nonneg")
-    kappa = _photons(cfg)
+def _reconstruct(settings, data, v, conv, report):
+    """Invert cone data by recon.method with `conv`, the cone operator of
+    the data's apertures on the grid of v; returns (fields, history).  The
+    multiplier does not check the cone set: callers `_gate` it.  LSQR runs
+    on A M, M the parametrix preconditioner, and stops once the residual
+    norm is down to the noise, sqrt(sum b / noise.photons) for Poisson data
+    b (the discrepancy principle)."""
     fields, history = {}, None
-    if method != "lsqr":
+    if settings.method != "lsqr":
         stats = {}
         with _timed(report, "multiplier"):
             fields["recon_multiplier"] = invert_multiplier(
-                data, v, conv, eps=eps, stats=stats)
+                data, v, conv, eps=settings.eps, stats=stats)
         report["multiplier.m_ref"] = f"{stats['m_ref']:.6e}"
         report["multiplier.suppressed_fraction"] = \
             f"{stats['suppressed_fraction']:.6e}"
-    if method != "multiplier":
+    if settings.method != "multiplier":
         with _timed(report, "lsqr"):
             b = np.concatenate([f.values.ravel() for f in data.fields])
-            stop = (0.0 if kappa is None
-                    else np.sqrt(max(float(np.sum(b)), 0.0) / kappa))
+            stop = (0.0 if settings.photons is None else
+                    np.sqrt(max(float(np.sum(b)), 0.0) / settings.photons))
             precond = parametrix_preconditioner(conv, v)
             with conv.reusing_buffers():
                 z, history = lsqr(
                     compose(scan_linear_map(conv, v), precond),
-                    b, max_iters=max_iters, atol=atol, stop_residual=stop)
+                    b, max_iters=settings.lsqr_iters,
+                    atol=settings.lsqr_atol, stop_residual=stop)
             x = precond.forward(z)
-            if nonneg:
+            if settings.nonneg:
                 x = np.maximum(x, 0.0)
             fields["recon_lsqr"] = ScalarField(v.grid, x.reshape(v.grid.cells))
         report["lsqr.preconditioner"] = "parametrix"
         report["lsqr.iterations"] = str(int(history[-1][0]))
-        report["lsqr.stop_reason"] = lsqr_stop_reason(history, max_iters, stop)
+        report["lsqr.stop_reason"] = lsqr_stop_reason(
+            history, settings.lsqr_iters, stop)
         report["lsqr.final_normal_residual"] = f"{history[-1][2]:.6e}"
         report["lsqr.final_relative_normal_residual"] = f"{history[-1][3]:.6e}"
     return fields, history
 
 
-def _emit(cfg, t0, report, fields, **files):
+def _emit(settings, t0, report, fields, **files):
     """Errors of the reconstructions against the truth, the config echo and
     the wall clock into the report, then every output file into
     run.output_dir."""
     recons = [(name[len("recon_"):], fld) for name, fld in fields.items()
               if name.startswith("recon_")]
-    if "truth" in fields and recons:
-        eps_bg = _float(cfg, "error.eps_bg")
+    if "truth" in fields:
         for method, rec in recons:
-            signed, absolute = relative_error(fields["truth"], rec, eps_bg)
+            signed, absolute = relative_error(fields["truth"], rec,
+                                              settings.eps_bg)
             report[f"error.{method}.signed"] = f"{signed:.6f}"
             report[f"error.{method}.absolute"] = f"{absolute:.6f}"
-    report.update((f"config.{key}", val) for key, val in cfg.items())
+    report.update((f"config.{key}", val) for key, val in settings.text.items())
     report["wall_clock_seconds"] = f"{time.perf_counter() - t0:.3f}"
-    emit_outputs(cfg["run.output_dir"], fields, report, **files)
+    emit_outputs(settings.output_dir, fields, report, **files)
     return report
 
 
 def run_xmlt(cfg):
     """Full cone-excitation (XMLT) experiment: simulate, invert, report."""
     t0 = time.perf_counter()
-    method = _recon_method(cfg)
+    settings = Settings(cfg, inverts=True)
     report = {}
     with _timed(report, "setup"):
-        truth = _phantom(cfg)
-        apertures = build_apertures(cfg, truth.grid.dim)
-        points = _spot_points(cfg, truth.grid)
-        op, h, v = _diffusion(cfg, truth.grid, report)
+        truth = build_phantom(settings.phantom, settings.grid)
+        relative_error(truth, truth, settings.eps_bg)  # refuses an empty error mask
+        points = _spot_points(settings.spot_checks, truth.grid)
+        op, h, v = _diffusion(settings, report)
     with _timed(report, "gate"):
-        _gate(cfg, method, apertures, report)
+        _gate(settings, settings.apertures, report)
     with _timed(report, "scan"):
-        clean, conv = _cone_scan(truth, v, apertures, report)
+        clean, conv = _cone_scan(truth, v, settings.apertures, report)
     with _timed(report, "spot_check"):
         _spot_check(op, h, truth, clean, points, report)
     with _timed(report, "noise"):
-        data = _noisy_scan(cfg, clean, report)
+        data = _noisy_scan(clean, settings, report)
+    del clean  # frees the noise-free scan, which no later stage reads
     with _timed(report, "reconstruct"):
-        fields, history = _reconstruct(cfg, method, data, v, conv, report)
-    return _emit(cfg, t0, report, {"truth": truth, "weight": v, **fields},
+        fields, history = _reconstruct(settings, data, v, conv, report)
+    return _emit(settings, t0, report, {"truth": truth, "weight": v, **fields},
                  scan=data, history=history)
 
 
 def run_xlct(cfg):
     """Full line-excitation (XLCT) experiment: sinogram, FBP, divide by weight."""
     t0 = time.perf_counter()
+    settings = Settings(cfg)
+    grid = settings.grid
+    if grid.dim != 2:
+        raise ConfigError("run_xlct requires a 2D grid")
     report = {}
     with _timed(report, "setup"):
-        truth = _phantom(cfg)
-        grid = truth.grid
-        if grid.dim != 2:
-            raise ConfigError("run_xlct requires a 2D grid")
-        n_angles = _int(cfg, "xray.n_angles")
-        n_offsets = _int(cfg, "xray.n_offsets")
-        if n_angles < 8 or n_offsets < 2:
-            raise ConfigError("run_xlct needs xray.n_angles >= 8 and "
-                              f"xray.n_offsets >= 2, got {n_angles} and {n_offsets}")
-        _, _, v = _diffusion(cfg, grid, report)
+        truth = build_phantom(settings.phantom, settings.grid)
+        relative_error(truth, truth, settings.eps_bg)  # refuses an empty error mask
+        _, _, v = _diffusion(settings, report)
     with _timed(report, "scan"):
-        angles = np.arange(n_angles) * (np.pi / n_angles)
+        angles = np.arange(settings.n_angles) * (np.pi / settings.n_angles)
         half_diag = 0.5 * np.sqrt(sum(e ** 2 for e in grid.extent))
-        offsets = np.linspace(-half_diag, half_diag, n_offsets)
+        offsets = np.linspace(-half_diag, half_diag, settings.n_offsets)
         sino = xray_transform(ScalarField(grid, v.values * truth.values),
                               angles, offsets)
     with _timed(report, "noise"):
-        (values,) = _noise(cfg, [(sino.values, "noise.sinogram")], report)
+        (values,) = _noise([(sino.values, "noise.sinogram")], settings, report)
         sino = Sinogram(angles, offsets, values)
     with _timed(report, "reconstruct"):
-        filt = FbpFilter(kind=cfg["recon.filter"], cutoff=_float(cfg, "recon.cutoff"))
-        rec = divide_by_weight(fbp(sino, grid, filt), v)
+        rec = divide_by_weight(fbp(sino, grid, settings.fbp_filter), v)
     report["weight.max_inverse"] = f"{1.0 / float(np.min(_floored_weight(v))):.6e}"
-    return _emit(cfg, t0, report,
+    return _emit(settings, t0, report,
                  {"truth": truth, "weight": v, "recon_fbp": rec}, sinogram=sino)
 
 
 def phantom(cfg):
     """The `phantom` verb: write the configured phantom."""
     t0 = time.perf_counter()
+    settings = Settings(cfg)
     report = {}
     with _timed(report, "setup"):
-        truth = _phantom(cfg)
-    return _emit(cfg, t0, report, {"truth": truth})
+        truth = build_phantom(settings.phantom, settings.grid)
+    return _emit(settings, t0, report, {"truth": truth})
 
 
 def weight(cfg):
     """The `weight` verb: write the adjoint weight field."""
     t0 = time.perf_counter()
+    settings = Settings(cfg)
     report = {}
     with _timed(report, "setup"):
-        _, _, v = _diffusion(cfg, _phantom(cfg).grid, report)
-    return _emit(cfg, t0, report, {"weight": v})
+        _, _, v = _diffusion(settings, report)
+    return _emit(settings, t0, report, {"weight": v})
 
 
 def scan(cfg):
     """The `scan` verb: write the (noisy) cone scan with truth and weight."""
     t0 = time.perf_counter()
+    settings = Settings(cfg)
     report = {}
     with _timed(report, "setup"):
-        truth = _phantom(cfg)
-        apertures = build_apertures(cfg, truth.grid.dim)
-        _, _, v = _diffusion(cfg, truth.grid, report)
+        truth = build_phantom(settings.phantom, settings.grid)
+        _, _, v = _diffusion(settings, report)
     with _timed(report, "scan"):
-        clean, _ = _cone_scan(truth, v, apertures, report)
+        clean, _ = _cone_scan(truth, v, settings.apertures, report)
     with _timed(report, "noise"):
-        data = _noisy_scan(cfg, clean, report)
-    return _emit(cfg, t0, report, {"truth": truth, "weight": v}, scan=data)
+        data = _noisy_scan(clean, settings, report)
+    return _emit(settings, t0, report, {"truth": truth, "weight": v}, scan=data)
 
 
 def reconstruct(cfg):
@@ -435,8 +363,8 @@ def reconstruct(cfg):
     keeping the scan's record (`_scan_record`) in the report; the verb's
     own keys win."""
     t0 = time.perf_counter()
-    method = _recon_method(cfg)
-    outdir = cfg["run.output_dir"]
+    settings = Settings(cfg, inverts=True)
+    outdir = settings.output_dir
     manifest = os.path.join(outdir, "scan_manifest.txt")
     weight_path = os.path.join(outdir, "weight.ltf")
     if not (os.path.exists(manifest) and os.path.exists(weight_path)):
@@ -446,21 +374,21 @@ def reconstruct(cfg):
     with _timed(report, "setup"):
         data = ltfio.read_scan(manifest)
         v = ltfio.read_field(weight_path)
-        if method != "multiplier" and data.focus_grid != v.grid:
+        if settings.method != "multiplier" and data.focus_grid != v.grid:
             raise InvalidArgumentError(
                 f"LSQR needs the scan on the weight's grid, got {data.focus_grid} "
                 f"and {v.grid}")
-        cfg = _recorded_noise(cfg, data)
+        settings.use_recorded_noise(data.noise)
     with _timed(report, "reconstruct"):
-        _gate(cfg, method, data.apertures, report)
+        _gate(settings, data.apertures, report)
         conv = ConeConvolution(data.apertures, v.grid)
         report["scan.distinct_apertures"] = str(len(conv.spectra))
-        fields, history = _reconstruct(cfg, method, data, v, conv, report)
-    return _emit(cfg, t0, report, fields, history=history)
+        fields, history = _reconstruct(settings, data, v, conv, report)
+    return _emit(settings, t0, report, fields, history=history)
 
 
 def check_stability(cfg):
     """Report the ellipticity margin and invisible directions of the cone set."""
     report = {}
-    _stability(build_apertures(cfg, _int(cfg, "grid.dim")), report)
+    _stability(Settings(cfg).apertures, report)
     return report

@@ -8,11 +8,11 @@ from lumitomo.algebraic import (LinearMap, apply_noise, compose,
                                 lsqr, lsqr_stop_reason,
                                 parametrix_preconditioner, relative_error,
                                 scan_linear_map)
-from lumitomo.config import build_apertures, load_config
+from lumitomo.config import Settings, load_config
 from lumitomo.errors import (EmptyMaskError, InvalidArgumentError,
                              InvalidOperatorError)
 from lumitomo.excitation import Aperture, ConeConvolution, cone_transform
-from lumitomo.fields import ScalarField, make_grid
+from lumitomo.fields import ScalarField, build_phantom, make_grid
 
 from conftest import constant_field, fan_apertures, two_bump_phantom
 
@@ -215,11 +215,10 @@ def plain_capped_lsqr(data, v, conv, max_iters=200, atol=1e-8):
 @pytest.fixture(scope="module")
 def default_scene():
     """Truth, weight, cone operator and clean scan of the default run."""
-    cfg = load_config()
-    truth = pipeline._phantom(cfg)
-    _, _, v = pipeline._diffusion(cfg, truth.grid, {})
-    clean, conv = pipeline._cone_scan(
-        truth, v, build_apertures(cfg, truth.grid.dim), {})
+    settings = Settings(load_config())
+    truth = build_phantom(settings.phantom, settings.grid)
+    _, _, v = pipeline._diffusion(settings, {})
+    clean, conv = pipeline._cone_scan(truth, v, settings.apertures, {})
     return truth, v, conv, clean
 
 
@@ -288,13 +287,12 @@ class TestParametrixPreconditioner:
     def test_no_worse_than_plain_capped_lsqr(self, default_scene, photons,
                                              seed):
         truth, v, conv, clean = default_scene
-        cfg = load_config(None, ["noise.kind=poisson",
-                                 f"noise.photons={photons}",
-                                 f"run.seed={seed}", "recon.method=lsqr"])
+        settings = Settings(load_config(None, [
+            "noise.kind=poisson", f"noise.photons={photons}",
+            f"run.seed={seed}", "recon.method=lsqr"]), inverts=True)
         report = {}
-        data = pipeline._noisy_scan(cfg, clean, report)
-        fields, _ = pipeline._reconstruct(cfg, "lsqr", data, v, conv,
-                                              report)
+        data = pipeline._noisy_scan(clean, settings, report)
+        fields, _ = pipeline._reconstruct(settings, data, v, conv, report)
         assert report["lsqr.stop_reason"] == "discrepancy"
         error = relative_error(truth, fields["recon_lsqr"], 0.5)[1]
         reference = relative_error(truth, plain_capped_lsqr(data, v, conv),

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -13,8 +14,8 @@ from hypothesis import (HealthCheck, example, given, settings,
 import lumitomo
 from lumitomo import excitation, pipeline
 from lumitomo.cli import main
-from lumitomo.config import (DEFAULTS, build_apertures, derive_seed,
-                             load_config, parse_config_text)
+from lumitomo.config import (DEFAULTS, Settings, build_apertures,
+                             derive_seed, load_config, parse_config_text)
 from lumitomo.errors import (ConfigError, EmptyMaskError,
                              InvalidArgumentError, InvalidOperatorError,
                              LumitomoError, SolverFailureError,
@@ -36,6 +37,32 @@ def small_args(verb, outdir, *extra):
     for item in SMALL + list(extra):
         args += ["--set", item]
     return args
+
+
+# (verb, --set items, stderr text) of the settings refused before a verb's
+# first stage: the method-dependent ranges, by the two verbs that invert,
+# then `abc` for every key but run.output_dir, by every verb and, for
+# run-xmlt, under every method
+_RECON_RANGES = [
+    (["recon.eps=-1"], "recon.eps must be >= 0, got -1"),
+    (["recon.method=both", "recon.eps=-1e-3"], "recon.eps must be >= 0"),
+    (["recon.method=lsqr", "recon.lsqr_iters=0"],
+     "recon.lsqr_iters must be >= 1, got 0"),
+    (["recon.method=both", "recon.lsqr_iters=-2"],
+     "recon.lsqr_iters must be >= 1"),
+    (["recon.method=lsqr", "recon.lsqr_atol=-1"],
+     "recon.lsqr_atol must be >= 0, got -1")]
+_VERB_METHODS = [("run-xmlt", [f"recon.method={m}"])
+                 for m in ("multiplier", "lsqr", "both")] + [
+    (verb, []) for verb in ("run-xlct", "scan", "weight", "reconstruct",
+                            "phantom", "check-stability")]
+BAD_SETTINGS = [(verb, items, message) for verb in ("run-xmlt", "reconstruct")
+                for items, message in _RECON_RANGES] + [
+    (verb, method + [f"{key}=abc"], key)
+    for key in sorted(set(DEFAULTS) - {"run.output_dir"})
+    for verb, method in _VERB_METHODS]
+BAD_SETTINGS_IDS = [f"{verb}-{' '.join(items)}"
+                    for verb, items, _ in BAD_SETTINGS]
 
 
 class TestConfig:
@@ -140,9 +167,11 @@ class TestExitCodes:
         monkeypatch.setattr(pipeline, "run_xmlt", boom)
         assert main(["run-xmlt", "-o", str(tmp_path)]) == code
 
-    def test_empty_error_mask_exits_2_without_traceback(self, tmp_path,
-                                                         capsys):
-        rc = main(small_args("run-xmlt", tmp_path, "error.eps_bg=100"))
+    @pytest.mark.parametrize("verb", ["run-xmlt", "run-xlct"])
+    def test_empty_error_mask_exits_2_without_traceback(
+            self, tmp_path, capsys, monkeypatch, verb):
+        monkeypatch.setattr(pipeline, "solve_adjoint_weight", _no_weight_solve)
+        rc = main(small_args(verb, tmp_path, "error.eps_bg=100"))
         assert rc == 2
         err = capsys.readouterr().err
         assert "background threshold" in err
@@ -168,8 +197,9 @@ class TestExitCodes:
             raise AssertionError("weight solved before the sinogram check")
         monkeypatch.setattr(pipeline, "solve_adjoint_weight", weight_solve)
         assert main(small_args("run-xlct", tmp_path, item)) == 2
-        assert "xray.n_angles >= 8 and xray.n_offsets >= 2" in \
-            capsys.readouterr().err
+        key = item.partition("=")[0]
+        low = {"xray.n_angles": 8, "xray.n_offsets": 2}[key]
+        assert f"{key} must be >= {low}" in capsys.readouterr().err
 
     def test_oversized_grid_exits_2_without_traceback(self, tmp_path, capsys):
         rc = main(["phantom", "-o", str(tmp_path), "--set",
@@ -223,36 +253,36 @@ class TestExitCodes:
         assert "recon.method must be multiplier|lsqr|both" in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("items,message", [
-        (["recon.eps=-1"], "recon.eps must be >= 0, got -1"),
-        (["recon.method=both", "recon.eps=-1e-3"], "recon.eps must be >= 0"),
-        (["recon.method=lsqr", "recon.lsqr_iters=0"],
-         "recon.lsqr_iters must be >= 1, got 0"),
-        (["recon.method=both", "recon.lsqr_iters=-2"],
-         "recon.lsqr_iters must be >= 1")],
-        ids=["eps-multiplier", "eps-both", "iters-lsqr", "iters-both"])
-    @pytest.mark.parametrize("verb", ["run-xmlt", "reconstruct"])
+    @pytest.mark.parametrize("verb,items,message", BAD_SETTINGS,
+                             ids=BAD_SETTINGS_IDS)
     def test_bad_recon_settings_refused_before_the_first_stage(
-            self, tmp_path, capsys, monkeypatch, verb, items, message):
+            self, tmp_path, capsys, monkeypatch, scanned, verb, items,
+            message):
         # a negative eps gave eps = |eps|'s image with suppressed_fraction
-        # 0; zero LSQR iterations an all-zero image with stop reason cap
-        if verb == "reconstruct":
-            assert main(small_args("scan", tmp_path)) == 0
-            capsys.readouterr()
+        # 0; zero LSQR iterations an all-zero image with stop reason cap; a
+        # negative atol a run with both of LSQR's atol stops disabled.  A
+        # malformed value of any key is refused by every verb, whether it
+        # reads the key or not
+        outdir = scanned if verb == "reconstruct" else tmp_path / "out"
         monkeypatch.setattr(pipeline, "solve_adjoint_weight", _no_weight_solve)
 
         def no_kernel(ap, grid):
             raise AssertionError("cone kernel built before the refusal")
         monkeypatch.setattr(excitation, "cone_kernel", no_kernel)
-        assert main(small_args(verb, tmp_path, *items)) == 2
+        assert main(small_args(verb, outdir, *items)) == 2
         err = capsys.readouterr().err
         assert message in err
         assert len(err.strip().splitlines()) == 1
+        if verb == "reconstruct":
+            assert not list(outdir.glob("recon_*"))
+        else:
+            assert not outdir.exists()
 
     @pytest.mark.parametrize("items", [
         ["recon.method=lsqr", "recon.eps=-1"],
-        ["recon.method=multiplier", "recon.lsqr_iters=0"]],
-        ids=["eps-lsqr", "iters-multiplier"])
+        ["recon.method=multiplier", "recon.lsqr_iters=0"],
+        ["recon.method=multiplier", "recon.lsqr_atol=-1"]],
+        ids=["eps-lsqr", "iters-multiplier", "atol-multiplier"])
     def test_settings_of_a_method_that_does_not_run_are_not_checked(
             self, tmp_path, items):
         assert main(small_args("run-xmlt", tmp_path, *items)) == 0
@@ -676,16 +706,24 @@ class TestVerbs:
         exact[zero] = 0.0
         ulp = 1e-16 * exact.max()
         roundoff = ulp * rng.uniform(-1.0, 1.0, exact.shape)
-        cfg = dict(DEFAULTS, **{"noise.kind": "poisson",
-                                "noise.photons": "1e4"})
+        settings = Settings(dict(DEFAULTS, **{"noise.kind": "poisson",
+                                              "noise.photons": "1e4"}))
 
         def noisy(perturbation):
             values = np.where(zero, perturbation, exact)
-            return pipeline._noise(cfg, [(values, "noise.cone0")], {})[0]
+            return pipeline._noise([(values, "noise.cone0")], settings, {})[0]
 
         ref = noisy(roundoff)
         for perturbation in (-roundoff, roundoff + ulp, roundoff - ulp, 0.0):
             assert np.array_equal(noisy(perturbation), ref)
+
+
+@pytest.fixture(scope="module")
+def scanned(tmp_path_factory):
+    """A directory holding what `scan` writes on the SMALL config."""
+    outdir = tmp_path_factory.mktemp("scanned")
+    assert main(small_args("scan", outdir)) == 0
+    return outdir
 
 
 def _no_weight_solve(op, h):
@@ -737,6 +775,30 @@ class TestWallClock:
                     if not ln.startswith("wall_clock")]
 
         assert stripped() == stripped()
+
+    def test_other_verbs_repeat_bit_for_bit(self, tmp_path):
+        # run-xlct, and scan then reconstruct, with Poisson noise: every
+        # output file, report.txt without its wall_clock lines
+        def outputs():
+            shutil.rmtree(tmp_path, ignore_errors=True)
+            assert main(small_args("run-xlct", tmp_path / "xlct", *self.XLCT,
+                                   "noise.kind=poisson")) == 0
+            assert main(small_args("scan", tmp_path / "scan",
+                                   "noise.kind=poisson")) == 0
+            assert main(small_args("reconstruct", tmp_path / "scan",
+                                   "recon.method=both")) == 0
+            files = {}
+            for path in sorted(tmp_path.rglob("*.*")):
+                data = path.read_bytes()
+                if path.name == "report.txt":
+                    data = b"\n".join(ln for ln in data.split(b"\n")
+                                      if not ln.startswith(b"wall_clock"))
+                files[path.relative_to(tmp_path)] = data
+            return files
+
+        first = outputs()
+        assert {path.parts[0] for path in first} == {"xlct", "scan"}
+        assert outputs() == first
 
     @pytest.mark.parametrize("verb,extra,stages", [
         ("run-xmlt", [], ["emit", "gate", "multiplier", "noise", "reconstruct",

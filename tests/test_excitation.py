@@ -16,13 +16,13 @@ from lumitomo.diffusion import (BoundaryField, assemble_operator,
 from lumitomo import excitation, pipeline
 from lumitomo.algebraic import (compose, lsqr, parametrix_preconditioner,
                                 scan_linear_map)
-from lumitomo.config import DEFAULTS, build_apertures
+from lumitomo.config import DEFAULTS, Settings, build_apertures
 from lumitomo.errors import InvalidArgumentError
 from lumitomo.excitation import (Aperture, ConeConvolution, ConeScanData,
                                  Sinogram, cone_kernel, cone_transform,
                                  full_physics_measurements,
                                  simulate_boundary_scan, xray_transform)
-from lumitomo.fields import Grid, ScalarField, make_grid
+from lumitomo.fields import Grid, ScalarField, build_phantom, make_grid
 from lumitomo.multiplier import invert_multiplier
 
 from conftest import (cell_index, centered_table, constant_field,
@@ -997,12 +997,13 @@ def dense_full_physics(op, h, f, ap, foci):
 
 
 def config_case(*items):
-    """Config, phantom, operator, datum, weight and cones of DEFAULTS with
-    overrides."""
-    cfg = dict(DEFAULTS, **dict(item.split("=", 1) for item in items))
-    truth = pipeline._phantom(cfg)
-    op, h, v = pipeline._diffusion(cfg, truth.grid, {})
-    return cfg, truth, op, h, v, build_apertures(cfg, truth.grid.dim)
+    """Settings, phantom, operator, datum, weight and cones of DEFAULTS
+    with overrides."""
+    settings = Settings(
+        dict(DEFAULTS, **dict(item.split("=", 1) for item in items)))
+    truth = build_phantom(settings.phantom, settings.grid)
+    op, h, v = pipeline._diffusion(settings, {})
+    return settings, truth, op, h, v, settings.apertures
 
 
 GRID_3D = ("grid.dim=3", "grid.origin=-10,-10,-10", "grid.extent=20,20,20",
@@ -1015,7 +1016,7 @@ class TestFullPhysicsReference:
     dense chain's measurements bit for bit."""
 
     def test_default_spot_check_points(self, monkeypatch):
-        cfg, truth, op, h, v, aps = config_case()
+        settings, truth, op, h, v, aps = config_case()
         clean, _ = pipeline._cone_scan(truth, v, aps, {})
         calls = []
 
@@ -1027,7 +1028,8 @@ class TestFullPhysicsReference:
 
         monkeypatch.setattr(pipeline, "full_physics_measurements", checked)
         pipeline._spot_check(op, h, truth, clean,
-                              pipeline._spot_points(cfg, truth.grid), {})
+                              pipeline._spot_points(settings.spot_checks,
+                                                    truth.grid), {})
         assert calls == [9]
 
     @pytest.mark.parametrize("items,foci", [
@@ -1062,7 +1064,7 @@ class TestFullPhysicsReference:
     def test_zero_source_foci_skip_the_solve(self, monkeypatch):
         # 37 of the default 100 spot-check foci see no phantom cell through
         # the first cone; each measures +0.0, what its solve would give
-        cfg, truth, op, h, v, aps = config_case("run.spot_checks=100")
+        settings, truth, op, h, v, aps = config_case("run.spot_checks=100")
         clean, _ = pipeline._cone_scan(truth, v, aps, {})
         solved, measured = [], []
 
@@ -1077,7 +1079,8 @@ class TestFullPhysicsReference:
         monkeypatch.setattr(excitation, "solve_forward", counted_solve)
         monkeypatch.setattr(pipeline, "full_physics_measurements", kept)
         pipeline._spot_check(op, h, truth, clean,
-                              pipeline._spot_points(cfg, truth.grid), {})
+                              pipeline._spot_points(settings.spot_checks,
+                                                    truth.grid), {})
         (got,) = measured
         assert got.size == 100 and len(solved) == 63
         assert np.count_nonzero(got) == 63
