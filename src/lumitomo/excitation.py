@@ -215,10 +215,12 @@ class ConeConvolution:
     result are the linear quadrature sum.  The kernels are even, so their
     spectra are real and serve forward and adjoint alike.  Apertures that
     are the same double cone share one spectrum (`group` maps each aperture
-    to its row of `spectra`), so each distinct aperture costs one inverse
-    FFT in `forward` and one forward FFT in `adjoint`.  A run builds one and
-    hands it to the scan, the multiplier and LSQR: their `conv` argument is
-    the only way they take a cone set and its grid.
+    to its row of `spectra`, and `counts` holds each row's number of
+    apertures), and `forward` and `adjoint` work on one row per distinct
+    aperture: one inverse FFT each in `forward` and one forward FFT each in
+    `adjoint`.  A run builds one and hands it to the scan, the multiplier
+    and LSQR: their `conv` argument is the only way they take a cone set
+    and its grid.
 
     The build holds the `spectra` stack, one complex work spectrum, one
     kernel table on the circular grid and one block of its samples: for
@@ -245,9 +247,7 @@ class ConeConvolution:
         self.shape = tuple(2 * n for n in self.cells)
         distinct, group = _aperture_groups(apertures)
         self.group = np.array(group, dtype=np.intp)
-        # the rows of `forward`'s result that each distinct aperture fills
-        self._rows = [np.flatnonzero(self.group == i).tolist()
-                      for i in range(len(distinct))]
+        self.counts = np.bincount(self.group)
         self._half = self.shape[:-1] + (self.shape[-1] // 2 + 1,)
         self._buffers = None
         self.spectra = np.empty((len(distinct),) + self._half)
@@ -269,7 +269,7 @@ class ConeConvolution:
     def _work(self, name, shape, dtype):
         """An uninitialised array, inside `reusing_buffers` the one cached
         under this key; the methods share the names "X", "Y" (half spectra),
-        "real" and "summed"."""
+        "real" and "scaled"."""
         if self._buffers is None:
             return np.empty(shape, dtype)
         key = (name, shape, dtype)
@@ -307,17 +307,15 @@ class ConeConvolution:
         return out
 
     def forward(self, g):
-        """Quadrature sums of the source g (grid-shaped), one per aperture
-        along a leading axis; one FFT of g serves every aperture, and
-        apertures of one group get copies of one inverse FFT."""
+        """Quadrature sums of the source g (grid-shaped), one per distinct
+        aperture (row i for spectra[i]) along a leading axis; one FFT of g
+        serves every aperture."""
         G = self._spectrum(g, self._work("X", self._half, complex))
         P = self._work("Y", self._half, complex)
-        out = np.empty((len(self.group),) + self.cells)
-        for rows, S in zip(self._rows, self.spectra):
+        out = np.empty((len(self.spectra),) + self.cells)
+        for i, S in enumerate(self.spectra):
             np.multiply(G, S, out=P)
-            self._inverse(P, out[rows[0]])
-            for j in rows[1:]:
-                out[j] = out[rows[0]]
+            self._inverse(P, out[i])
         return out
 
     def filter(self, g, symbol, start=None):
@@ -329,20 +327,20 @@ class ConeConvolution:
         X *= symbol
         return self._inverse(X, np.empty(self.cells), start)
 
-    def adjoint(self, y):
-        """Transpose of `forward`: per-aperture fields stacked along a
-        leading axis to one grid-shaped field.  The fields of each group
-        are added before its FFT, and the spectra are summed before one
+    def adjoint(self, y, weights=None):
+        """Transpose of `forward`: one field per distinct aperture stacked
+        along a leading axis (row i times weights[i] when `weights` is
+        given) to one grid-shaped field; the spectra are summed before one
         inverse FFT."""
-        summed = self._work("summed", self.cells, float)
         Y = self._work("Y", self._half, complex)
         acc = self._work("X", self._half, complex)
         acc.fill(0.0)
-        for rows, S in zip(self._rows, self.spectra):
-            summed.fill(0.0)
-            for j in rows:
-                summed += y[j]
-            self._spectrum(summed, Y)
+        for i, S in enumerate(self.spectra):
+            row = y[i]
+            if weights is not None:
+                row = np.multiply(row, weights[i],
+                                  out=self._work("scaled", self.cells, float))
+            self._spectrum(row, Y)
             Y *= S
             acc += Y
         return self._inverse(acc, np.empty(self.cells))
@@ -392,7 +390,9 @@ def cone_transform(f: ScalarField, v: ScalarField, conv: ConeConvolution):
     g = f.values * (v.values * grid.cell_volume)
     g_emb = np.zeros(focus_grid.cells)
     g_emb[tuple(slice(k, k + n) for k, n in zip(offs, grid.cells))] = g
-    return [ScalarField(focus_grid, x) for x in conv.forward(g_emb)]
+    rows = conv.forward(g_emb)
+    # apertures of one group get copies of its row (ScalarField copies)
+    return [ScalarField(focus_grid, rows[i]) for i in conv.group]
 
 
 @dataclass

@@ -248,8 +248,7 @@ def _kernel_spectrum(conv: ConeConvolution):
     `ConeConvolution` spectra, times the cell volume.  It replaces the
     analytic symbol on the lowest frequency shell, where the
     unbounded-kernel assumption fails."""
-    counts = np.bincount(conv.group)
-    return (sum(c * S for c, S in zip(counts, conv.spectra))
+    return (sum(c * S for c, S in zip(conv.counts, conv.spectra))
             * conv.grid.cell_volume)
 
 

@@ -212,13 +212,34 @@ def _noisy_scan(clean, settings, report):
                         clean.apertures, settings.noise_record)
 
 
+def _reduced_data(data, conv):
+    """LSQR's data on the distinct cones of `conv` (`scan_linear_map`): for
+    each distinct cone, sqrt(c) times the mean of its c fields; and the
+    residual norm that no model removes, the root sum of squares of the
+    fields' deviations from their cone's mean.  A cone's two equal fields
+    (a noise-free scan of a double cone) have that field as their mean bit
+    for bit, so a floor of exactly 0."""
+    shape = (-1,) + (1,) * len(conv.cells)
+    mean = np.zeros((len(conv.counts),) + conv.cells)
+    for fld, i in zip(data.fields, conv.group):
+        mean[i] += fld.values
+    mean /= conv.counts.reshape(shape)
+    floor2 = 0.0
+    for fld, i in zip(data.fields, conv.group):
+        dev = fld.values - mean[i]
+        floor2 += float(np.vdot(dev, dev))
+    mean *= np.sqrt(conv.counts).reshape(shape)
+    return mean, float(np.sqrt(floor2))
+
+
 def _reconstruct(settings, data, v, conv, report):
     """Invert cone data by recon.method with `conv`, the cone operator of
     the data's apertures on the grid of v; returns (fields, history).  The
     multiplier does not check the cone set: callers `_gate` it.  LSQR runs
-    on A M, M the parametrix preconditioner, and stops once the residual
-    norm is down to the noise, sqrt(sum b / noise.photons) for Poisson data
-    b (the discrepancy principle)."""
+    on A M, A the scan operator on the distinct cones (`_reduced_data`)
+    and M the parametrix preconditioner, and stops once the residual norm
+    of all the data is down to the noise, sqrt(sum b / noise.photons) for
+    Poisson data b (the discrepancy principle)."""
     fields, history = {}, None
     if settings.method != "lsqr":
         stats = {}
@@ -230,15 +251,17 @@ def _reconstruct(settings, data, v, conv, report):
             f"{stats['suppressed_fraction']:.6e}"
     if settings.method != "multiplier":
         with _timed(report, "lsqr"):
-            b = np.concatenate([f.values.ravel() for f in data.fields])
+            b, floor = _reduced_data(data, conv)
+            total = sum(float(np.sum(f.values)) for f in data.fields)
             stop = (0.0 if settings.photons is None else
-                    np.sqrt(max(float(np.sum(b)), 0.0) / settings.photons))
+                    np.sqrt(max(total, 0.0) / settings.photons))
             precond = parametrix_preconditioner(conv, v)
             with conv.reusing_buffers():
                 z, history = lsqr(
                     compose(scan_linear_map(conv, v), precond),
                     b, max_iters=settings.lsqr_iters,
-                    atol=settings.lsqr_atol, stop_residual=stop)
+                    atol=settings.lsqr_atol, stop_residual=stop,
+                    residual_floor=floor)
             x = precond.forward(z)
             if settings.nonneg:
                 x = np.maximum(x, 0.0)
@@ -247,6 +270,7 @@ def _reconstruct(settings, data, v, conv, report):
         report["lsqr.iterations"] = str(int(history[-1][0]))
         report["lsqr.stop_reason"] = lsqr_stop_reason(
             history, settings.lsqr_iters, stop)
+        report["lsqr.residual_floor"] = f"{floor:.6e}"
         report["lsqr.final_normal_residual"] = f"{history[-1][2]:.6e}"
         report["lsqr.final_relative_normal_residual"] = f"{history[-1][3]:.6e}"
     return fields, history

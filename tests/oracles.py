@@ -14,11 +14,15 @@ compares the runtime path with.
   from the cells, and `reciprocity_residual`, the gap of the reciprocity
   identity under that flux or the runtime `boundary_flux`;
 - `null_space_defect`: <V h, L phi> for interior-supported phi;
-- `cone_intensity`: the cone kernel at one source point.
+- `cone_intensity`: the cone kernel at one source point;
+- `stacked_linear_map`, `stacked_data`: the scan operator and LSQR data
+  with one row per aperture, as LSQR ran before it took one row per
+  distinct cone.
 """
 
 import numpy as np
 
+from lumitomo.algebraic import LinearMap
 from lumitomo.diffusion import (BoundaryField, _sides, boundary_face_count,
                                 boundary_flux, boundary_functional,
                                 solve_adjoint_weight, solve_forward)
@@ -217,3 +221,32 @@ def cone_intensity(ap, x_focus, y):
     if r == 0.0:
         raise InvalidArgumentError("cone_intensity is singular at the focus")
     return float(ap.profile(np.dot(d / r, ap.axis)) / r ** (ap.dim - 1))
+
+
+def stacked_linear_map(conv, v):
+    """The scan operator f -> K_{group[j]} (V f) for every aperture j of
+    `conv`, stacked, V = v * cell volume: each distinct cone's row repeated
+    for each of its apertures, with adjoint y -> V sum_j K_{group[j]} y_j.
+    The reference of `algebraic.scan_linear_map`, its reduction to one
+    row per distinct cone."""
+    grid = v.grid
+    vvol = v.values * grid.cell_volume
+    stacked = (len(conv.group),) + tuple(grid.cells)
+
+    def forward(x):
+        return conv.forward(x.reshape(grid.cells) * vvol)[conv.group].ravel()
+
+    def adjoint(y):
+        y = y.reshape(stacked)
+        summed = np.stack([y[conv.group == i].sum(axis=0)
+                           for i in range(len(conv.spectra))])
+        return (conv.adjoint(summed) * vvol).ravel()
+
+    return LinearMap(n_data=len(conv.group) * grid.n_cells,
+                     n_model=grid.n_cells, forward=forward, adjoint=adjoint)
+
+
+def stacked_data(scan):
+    """The fields of a `ConeScanData`, one row per aperture, flattened: the
+    data of `stacked_linear_map`."""
+    return np.concatenate([f.values.ravel() for f in scan.fields])

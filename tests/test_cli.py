@@ -12,9 +12,9 @@ from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
 import lumitomo
-from lumitomo import excitation, pipeline
+from lumitomo import config, excitation, pipeline
 from lumitomo.cli import main
-from lumitomo.config import (DEFAULTS, Settings, build_apertures,
+from lumitomo.config import (DEFAULTS, MAX_CONES, Settings, build_apertures,
                              derive_seed, load_config, parse_config_text)
 from lumitomo.errors import (ConfigError, EmptyMaskError,
                              InvalidArgumentError, InvalidOperatorError,
@@ -236,6 +236,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "cones.count must be >= 1" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("verb", ["check-stability", "run-xlct",
+                                      "run-xmlt"])
+    def test_cone_count_beyond_the_bound_refused_before_any_aperture(
+            self, tmp_path, capsys, monkeypatch, verb):
+        def no_aperture(**kwargs):
+            raise AssertionError("aperture built before the refusal")
+        monkeypatch.setattr(config, "Aperture", no_aperture)
+        monkeypatch.setattr(pipeline, "solve_adjoint_weight", _no_weight_solve)
+        assert main([verb, "-o", str(tmp_path), "--set",
+                     f"cones.count={MAX_CONES + 1}"]) == 2
+        err = capsys.readouterr().err
+        assert f"cones.count must be <= {MAX_CONES}, got {MAX_CONES + 1}" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_cone_count_at_the_bound_is_accepted(self):
+        settings = Settings(load_config(None, [f"cones.count={MAX_CONES}"]))
+        assert len(settings.apertures) == MAX_CONES
 
     @pytest.mark.parametrize("verb", ["run-xmlt", "reconstruct"])
     def test_unknown_recon_method_refused_before_the_first_stage(
@@ -538,6 +556,33 @@ class TestVerbs:
                                .values.ravel() for j in range(10)])
         noise = np.sqrt(np.sum(data) / 1e6)
         assert history[-1, 1] <= noise < history[-2, 1]
+        # no iterate gets below the residual that no model removes, the
+        # noise of each double cone's two scans about their mean
+        floor = float(report["lsqr.residual_floor"])
+        assert 0 < floor <= noise
+        assert np.all(history[:, 1] >= floor * (1 - 1e-6))
+
+    def test_residual_floor_of_the_double_cones(self, tmp_path):
+        # the default 10 cones are 5 double cones scanned twice: the floor
+        # is the root sum of squares of each scan's deviation from its
+        # double cone's mean, the same on a repeated run, and exactly 0
+        # without noise
+        def floor(outdir, *extra):
+            argv = ["run-xmlt", "-o", str(outdir)]
+            for item in ("grid.cells=48,48", "run.spot_checks=1",
+                         "recon.method=lsqr") + extra:
+                argv += ["--set", item]
+            assert main(argv) == 0
+            return _report(outdir)["lsqr.residual_floor"]
+
+        noisy = floor(tmp_path / "a", "noise.kind=poisson")
+        assert floor(tmp_path / "b", "noise.kind=poisson") == noisy
+        scans = np.stack([read_field(tmp_path / "a" / f"scan_cone{j:02d}.ltf")
+                          .values for j in range(10)]).reshape(2, 5, -1)
+        expected = np.sqrt(np.sum((scans - scans.mean(axis=0)) ** 2))
+        assert float(noisy) == pytest.approx(expected, rel=1e-6)
+        assert float(noisy) > 0
+        assert floor(tmp_path / "c") == "0.000000e+00"
 
     def test_reconstruct_uses_the_scan_manifest_noise(self, tmp_path, capsys):
         assert main(small_args("scan", tmp_path, "noise.kind=poisson",

@@ -28,7 +28,7 @@ from lumitomo.multiplier import invert_multiplier
 from conftest import (cell_index, centered_table, constant_field,
                       extended_grid, fan_apertures, reference_cg,
                       traced_peak, two_bump_phantom)
-from oracles import cone_intensity
+from oracles import cone_intensity, stacked_linear_map
 
 
 def unit(theta):
@@ -356,12 +356,23 @@ class TestDistinctCones:
         conv, ref = ConeConvolution(aps, grid), PerConeConvolution(aps, grid)
         assert conv.spectra.shape[0] == n_distinct
         fwd = conv.forward(g)
-        assert fwd.shape == (len(aps),) + grid.cells
-        assert rel_max(fwd, ref.forward(g)) <= 1e-12
-        assert rel_max(conv.adjoint(y), ref.adjoint(y)) <= 1e-12
-        # a cone and its double cone get the same row
-        first = [list(conv.group).index(i) for i in conv.group]
-        assert np.array_equal(fwd, fwd[first])
+        # one row per distinct cone, which each of its apertures reads
+        assert fwd.shape == (n_distinct,) + grid.cells
+        assert rel_max(fwd[conv.group], ref.forward(g)) <= 1e-12
+        # the per-cone adjoint of y is the adjoint of each cone's sum of y
+        summed = np.stack([y[conv.group == i].sum(axis=0)
+                           for i in range(n_distinct)])
+        assert rel_max(conv.adjoint(summed), ref.adjoint(y)) <= 1e-12
+
+    @pytest.mark.parametrize("grid,aps,n_distinct", DUPLICATED,
+                             ids=["2d-48x64", "3d-16"])
+    def test_adjoint_weights_scale_the_rows(self, grid, aps, n_distinct):
+        rng = np.random.default_rng(27)
+        y = rng.standard_normal((n_distinct,) + grid.cells)
+        weights = 0.5 + rng.random(n_distinct)
+        scale = weights.reshape((-1,) + (1,) * grid.dim)
+        conv = ConeConvolution(aps, grid)
+        assert np.array_equal(conv.adjoint(y, weights), conv.adjoint(y * scale))
 
     def test_bit_identical_without_duplicates(self, grid64):
         aps = fan_apertures(3, 35.0)
@@ -375,16 +386,24 @@ class TestDistinctCones:
 
     @pytest.mark.parametrize("grid,aps,n_distinct", DUPLICATED,
                              ids=["2d-48x64", "3d-16"])
-    def test_forward_is_bit_identical_to_stacked_copies(self, grid, aps,
-                                                        n_distinct):
+    def test_scan_is_bit_identical_to_stacked_copies(self, grid, aps,
+                                                     n_distinct):
         # the former forward stacked one inverse FFT per group and indexed
-        # the stack by group; each group now fills its rows of one array
-        g = np.random.default_rng(26).standard_normal(grid.cells)
+        # the stack by group; forward now returns the unindexed stack, and
+        # cone_transform gives each aperture its group's row
+        f = ScalarField(grid, np.random.default_rng(26).random(grid.cells))
+        v = constant_field(grid, 0.5)
         conv = ConeConvolution(aps, grid)
-        G = np.fft.rfftn(g, conv.shape, axes=(0, 1, 2)[:grid.dim])
+        G = np.fft.rfftn(f.values * (v.values * grid.cell_volume),
+                         conv.shape, axes=(0, 1, 2)[:grid.dim])
         stacked = np.stack([conv._inverse(G * S, np.empty(grid.cells))
-                            for S in conv.spectra])[conv.group]
-        assert np.array_equal(conv.forward(g), stacked)
+                            for S in conv.spectra])
+        assert np.array_equal(conv.forward(f.values * (v.values
+                                                      * grid.cell_volume)),
+                              stacked)
+        fields = cone_transform(f, v, conv)
+        assert np.array_equal([fld.values for fld in fields],
+                              stacked[conv.group])
 
     def test_default_cones_are_five_spectra(self):
         grid = make_grid(2, (-10, -10), (20, 20), (32, 32))
@@ -397,44 +416,57 @@ class TestDistinctCones:
     def test_dot_test_with_duplicates(self, grid, aps, n_distinct):
         v = ScalarField(grid, 1.0 + np.random.default_rng(23).random(grid.cells))
         linmap = scan_linear_map(ConeConvolution(aps, grid), v)
-        assert linmap.n_data == len(aps) * grid.n_cells
+        assert linmap.n_data == n_distinct * grid.n_cells
         assert linmap.dot_test(seed=5) <= 1e-12
 
     def test_lsqr_iterates_match_per_cone_reference(self):
-        # LSQR drifts from roundoff as it runs (~1e-3 of the maximum by 50
-        # iterations), so the two operators are compared after 20; the
-        # residual estimates of iterations 13-15 differ by up to 0.5% here
-        # before they meet again, so only the last one is compared
+        # LSQR on one row per distinct cone, with the floor, against LSQR on
+        # the per-cone operator and one data row per cone.  The two share
+        # every history column in exact arithmetic, ||A||'s running estimate
+        # too: it is the trace of the Lanczos matrix of A^T A started from
+        # A^T b, and both systems have the same A^T A and A^T b.  LSQR
+        # drifts from roundoff as it runs (~1e-3 of the maximum by 50
+        # iterations), so the two are compared after 20; at iterations
+        # 13-15 ||r|| differs by up to 0.5% here and ||A^T r|| and the
+        # relative column by up to 13% before they meet again (the last row
+        # to 1e-12), so only the last one is compared
         grid = make_grid(2, (-10, -10), (20, 20), (48, 48))
         aps = build_apertures(DEFAULTS, 2)
         v = ScalarField(grid, 1.0 + np.random.default_rng(24).random(grid.cells))
         f = two_bump_phantom(grid).values.ravel()
-
-        def solve(conv):
-            linmap = scan_linear_map(conv, v)
-            data = linmap.forward(f)
-            noise = np.random.default_rng(25).random(data.size)
-            data += 1e-3 * np.max(data) * noise
-            return lsqr(linmap, data, max_iters=20, atol=0.0)
-
-        x, history = solve(ConeConvolution(aps, grid))
-        x_ref, history_ref = solve(PerConeConvolution(aps, grid))
+        stacked = stacked_linear_map(PerConeConvolution(aps, grid), v)
+        data = stacked.forward(f)
+        noise = np.random.default_rng(25).random(data.size)
+        data += 1e-3 * np.max(data) * noise
+        x_ref, history_ref = lsqr(stacked, data, max_iters=20, atol=0.0)
+        conv = ConeConvolution(aps, grid)
+        scan = ConeScanData(grid, [ScalarField(grid, x) for x in
+                                   data.reshape((len(aps),) + grid.cells)],
+                            aps)
+        b, floor = pipeline._reduced_data(scan, conv)
+        x, history = lsqr(scan_linear_map(conv, v), b, max_iters=20,
+                          atol=0.0, residual_floor=floor)
         assert len(history) == len(history_ref) == 21
         assert rel_max(x, x_ref) <= 1e-6
-        assert rel_max(history[-1], history_ref[-1]) <= 1e-6
+        assert history[-1, 0] == history_ref[-1, 0]
+        assert np.all(np.abs(history[-1, 1:] - history_ref[-1, 1:])
+                      <= 1e-6 * history_ref[-1, 1:])
 
 
 def operator_calls(conv, seed):
-    """forward, adjoint and filter of `conv` on random inputs: filter on a
-    grid-shaped field, and on one of the circular grid's shape cropped from
-    a block offset (the multiplier's extended scan)."""
+    """forward, adjoint (also with the rows weighted) and filter of `conv`
+    on random inputs: filter on a grid-shaped field, and on one of the
+    circular grid's shape cropped from a block offset (the multiplier's
+    extended scan)."""
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(conv.cells)
-    y = rng.standard_normal((len(conv.group),) + conv.cells)
+    y = rng.standard_normal((len(conv.spectra),) + conv.cells)
     symbol = rng.random(conv.spectra.shape[1:])
+    weights = np.sqrt(conv.counts)
     g2 = rng.standard_normal(conv.shape)
     start = tuple(n // 2 for n in conv.cells)
     return [lambda: conv.forward(g), lambda: conv.adjoint(y),
+            lambda: conv.adjoint(y, weights),
             lambda: conv.filter(g, symbol),
             lambda: conv.filter(g2, symbol, start)]
 
