@@ -263,12 +263,13 @@ def assemble_operator(grid: Grid, medium: OpticalMedium, mu_a_field=None):
 # forward / adjoint solves and boundary data
 # ---------------------------------------------------------------------------
 
-def solve_forward(op: DiscreteOperator, source: ScalarField, tol=1e-10):
-    """Solve L u = s with homogeneous Robin boundary."""
-    if source.grid != op.grid:
+def solve_forward(op: DiscreteOperator, source, tol=1e-10):
+    """Solve L u = s with homogeneous Robin boundary for a source s given
+    as an array of the grid's cell values (grid-shaped or flat); returns
+    the cell array u."""
+    if np.size(source) != op.grid.n_cells:
         raise InvalidArgumentError("source grid does not match operator grid")
-    u = op.solve(source.values, tol=tol)
-    return ScalarField(op.grid, u)
+    return op.solve(source, tol=tol)
 
 
 def solve_adjoint_weight(op: DiscreteOperator, h: BoundaryField, tol=1e-13):
@@ -290,24 +291,26 @@ def _floored_weight(v: ScalarField):
     return np.maximum(v.values, V_FLOOR_FRACTION * v_max)
 
 
-def boundary_flux(op: DiscreteOperator, u: ScalarField):
-    """Outgoing flux Q = u_face / (2A) on every boundary face, with the face
-    trace implied by the ghost closure: exactly compatible with the discrete
+def boundary_flux(op: DiscreteOperator, u):
+    """Outgoing flux Q = u_face / (2A) of the grid-shaped cell array u on
+    every boundary face, in the order of `_sides`, with the face trace
+    implied by the ghost closure: exactly compatible with the discrete
     reciprocity identity."""
-    if u.grid != op.grid:
-        raise InvalidArgumentError("field grid mismatch")
     g, med = op.grid, op.medium
+    if np.shape(u) != g.cells:
+        raise InvalidArgumentError("field grid mismatch")
     spacing = g.spacing
     vals = np.empty(boundary_face_count(g))
     for ax, edge, faces in _sides(g):
-        u1 = np.ravel(np.take(u.values, edge, axis=ax))
+        u1 = np.ravel(np.take(u, edge, axis=ax))
         # face trace (u_ghost + u_in)/2 under the homogeneous closure
         vals[faces] = med.D * u1 / (op._c_plus[ax] * spacing[ax])
-    return BoundaryField(g, vals)
+    return vals
 
 
-def boundary_functional(h: BoundaryField, Q: BoundaryField):
-    """Midpoint quadrature of the boundary integral of h * Q."""
-    if h.grid != Q.grid:
+def boundary_functional(h: BoundaryField, q):
+    """Midpoint quadrature of the boundary integral of h times q, values on
+    the boundary faces of h's grid in the order of `_sides`."""
+    if np.shape(q) != h.values.shape:
         raise InvalidArgumentError("boundary field grid mismatch")
-    return float(np.sum(h.values * Q.values * h.areas))
+    return float(np.sum(h.values * q * h.areas))

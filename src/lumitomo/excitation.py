@@ -215,10 +215,10 @@ class ConeConvolution:
     result are the linear quadrature sum.  The kernels are even, so their
     spectra are real and serve forward and adjoint alike.  Apertures that
     are the same double cone share one spectrum (`group` maps each aperture
-    to its row of `spectra`, and `counts` holds each row's number of
-    apertures), and `forward` and `adjoint` work on one row per distinct
-    aperture: one inverse FFT each in `forward` and one forward FFT each in
-    `adjoint`.  A run builds one and hands it to the scan, the multiplier
+    to its row of `spectra`, `distinct` holds each row's aperture, in order
+    of first appearance, and `counts` each row's number of apertures), and
+    `forward` and `adjoint` work on one row per distinct aperture: one
+    inverse FFT each in `forward` and one forward FFT each in `adjoint`.  A run builds one and hands it to the scan, the multiplier
     and LSQR: their `conv` argument is the only way they take a cone set
     and its grid.
 
@@ -246,6 +246,7 @@ class ConeConvolution:
         self.cells = tuple(grid.cells)
         self.shape = tuple(2 * n for n in self.cells)
         distinct, group = _aperture_groups(apertures)
+        self.distinct = tuple(distinct)
         self.group = np.array(group, dtype=np.intp)
         self.counts = np.bincount(self.group)
         self._half = self.shape[:-1] + (self.shape[-1] // 2 + 1,)
@@ -540,7 +541,9 @@ def full_physics_measurements(op: DiscreteOperator, h: BoundaryField,
     The source vanishes wherever f does, so the kernel is sampled only on
     the support of f and scattered into a zero field; the kernel is finite,
     so every source is the dense product K * f bit for bit.  A focus whose
-    source has no nonzero cell measures exactly 0 without a solve.
+    source has no nonzero cell measures exactly 0 without a solve.  The
+    source, solution and flux stay plain arrays: no focus copies or checks
+    a field.
     """
     grid = op.grid
     support = np.flatnonzero(f.values)
@@ -557,6 +560,6 @@ def full_physics_measurements(op: DiscreteOperator, h: BoundaryField,
             continue
         source = np.zeros(grid.n_cells)
         source[support] = values
-        u = solve_forward(op, ScalarField(grid, source))
-        out.append(boundary_functional(h, boundary_flux(op, u)))
+        out.append(boundary_functional(
+            h, boundary_flux(op, solve_forward(op, source))))
     return np.array(out)

@@ -23,7 +23,7 @@ compares the runtime path with.
 import numpy as np
 
 from lumitomo.algebraic import LinearMap
-from lumitomo.diffusion import (BoundaryField, _sides, boundary_face_count,
+from lumitomo.diffusion import (_sides, boundary_face_count,
                                 boundary_flux, boundary_functional,
                                 solve_adjoint_weight, solve_forward)
 from lumitomo.errors import InvalidArgumentError
@@ -158,22 +158,22 @@ def radial_ode_solve(medium, a, n_dim, h_const):
 
 
 def continuum_flux(op, u):
-    """Outgoing flux Q = u_face / (2A) on every boundary face, the trace
-    extrapolated from the three nearest cell values: an independent
-    discretization of `diffusion.boundary_flux` whose error vanishes under
-    refinement."""
-    if u.grid != op.grid:
-        raise InvalidArgumentError("field grid mismatch")
+    """Outgoing flux Q = u_face / (2A) of the cell array u on every
+    boundary face, the trace extrapolated from the three nearest cell
+    values: an independent discretization of `diffusion.boundary_flux`
+    whose error vanishes under refinement."""
     g, med = op.grid, op.medium
+    if np.shape(u) != g.cells:
+        raise InvalidArgumentError("field grid mismatch")
     vals = np.empty(boundary_face_count(g))
     for ax, edge, faces in _sides(g):
-        u1 = np.ravel(np.take(u.values, edge, axis=ax))
+        u1 = np.ravel(np.take(u, edge, axis=ax))
         # quadratic extrapolation through the cells at dx/2, 3dx/2, 5dx/2
         step = 1 if edge == 0 else -1
-        u2 = np.ravel(np.take(u.values, edge + step, axis=ax))
-        u3 = np.ravel(np.take(u.values, edge + 2 * step, axis=ax))
+        u2 = np.ravel(np.take(u, edge + step, axis=ax))
+        u3 = np.ravel(np.take(u, edge + 2 * step, axis=ax))
         vals[faces] = (15.0 * u1 - 10.0 * u2 + 3.0 * u3) / (8.0 * 2.0 * med.A)
-    return BoundaryField(g, vals)
+    return vals
 
 
 def reciprocity_residual(op, h, source, mode="consistent"):
@@ -185,7 +185,7 @@ def reciprocity_residual(op, h, source, mode="consistent"):
     mode "continuum".
     """
     v = solve_adjoint_weight(op, h, tol=1e-12)
-    u = solve_forward(op, source, tol=1e-12)
+    u = solve_forward(op, source.values, tol=1e-12)
     Q = {"consistent": boundary_flux,
          "continuum": continuum_flux}[mode](op, u)
     lhs = float(np.sum(v.values * source.values) * op.grid.cell_volume)

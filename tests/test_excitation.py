@@ -407,9 +407,13 @@ class TestDistinctCones:
 
     def test_default_cones_are_five_spectra(self):
         grid = make_grid(2, (-10, -10), (20, 20), (32, 32))
-        conv = ConeConvolution(build_apertures(DEFAULTS, 2), grid)
+        aps = build_apertures(DEFAULTS, 2)
+        conv = ConeConvolution(aps, grid)
         assert conv.spectra.shape[0] == 5
         assert list(conv.group) == [0, 1, 2, 3, 4] * 2
+        # the grouping that the symbol table takes from the operator
+        assert (list(zip(conv.distinct, conv.counts))
+                == excitation._distinct_apertures(aps))
 
     @pytest.mark.parametrize("grid,aps,n_distinct", DUPLICATED,
                              ids=["2d-48x64", "3d-16"])
@@ -918,8 +922,8 @@ class TestKernelSampler:
         h = BoundaryField.constant(grid, 1.0)
         sources = []
         monkeypatch.setattr(excitation, "solve_forward",
-                            lambda op, s: sources.append(s.values) or s)
-        monkeypatch.setattr(excitation, "boundary_flux", lambda op, u: h)
+                            lambda op, s: sources.append(s) or s)
+        monkeypatch.setattr(excitation, "boundary_flux", lambda op, u: h.values)
         z = grid.centers()[..., -1]
         foci = [grid.centers()[(2,) * grid.dim], np.full(grid.dim, 0.3)]
         partial = ScalarField(grid, np.maximum(np.cos(z), 0.0))
@@ -978,9 +982,8 @@ class TestBoundaryScan:
         expected = []
         for p in points:
             s = reference_samples(ap, grid64, centers[p]) * truth.values.ravel()
-            u = solve_forward(op, ScalarField(grid64, s.reshape(grid64.cells)))
             expected.append(boundary_functional(
-                h, boundary_flux(op, u)))
+                h, boundary_flux(op, solve_forward(op, s))))
         got = full_physics_measurements(op, h, truth, ap,
                                         [centers[p] for p in points])
         assert np.array_equal(got, expected)
@@ -1023,8 +1026,7 @@ def dense_full_physics(op, h, f, ap, foci):
     for x in foci:
         s = reference_samples(ap, op.grid, x) * f.values.ravel()
         u, _ = reference_cg(op, s)
-        out.append(boundary_functional(
-            h, boundary_flux(op, ScalarField(op.grid, u))))
+        out.append(boundary_functional(h, boundary_flux(op, u)))
     return np.array(out)
 
 
@@ -1118,7 +1120,7 @@ class TestFullPhysicsReference:
         assert np.count_nonzero(got) == 63
         assert not np.any(np.signbit(got))
         zero = boundary_functional(h, boundary_flux(
-            op, solve_forward(op, constant_field(truth.grid, 0.0))))
+            op, solve_forward(op, np.zeros(truth.grid.cells))))
         assert zero == 0.0 and not np.signbit(zero)
 
     def test_samples_only_the_support_and_weighs_the_self_cell_once(

@@ -213,22 +213,32 @@ class TestDistinctApertures:
         X = grid.centers()
         f = ScalarField(grid, np.exp(-np.sum((X - 1.0) ** 2, axis=-1) / 8.0))
         v = constant_field(grid, 1.0)
-        conv = ConeConvolution(aps, grid)
-        scan = ConeScanData(grid, cone_transform(f, v, conv), aps)
+        scan = ConeScanData(grid, cone_transform(f, v, ConeConvolution(aps, grid)),
+                            aps)
         padded = tuple(2 * c for c in grid.cells)
 
         def outputs():
-            return (total_symbol_table(aps, padded, grid.spacing),
-                    invert_multiplier(scan, v, conv, eps=1e-3).values,
+            return (table(aps, padded, grid.spacing),
+                    invert(scan, v, 1e-3).values,
                     ellipticity_margin(aps).margin)
 
-        table, rec, margin = outputs()
-        monkeypatch.setattr(multiplier, "_distinct_apertures",
-                            lambda apertures: [(ap, 1) for ap in apertures])
+        table_, rec, margin = outputs()
+        # every aperture its own group: in the cone operator, whose grouping
+        # the inversion's table takes, and in the gate's margin
+        monkeypatch.setattr(excitation, "_aperture_groups",
+                            lambda apertures: (list(apertures),
+                                               list(range(len(apertures)))))
         loop_table, loop_rec, loop_margin = outputs()
-        assert np.max(np.abs(table - loop_table)) <= 1e-13 * np.max(np.abs(loop_table))
+        assert np.max(np.abs(table_ - loop_table)) <= 1e-13 * np.max(np.abs(loop_table))
         assert np.max(np.abs(rec - loop_rec)) <= 1e-13 * np.max(np.abs(loop_rec))
         assert abs(margin - loop_margin) <= 1e-13 * abs(loop_margin) + 1e-300
+
+
+def table(apertures, cells, spacing, mag=None):
+    """`total_symbol_table` of a cone set, grouped as the cone operator
+    groups it."""
+    return total_symbol_table(excitation._distinct_apertures(apertures),
+                              cells, spacing, mag)
 
 
 def reference_angular_factor(ap, omega):
@@ -269,9 +279,19 @@ def former_frequency_grid(cells, spacing):
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
-def former_symbol_table(apertures, cells, spacing):
+def summed_factor(distinct, dirs, factor=angular_factor):
+    """The summed angular factor of (aperture, multiplicity) pairs on
+    direction rows, one `factor` call per pair on every row."""
+    total = np.zeros(len(dirs))
+    for ap, count in distinct:
+        total += count * factor(ap, dirs)
+    return total
+
+
+def former_symbol_table(apertures, cells, spacing, factor=angular_factor):
     """`total_symbol_table` by its former construction from
-    `former_frequency_grid`: the directions as the stack over its norm."""
+    `former_frequency_grid`: the directions as the stack over its norm, all
+    rows in one `summed_factor` call."""
     dim = len(cells)
     xi = former_frequency_grid(cells, spacing)
     mag = np.sqrt(np.sum(xi * xi, axis=-1))
@@ -279,18 +299,16 @@ def former_symbol_table(apertures, cells, spacing):
     nz = flat_mag > 0
     dirs = xi.reshape(-1, dim)[nz] / flat_mag[nz][:, None]
     m = np.zeros(flat_mag.size)
-    m[nz] = (multiplier._summed_factor(multiplier._distinct_apertures(apertures),
-                                       dirs) / flat_mag[nz])
+    m[nz] = (summed_factor(excitation._distinct_apertures(apertures), dirs,
+                           factor) / flat_mag[nz])
     return m.reshape(mag.shape)
 
 
-def reference_summed_factor(distinct, dirs):
-    """The summed factor with one `reference_angular_factor` call per
-    distinct aperture on every row."""
-    total = np.zeros(len(dirs))
-    for ap, count in distinct:
-        total += count * reference_angular_factor(ap, dirs)
-    return total
+def kernel_spectrum(conv):
+    """The summed kernel half spectrum over the whole table, as the
+    inversion formed it before it summed only the low-shell entries."""
+    return (sum(c * S for c, S in zip(conv.counts, conv.spectra))
+            * conv.grid.cell_volume)
 
 
 # tilted axes with a z component, two half-angles, no taper and a full
@@ -305,42 +323,74 @@ MIXED_3D = [Aperture(dim=3, axis=(0.3, 0.5, 0.81), half_angle=0.5, taper_width=0
 
 class TestSymbolTableReference:
     """The 3D tables evaluate each aperture's factor once per distinct
-    |omega . axis| and keep the bits of the per-row rule."""
+    |omega . axis| and keep the bits of the per-row rule; the tables fill
+    their directions block by block and keep the bits of the single
+    direction array."""
 
     @pytest.mark.parametrize("aps,cells,spacing", [
         (build_apertures(DEFAULTS, 3), (48, 48, 48), (20.0 / 24,) * 3),
         (MIXED_3D, (20, 16, 13), (0.7, 0.9, 1.3))], ids=["defaults-48", "mixed"])
     def test_table_and_margin_are_bit_identical(self, aps, cells, spacing,
                                                 monkeypatch):
-        table = total_symbol_table(aps, cells, spacing)
+        assert np.array_equal(
+            table(aps, cells, spacing),
+            former_symbol_table(aps, cells, spacing, reference_angular_factor))
         rep = ellipticity_margin(aps)
         monkeypatch.setattr(multiplier, "angular_factor", reference_angular_factor)
-        monkeypatch.setattr(multiplier, "_summed_factor", reference_summed_factor)
-        assert np.array_equal(table, total_symbol_table(aps, cells, spacing))
         ref = ellipticity_margin(aps)
         assert ((rep.margin, rep.max_factor, rep.ratio, rep.worst_direction)
                 == (ref.margin, ref.max_factor, ref.ratio, ref.worst_direction))
         assert np.array_equal(rep.invisible_directions, ref.invisible_directions)
 
-    @pytest.mark.parametrize("aps,cells,spacing", [
-        (build_apertures(DEFAULTS, 2), (64, 48), (0.3, 0.45)),
-        (build_apertures(DEFAULTS, 3), (32, 32, 32), (20.0 / 16,) * 3),
-        (MIXED_3D, (20, 16, 13), (0.7, 0.9, 1.3))],
-        ids=["defaults-2d", "defaults-3d", "mixed"])
-    def test_table_equals_former_construction(self, aps, cells, spacing):
-        table = total_symbol_table(aps, cells, spacing)
-        assert table.tobytes() == former_symbol_table(aps, cells, spacing).tobytes()
+    @pytest.mark.parametrize("aps,cells,spacing,block", [
+        (build_apertures(DEFAULTS, 2), (64, 48), (0.3, 0.45), None),
+        (build_apertures(DEFAULTS, 2), (64, 48), (0.3, 0.45), 1000),
+        (build_apertures(DEFAULTS, 3), (32, 32, 32), (20.0 / 16,) * 3, None),
+        (MIXED_3D, (20, 16, 13), (0.7, 0.9, 1.3), None),
+        (MIXED_3D, (20, 16, 13), (0.7, 0.9, 1.3), 1000)],
+        ids=["defaults-2d", "defaults-2d-blocks", "defaults-3d", "mixed",
+             "mixed-blocks"])
+    def test_table_equals_former_construction(self, aps, cells, spacing, block,
+                                              monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(multiplier, "TABLE_BLOCK_ROWS", block)
+            per_slab = np.prod(cells[1:-1], dtype=int) * (cells[-1] // 2 + 1)
+            slabs = multiplier.TABLE_BLOCK_ROWS // per_slab
+            # several blocks, the last one short
+            assert 1 < slabs < cells[0] and cells[0] % slabs
+        got = table(aps, cells, spacing)
+        assert got.tobytes() == former_symbol_table(aps, cells, spacing).tobytes()
         mag = multiplier._frequency_magnitudes(cells, spacing)
-        assert total_symbol_table(aps, cells, spacing, mag).tobytes() == table.tobytes()
+        assert table(aps, cells, spacing, mag).tobytes() == got.tobytes()
 
-    def test_table_working_set(self):
-        # magnitudes, directions, the summed factor and one aperture's
-        # work arrays: measured 9.6x the table (15.7x with the (..., dim)
-        # frequency stack and np.unique over every row)
+    @pytest.mark.parametrize("cells,spacing", [
+        ((64, 48), (0.3, 0.45)), ((20, 16, 13), (0.7, 0.9, 1.3))],
+        ids=["2d", "3d"])
+    def test_overflowing_amplitude_keeps_the_former_table(self, cells, spacing):
+        # 4 pi amplitude overflows: rows that meet the cone are inf, and in
+        # 3D the rows that miss it inf * 0 = nan, as the former table was
+        axis = (1.0, 0.3, 0.2)[:len(cells)]
+        huge = [Aperture(dim=len(cells), axis=axis, half_angle=0.5,
+                         amplitude=1e308)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = table(huge, cells, spacing)
+            ref = former_symbol_table(huge, cells, spacing)
+        assert np.any(np.isinf(ref)) and (len(cells) == 2 or np.any(np.isnan(ref)))
+        assert got.flat[0] == 0.0
+        assert np.array_equal(got, ref, equal_nan=True)
+
+    @pytest.mark.parametrize("n,given_mag,bound", [(24, True, 5.4),
+                                                   (64, False, 5.6)])
+    def test_table_working_set(self, n, given_mag, bound):
+        # the table, one table-length |omega . axis| and one aperture's
+        # work arrays: measured 4.9x the table above the caller's |xi| at
+        # 24^3 and 5.2x with |xi| at 64^3 (8.6x and 9.6x with the (N, dim)
+        # direction array)
         aps = build_apertures(DEFAULTS, 3)
-        table, peak = traced_peak(
-            lambda: total_symbol_table(aps, (64, 64, 64), (20.0 / 32,) * 3))
-        assert peak <= 12 * table.nbytes
+        cells, spacing = (2 * n,) * 3, (20.0 / n,) * 3
+        mag = multiplier._frequency_magnitudes(cells, spacing) if given_mag else None
+        got, peak = traced_peak(lambda: table(aps, cells, spacing, mag))
+        assert peak <= bound * got.nbytes
 
     def test_factor_on_edge_rows_is_bit_identical(self):
         # rows on and next to the axis (s = 1 and just below), rows whose
@@ -359,22 +409,18 @@ class TestSymbolTableReference:
             near /= np.linalg.norm(near, axis=1, keepdims=True)
             above_one += np.count_nonzero(np.abs(near @ axis) > 1.0)
             dirs = np.concatenate([dirs, -dirs, dirs[:7], near])
-            distinct = [(ap, 3)]
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                got = multiplier._summed_factor(distinct, dirs)
-            assert np.array_equal(got, reference_summed_factor(distinct, dirs))
-            assert np.array_equal(angular_factor(ap, dirs),
-                                  reference_angular_factor(ap, dirs))
+                got = angular_factor(ap, dirs)
+            assert np.array_equal(got, reference_angular_factor(ap, dirs))
         assert above_one > 0
         # no row meets the cone; an amplitude whose 4 pi multiple overflows,
         # which makes the rows that miss the cone inf * 0 = nan
         ap = MIXED_3D[0]
-        assert np.array_equal(
-            multiplier._summed_factor([(ap, 2)], np.array([ap.axis])), [0.0])
-        huge = [(Aperture(dim=3, axis=AXIS_3D, half_angle=0.5, amplitude=1e308), 1)]
+        assert np.array_equal(angular_factor(ap, np.array([ap.axis])), [0.0])
+        huge = Aperture(dim=3, axis=AXIS_3D, half_angle=0.5, amplitude=1e308)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = multiplier._summed_factor(huge, dirs)
-            ref = reference_summed_factor(huge, dirs)
+            got = angular_factor(huge, dirs)
+            ref = reference_angular_factor(huge, dirs)
         assert np.any(np.isnan(ref)) and np.any(np.isinf(ref))
         assert np.array_equal(got, ref, equal_nan=True)
 
@@ -410,7 +456,7 @@ class TestLowShell:
         mag = multiplier._frequency_magnitudes(padded, grid.spacing)
         xi_min = min(2.0 * np.pi / (c * h) for c, h in zip(padded, grid.spacing))
         low = mag <= multiplier.LOW_FREQ_BINS * xi_min * (1.0 + 1e-9)
-        new = multiplier._kernel_spectrum(ConeConvolution(aps, grid))[low]
+        new = multiplier._kernel_spectrum(ConeConvolution(aps, grid), low)
         old = reference_wrapped_kernel_spectrum(
             aps, padded, grid.spacing, grid.cell_volume)[..., :n + 1][low]
         # relative to the shell's largest entry: entry by entry the rim of
@@ -561,6 +607,22 @@ class TestInversion:
         invisible = F[ang >= np.deg2rad(70.8)].sum()
         assert visible > 5.0 * invisible
 
+    @pytest.mark.parametrize("dim,n,bound", [(2, 128, 8.1), (3, 24, 6.5)])
+    def test_working_set(self, dim, n, bound):
+        # |xi| with the table and its work arrays, then the table as the
+        # filter with the pad, multiply and crop: measured 7.4x (2D) and
+        # 6.1x (3D) the table (13.6x and 9.8x with the (N, dim) direction
+        # array, the full-table kernel sum and a separate filter)
+        grid = make_grid(dim, (-10.0,) * dim, (20.0,) * dim, (n,) * dim)
+        aps = build_apertures(DEFAULTS, dim)
+        conv = ConeConvolution(aps, grid)
+        rng = np.random.default_rng(3)
+        scan = ConeScanData(grid, [ScalarField(grid, rng.random(grid.cells))
+                                   for _ in aps], aps)
+        v = ScalarField(grid, 0.5 + rng.random(grid.cells))
+        _, peak = traced_peak(lambda: invert_multiplier(scan, v, conv))
+        assert peak <= bound * conv.spectra[0].nbytes
+
     def test_grid_mismatch_rejected(self, grid64, grid128):
         aps = fan_apertures(3, 35.0)
         f = two_bump_phantom(grid64)
@@ -596,7 +658,7 @@ def reference_invert(scan, v, eps):
     mag = np.sqrt(np.sum(xi * xi, axis=-1))
     xi_min = min(2.0 * np.pi / (n * h) for n, h in zip(conv.shape, grid.spacing))
     low = mag <= multiplier.LOW_FREQ_BINS * xi_min * (1.0 + 1e-9)
-    m[low] = multiplier._kernel_spectrum(conv)[low]
+    m[low] = kernel_spectrum(conv)[low]
     m_ref = float(np.median(m[m > 0]))
     denom = m ** 2 + (eps * m_ref) ** 2
     filt = np.divide(m, denom, out=np.zeros_like(m), where=denom > 0)
@@ -643,9 +705,9 @@ class TestFilterReference:
 
     def test_zero_frequency_entry_is_zero(self):
         aps = build_apertures(DEFAULTS, 2)
-        table = total_symbol_table(aps, (16, 12), (0.5, 0.7))
-        assert table[0, 0] == 0.0
-        assert np.all(np.delete(table.ravel(), 0) > 0.0)
+        got = table(aps, (16, 12), (0.5, 0.7))
+        assert got[0, 0] == 0.0
+        assert np.all(np.delete(got.ravel(), 0) > 0.0)
 
     def test_empty_cone_set_is_refused(self):
         with pytest.raises(InvalidArgumentError, match="at least one aperture"):
