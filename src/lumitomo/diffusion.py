@@ -253,10 +253,9 @@ def _robin_modes(n, beta):
     return 4.0 * np.sin(0.5 * theta) ** 2, vecs
 
 
-def assemble_operator(grid: Grid, medium: OpticalMedium, mu_a_field=None):
-    """Assemble the diffusion operator; mu_a_field overrides the medium value."""
-    mu_a = medium.mu_a if mu_a_field is None else mu_a_field
-    return DiscreteOperator(grid, medium, mu_a)
+def assemble_operator(grid: Grid, medium: OpticalMedium):
+    """Assemble the diffusion operator of the medium's constant mu_a."""
+    return DiscreteOperator(grid, medium, medium.mu_a)
 
 
 # ---------------------------------------------------------------------------

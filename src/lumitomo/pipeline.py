@@ -1,14 +1,14 @@
 """End-to-end experiment orchestration and file emission.
 
-Runs and CLI verbs compose the same private stages.  A verb parses its
-config once, into a `config.Settings`, before its first stage; the stages
-take its values, and the checks that need the grid or the phantom run as
-soon as these are built, before the weight solve.  Each stage's wall time
-goes into the report as `wall_clock.<stage>` (setup, gate, scan,
-spot_check, noise, reconstruct, emit), and within reconstruct each
-method's as `wall_clock.multiplier` and `wall_clock.lsqr` when it runs;
-report lines starting with `wall_clock` are the only ones that differ
-between repeated runs.
+Each verb parses its config once, into a `config.Settings` (`_start`), and
+checks what needs the grid or the phantom before the weight solve.  The
+XMLT stage sequence is written once: setup (phantom, error-mask check,
+spot-check points, weight), gate, scan, spot check, noise, reconstruct,
+emit.  `scan` runs it without the gate, the spot check and reconstruct;
+`reconstruct` reads what `scan` wrote in place of setup through noise.
+Each stage's wall time goes into the report as `wall_clock.<stage>`, and
+within reconstruct each method's; report lines starting with `wall_clock`
+are the only ones that differ between repeated runs.
 """
 
 from __future__ import annotations
@@ -46,12 +46,6 @@ def _timed(report, stage):
     t0 = time.perf_counter()
     yield
     report[f"wall_clock.{stage}"] = f"{time.perf_counter() - t0:.3f}"
-
-
-def _write_report(path, report):
-    with open(path, "w") as fh:
-        for key in sorted(report):
-            fh.write(f"{key} = {report[key]}\n")
 
 
 def _scan_record(path):
@@ -106,7 +100,20 @@ def emit_outputs(outdir, fields, report, sinogram=None, scan=None,
             for it, res, nres, rel in history:
                 fh.write(f"{int(it)},{res:.17g},{nres:.17g},{rel:.17g}\n")
     report["wall_clock.emit"] = f"{time.perf_counter() - t0:.3f}"
-    _write_report(os.path.join(outdir, "report.txt"), report)
+    with open(os.path.join(outdir, "report.txt"), "w") as fh:
+        fh.writelines(f"{key} = {report[key]}\n" for key in sorted(report))
+
+
+def _start(cfg, inverts=False):
+    """A verb's start time, its `Settings` and its empty report."""
+    return time.perf_counter(), Settings(cfg, inverts=inverts), {}
+
+
+def _phantom(settings):
+    """The configured phantom, refused when its error mask is empty."""
+    truth = build_phantom(settings.phantom, settings.grid)
+    relative_error(truth, truth, settings.eps_bg)  # refuses an empty error mask
+    return truth
 
 
 def _diffusion(settings, report):
@@ -141,25 +148,25 @@ def _stability(apertures, report):
 
 
 def _gate(settings, apertures, report):
-    """Refuse a cone set with invisible directions unless forced, when the
-    multiplier runs (recon.method other than lsqr); LSQR needs no gate."""
-    if settings.method == "lsqr":
-        return
-    margin = _stability(apertures, report)
-    if margin <= 0 and not settings.force_pseudo:
-        raise StabilityViolationError(
-            f"ellipticity margin {margin:g} <= 0; "
-            "set run.force_pseudo=true to force a pseudo-inversion")
+    """The gate stage: refuse a cone set with invisible directions unless
+    forced, when the multiplier runs (recon.method other than lsqr); LSQR
+    needs no gate."""
+    with _timed(report, "gate"):
+        if settings.method == "lsqr":
+            return
+        margin = _stability(apertures, report)
+        if margin <= 0 and not settings.force_pseudo:
+            raise StabilityViolationError(
+                f"ellipticity margin {margin:g} <= 0; "
+                "set run.force_pseudo=true to force a pseudo-inversion")
 
 
-def _cone_scan(truth, v, apertures, report):
-    """The clean (noise-free) fast scan of the cone set and the cone
-    operator it applied, which the reconstruction reuses."""
-    conv = ConeConvolution(apertures, truth.grid)
-    report["scan.mode"] = "fast"
-    report["scan.focus_grid"] = ",".join(str(n) for n in conv.grid.cells)
+def _cone_operator(apertures, grid, report):
+    """The run's cone operator, `apertures` on `grid`, shared by the scan
+    and the reconstruction; its count of distinct cones into `report`."""
+    conv = ConeConvolution(apertures, grid)
     report["scan.distinct_apertures"] = str(len(conv.spectra))
-    return simulate_boundary_scan(truth, v, conv), conv
+    return conv
 
 
 def _spot_points(n_checks, grid):
@@ -210,6 +217,29 @@ def _noisy_scan(clean, settings, report):
     return ConeScanData(clean.focus_grid,
                         [ScalarField(clean.focus_grid, x) for x in noisy],
                         clean.apertures, settings.noise_record)
+
+
+def _simulate(settings, report, inverts):
+    """The XMLT sequence from setup through noise, the gate and the spot
+    check only when the run `inverts`: returns (truth, v, conv, data) and
+    frees the clean scan."""
+    with _timed(report, "setup"):
+        truth = _phantom(settings)
+        points = _spot_points(settings.spot_checks, truth.grid)
+        op, h, v = _diffusion(settings, report)
+    if inverts:
+        _gate(settings, settings.apertures, report)
+    with _timed(report, "scan"):
+        conv = _cone_operator(settings.apertures, truth.grid, report)
+        report["scan.mode"] = "fast"
+        report["scan.focus_grid"] = ",".join(str(n) for n in conv.grid.cells)
+        clean = simulate_boundary_scan(truth, v, conv)
+    if inverts:
+        with _timed(report, "spot_check"):
+            _spot_check(op, h, truth, clean, points, report)
+    with _timed(report, "noise"):
+        data = _noisy_scan(clean, settings, report)
+    return truth, v, conv, data
 
 
 def _reduced_data(data, conv):
@@ -296,23 +326,8 @@ def _emit(settings, t0, report, fields, **files):
 
 def run_xmlt(cfg):
     """Full cone-excitation (XMLT) experiment: simulate, invert, report."""
-    t0 = time.perf_counter()
-    settings = Settings(cfg, inverts=True)
-    report = {}
-    with _timed(report, "setup"):
-        truth = build_phantom(settings.phantom, settings.grid)
-        relative_error(truth, truth, settings.eps_bg)  # refuses an empty error mask
-        points = _spot_points(settings.spot_checks, truth.grid)
-        op, h, v = _diffusion(settings, report)
-    with _timed(report, "gate"):
-        _gate(settings, settings.apertures, report)
-    with _timed(report, "scan"):
-        clean, conv = _cone_scan(truth, v, settings.apertures, report)
-    with _timed(report, "spot_check"):
-        _spot_check(op, h, truth, clean, points, report)
-    with _timed(report, "noise"):
-        data = _noisy_scan(clean, settings, report)
-    del clean  # frees the noise-free scan, which no later stage reads
+    t0, settings, report = _start(cfg, inverts=True)
+    truth, v, conv, data = _simulate(settings, report, inverts=True)
     with _timed(report, "reconstruct"):
         fields, history = _reconstruct(settings, data, v, conv, report)
     return _emit(settings, t0, report, {"truth": truth, "weight": v, **fields},
@@ -321,15 +336,12 @@ def run_xmlt(cfg):
 
 def run_xlct(cfg):
     """Full line-excitation (XLCT) experiment: sinogram, FBP, divide by weight."""
-    t0 = time.perf_counter()
-    settings = Settings(cfg)
+    t0, settings, report = _start(cfg)
     grid = settings.grid
     if grid.dim != 2:
         raise ConfigError("run_xlct requires a 2D grid")
-    report = {}
     with _timed(report, "setup"):
-        truth = build_phantom(settings.phantom, settings.grid)
-        relative_error(truth, truth, settings.eps_bg)  # refuses an empty error mask
+        truth = _phantom(settings)
         _, _, v = _diffusion(settings, report)
     with _timed(report, "scan"):
         angles = np.arange(settings.n_angles) * (np.pi / settings.n_angles)
@@ -349,19 +361,15 @@ def run_xlct(cfg):
 
 def phantom(cfg):
     """The `phantom` verb: write the configured phantom."""
-    t0 = time.perf_counter()
-    settings = Settings(cfg)
-    report = {}
+    t0, settings, report = _start(cfg)
     with _timed(report, "setup"):
-        truth = build_phantom(settings.phantom, settings.grid)
+        truth = _phantom(settings)
     return _emit(settings, t0, report, {"truth": truth})
 
 
 def weight(cfg):
     """The `weight` verb: write the adjoint weight field."""
-    t0 = time.perf_counter()
-    settings = Settings(cfg)
-    report = {}
+    t0, settings, report = _start(cfg)
     with _timed(report, "setup"):
         _, _, v = _diffusion(settings, report)
     return _emit(settings, t0, report, {"weight": v})
@@ -369,16 +377,8 @@ def weight(cfg):
 
 def scan(cfg):
     """The `scan` verb: write the (noisy) cone scan with truth and weight."""
-    t0 = time.perf_counter()
-    settings = Settings(cfg)
-    report = {}
-    with _timed(report, "setup"):
-        truth = build_phantom(settings.phantom, settings.grid)
-        _, _, v = _diffusion(settings, report)
-    with _timed(report, "scan"):
-        clean, _ = _cone_scan(truth, v, settings.apertures, report)
-    with _timed(report, "noise"):
-        data = _noisy_scan(clean, settings, report)
+    t0, settings, report = _start(cfg)
+    truth, v, _, data = _simulate(settings, report, inverts=False)
     return _emit(settings, t0, report, {"truth": truth, "weight": v}, scan=data)
 
 
@@ -386,15 +386,14 @@ def reconstruct(cfg):
     """The `reconstruct` verb: invert the scan and weight that `scan` wrote,
     keeping the scan's record (`_scan_record`) in the report; the verb's
     own keys win."""
-    t0 = time.perf_counter()
-    settings = Settings(cfg, inverts=True)
+    t0, settings, report = _start(cfg, inverts=True)
     outdir = settings.output_dir
     manifest = os.path.join(outdir, "scan_manifest.txt")
     weight_path = os.path.join(outdir, "weight.ltf")
     if not (os.path.exists(manifest) and os.path.exists(weight_path)):
         raise ConfigError(
             f"reconstruct needs {manifest} and {weight_path}; run `scan` first")
-    report = _scan_record(os.path.join(outdir, "report.txt"))
+    report.update(_scan_record(os.path.join(outdir, "report.txt")))
     with _timed(report, "setup"):
         data = ltfio.read_scan(manifest)
         v = ltfio.read_field(weight_path)
@@ -403,10 +402,9 @@ def reconstruct(cfg):
                 f"LSQR needs the scan on the weight's grid, got {data.focus_grid} "
                 f"and {v.grid}")
         settings.use_recorded_noise(data.noise)
+    _gate(settings, data.apertures, report)
     with _timed(report, "reconstruct"):
-        _gate(settings, data.apertures, report)
-        conv = ConeConvolution(data.apertures, v.grid)
-        report["scan.distinct_apertures"] = str(len(conv.spectra))
+        conv = _cone_operator(data.apertures, v.grid, report)
         fields, history = _reconstruct(settings, data, v, conv, report)
     return _emit(settings, t0, report, fields, history=history)
 

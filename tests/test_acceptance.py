@@ -12,8 +12,8 @@ import pytest
 
 from lumitomo.algebraic import LinearMap, lsqr, scan_linear_map
 from lumitomo.config import load_config
-from lumitomo.diffusion import (BoundaryField, assemble_operator,
-                                solve_adjoint_weight)
+from lumitomo.diffusion import (BoundaryField, DiscreteOperator,
+                                assemble_operator, solve_adjoint_weight)
 from lumitomo.excitation import (Aperture, ConeConvolution, ConeScanData,
                                  cone_transform, xray_transform)
 from lumitomo.fields import (OpticalMedium, ScalarField, derived_optics,
@@ -119,7 +119,7 @@ def test_criterion_04_maximum_principle():
     violations = 0
     for _ in range(20):
         mu = rng.uniform(0.01, 0.5, g.cells)
-        op = assemble_operator(g, med, mu_a_field=mu)
+        op = DiscreteOperator(g, med, mu)
         hv = rng.uniform(0.1, 2.0, n_faces)
         v = solve_adjoint_weight(op, BoundaryField(g, hv), tol=1e-12)
         if not (np.all(v.values > 0)

@@ -13,7 +13,7 @@ from lumitomo.errors import (EmptyMaskError, InvalidArgumentError,
                              InvalidOperatorError)
 from lumitomo.excitation import (Aperture, ConeConvolution, ConeScanData,
                                  cone_transform)
-from lumitomo.fields import ScalarField, build_phantom, make_grid
+from lumitomo.fields import ScalarField, make_grid
 
 from conftest import constant_field, fan_apertures, two_bump_phantom
 from oracles import stacked_data, stacked_linear_map
@@ -274,12 +274,9 @@ def plain_capped_lsqr(data, v, conv, max_iters=200, atol=1e-8):
 
 @pytest.fixture(scope="module")
 def default_scene():
-    """Truth, weight, cone operator and clean scan of the default run."""
-    settings = Settings(load_config())
-    truth = build_phantom(settings.phantom, settings.grid)
-    _, _, v = pipeline._diffusion(settings, {})
-    clean, conv = pipeline._cone_scan(truth, v, settings.apertures, {})
-    return truth, v, conv, clean
+    """Truth, weight, cone operator and clean scan of the default run: the
+    scan of the noise-free default is the clean one."""
+    return pipeline._simulate(Settings(load_config()), {}, inverts=False)
 
 
 class TestParametrixPreconditioner:
@@ -455,11 +452,8 @@ SCENE_3D = ["grid.dim=3", "grid.origin=-10,-10,-10", "grid.extent=20,20,20",
 @pytest.fixture(scope="module")
 def scene_3d():
     """Truth, weight, cone operator and clean scan of the 3D 24^3 run."""
-    settings = Settings(load_config(None, SCENE_3D))
-    truth = build_phantom(settings.phantom, settings.grid)
-    _, _, v = pipeline._diffusion(settings, {})
-    clean, conv = pipeline._cone_scan(truth, v, settings.apertures, {})
-    return truth, v, conv, clean
+    return pipeline._simulate(Settings(load_config(None, SCENE_3D)), {},
+                              inverts=False)
 
 
 class TestLsqrOnTheDistinctCones:

@@ -108,7 +108,14 @@ class TestExitCodes:
         assert main(small_args("run-xmlt", tmp_path,
                                "medium.mu_a=not-a-number")) == 2
 
-    def test_uncovered_cone_set_is_stability_error(self, tmp_path, capsys):
+    def test_uncovered_cone_set_is_stability_error(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # refused at the gate, before the scan stage builds the cone
+        # operator and scans
+        def no_scan(*args):
+            raise AssertionError("scan stage before the gate's refusal")
+        monkeypatch.setattr(pipeline, "ConeConvolution", no_scan)
+        monkeypatch.setattr(pipeline, "simulate_boundary_scan", no_scan)
         rc = main(["run-xmlt", "-o", str(tmp_path),
                    "--set", "grid.cells=32,32", "--set", "cones.count=1"])
         assert rc == 3
@@ -167,7 +174,8 @@ class TestExitCodes:
         monkeypatch.setattr(pipeline, "run_xmlt", boom)
         assert main(["run-xmlt", "-o", str(tmp_path)]) == code
 
-    @pytest.mark.parametrize("verb", ["run-xmlt", "run-xlct"])
+    @pytest.mark.parametrize("verb", ["run-xmlt", "run-xlct", "scan",
+                                      "phantom"])
     def test_empty_error_mask_exits_2_without_traceback(
             self, tmp_path, capsys, monkeypatch, verb):
         monkeypatch.setattr(pipeline, "solve_adjoint_weight", _no_weight_solve)
@@ -217,14 +225,16 @@ class TestExitCodes:
         assert main(small_args("run-xmlt", tmp_path, "run.spot_checks=0")) == 2
         assert "run.spot_checks must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["run-xmlt", "scan"])
     def test_spot_checks_beyond_the_lattice_are_refused(self, tmp_path,
-                                                        capsys, monkeypatch):
+                                                        capsys, monkeypatch,
+                                                        verb):
         # a 16^2 grid has 9 x 9 lattice points, cells 4..12 on each axis
         def no_solve(*args):
             raise AssertionError("spot-check solve before the refusal")
         monkeypatch.setattr(pipeline, "full_physics_measurements", no_solve)
         monkeypatch.setattr(pipeline, "solve_adjoint_weight", _no_weight_solve)
-        assert main(small_args("run-xmlt", tmp_path, "grid.cells=16,16",
+        assert main(small_args(verb, tmp_path, "grid.cells=16,16",
                                "run.spot_checks=82")) == 2
         assert "run.spot_checks must be <= 81" in capsys.readouterr().err
 
@@ -481,8 +491,24 @@ class TestVerbs:
         assert record(report) == scanned
         assert not any(k.startswith("lsqr.") for k in report)
         assert {k for k in report if k.startswith("wall_clock.")} == {
-            "wall_clock.setup", "wall_clock.reconstruct",
+            "wall_clock.setup", "wall_clock.gate", "wall_clock.reconstruct",
             "wall_clock.multiplier", "wall_clock.emit"}
+
+    def test_scan_then_reconstruct_equals_run_xmlt(self, tmp_path):
+        # the two halves of the XMLT sequence write the reconstructions
+        # and the LSQR history of the whole, byte for byte
+        items = ["grid.cells=48,48", "noise.kind=poisson",
+                 "recon.method=both", "run.spot_checks=1"]
+        whole, halves = tmp_path / "whole", tmp_path / "halves"
+        for verb, outdir in [("run-xmlt", whole), ("scan", halves),
+                             ("reconstruct", halves)]:
+            argv = [verb, "-o", str(outdir)]
+            for item in items:
+                argv += ["--set", item]
+            assert main(argv) == 0
+        for name in ("recon_multiplier.ltf", "recon_lsqr.ltf",
+                     "lsqr_history.csv"):
+            assert (halves / name).read_bytes() == (whole / name).read_bytes()
 
     def test_scan_manifest_read_from_another_directory(self, tmp_path,
                                                        monkeypatch):
@@ -791,7 +817,8 @@ class TestWallClock:
             "phantom": ["setup", "emit"],
             "weight": ["setup", "emit"],
             "scan": ["setup", "scan", "noise", "emit"],
-            "reconstruct": ["setup", "reconstruct", "multiplier", "emit"],
+            "reconstruct": ["setup", "gate", "reconstruct", "multiplier",
+                            "emit"],
         }
         for verb, stages in expected.items():
             outdir = tmp_path / ("scan" if verb == "reconstruct" else verb)
@@ -808,8 +835,8 @@ class TestWallClock:
                                    f"recon.method={method}")) == 0
             report = _report(tmp_path / "scan")
             assert {k for k in report if k.startswith("wall_clock.")} == {
-                f"wall_clock.{stage}"
-                for stage in ["setup", "reconstruct", "emit", *ran]}, method
+                f"wall_clock.{stage}" for stage in
+                ["setup", "gate", "reconstruct", "emit", *ran]}, method
 
     def test_reports_equal_without_wall_clock_lines(self, tmp_path):
         def stripped():

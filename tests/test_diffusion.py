@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from lumitomo.diffusion import (BoundaryField, _robin_modes, assemble_operator,
-                                boundary_face_areas, boundary_face_count,
-                                boundary_flux, solve_adjoint_weight,
-                                solve_forward)
+from lumitomo.diffusion import (BoundaryField, DiscreteOperator, _robin_modes,
+                                assemble_operator, boundary_face_areas,
+                                boundary_face_count, boundary_flux,
+                                solve_adjoint_weight, solve_forward)
 from lumitomo.errors import InvalidArgumentError, SolverFailureError
 from lumitomo.fields import OpticalMedium, ScalarField, make_grid
 
@@ -76,8 +76,9 @@ def concatenate_apply(op, values):
 def test_apply_is_bit_identical_to_concatenate_reference(grid, varying,
                                                          tissue_medium):
     rng = np.random.default_rng(31)
-    mu = (0.05 + 0.1 * rng.random(grid.cells)) if varying else None
-    op = assemble_operator(grid, tissue_medium, mu_a_field=mu)
+    mu = ((0.05 + 0.1 * rng.random(grid.cells)) if varying
+          else tissue_medium.mu_a)
+    op = DiscreteOperator(grid, tissue_medium, mu)
     for u in (rng.standard_normal(grid.cells), np.ones(grid.cells)):
         assert np.array_equal(op.apply(u), concatenate_apply(op, u))
         assert np.array_equal(op.apply(u.ravel()), concatenate_apply(op, u))
@@ -138,7 +139,7 @@ def test_max_principle_random_data(grid64, tissue_medium):
     rng = np.random.default_rng(42)
     for _ in range(5):
         mu = rng.uniform(0.01, 0.5, grid64.cells)
-        op = assemble_operator(grid64, tissue_medium, mu_a_field=mu)
+        op = DiscreteOperator(grid64, tissue_medium, mu)
         hv = rng.uniform(0.1, 2.0, boundary_face_count(grid64))
         v = solve_adjoint_weight(op, BoundaryField(grid64, hv), tol=1e-12)
         assert np.all(v.values > 0)
@@ -221,8 +222,9 @@ def test_solve_matches_jacobi_pcg(tissue_medium, case):
         g = make_grid(3, (-5, -4, -6), (10, 9, 12), (14, 12, 16))
     else:
         g = make_grid(2, (-6, -10), (12, 20), (40, 72))
-    mu = rng.uniform(0.01, 0.5, g.cells) if case == "variable-mu_a" else None
-    op = assemble_operator(g, tissue_medium, mu_a_field=mu)
+    mu = (rng.uniform(0.01, 0.5, g.cells) if case == "variable-mu_a"
+          else tissue_medium.mu_a)
+    op = DiscreteOperator(g, tissue_medium, mu)
     h = BoundaryField(g, rng.uniform(0.5, 2.0, boundary_face_count(g)))
     X = g.centers()
     source = np.exp(-np.sum((X - 1.0) ** 2, axis=-1) / 4.0)
@@ -240,7 +242,7 @@ def poorly_preconditioned(grid, medium, monkeypatch):
     over four decades, so that CG stops short of tol 1e-14 at its cap of
     max(200, 20 * 64) = 1280 iterations on a 64 x 64 grid."""
     mu = np.random.default_rng(3).uniform(0.01, 0.5, grid.cells)
-    op = assemble_operator(grid, medium, mu_a_field=mu)
+    op = DiscreteOperator(grid, medium, mu)
     scale = 10.0 ** np.random.default_rng(4).uniform(-4, 0, grid.cells)
     monkeypatch.setattr(op, "_precondition", lambda r: r * scale)
     return op
@@ -261,8 +263,9 @@ def test_solve_is_bit_identical_to_reference_cg(tissue_medium, monkeypatch,
                                                 varying):
     rng = np.random.default_rng(5)
     g = make_grid(2, (-6, -10), (12, 20), (40, 72))
-    mu = rng.uniform(0.01, 0.5, g.cells) if varying else None
-    op = assemble_operator(g, tissue_medium, mu_a_field=mu)
+    mu = (rng.uniform(0.01, 0.5, g.cells) if varying
+          else tissue_medium.mu_a)
+    op = DiscreteOperator(g, tissue_medium, mu)
     h = BoundaryField(g, rng.uniform(0.5, 2.0, boundary_face_count(g)))
     source = two_bump_phantom(g).values
     passes = []

@@ -1051,7 +1051,8 @@ class TestFullPhysicsReference:
 
     def test_default_spot_check_points(self, monkeypatch):
         settings, truth, op, h, v, aps = config_case()
-        clean, _ = pipeline._cone_scan(truth, v, aps, {})
+        clean = simulate_boundary_scan(
+            truth, v, pipeline._cone_operator(aps, truth.grid, {}))
         calls = []
 
         def checked(op, h, f, ap, foci):
@@ -1099,7 +1100,8 @@ class TestFullPhysicsReference:
         # 37 of the default 100 spot-check foci see no phantom cell through
         # the first cone; each measures +0.0, what its solve would give
         settings, truth, op, h, v, aps = config_case("run.spot_checks=100")
-        clean, _ = pipeline._cone_scan(truth, v, aps, {})
+        clean = simulate_boundary_scan(
+            truth, v, pipeline._cone_operator(aps, truth.grid, {}))
         solved, measured = [], []
 
         def counted_solve(op, s):
