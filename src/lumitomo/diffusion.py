@@ -100,8 +100,10 @@ class DiscreteOperator:
         g, med = self.grid, self.medium
         self.mu_a = np.broadcast_to(np.asarray(self.mu_a, dtype=np.float64),
                                     g.cells).copy()
-        if np.any(self.mu_a < 0):
-            raise InvalidArgumentError("mu_a must be non-negative everywhere")
+        # None reads as NaN here
+        if not np.all(np.isfinite(self.mu_a) & (self.mu_a >= 0)):
+            raise InvalidArgumentError(
+                "mu_a must be finite and non-negative everywhere")
         # Robin closure constants per axis: c_plus = 1/2 + 2AD/dx,
         # ghost = (h + c_minus * u_in) / c_plus with c_minus = 2AD/dx - 1/2.
         self._c_plus = []

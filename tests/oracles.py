@@ -17,7 +17,9 @@ compares the runtime path with.
 - `cone_intensity`: the cone kernel at one source point;
 - `stacked_linear_map`, `stacked_data`: the scan operator and LSQR data
   with one row per aperture, as LSQR ran before it took one row per
-  distinct cone.
+  distinct cone;
+- `loop_aperture_groups`: the grouping of apertures into distinct double
+  cones, one pair of apertures at a time.
 """
 
 import numpy as np
@@ -221,6 +223,26 @@ def cone_intensity(ap, x_focus, y):
     if r == 0.0:
         raise InvalidArgumentError("cone_intensity is singular at the focus")
     return float(ap.profile(np.dot(d / r, ap.axis)) / r ** (ap.dim - 1))
+
+
+def loop_aperture_groups(apertures):
+    """`excitation._aperture_groups` as a loop over the distinct apertures
+    found so far: equal dim, half_angle, taper_width and amplitude, and axes
+    equal up to sign to 1e-12; the first match wins."""
+    distinct, group = [], []
+    for ap in apertures:
+        axis = np.asarray(ap.axis)
+        for i, rep in enumerate(distinct):
+            if ((ap.dim, ap.half_angle, ap.taper_width, ap.amplitude)
+                    == (rep.dim, rep.half_angle, rep.taper_width, rep.amplitude)
+                    and min(np.max(np.abs(axis - rep.axis)),
+                            np.max(np.abs(axis + rep.axis))) <= 1e-12):
+                group.append(i)
+                break
+        else:
+            group.append(len(distinct))
+            distinct.append(ap)
+    return distinct, group
 
 
 def stacked_linear_map(conv, v):

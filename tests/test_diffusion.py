@@ -311,6 +311,18 @@ def test_non_finite_rhs_norm_is_refused(grid64, tissue_medium, scale, bad):
         op.solve(rhs)
 
 
+@pytest.mark.parametrize("mu_a", [None, np.nan, np.inf, -np.inf, -0.01,
+                                  "one-nan-cell"])
+def test_bad_mu_a_is_refused_at_construction(grid64, tissue_medium, mu_a):
+    # refused before any solve: NaN and None (NaN under asarray) used to
+    # pass the sign check and run the whole CG cap
+    if isinstance(mu_a, str):
+        mu_a = np.full(grid64.cells, tissue_medium.mu_a)
+        mu_a[5, 7] = np.nan
+    with pytest.raises(InvalidArgumentError, match="mu_a"):
+        DiscreteOperator(grid64, tissue_medium, mu_a)
+
+
 def test_closed_form_disk_matches_ode(tissue_medium):
     r, v = radial_ode_solve(tissue_medium, 10.0, 2, 1.0)
     h = radial_weight_disk(tissue_medium, 10.0, 10.0)[1]

@@ -28,7 +28,7 @@ from lumitomo.multiplier import invert_multiplier
 from conftest import (cell_index, centered_table, constant_field,
                       extended_grid, fan_apertures, reference_cg,
                       traced_peak, two_bump_phantom)
-from oracles import cone_intensity, stacked_linear_map
+from oracles import cone_intensity, loop_aperture_groups, stacked_linear_map
 
 
 def unit(theta):
@@ -457,6 +457,67 @@ class TestDistinctCones:
                       <= 1e-6 * history_ref[-1, 1:])
 
 
+def near_threshold_apertures(rng, dim, count):
+    """Random apertures with repeats: copies of earlier ones with the axis
+    negated, or moved by (1 +- 1e-3) * 1e-12 along one component (set on
+    the frozen aperture, past the normalisation), or with one parameter
+    changed."""
+    params = [(0.3, 0.05, 1.0), (0.3, 0.05, 2.0), (0.4, 0.05, 1.0), (0.3, 0.0, 1.0)]
+    aps = []
+    for _ in range(count):
+        kind = rng.integers(5) if aps else 0
+        if kind == 0:
+            half, taper, amp = params[rng.integers(len(params))]
+            aps.append(Aperture(dim=dim, axis=tuple(rng.standard_normal(dim)),
+                                half_angle=half, taper_width=taper, amplitude=amp))
+            continue
+        ap = aps[rng.integers(len(aps))]
+        axis = np.array(ap.axis)
+        if kind == 1:
+            axis = -axis
+        elif kind in (2, 3):
+            axis[rng.integers(dim)] += rng.choice([-1.0, 1.0]) * 1e-12 * (
+                1.0 - 1e-3 if kind == 2 else 1.0 + 1e-3)
+        copy = Aperture(dim=dim, axis=ap.axis, half_angle=ap.half_angle,
+                        taper_width=ap.taper_width,
+                        amplitude=ap.amplitude * (1.5 if kind == 4 else 1.0))
+        object.__setattr__(copy, "axis", tuple(axis))
+        aps.append(copy)
+    return aps
+
+
+class TestApertureGroups:
+    @pytest.mark.parametrize("dim", [2, 3, "mixed"])
+    def test_matches_the_pairwise_loop(self, dim):
+        rng = np.random.default_rng({2: 31, 3: 32, "mixed": 33}[dim])
+        for _ in range(20):
+            if dim == "mixed":
+                aps = (near_threshold_apertures(rng, 2, 30)
+                       + near_threshold_apertures(rng, 3, 30))
+                aps = [aps[i] for i in rng.permutation(len(aps))]
+            else:
+                aps = near_threshold_apertures(rng, dim, 60)
+            distinct, group = excitation._aperture_groups(aps)
+            ref_distinct, ref_group = loop_aperture_groups(aps)
+            assert group == ref_group
+            assert all(a is b for a, b in zip(distinct, ref_distinct))
+            assert len(distinct) == len(ref_distinct)
+            assert excitation._distinct_apertures(aps) == [
+                (ap, ref_group.count(i)) for i, ap in enumerate(ref_distinct)]
+
+    def test_axes_either_side_of_the_tolerance(self):
+        # axes 1e-12 * (1, 1 - 1e-3, 1 + 1e-3) from (0, 1) in x (exactly:
+        # the norm rounds to 1), and negated ones; the last is 1.001e-12
+        # from the negation of (0, 1) and 2.002e-12 from that of the first
+        # that started its own group
+        aps = [Aperture(dim=2, axis=axis, half_angle=0.3)
+               for axis in [(0.0, 1.0), (1e-12, 1.0), (0.999e-12, 1.0),
+                            (1.001e-12, 1.0), (-1e-12, -1.0), (1.001e-12, -1.0)]]
+        distinct, group = excitation._aperture_groups(aps)
+        assert group == [0, 0, 0, 1, 0, 2]
+        assert (distinct, group) == loop_aperture_groups(aps)
+
+
 def operator_calls(conv, seed):
     """forward, adjoint (also with the rows weighted) and filter of `conv`
     on random inputs: filter on a grid-shaped field, and on one of the
@@ -655,6 +716,59 @@ def small_gaussian(g):
                                    + (X[..., 1] - 1.5) ** 2) / 2.0))
 
 
+# SMALL_ANGLES, both sides of the pi/4 switch, a negative angle and one
+# above pi
+CULL_ANGLES = np.concatenate([SMALL_ANGLES, [np.pi / 4 - 1e-9, np.pi / 4 + 1e-9,
+                                             -0.8, 3.6]])
+
+
+def cull_offsets():
+    """small_grid's offsets shuffled, with duplicates and offsets beyond
+    `reach` (7.3 on the small grid) on both sides."""
+    _, offsets = small_grid()
+    offsets = np.random.default_rng(9).permutation(offsets)
+    return np.concatenate([offsets[:30], [0.3, -2.0, 0.3, -50.0],
+                           offsets[30:], [-2.0, 7.5, 1e6, offsets[3]]])
+
+
+def cull_fields():
+    """(name, values) on small_grid: one nonzero cell at each corner and in
+    the middle of each edge, support touching the border, a -0.0
+    background, a band of -0.0 alone, all +0.0 and nonzero everywhere."""
+    g, _ = small_grid()
+    nx, ny = g.cells
+    rng = np.random.default_rng(8)
+    cases = []
+    for i in (0, nx // 2, nx - 1):
+        for j in (0, ny // 2, ny - 1):
+            if (i, j) != (nx // 2, ny // 2):
+                v = np.zeros(g.cells)
+                v[i, j] = 1.0 + rng.random()
+                cases.append((f"cell-{i}-{j}", v))
+    v = np.zeros(g.cells)
+    v[nx - 6:, 3:9] = rng.uniform(0.5, 1.5, (6, 6))
+    v[2:5, :4] = rng.uniform(0.5, 1.5, (3, 4))
+    cases.append(("border-blocks", v))
+    v = np.full(g.cells, -0.0)
+    v[7:11, 12:15] = rng.uniform(0.5, 1.5, (4, 3))
+    cases.append(("negative-zero-background", v))
+    v = np.zeros(g.cells)
+    v[:, 10:20] = -0.0
+    cases.append(("negative-zero-band", v))
+    cases.append(("all-zero", np.zeros(g.cells)))
+    cases.append(("dense", rng.uniform(0.5, 1.5, g.cells)))
+    return cases
+
+
+def unculled_xray(monkeypatch, f, angles, offsets):
+    """`xray_transform` with the support's box set to the whole grid, so
+    that every line meeting the grid is sampled on every row."""
+    with monkeypatch.context() as m:
+        m.setattr(excitation, "_support_box",
+                  lambda values: [(0, n - 1) for n in values.shape])
+        return xray_transform(f, angles, offsets).values
+
+
 class TestXrayTransform:
     @pytest.mark.parametrize("block", [excitation.XRAY_BLOCK_SAMPLES, 250])
     def test_matches_joseph_per_ray(self, monkeypatch, block):
@@ -664,6 +778,27 @@ class TestXrayTransform:
         angles = SMALL_ANGLES
         sino = xray_transform(f, angles, offsets)
         assert np.array_equal(sino.values, joseph_per_ray(f, angles, offsets))
+
+    @pytest.mark.parametrize("name, values", cull_fields(),
+                             ids=[name for name, _ in cull_fields()])
+    def test_culled_lines_are_joseph_per_ray(self, monkeypatch, name, values):
+        # bitwise: equal to the per-ray reference, and byte for byte (the
+        # signs of zeros too) to every line sampled on every row, also with
+        # blocks of a few lines, whose edges fall inside the kept band
+        g, _ = small_grid()
+        f = ScalarField(g, values)
+        offsets = cull_offsets()
+        ref = joseph_per_ray(f, CULL_ANGLES, offsets)
+        full = unculled_xray(monkeypatch, f, CULL_ANGLES, offsets)
+        for block in (excitation.XRAY_BLOCK_SAMPLES, 100, 1):
+            monkeypatch.setattr(excitation, "XRAY_BLOCK_SAMPLES", block)
+            sino = xray_transform(f, CULL_ANGLES, offsets).values
+            assert np.array_equal(sino, ref)
+            assert sino.tobytes() == full.tobytes()
+        if name.startswith("cell"):
+            # most lines miss a single cell
+            assert 0 < np.count_nonzero(sino) < 0.2 * sino.size
+        assert np.any(sino) == (name not in ("all-zero", "negative-zero-band"))
 
     def test_close_to_bilinear_sampler(self, grid128):
         # smooth fields: measured 2.3e-4 (128^2) and 3.9e-3 (24x40) of the max
@@ -764,9 +899,11 @@ class TestXrayTransform:
                                   joseph_per_ray(f, SMALL_ANGLES, near))
 
     def test_default_run_xlct_sinogram_is_joseph_per_ray(self, tmp_path):
-        # the clip leaves every line that meets the grid alone: the default
-        # run's sinogram against the per-ray reference on every angle and
-        # every 15th offset, the two extreme ones included
+        # the clip and the skipped lines leave every line that meets the
+        # support alone: the default run's sinogram against the per-ray
+        # reference on every angle, on every offset within two columns of
+        # the columns that read the support, and on every 15th offset, the
+        # two extreme ones included
         from lumitomo.cli import main
         from lumitomo.ltfio import read_field, read_sinogram
         assert main(["run-xlct", "-o", str(tmp_path)]) == 0
@@ -774,7 +911,10 @@ class TestXrayTransform:
         g = ScalarField(read_field(tmp_path / "truth.ltf").grid,
                         read_field(tmp_path / "weight.ltf").values
                         * read_field(tmp_path / "truth.ltf").values)
-        cols = np.r_[0:sino.offsets.size:15, sino.offsets.size - 1]
+        band = np.flatnonzero(np.any(sino.values != 0, axis=0))
+        cols = np.unique(np.r_[0:sino.offsets.size:15, sino.offsets.size - 1,
+                               max(band[0] - 2, 0):band[-1] + 3])
+        assert cols.size < 0.4 * sino.offsets.size
         assert np.array_equal(sino.values[:, cols],
                               joseph_per_ray(g, sino.angles, sino.offsets[cols]))
 
