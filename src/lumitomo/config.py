@@ -15,8 +15,8 @@ import zlib
 import numpy as np
 
 from .errors import ConfigError
-from .fields import (OpticalMedium, PhantomSpec, derived_optics, make_grid,
-                     robin_coefficient)
+from .fields import (MAX_GRID_CELLS, OpticalMedium, PhantomSpec,
+                     derived_optics, make_grid, robin_coefficient)
 from .excitation import Aperture
 from .fbp import FbpFilter
 
@@ -237,6 +237,12 @@ class Settings:
         self.eps_bg = _float(cfg, "error.eps_bg", 0)
         self.n_angles = _int(cfg, "xray.n_angles", 8)
         self.n_offsets = _int(cfg, "xray.n_offsets", 2)
+        # the sinogram and FBP's padded profiles hold one value per line:
+        # bounded as a field's cells are (512 MiB of float64)
+        if self.n_angles * self.n_offsets > MAX_GRID_CELLS:
+            raise ConfigError(
+                f"xray.n_angles * xray.n_offsets must be <= {MAX_GRID_CELLS}, "
+                f"got {self.n_angles} * {self.n_offsets}")
         try:
             self.fbp_filter = FbpFilter(kind=cfg["recon.filter"],
                                         cutoff=_float(cfg, "recon.cutoff"))

@@ -114,7 +114,11 @@ class DiscreteOperator:
             cm = 2.0 * med.A * med.D / dx - 0.5
             self._c_plus.append(cp)
             self._beta.append(cm / cp)
-        modes = [_robin_modes(n, beta) for n, beta in zip(g.cells, self._beta)]
+        # one eigenbasis per distinct (cells, beta): the axes of a square or
+        # cubic grid share it
+        keys = list(zip(g.cells, self._beta))
+        distinct = {key: _robin_modes(*key) for key in set(keys)}
+        modes = [distinct[key] for key in keys]
         self._vecs = [vecs for _, vecs in modes]
         eig = np.full(g.cells, float(np.mean(self.mu_a)))
         for ax, (lam, _) in enumerate(modes):

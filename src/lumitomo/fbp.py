@@ -9,8 +9,9 @@ import numpy as np
 
 from .diffusion import _floored_weight
 from .errors import InvalidArgumentError, WeightDegeneracyWarning
-from .fields import Grid, ScalarField
+from . import excitation
 from .excitation import Sinogram, _padded_lerp
+from .fields import Grid, ScalarField
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,14 @@ def fbp(sino: Sinogram, grid: Grid, filt: FbpFilter = None) -> ScalarField:
     Per-angle FFT filtering of the offset profiles, backprojection with
     linear interpolation in the offset coordinate (`_backproject`), scaled
     by pi / n_angles.  The offsets must be uniformly spaced and increasing.
+
+    The profiles are filtered a block of angles at a time, each block's
+    rfft multiplied by the response in place and its irfft cropped into
+    the padded profile array that `_backproject` reads, so no array of the
+    whole sinogram's spectra is formed.  A block holds about
+    `excitation.XRAY_BLOCK_SAMPLES` padded samples (16 angles of 512 at
+    256 offsets); each profile's transforms are independent of the
+    others', so the result does not depend on the block size.
     """
     if grid.dim != 2:
         raise InvalidArgumentError("fbp reconstructs onto 2D grids")
@@ -66,21 +75,27 @@ def fbp(sino: Sinogram, grid: Grid, filt: FbpFilter = None) -> ScalarField:
     npad = int(2 ** np.ceil(np.log2(2 * n)))
     freqs = np.fft.rfftfreq(npad, d=dz)
     resp = filt.response(freqs, nyquist=0.5 / dz)
-    spec = np.fft.rfft(sino.values, npad, axis=1)
-    filtered = np.fft.irfft(spec * resp[None, :], npad, axis=1)[:, :n]
-    out = _backproject(filtered, sino.angles, offsets, grid)
+    # profiles: one filtered profile per angle with two zero cells on
+    # either side (`_padded_lerp`)
+    profiles = np.zeros((sino.angles.size, n + 4))
+    rows = max(1, excitation.XRAY_BLOCK_SAMPLES // npad)
+    for lo in range(0, sino.angles.size, rows):
+        spec = np.fft.rfft(sino.values[lo:lo + rows], npad, axis=1)
+        spec *= resp
+        profiles[lo:lo + rows, 2:n + 2] = np.fft.irfft(spec, npad, axis=1)[:, :n]
+    out = _backproject(profiles, sino.angles, offsets, grid)
     out *= np.pi / sino.angles.size
     return ScalarField(grid, out)
 
 
-def _backproject(filtered, angles, offsets, grid: Grid):
-    """Sum over angles t of the profile filtered[t] at the offset
+def _backproject(profiles, angles, offsets, grid: Grid):
+    """Sum over angles t of the profile profiles[t] at the offset
     z = -sin(t) x + cos(t) y of every cell centre (x, y), relative to the
     grid centre: linear in z between the uniform, increasing `offsets`
-    (`_padded_lerp`), zero outside them."""
+    (`_padded_lerp`), zero outside them.  Each row of `profiles` holds the
+    values at the n offsets between two zero cells on either side."""
     n = offsets.size
     dz = offsets[1] - offsets[0]
-    profiles = np.pad(filtered, ((0, 0), (2, 2)))
     # z is the sum of one term per grid axis
     x = (grid.axis_centers(0) - (grid.origin[0] + 0.5 * grid.extent[0]))[:, None]
     y = (grid.axis_centers(1) - (grid.origin[1] + 0.5 * grid.extent[1]))[None, :]

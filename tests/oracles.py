@@ -19,7 +19,10 @@ compares the runtime path with.
   with one row per aperture, as LSQR ran before it took one row per
   distinct cone;
 - `loop_aperture_groups`: the grouping of apertures into distinct double
-  cones, one pair of apertures at a time.
+  cones, one pair of apertures at a time;
+- `one_shot_fbp`: filtered backprojection with every profile filtered in
+  one transform of the whole sinogram, as `fbp.fbp` filtered before it
+  took a block of angles at a time.
 """
 
 import numpy as np
@@ -29,6 +32,8 @@ from lumitomo.diffusion import (_sides, boundary_face_count,
                                 boundary_flux, boundary_functional,
                                 solve_adjoint_weight, solve_forward)
 from lumitomo.errors import InvalidArgumentError
+from lumitomo.fbp import FbpFilter, _backproject
+from lumitomo.fields import ScalarField
 
 _MAX_TERMS = 400
 
@@ -272,3 +277,21 @@ def stacked_data(scan):
     """The fields of a `ConeScanData`, one row per aperture, flattened: the
     data of `stacked_linear_map`."""
     return np.concatenate([f.values.ravel() for f in scan.fields])
+
+
+def one_shot_fbp(sino, grid, filt=None):
+    """`fbp.fbp` of a valid sinogram with the whole sinogram's rfft, its
+    product with the response and its irfft formed at once, and the
+    cropped profiles padded by `np.pad` for `_backproject`."""
+    filt = FbpFilter() if filt is None else filt
+    offsets = sino.offsets
+    n = offsets.size
+    dz = offsets[1] - offsets[0]
+    npad = int(2 ** np.ceil(np.log2(2 * n)))
+    resp = filt.response(np.fft.rfftfreq(npad, d=dz), nyquist=0.5 / dz)
+    spec = np.fft.rfft(sino.values, npad, axis=1)
+    filtered = np.fft.irfft(spec * resp[None, :], npad, axis=1)[:, :n]
+    out = _backproject(np.pad(filtered, ((0, 0), (2, 2))), sino.angles,
+                       offsets, grid)
+    out *= np.pi / sino.angles.size
+    return ScalarField(grid, out)

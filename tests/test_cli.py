@@ -20,7 +20,8 @@ from lumitomo.errors import (ConfigError, EmptyMaskError,
                              InvalidArgumentError, InvalidOperatorError,
                              LumitomoError, SolverFailureError,
                              StabilityViolationError)
-from lumitomo.fields import ScalarField, derived_optics, robin_coefficient
+from lumitomo.fields import (MAX_GRID_CELLS, ScalarField, derived_optics,
+                             robin_coefficient)
 from lumitomo.ltfio import read_field, write_field
 
 
@@ -208,6 +209,23 @@ class TestExitCodes:
         key = item.partition("=")[0]
         low = {"xray.n_angles": 8, "xray.n_offsets": 2}[key]
         assert f"{key} must be >= {low}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("items", [
+        ["xray.n_angles=1000000000000000"], ["xray.n_offsets=1000000000000000"],
+        ["xray.n_angles=8193", "xray.n_offsets=8192"]],
+        ids=["angles", "offsets", "just-above"])
+    def test_run_xlct_refuses_an_oversized_sinogram_before_the_weight_solve(
+            self, tmp_path, monkeypatch, capsys, items):
+        # 8193 * 8192 lines is 8192 above the bound of 2^26
+        def weight_solve(op, h):
+            raise AssertionError("weight solved before the sinogram check")
+        monkeypatch.setattr(pipeline, "solve_adjoint_weight", weight_solve)
+        assert main(small_args("run-xlct", tmp_path, *items)) == 2
+        err = capsys.readouterr().err
+        assert (f"xray.n_angles * xray.n_offsets must be <= {MAX_GRID_CELLS}"
+                in err)
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "truth.ltf").exists()
 
     def test_oversized_grid_exits_2_without_traceback(self, tmp_path, capsys):
         rc = main(["phantom", "-o", str(tmp_path), "--set",

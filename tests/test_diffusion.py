@@ -215,6 +215,38 @@ def test_robin_modes_match_eigh(n, beta):
     assert np.min(np.abs(np.sum(vecs * ref_vecs, axis=0))) >= 1.0 - 1e-12
 
 
+def test_equal_axes_share_one_eigenbasis(tissue_medium):
+    square = DiscreteOperator(make_grid(2, (-10, -10), (20, 20), (128, 128)),
+                              tissue_medium, tissue_medium.mu_a)
+    assert square._vecs[0] is square._vecs[1]
+    cube = DiscreteOperator(make_grid(3, (-5, -5, -5), (10, 10, 10), (8, 8, 8)),
+                            tissue_medium, tissue_medium.mu_a)
+    assert cube._vecs[0] is cube._vecs[1] is cube._vecs[2]
+
+
+@pytest.mark.parametrize("dim,extent,cells", [
+    (2, (12, 20), (40, 72)), (2, (12, 20), (40, 40)), (2, (20, 20), (40, 72)),
+    (3, (10, 9, 12), (14, 12, 16)), (3, (10, 10, 12), (12, 12, 16))],
+    ids=["2d-both", "2d-spacing", "2d-cells", "3d-distinct", "3d-two-shared"])
+def test_anisotropic_eigenbases_are_the_per_axis_modes(tissue_medium, dim,
+                                                      extent, cells):
+    g = make_grid(dim, tuple(-0.5 * e for e in extent), extent, cells)
+    op = DiscreteOperator(g, tissue_medium, tissue_medium.mu_a)
+    eig = np.full(g.cells, float(np.mean(op.mu_a)))
+    for ax in range(dim):
+        lam, vecs = _robin_modes(g.cells[ax], op._beta[ax])
+        assert op._vecs[ax].tobytes() == vecs.tobytes()
+        shape = [1] * dim
+        shape[ax] = -1
+        eig += (tissue_medium.D / g.spacing[ax] ** 2) * lam.reshape(shape)
+    assert op._inv_eig.tobytes() == (1.0 / eig).tobytes()
+    # axes share an array exactly when their (cells, beta) are equal
+    for a in range(dim):
+        for b in range(a):
+            same = (g.cells[a], op._beta[a]) == (g.cells[b], op._beta[b])
+            assert (op._vecs[a] is op._vecs[b]) == same
+
+
 @pytest.mark.parametrize("case", ["2d-nonsquare", "3d", "variable-mu_a"])
 def test_solve_matches_jacobi_pcg(tissue_medium, case):
     rng = np.random.default_rng(7)

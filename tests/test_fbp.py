@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from lumitomo import excitation
 from lumitomo.errors import InvalidArgumentError, WeightDegeneracyWarning
 from lumitomo.excitation import Sinogram, xray_transform
 from lumitomo.fbp import FbpFilter, _backproject, divide_by_weight, fbp
 from lumitomo.fields import ScalarField, make_grid
 
-from conftest import constant_field, rel_l2, two_bump_phantom
+from conftest import constant_field, rel_l2, traced_peak, two_bump_phantom
+from oracles import one_shot_fbp
 
 
 def make_sinogram(f, n_angles=180, n_offsets=363):
@@ -122,8 +124,41 @@ def test_backprojection_matches_masked_reference(half_width):
                              rng.uniform(0, np.pi, 12)])
     offsets = np.linspace(-half_width, half_width, 37)
     filtered = rng.standard_normal((angles.size, offsets.size))
-    new = _backproject(filtered, angles, offsets, g)
+    new = _backproject(np.pad(filtered, ((0, 0), (2, 2))), angles, offsets, g)
     assert np.array_equal(new, masked_backprojection(filtered, angles, offsets, g))
+
+
+def random_sinogram(n_angles, n_offsets, seed=5):
+    rng = np.random.default_rng(seed)
+    return Sinogram(rng.uniform(0, np.pi, n_angles),
+                    np.linspace(-7.0, 7.0, n_offsets),
+                    rng.standard_normal((n_angles, n_offsets)))
+
+
+@pytest.mark.parametrize("rows", [1, 7, 45, None],
+                         ids=["one-angle", "non-divisor", "all", "default"])
+@pytest.mark.parametrize("filt", [FbpFilter(), FbpFilter(kind="ramp", cutoff=1.0)],
+                         ids=["ramp-hann", "ramp"])
+def test_blocked_filter_equals_one_shot(monkeypatch, rows, filt):
+    # 45 angles of 100 offsets (npad 256): blocks of `rows` angles, or of
+    # the default 32
+    g = make_grid(2, (-3.0, -5.0), (6.0, 12.0), (24, 40))
+    sino = random_sinogram(45, 100)
+    if rows is not None:
+        monkeypatch.setattr(excitation, "XRAY_BLOCK_SAMPLES", rows * 256)
+    got = fbp(sino, g, filt).values
+    assert got.tobytes() == one_shot_fbp(sino, g, filt).values.tobytes()
+
+
+def test_fbp_working_set_is_about_one_profile_array():
+    # 720 x 1024 lines: the padded profiles take 720 * 1028 * 8 = 5.9 MB;
+    # the whole sinogram's spectrum, its product with the response and the
+    # irfft output took 11.8 MB each, and np.pad's copy another 5.9 MB
+    g = make_grid(2, (-10.0, -10.0), (20.0, 20.0), (16, 16))
+    sino = random_sinogram(720, 1024)
+    profiles = 720 * (1024 + 4) * 8
+    _, peak = traced_peak(lambda: fbp(sino, g))
+    assert peak <= 1.25 * profiles
 
 
 def test_divide_by_weight_plain():
