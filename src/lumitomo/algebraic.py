@@ -23,19 +23,38 @@ PARAMETRIX_MIX = 5e-4
 
 @dataclass
 class LinearMap:
-    """Abstract linear operator given by forward/adjoint vector actions."""
+    """Abstract linear operator given by forward/adjoint vector actions;
+    the forward of a map `by_rows` also takes a callback: forward(x, each)
+    calls each(start, row) on the rows of A x in turn and forms no A x."""
 
     n_data: int
     n_model: int
     forward: callable   # (n_model,) -> (n_data,)
     adjoint: callable   # (n_data,) -> (n_model,)
+    by_rows: bool = False
+
+    def _pieces(self, x, each):
+        """each(start, piece) over A x, by rows when the map gives them."""
+        if self.by_rows:
+            self.forward(x, each)
+        else:
+            each(0, self.forward(x))
+
+    def add_forward(self, x, out):
+        """out += A x in place: the bits of out += forward(x)."""
+        def add(start, piece):
+            out[start:start + piece.size] += piece
+        self._pieces(x, add)
 
     def dot_test(self, seed=0):
         """Relative defect of <A x, y> - <x, A^T y> on random vectors."""
         rng = np.random.Generator(np.random.PCG64(seed))
         x = rng.standard_normal(self.n_model)
         y = rng.standard_normal(self.n_data)
-        lhs = float(np.dot(self.forward(x), y))
+        dots = []
+        self._pieces(x, lambda start, piece: dots.append(
+            float(np.dot(piece, y[start:start + piece.size]))))
+        lhs = sum(dots)
         rhs = float(np.dot(x, self.adjoint(y)))
         scale = max(abs(lhs), abs(rhs), 1e-300)
         return abs(lhs - rhs) / scale
@@ -55,7 +74,8 @@ def scan_linear_map(conv: ConeConvolution, v: ScalarField) -> LinearMap:
     the iterates of LSQR on (A, b) with a fraction of the data (half for
     the default 10 cones, 5 double cones), and `lsqr`'s `residual_floor`
     adds the constant back.  Forward and adjoint share one set of real
-    kernel spectra, so the dot test holds to machine precision.
+    kernel spectra, so the dot test holds to machine precision.  The map
+    is `by_rows` (`conv.rows`).
     """
     grid = v.grid
     if conv.grid != grid:
@@ -63,18 +83,27 @@ def scan_linear_map(conv: ConeConvolution, v: ScalarField) -> LinearMap:
     vvol = v.values * grid.cell_volume
     weights = np.sqrt(conv.counts)
     rows = (len(weights),) + tuple(grid.cells)
-    row_weights = weights.reshape((-1,) + (1,) * grid.dim)
 
-    def forward(x):
-        out = conv.forward(x.reshape(grid.cells) * vvol)
-        out *= row_weights
-        return out.ravel()
+    def forward(x, each=None):
+        out = None
+        if each is None:
+            out = np.empty(len(weights) * grid.n_cells)
+
+            def each(start, row):
+                out[start:start + row.size] = row
+        for i, row in enumerate(conv.rows(x.reshape(grid.cells) * vvol)):
+            row *= weights[i]
+            each(i * grid.n_cells, row.ravel())
+        return out
 
     def adjoint(y):
-        return (conv.adjoint(y.reshape(rows), weights) * vvol).ravel()
+        out = conv.adjoint(y.reshape(rows), weights)
+        out *= vvol
+        return out.ravel()
 
     return LinearMap(n_data=len(weights) * grid.n_cells,
-                     n_model=grid.n_cells, forward=forward, adjoint=adjoint)
+                     n_model=grid.n_cells, forward=forward, adjoint=adjoint,
+                     by_rows=True)
 
 
 def parametrix_preconditioner(conv: ConeConvolution, v: ScalarField) -> LinearMap:
@@ -99,7 +128,9 @@ def parametrix_preconditioner(conv: ConeConvolution, v: ScalarField) -> LinearMa
     vvol = _floored_weight(v) * grid.cell_volume
 
     def forward(z):
-        return (conv.filter(z.reshape(grid.cells), symbol) / vvol).ravel()
+        out = conv.filter(z.reshape(grid.cells), symbol)
+        out /= vvol
+        return out.ravel()
 
     def adjoint(y):
         return conv.filter(y.reshape(grid.cells) / vvol, symbol).ravel()
@@ -109,12 +140,14 @@ def parametrix_preconditioner(conv: ConeConvolution, v: ScalarField) -> LinearMa
 
 
 def compose(A: LinearMap, M: LinearMap) -> LinearMap:
-    """The product A M: one call of each of A's actions per call of its own."""
+    """The product A M: one call of each of A's actions per call of its
+    own, by rows when A is."""
     if M.n_data != A.n_model:
         raise InvalidArgumentError("inner dimensions of A M differ")
     return LinearMap(n_data=A.n_data, n_model=M.n_model,
-                     forward=lambda z: A.forward(M.forward(z)),
-                     adjoint=lambda y: M.adjoint(A.adjoint(y)))
+                     forward=lambda z, *each: A.forward(M.forward(z), *each),
+                     adjoint=lambda y: M.adjoint(A.adjoint(y)),
+                     by_rows=A.by_rows)
 
 
 def lsqr(linmap: LinearMap, data, max_iters=500, atol=1e-8,
@@ -122,18 +155,20 @@ def lsqr(linmap: LinearMap, data, max_iters=500, atol=1e-8,
     """Paige-Saunders LSQR on min ||A x - b||.
 
     Runs a forward/adjoint dot test before iterating and raises
-    InvalidOperatorError when its defect exceeds 1e-10.  `residual_floor`
-    is a residual norm that no x removes, of data reduced to fewer rows
-    (`scan_linear_map`): every residual norm below is hypot(||A x - b||,
-    residual_floor), the residual of the full data.  Stops when that
-    residual ||r|| falls to `stop_residual` (the discrepancy principle: the
-    expected norm of the data's noise; 0 runs to atol), or by Paige and
-    Saunders' tests with atol as both tolerances: the normal-equations
-    residual ||A^T r|| / (||A|| ||r||) falls below atol (a least-squares
-    solution), or ||r|| <= atol (||b|| + ||A|| ||x||) (a consistent system
-    solved), with ||A|| LSQR's running Frobenius-norm estimate.  Returns
-    (solution, history) with history rows (iteration, ||r||, ||A^T r||,
-    ||A^T r|| / (||A|| ||r||)); the residual norms are nonincreasing.
+    InvalidOperatorError when its defect exceeds 1e-10.  With a map
+    `by_rows`, u (or the dot test's y) is its one data-sized array beside
+    the data.  `residual_floor` is a residual norm that no x removes, of
+    data reduced to fewer rows (`scan_linear_map`): every residual norm
+    below is hypot(||A x - b||, residual_floor), the residual of the full
+    data.  Stops when that residual ||r|| falls to `stop_residual` (the
+    discrepancy principle: the expected norm of the data's noise; 0 runs to
+    atol), or by Paige and Saunders' tests with atol as both tolerances:
+    the normal-equations residual ||A^T r|| / (||A|| ||r||) falls below
+    atol (a least-squares solution), or ||r|| <= atol (||b|| + ||A|| ||x||)
+    (a consistent system solved), with ||A|| LSQR's running Frobenius-norm
+    estimate.  Returns (solution, history) with history rows (iteration,
+    ||r||, ||A^T r||, ||A^T r|| / (||A|| ||r||)); the residual norms are
+    nonincreasing.
     """
     defect = linmap.dot_test()
     if defect > 1e-10:
@@ -167,7 +202,7 @@ def lsqr(linmap: LinearMap, data, max_iters=500, atol=1e-8,
     # input or output), so they are updated in place
     for it in range(1, max_iters + 1):
         u *= -alpha
-        u += linmap.forward(v)
+        linmap.add_forward(v, u)
         beta = float(np.linalg.norm(u))
         if beta > 0:
             u /= beta

@@ -173,14 +173,10 @@ def build_phantom_spec(cfg, grid):
 
 
 # The largest cones.count.  Grouping a cone set into its distinct double
-# cones compares every cone with every distinct one found so far, so its
-# time grows with the square of the count: 2.3 s at 1000 cones and 8.7 s
-# at 2000 (2D fans, one thread), and a multiplier run groups twice: in its
-# cone operator (`excitation.ConeConvolution`) and in the gate's
-# `multiplier.ellipticity_margin`.
-# Each distinct cone also holds one half spectrum on the doubled grid,
-# 0.26 MB at 128^2 and 8.5 MB at 64^3, so 1000 cones (500 distinct) hold
-# 130 MB of spectra in 2D.  The bound caps the time; on large 3D grids the
+# cones is vectorized (0.08 s for 1000 2D cones, one thread); what the
+# bound limits is memory: each distinct cone holds one half spectrum on
+# the doubled grid, 0.26 MB at 128^2 and 8.5 MB at 64^3, so 1000 cones
+# (500 distinct) hold 130 MB of spectra in 2D, and on large 3D grids the
 # spectra of far fewer cones exceed the memory of a small machine.
 MAX_CONES = 1000
 

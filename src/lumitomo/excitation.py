@@ -234,10 +234,11 @@ class ConeConvolution:
     are the same double cone share one spectrum (`group` maps each aperture
     to its row of `spectra`, `distinct` holds each row's aperture, in order
     of first appearance, and `counts` each row's number of apertures), and
-    `forward` and `adjoint` work on one row per distinct aperture: one
-    inverse FFT each in `forward` and one forward FFT each in `adjoint`.  A run builds one and hands it to the scan, the multiplier
-    and LSQR: their `conv` argument is the only way they take a cone set
-    and its grid.
+    `rows` and `adjoint` work on one row per distinct aperture: one
+    inverse FFT each in `rows` and one forward FFT each in `adjoint`.
+    A run builds one and hands it to the scan, the multiplier and LSQR:
+    their `conv` argument is the only way they take a cone set and its
+    grid.
 
     The build holds the `spectra` stack, one complex work spectrum, one
     kernel table on the circular grid and one block of its samples: for
@@ -248,8 +249,8 @@ class ConeConvolution:
     `with conv.reusing_buffers():`, where calls reuse one set (an iterative
     solver's loop).  That set lives only while the block runs and is
     dropped on exit, also on an exception.  The block is not reentrant and
-    not thread-safe.  No method returns a work array, and no result's bytes
-    depend on the block.
+    not thread-safe.  Only `rows` hands out a work array, and no result's
+    bytes depend on the block.
     """
 
     def __init__(self, apertures, grid: Grid):
@@ -287,7 +288,7 @@ class ConeConvolution:
     def _work(self, name, shape, dtype):
         """An uninitialised array, inside `reusing_buffers` the one cached
         under this key; the methods share the names "X", "Y" (half spectra),
-        "real" and "scaled"."""
+        "real", "row" and "scaled"."""
         if self._buffers is None:
             return np.empty(shape, dtype)
         key = (name, shape, dtype)
@@ -324,17 +325,18 @@ class ConeConvolution:
         out[...] = R[..., crop[-1]]
         return out
 
-    def forward(self, g):
+    def rows(self, g):
         """Quadrature sums of the source g (grid-shaped), one per distinct
-        aperture (row i for spectra[i]) along a leading axis; one FFT of g
-        serves every aperture."""
+        aperture (row i for spectra[i]), yielded in order from one FFT of g.
+        Each row is yielded in one work array, which the caller may
+        overwrite and the next row does; inside `reusing_buffers` no other
+        call on this operator may run between two rows."""
         G = self._spectrum(g, self._work("X", self._half, complex))
         P = self._work("Y", self._half, complex)
-        out = np.empty((len(self.spectra),) + self.cells)
-        for i, S in enumerate(self.spectra):
+        row = self._work("row", self.cells, float)
+        for S in self.spectra:
             np.multiply(G, S, out=P)
-            self._inverse(P, out[i])
-        return out
+            yield self._inverse(P, row)
 
     def filter(self, g, symbol, start=None):
         """g, zero-padded to the circular grid unless already its shape,
@@ -346,7 +348,7 @@ class ConeConvolution:
         return self._inverse(X, np.empty(self.cells), start)
 
     def adjoint(self, y, weights=None):
-        """Transpose of `forward`: one field per distinct aperture stacked
+        """Transpose of `rows`: one field per distinct aperture stacked
         along a leading axis (row i times weights[i] when `weights` is
         given) to one grid-shaped field; the spectra are summed before one
         inverse FFT."""
@@ -390,7 +392,8 @@ def _nested_offset(field_grid: Grid, focus_grid: Grid):
 
 def cone_transform(f: ScalarField, v: ScalarField, conv: ConeConvolution):
     """Weighted double-cone transform of f, one ScalarField per aperture of
-    `conv`, sampled at the centers of its grid, the focus grid.
+    `conv` (one shared field per distinct cone), sampled at the centers of
+    its grid, the focus grid.
 
     The focus grid is the field grid or contains it as an aligned sub-block
     (e.g. a scan extended past the object support); v*f is embedded in it
@@ -408,9 +411,8 @@ def cone_transform(f: ScalarField, v: ScalarField, conv: ConeConvolution):
     g = f.values * (v.values * grid.cell_volume)
     g_emb = np.zeros(focus_grid.cells)
     g_emb[tuple(slice(k, k + n) for k, n in zip(offs, grid.cells))] = g
-    rows = conv.forward(g_emb)
-    # apertures of one group get copies of its row (ScalarField copies)
-    return [ScalarField(focus_grid, rows[i]) for i in conv.group]
+    fields = [ScalarField(focus_grid, row) for row in conv.rows(g_emb)]
+    return [fields[i] for i in conv.group]
 
 
 @dataclass
@@ -438,7 +440,7 @@ class ConeScanData:
     def summed(self) -> np.ndarray:
         total = np.zeros(self.focus_grid.cells)
         for fld in self.fields:
-            total = total + fld.values
+            total += fld.values
         return total
 
 

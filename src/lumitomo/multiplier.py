@@ -330,7 +330,8 @@ def _median(x):
 def invert_multiplier(scan: ConeScanData, v: ScalarField, conv: ConeConvolution,
                       eps=1e-3, stats=None) -> ScalarField:
     """Explicit Fourier inversion of the summed data of a scan whose cones
-    are those of `conv`, the cone operator on the grid of v.
+    are those of `conv`, the cone operator on the grid of v.  Of the scan
+    it reads `focus_grid`, `apertures` and `summed()` only.
 
     The data is filtered on the circular grid of twice the field grid's
     cells per axis (`conv.filter`), which suppresses the periodization of

@@ -6,6 +6,8 @@ XMLT stage sequence is written once: setup (phantom, error-mask check,
 spot-check points, weight), gate, scan, spot check, noise, reconstruct,
 emit.  `scan` runs it without the gate, the spot check and reconstruct;
 `reconstruct` reads what `scan` wrote in place of setup through noise.
+The scan's files are written when noise ends; reconstruct reads only
+the scan's reductions (`_ScanSums`).
 Each stage's wall time goes into the report as `wall_clock.<stage>`, and
 within reconstruct each method's; report lines starting with `wall_clock`
 are the only ones that differ between repeated runs.
@@ -73,12 +75,9 @@ def _slice_csv(path, field):
 
 def emit_outputs(outdir, fields, report, sinogram=None, scan=None,
                  history=None):
-    """Write LTFIELD files, CSV slices, PGM renders and the run report.
-
-    `fields` maps names to ScalarFields; colormap bounds of every PGM and
-    the time taken to write everything but the report itself
-    (`wall_clock.emit`) are recorded in the report.
-    """
+    """Write LTFIELD files, CSV slices, PGM renders and the other outputs
+    given; colormap bounds of every PGM go into the report, and the time
+    taken is added to `wall_clock.emit`."""
     t0 = time.perf_counter()
     os.makedirs(outdir, exist_ok=True)
     for name, fld in fields.items():
@@ -99,9 +98,8 @@ def emit_outputs(outdir, fields, report, sinogram=None, scan=None,
                      "relative_normal_residual\n")
             for it, res, nres, rel in history:
                 fh.write(f"{int(it)},{res:.17g},{nres:.17g},{rel:.17g}\n")
-    report["wall_clock.emit"] = f"{time.perf_counter() - t0:.3f}"
-    with open(os.path.join(outdir, "report.txt"), "w") as fh:
-        fh.writelines(f"{key} = {report[key]}\n" for key in sorted(report))
+    spent = time.perf_counter() - t0 + float(report.get("wall_clock.emit", 0))
+    report["wall_clock.emit"] = f"{spent:.3f}"
 
 
 def _start(cfg, inverts=False):
@@ -195,28 +193,27 @@ def _spot_check(op, h, truth, clean, points, report):
     report["spot_check.max_relative_mismatch"] = f"{worst:.6e}"
 
 
-def _noise(pairs, settings, report):
-    """Poisson draws on (array, stream name) pairs, seeded per stream, after
-    zeroing values at or below NOISE_FLOOR_FRACTION of the array's maximum;
-    the arrays as given for noise.kind=none."""
+def _noise(values, stream, settings, report):
+    """A Poisson draw on `values`, seeded by the stream name, after zeroing
+    values at or below NOISE_FLOOR_FRACTION of their maximum, recorded in
+    `report`; `values` itself for noise.kind=none."""
+    report["noise.applied"] = str(settings.photons is not None).lower()
     if settings.photons is None:
-        report["noise.applied"] = "false"
-        return [values for values, _ in pairs]
-    report["noise.applied"] = "true"
+        return values
     report["noise.photons"] = f"{settings.photons:g}"
-    return [apply_noise(np.where(values > NOISE_FLOOR_FRACTION * np.max(values),
-                                 values, 0.0),
-                        settings.photons, derive_seed(settings.seed, stream))
-            for values, stream in pairs]
+    return apply_noise(np.where(values > NOISE_FLOOR_FRACTION * np.max(values),
+                                values, 0.0),
+                       settings.photons, derive_seed(settings.seed, stream))
 
 
 def _noisy_scan(clean, settings, report):
-    """The scan after `_noise`, recording the noise it applied."""
-    noisy = _noise([(f.values, f"noise.cone{j}")
-                    for j, f in enumerate(clean.fields)], settings, report)
-    return ConeScanData(clean.focus_grid,
-                        [ScalarField(clean.focus_grid, x) for x in noisy],
-                        clean.apertures, settings.noise_record)
+    """The scan after `_noise`, each noisy field wrapped once drawn."""
+    fields = []
+    for j, f in enumerate(clean.fields):
+        x = _noise(f.values, f"noise.cone{j}", settings, report)
+        fields.append(f if x is f.values else ScalarField(f.grid, x))
+    return ConeScanData(clean.focus_grid, fields, clean.apertures,
+                        settings.noise_record)
 
 
 def _simulate(settings, report, inverts):
@@ -262,36 +259,53 @@ def _reduced_data(data, conv):
     return mean, float(np.sqrt(floor2))
 
 
-def _reconstruct(settings, data, v, conv, report):
-    """Invert cone data by recon.method with `conv`, the cone operator of
-    the data's apertures on the grid of v; returns (fields, history).  The
-    multiplier does not check the cone set: callers `_gate` it.  LSQR runs
-    on A M, A the scan operator on the distinct cones (`_reduced_data`)
-    and M the parametrix preconditioner, and stops once the residual norm
-    of all the data is down to the noise, sqrt(sum b / noise.photons) for
-    Poisson data b (the discrepancy principle)."""
+class _ScanSums:
+    """What a recon.method reads of a scan: the multiplier its `summed()`
+    (and `focus_grid` and `apertures`), LSQR `_reduced_data` and the
+    total, so the scan's fields need not outlive them."""
+
+    def __init__(self, data, conv, method):
+        self.focus_grid, self.apertures = data.focus_grid, data.apertures
+        self._summed = data.summed() if method != "lsqr" else None
+        if method != "multiplier":
+            self.rows, self.floor = _reduced_data(data, conv)
+            self.total = sum(float(np.sum(f.values)) for f in data.fields)
+
+    def summed(self):
+        """The summed data, not kept after this call."""
+        summed, self._summed = self._summed, None
+        return summed
+
+
+def _reconstruct(settings, sums, v, conv, report):
+    """Invert the `_ScanSums` of cone data by recon.method with `conv`, the
+    cone operator of the data's apertures on the grid of v; returns
+    (fields, history).  The multiplier does not check the cone set:
+    callers `_gate` it.  LSQR runs on A M, A the scan operator on the
+    distinct cones (`_reduced_data`) and M the parametrix preconditioner,
+    and stops once the residual norm of all the data is down to the noise,
+    sqrt(sum b / noise.photons) for Poisson data b (the discrepancy
+    principle)."""
     fields, history = {}, None
     if settings.method != "lsqr":
         stats = {}
         with _timed(report, "multiplier"):
             fields["recon_multiplier"] = invert_multiplier(
-                data, v, conv, eps=settings.eps, stats=stats)
+                sums, v, conv, eps=settings.eps, stats=stats)
         report["multiplier.m_ref"] = f"{stats['m_ref']:.6e}"
         report["multiplier.suppressed_fraction"] = \
             f"{stats['suppressed_fraction']:.6e}"
     if settings.method != "multiplier":
         with _timed(report, "lsqr"):
-            b, floor = _reduced_data(data, conv)
-            total = sum(float(np.sum(f.values)) for f in data.fields)
             stop = (0.0 if settings.photons is None else
-                    np.sqrt(max(total, 0.0) / settings.photons))
+                    np.sqrt(max(sums.total, 0.0) / settings.photons))
             precond = parametrix_preconditioner(conv, v)
             with conv.reusing_buffers():
                 z, history = lsqr(
                     compose(scan_linear_map(conv, v), precond),
-                    b, max_iters=settings.lsqr_iters,
+                    sums.rows, max_iters=settings.lsqr_iters,
                     atol=settings.lsqr_atol, stop_residual=stop,
-                    residual_floor=floor)
+                    residual_floor=sums.floor)
             x = precond.forward(z)
             if settings.nonneg:
                 x = np.maximum(x, 0.0)
@@ -300,27 +314,25 @@ def _reconstruct(settings, data, v, conv, report):
         report["lsqr.iterations"] = str(int(history[-1][0]))
         report["lsqr.stop_reason"] = lsqr_stop_reason(
             history, settings.lsqr_iters, stop)
-        report["lsqr.residual_floor"] = f"{floor:.6e}"
+        report["lsqr.residual_floor"] = f"{sums.floor:.6e}"
         report["lsqr.final_normal_residual"] = f"{history[-1][2]:.6e}"
         report["lsqr.final_relative_normal_residual"] = f"{history[-1][3]:.6e}"
     return fields, history
 
 
-def _emit(settings, t0, report, fields, **files):
-    """Errors of the reconstructions against the truth, the config echo and
-    the wall clock into the report, then every output file into
-    run.output_dir."""
-    recons = [(name[len("recon_"):], fld) for name, fld in fields.items()
-              if name.startswith("recon_")]
-    if "truth" in fields:
-        for method, rec in recons:
-            signed, absolute = relative_error(fields["truth"], rec,
-                                              settings.eps_bg)
-            report[f"error.{method}.signed"] = f"{signed:.6f}"
-            report[f"error.{method}.absolute"] = f"{absolute:.6f}"
+def _emit(settings, t0, report, fields, truth=None, **files):
+    """Errors of the reconstructions against `truth`, the config echo and
+    the wall clock into the report, then every output file."""
+    for name, rec in fields.items():
+        if truth is not None and name.startswith("recon_"):
+            signed, absolute = relative_error(truth, rec, settings.eps_bg)
+            report[f"error.{name[6:]}.signed"] = f"{signed:.6f}"
+            report[f"error.{name[6:]}.absolute"] = f"{absolute:.6f}"
     report.update((f"config.{key}", val) for key, val in settings.text.items())
     report["wall_clock_seconds"] = f"{time.perf_counter() - t0:.3f}"
     emit_outputs(settings.output_dir, fields, report, **files)
+    with open(os.path.join(settings.output_dir, "report.txt"), "w") as fh:
+        fh.writelines(f"{key} = {report[key]}\n" for key in sorted(report))
     return report
 
 
@@ -328,10 +340,13 @@ def run_xmlt(cfg):
     """Full cone-excitation (XMLT) experiment: simulate, invert, report."""
     t0, settings, report = _start(cfg, inverts=True)
     truth, v, conv, data = _simulate(settings, report, inverts=True)
+    emit_outputs(settings.output_dir, {"truth": truth, "weight": v}, report,
+                 scan=data)
     with _timed(report, "reconstruct"):
-        fields, history = _reconstruct(settings, data, v, conv, report)
-    return _emit(settings, t0, report, {"truth": truth, "weight": v, **fields},
-                 scan=data, history=history)
+        sums = _ScanSums(data, conv, settings.method)
+        del data
+        fields, history = _reconstruct(settings, sums, v, conv, report)
+    return _emit(settings, t0, report, fields, truth, history=history)
 
 
 def run_xlct(cfg):
@@ -350,13 +365,14 @@ def run_xlct(cfg):
         sino = xray_transform(ScalarField(grid, v.values * truth.values),
                               angles, offsets)
     with _timed(report, "noise"):
-        (values,) = _noise([(sino.values, "noise.sinogram")], settings, report)
-        sino = Sinogram(angles, offsets, values)
+        sino = Sinogram(angles, offsets, _noise(sino.values, "noise.sinogram",
+                                                settings, report))
     with _timed(report, "reconstruct"):
         rec = divide_by_weight(fbp(sino, grid, settings.fbp_filter), v)
     report["weight.max_inverse"] = f"{1.0 / float(np.min(_floored_weight(v))):.6e}"
     return _emit(settings, t0, report,
-                 {"truth": truth, "weight": v, "recon_fbp": rec}, sinogram=sino)
+                 {"truth": truth, "weight": v, "recon_fbp": rec}, truth,
+                 sinogram=sino)
 
 
 def phantom(cfg):
@@ -405,7 +421,9 @@ def reconstruct(cfg):
     _gate(settings, data.apertures, report)
     with _timed(report, "reconstruct"):
         conv = _cone_operator(data.apertures, v.grid, report)
-        fields, history = _reconstruct(settings, data, v, conv, report)
+        sums = _ScanSums(data, conv, settings.method)
+        del data
+        fields, history = _reconstruct(settings, sums, v, conv, report)
     return _emit(settings, t0, report, fields, history=history)
 
 

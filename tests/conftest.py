@@ -50,6 +50,15 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def stacked_rows(conv, g):
+    """The rows of `conv.rows(g)`, each copied out of its work array into
+    one stack."""
+    out = np.empty((len(conv.spectra),) + conv.cells)
+    for dst, row in zip(out, conv.rows(g)):
+        dst[...] = row
+    return out
+
+
 def extended_grid(grid):
     """Grid with the same spacing, doubled extent, original grid centered."""
     origin = tuple(o - e / 2 for o, e in zip(grid.origin, grid.extent))

@@ -18,6 +18,9 @@ compares the runtime path with.
 - `stacked_linear_map`, `stacked_data`: the scan operator and LSQR data
   with one row per aperture, as LSQR ran before it took one row per
   distinct cone;
+- `stacked_forward`: the cone operator's rows formed into one stack, as
+  `ConeConvolution.forward` did before `ConeConvolution.rows` gave them
+  one at a time;
 - `loop_aperture_groups`: the grouping of apertures into distinct double
   cones, one pair of apertures at a time;
 - `one_shot_fbp`: filtered backprojection with every profile filtered in
@@ -250,6 +253,18 @@ def loop_aperture_groups(apertures):
     return distinct, group
 
 
+def stacked_forward(conv, g):
+    """The rows of `conv` on the source g, stacked: one FFT of g, then per
+    distinct cone its spectrum's product and inverse FFT into its row."""
+    G = conv._spectrum(g, np.empty(conv._half, complex))
+    P = np.empty(conv._half, complex)
+    out = np.empty((len(conv.spectra),) + conv.cells)
+    for i, S in enumerate(conv.spectra):
+        np.multiply(G, S, out=P)
+        conv._inverse(P, out[i])
+    return out
+
+
 def stacked_linear_map(conv, v):
     """The scan operator f -> K_{group[j]} (V f) for every aperture j of
     `conv`, stacked, V = v * cell volume: each distinct cone's row repeated
@@ -261,7 +276,9 @@ def stacked_linear_map(conv, v):
     stacked = (len(conv.group),) + tuple(grid.cells)
 
     def forward(x):
-        return conv.forward(x.reshape(grid.cells) * vvol)[conv.group].ravel()
+        rows = np.stack([row.copy() for row in
+                         conv.rows(x.reshape(grid.cells) * vvol)])
+        return rows[conv.group].ravel()
 
     def adjoint(y):
         y = y.reshape(stacked)

@@ -1,5 +1,7 @@
 """LSQR solver, scan operator adjointness, noise, and the error metric."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,15 @@ from lumitomo.algebraic import (LinearMap, apply_noise, compose,
                                 lsqr, lsqr_stop_reason,
                                 parametrix_preconditioner, relative_error,
                                 scan_linear_map)
-from lumitomo.config import Settings, load_config
+from lumitomo.config import DEFAULTS, Settings, build_apertures, load_config
 from lumitomo.errors import (EmptyMaskError, InvalidArgumentError,
                              InvalidOperatorError)
 from lumitomo.excitation import (Aperture, ConeConvolution, ConeScanData,
                                  cone_transform)
 from lumitomo.fields import ScalarField, make_grid
 
-from conftest import constant_field, fan_apertures, two_bump_phantom
+from conftest import (constant_field, fan_apertures, traced_peak,
+                      two_bump_phantom)
 from oracles import stacked_data, stacked_linear_map
 
 
@@ -349,7 +352,9 @@ class TestParametrixPreconditioner:
             f"run.seed={seed}", "recon.method=lsqr"]), inverts=True)
         report = {}
         data = pipeline._noisy_scan(clean, settings, report)
-        fields, _ = pipeline._reconstruct(settings, data, v, conv, report)
+        fields, _ = pipeline._reconstruct(
+            settings, pipeline._ScanSums(data, conv, settings.method), v,
+            conv, report)
         assert report["lsqr.stop_reason"] == "discrepancy"
         error = relative_error(truth, fields["recon_lsqr"], 0.5)[1]
         reference = relative_error(truth, plain_capped_lsqr(data, v, conv),
@@ -368,6 +373,55 @@ MIXED = [
       for ax in ((1, 0, 0), (0, 1, 0), (-1, 0, 0), (1, 1, 1), (0, -1, 0),
                  (1, 0, 0))]),
 ]
+
+
+class TestRowPath:
+    """A x of the scan operator one distinct cone's row at a time: LSQR
+    adds each row into u in place and forms its dot test row by row."""
+
+    @staticmethod
+    def problem():
+        # 64^2 with the default cones, as in a `both` run: 5 distinct
+        # double cones, so a data vector takes 5 * 64^2 * 8 = 160 KB and a
+        # model vector 32 KB
+        grid = make_grid(2, (-10, -10), (20, 20), (64, 64))
+        conv = ConeConvolution(build_apertures(DEFAULTS, 2), grid)
+        v = random_weight(grid, 51)
+        A = compose(scan_linear_map(conv, v),
+                    parametrix_preconditioner(conv, v))
+        return grid, conv, A
+
+    def test_in_place_row_update_is_the_stacked_update(self):
+        grid, conv, A = self.problem()
+        assert A.by_rows
+        rng = np.random.default_rng(53)
+        u0, x = rng.standard_normal(A.n_data), rng.standard_normal(A.n_model)
+        alpha = float(rng.random())
+        ref = u0.copy()
+        ref *= -alpha
+        ref += A.forward(x)
+        for block in (contextlib.nullcontext(), conv.reusing_buffers()):
+            with block:
+                u = u0.copy()
+                u *= -alpha
+                A.add_forward(x, u)
+            assert u.tobytes() == ref.tobytes()
+
+    def test_lsqr_holds_one_data_vector(self):
+        # beyond its inputs and the FFT work arrays (made before the trace
+        # by one warm-up pair in the block): the data-sized u, or the dot
+        # test's y before u exists; x, v, w and the operators' model-sized
+        # temporaries (5.2 model vectors here); and numpy's buffer for
+        # casting a real spectrum in a complex product.  A stacked A x
+        # next to u or y took a second data vector (5 model vectors more)
+        grid, conv, A = self.problem()
+        b = np.random.default_rng(52).random(A.n_data)
+        model = grid.n_cells * np.dtype(float).itemsize
+        cast = np.getbufsize() * np.dtype(complex).itemsize
+        with conv.reusing_buffers():
+            A.adjoint(A.forward(np.ones(A.n_model)))
+            _, peak = traced_peak(lambda: lsqr(A, b, max_iters=5, atol=0.0))
+        assert peak <= b.nbytes + 7 * model + cast
 
 
 def scan_of(grid, aps, values):
@@ -483,8 +537,9 @@ class TestLsqrOnTheDistinctCones:
                             inverts=True)
         report = {}
         data = pipeline._noisy_scan(clean, settings, report)
-        fields, history = pipeline._reconstruct(settings, data, v, conv,
-                                                report)
+        fields, history = pipeline._reconstruct(
+            settings, pipeline._ScanSums(data, conv, settings.method), v,
+            conv, report)
         x_ref, history_ref, reason = stacked_lsqr(settings, data, v, conv)
         assert report["lsqr.stop_reason"] == reason == "discrepancy"
         assert int(report["lsqr.iterations"]) == int(history_ref[-1, 0])

@@ -513,8 +513,8 @@ class TestVerbs:
             "wall_clock.multiplier", "wall_clock.emit"}
 
     def test_scan_then_reconstruct_equals_run_xmlt(self, tmp_path):
-        # the two halves of the XMLT sequence write the reconstructions
-        # and the LSQR history of the whole, byte for byte
+        # the two halves of the XMLT sequence write the scan's files, the
+        # reconstructions and the LSQR history of the whole, byte for byte
         items = ["grid.cells=48,48", "noise.kind=poisson",
                  "recon.method=both", "run.spot_checks=1"]
         whole, halves = tmp_path / "whole", tmp_path / "halves"
@@ -524,9 +524,32 @@ class TestVerbs:
             for item in items:
                 argv += ["--set", item]
             assert main(argv) == 0
-        for name in ("recon_multiplier.ltf", "recon_lsqr.ltf",
-                     "lsqr_history.csv"):
+        cones = sorted(p.name for p in whole.glob("scan_cone*.ltf"))
+        assert cones == [f"scan_cone{j:02d}.ltf" for j in range(10)]
+        assert sorted(p.name for p in halves.glob("scan_cone*.ltf")) == cones
+        for name in ["truth.ltf", "weight.ltf", "scan_manifest.txt", *cones,
+                     "recon_multiplier.ltf", "recon_lsqr.ltf",
+                     "lsqr_history.csv"]:
             assert (halves / name).read_bytes() == (whole / name).read_bytes()
+
+    def test_a_run_failing_in_lsqr_leaves_a_scan_to_reconstruct(
+            self, tmp_path, monkeypatch, capsys):
+        # run-xmlt writes the scan's files when its noise stage ends
+        def failing_lsqr(*args, **kwargs):
+            raise SolverFailureError("did not converge", residual=1.0,
+                                     iterations=5)
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "lsqr", failing_lsqr)
+            assert main(small_args("run-xmlt", tmp_path,
+                                   "recon.method=both")) == 4
+        assert "solver failure" in capsys.readouterr().err
+        written = {p.name for p in tmp_path.iterdir()}
+        assert {"truth.ltf", "weight.ltf", "scan_manifest.txt",
+                "scan_cone00.ltf", "scan_cone02.ltf"} <= written
+        assert not written & {"recon_multiplier.ltf", "report.txt"}
+        assert main(small_args("reconstruct", tmp_path,
+                               "recon.method=multiplier")) == 0
+        assert (tmp_path / "recon_multiplier.ltf").exists()
 
     def test_scan_manifest_read_from_another_directory(self, tmp_path,
                                                        monkeypatch):
@@ -800,7 +823,7 @@ class TestVerbs:
 
         def noisy(perturbation):
             values = np.where(zero, perturbation, exact)
-            return pipeline._noise([(values, "noise.cone0")], settings, {})[0]
+            return pipeline._noise(values, "noise.cone0", settings, {})
 
         ref = noisy(roundoff)
         for perturbation in (-roundoff, roundoff + ulp, roundoff - ulp, 0.0):

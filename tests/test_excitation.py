@@ -27,8 +27,9 @@ from lumitomo.multiplier import invert_multiplier
 
 from conftest import (cell_index, centered_table, constant_field,
                       extended_grid, fan_apertures, reference_cg,
-                      traced_peak, two_bump_phantom)
-from oracles import cone_intensity, loop_aperture_groups, stacked_linear_map
+                      stacked_rows, traced_peak, two_bump_phantom)
+from oracles import (cone_intensity, loop_aperture_groups, stacked_forward,
+                     stacked_linear_map)
 
 
 def unit(theta):
@@ -223,7 +224,7 @@ class TestConeConvolution:
         y = rng.standard_normal((len(aps),) + grid.cells)
         conv = ConeConvolution(aps, grid)
         kernels = [centered_table(cone_kernel(ap, grid)) for ap in aps]
-        fwd = conv.forward(g)
+        fwd = stacked_rows(conv, g)
         for j, K in enumerate(kernels):
             assert rel_max(fwd[j], pow2_forward(g, K)) <= 1e-12
         ref = sum(pow2_adjoint(yj, K) for yj, K in zip(y, kernels))
@@ -316,8 +317,12 @@ class PerConeConvolution:
         return np.fft.irfft(X, self.shape[-1], axis=-1)[..., :self.cells[-1]]
 
     def forward(self, g):
+        return np.stack(list(self.rows(g)))
+
+    def rows(self, g):
         G = np.fft.rfftn(g, self.shape, axes=self.axes)
-        return np.stack([self._inverse(G * S) for S in self.spectra])
+        for S in self.spectra:
+            yield self._inverse(G * S)
 
     def adjoint(self, y):
         acc = np.zeros(self.spectra.shape[1:], dtype=complex)
@@ -355,7 +360,7 @@ class TestDistinctCones:
         y = rng.standard_normal((len(aps),) + grid.cells)
         conv, ref = ConeConvolution(aps, grid), PerConeConvolution(aps, grid)
         assert conv.spectra.shape[0] == n_distinct
-        fwd = conv.forward(g)
+        fwd = stacked_rows(conv, g)
         # one row per distinct cone, which each of its apertures reads
         assert fwd.shape == (n_distinct,) + grid.cells
         assert rel_max(fwd[conv.group], ref.forward(g)) <= 1e-12
@@ -381,7 +386,7 @@ class TestDistinctCones:
         y = rng.standard_normal((3,) + grid64.cells)
         conv, ref = ConeConvolution(aps, grid64), PerConeConvolution(aps, grid64)
         assert conv.spectra.shape[0] == 3
-        assert np.array_equal(conv.forward(g), ref.forward(g))
+        assert np.array_equal(stacked_rows(conv, g), ref.forward(g))
         assert np.array_equal(conv.adjoint(y), ref.adjoint(y))
 
     @pytest.mark.parametrize("grid,aps,n_distinct", DUPLICATED,
@@ -389,7 +394,7 @@ class TestDistinctCones:
     def test_scan_is_bit_identical_to_stacked_copies(self, grid, aps,
                                                      n_distinct):
         # the former forward stacked one inverse FFT per group and indexed
-        # the stack by group; forward now returns the unindexed stack, and
+        # the stack by group; rows gives the unindexed rows, and
         # cone_transform gives each aperture its group's row
         f = ScalarField(grid, np.random.default_rng(26).random(grid.cells))
         v = constant_field(grid, 0.5)
@@ -398,12 +403,28 @@ class TestDistinctCones:
                          conv.shape, axes=(0, 1, 2)[:grid.dim])
         stacked = np.stack([conv._inverse(G * S, np.empty(grid.cells))
                             for S in conv.spectra])
-        assert np.array_equal(conv.forward(f.values * (v.values
-                                                      * grid.cell_volume)),
+        assert np.array_equal(stacked_rows(conv, f.values * (v.values
+                                                        * grid.cell_volume)),
                               stacked)
         fields = cone_transform(f, v, conv)
         assert np.array_equal([fld.values for fld in fields],
                               stacked[conv.group])
+        # the apertures of one distinct cone share its read-only field
+        assert len({id(fld) for fld in fields}) == n_distinct
+        assert not any(fld.values.flags.writeable for fld in fields)
+
+    @pytest.mark.parametrize("grid,aps,n_distinct", DUPLICATED,
+                             ids=["2d-48x64", "3d-16"])
+    def test_rows_are_the_stacked_loop_bit_for_bit(self, grid, aps,
+                                                   n_distinct):
+        # each row comes out of one work array, overwritten by the next
+        g = np.random.default_rng(28).standard_normal(grid.cells)
+        conv = ConeConvolution(aps, grid)
+        ref = stacked_forward(conv, g)
+        assert stacked_rows(conv, g).tobytes() == ref.tobytes()
+        with conv.reusing_buffers():
+            for _ in range(2):
+                assert stacked_rows(conv, g).tobytes() == ref.tobytes()
 
     def test_default_cones_are_five_spectra(self):
         grid = make_grid(2, (-10, -10), (20, 20), (32, 32))
@@ -530,7 +551,7 @@ def operator_calls(conv, seed):
     weights = np.sqrt(conv.counts)
     g2 = rng.standard_normal(conv.shape)
     start = tuple(n // 2 for n in conv.cells)
-    return [lambda: conv.forward(g), lambda: conv.adjoint(y),
+    return [lambda: stacked_rows(conv, g), lambda: conv.adjoint(y),
             lambda: conv.adjoint(y, weights),
             lambda: conv.filter(g, symbol),
             lambda: conv.filter(g2, symbol, start)]
