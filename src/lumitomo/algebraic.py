@@ -74,8 +74,8 @@ def scan_linear_map(conv: ConeConvolution, v: ScalarField) -> LinearMap:
     the iterates of LSQR on (A, b) with a fraction of the data (half for
     the default 10 cones, 5 double cones), and `lsqr`'s `residual_floor`
     adds the constant back.  Forward and adjoint share one set of real
-    kernel spectra, so the dot test holds to machine precision.  The map
-    is `by_rows` (`conv.rows`).
+    kernel spectra, which `conv` must hold, so the dot test holds to
+    machine precision.  The map is `by_rows` (`conv.rows`).
     """
     grid = v.grid
     if conv.grid != grid:
@@ -123,6 +123,9 @@ def parametrix_preconditioner(conv: ConeConvolution, v: ScalarField) -> LinearMa
     grid = v.grid
     if conv.grid != grid:
         raise InvalidArgumentError("conv and v must share a grid")
+    if conv.spectra is None:
+        raise InvalidArgumentError(
+            "the preconditioner needs a cone operator that holds its spectra")
     power = np.tensordot(conv.counts, conv.spectra ** 2, axes=1)
     symbol = 1.0 / np.sqrt(power + PARAMETRIX_MIX * np.max(power))
     vvol = _floored_weight(v) * grid.cell_volume

@@ -174,10 +174,13 @@ def build_phantom_spec(cfg, grid):
 
 # The largest cones.count.  Grouping a cone set into its distinct double
 # cones is vectorized (0.08 s for 1000 2D cones, one thread); what the
-# bound limits is memory: each distinct cone holds one half spectrum on
-# the doubled grid, 0.26 MB at 128^2 and 8.5 MB at 64^3, so 1000 cones
-# (500 distinct) hold 130 MB of spectra in 2D, and on large 3D grids the
-# spectra of far fewer cones exceed the memory of a small machine.
+# bound limits is the memory of runs with LSQR (recon.method both or
+# lsqr), whose cone operator holds one half spectrum per distinct cone on
+# the doubled grid, 0.26 MB at 128^2 and 8.5 MB at 64^3: 1000 cones (500
+# distinct) hold 130 MB of spectra in 2D, and on large 3D grids the
+# spectra of far fewer cones exceed the memory of a small machine.  The
+# scan of a multiplier-only run, and the `scan` verb, build one spectrum
+# at a time, so there the cone count costs time, not memory.
 MAX_CONES = 1000
 
 

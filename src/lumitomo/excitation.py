@@ -9,11 +9,13 @@ singular self cell.  One private sampler evaluates that kernel at any
 offsets: `cone_kernel` tabulates it over the lattice offsets, and the cone
 sources of the full-physics chain sample it at their own offsets.  The
 transform is one circular FFT convolution per distinct double cone
-(`ConeConvolution`), the one operator through which the fast scan, the
-LSQR operator and the multiplier's low-frequency shell take a cone set and
-its grid.  Single-line excitation gives the parallel-beam sinogram of
-v * f.  `full_physics_measurements` runs the PDE chain per focus point,
-and through reciprocity it agrees with the fast scan.
+(`ConeConvolution`, on the doubled grid of `CircularGrid`), the one
+operator through which the fast scan, the LSQR operator and the
+multiplier's low-frequency shell take a cone set and its grid; it holds
+its kernel spectra for LSQR, or builds one at a time for a scan.
+Single-line excitation gives the parallel-beam sinogram of v * f.
+`full_physics_measurements` runs the PDE chain per focus point, and
+through reciprocity it agrees with the fast scan.
 """
 
 from __future__ import annotations
@@ -221,58 +223,30 @@ def _distinct_apertures(apertures):
     return list(zip(distinct, counts))
 
 
-class ConeConvolution:
-    """The midpoint cone kernels of a set of apertures as one circular
-    convolution on a grid, the only FFT path of the fast scan, LSQR and
-    the multiplier inversion (`filter`).
+class CircularGrid:
+    """The circular grid of 2n cells per axis of a grid, on which the cone
+    kernels convolve: the one FFT path (`_spectrum`, `_inverse`) of the
+    fast scan, LSQR and the multiplier inversion (`filter`).
 
-    Each distinct aperture's kernel is wrapped onto a circular grid of 2n
-    cells per axis with its zero offset at index 0.  Offsets of up to n-1
-    cells never alias there, so the first n cells per axis of the circular
-    result are the linear quadrature sum.  The kernels are even, so their
-    spectra are real and serve forward and adjoint alike.  Apertures that
-    are the same double cone share one spectrum (`group` maps each aperture
-    to its row of `spectra`, `distinct` holds each row's aperture, in order
-    of first appearance, and `counts` each row's number of apertures), and
-    `rows` and `adjoint` work on one row per distinct aperture: one
-    inverse FFT each in `rows` and one forward FFT each in `adjoint`.
-    A run builds one and hands it to the scan, the multiplier and LSQR:
-    their `conv` argument is the only way they take a cone set and its
-    grid.
-
-    The build holds the `spectra` stack, one complex work spectrum, one
-    kernel table on the circular grid and one block of its samples: for
-    D distinct apertures about (D + 4) spectra's bytes, 2.1x the stack for
-    the default 3D cones at 32^3.
+    A field of n cells per axis is zero padded to it, transformed to the
+    rfftn half spectrum, multiplied by a real half spectrum and cropped
+    back to n cells per axis.  Offsets of up to n-1 cells never alias on
+    it, so the crop of a product with a kernel's spectrum is the linear
+    quadrature sum.
 
     The FFTs write into work arrays, made anew by every call, except inside
-    `with conv.reusing_buffers():`, where calls reuse one set (an iterative
-    solver's loop).  That set lives only while the block runs and is
-    dropped on exit, also on an exception.  The block is not reentrant and
-    not thread-safe.  Only `rows` hands out a work array, and no result's
-    bytes depend on the block.
+    `with circle.reusing_buffers():`, where calls reuse one set (an
+    iterative solver's loop).  That set lives only while the block runs and
+    is dropped on exit, also on an exception.  The block is not reentrant
+    and not thread-safe.  No result's bytes depend on the block.
     """
 
-    def __init__(self, apertures, grid: Grid):
-        self.apertures = tuple(apertures)
-        if not self.apertures:
-            raise InvalidArgumentError("need at least one aperture")
-        if any(ap.dim != grid.dim for ap in self.apertures):
-            raise InvalidArgumentError(
-                f"apertures must be {grid.dim}D to match the grid")
+    def __init__(self, grid: Grid):
         self.grid = grid
         self.cells = tuple(grid.cells)
         self.shape = tuple(2 * n for n in self.cells)
-        distinct, group = _aperture_groups(apertures)
-        self.distinct = tuple(distinct)
-        self.group = np.array(group, dtype=np.intp)
-        self.counts = np.bincount(self.group)
         self._half = self.shape[:-1] + (self.shape[-1] // 2 + 1,)
         self._buffers = None
-        self.spectra = np.empty((len(distinct),) + self._half)
-        work = np.empty(self._half, complex)
-        for S, ap in zip(self.spectra, distinct):
-            S[...] = self._spectrum(cone_kernel(ap, grid), work).real
 
     @contextlib.contextmanager
     def reusing_buffers(self):
@@ -325,33 +299,141 @@ class ConeConvolution:
         out[...] = R[..., crop[-1]]
         return out
 
-    def rows(self, g):
-        """Quadrature sums of the source g (grid-shaped), one per distinct
-        aperture (row i for spectra[i]), yielded in order from one FFT of g.
-        Each row is yielded in one work array, which the caller may
-        overwrite and the next row does; inside `reusing_buffers` no other
-        call on this operator may run between two rows."""
-        G = self._spectrum(g, self._work("X", self._half, complex))
-        P = self._work("Y", self._half, complex)
-        row = self._work("row", self.cells, float)
-        for S in self.spectra:
-            np.multiply(G, S, out=P)
-            yield self._inverse(P, row)
-
     def filter(self, g, symbol, start=None):
         """g, zero-padded to the circular grid unless already its shape,
-        times `symbol` (a real half spectrum on it, like `spectra`), cropped
-        as by `_inverse`: a circular convolution, its own transpose for an
-        even symbol and padded g."""
+        times `symbol` (a real half spectrum on it), cropped as by
+        `_inverse`: a circular convolution, its own transpose for an even
+        symbol and padded g."""
         X = self._spectrum(g, self._work("X", self._half, complex))
         X *= symbol
         return self._inverse(X, np.empty(self.cells), start)
 
+
+class ConeConvolution(CircularGrid):
+    """The midpoint cone kernels of a set of apertures as one circular
+    convolution on a grid (`CircularGrid`), the one operator through which
+    the fast scan, LSQR and the multiplier inversion take a cone set.
+
+    Each distinct aperture's kernel is wrapped onto the circular grid with
+    its zero offset at index 0 (`cone_kernel`).  The kernels are even, so
+    their spectra are real and serve forward and adjoint alike.  Apertures
+    that are the same double cone share one spectrum (`group` maps each
+    aperture to its distinct cone, `distinct` holds each distinct cone's
+    aperture, in order of first appearance, and `counts` each one's number
+    of apertures), and `rows` and `adjoint` work on one row per distinct
+    cone: one inverse FFT each in `rows` and one forward FFT each in
+    `adjoint`.  A run builds one and hands it to the scan, the multiplier
+    and LSQR: their `conv` argument is the only way they take a cone set
+    and its grid.
+
+    With `held` (LSQR's operator, which applies every spectrum on every
+    iteration) the build holds the `spectra` stack, one row per distinct
+    cone, and for it one complex work spectrum, one kernel table and one
+    block of its samples: for D distinct cones about (D + 4) spectra's
+    bytes, 2.1x the stack for the default 3D cones at 32^3.  Without it
+    `spectra` is None and each pass over the spectra (`rows`, `shell_sum`)
+    builds one distinct cone's spectrum at a time, in the FFT work arrays
+    of that pass, so no stack of D spectra exists; `adjoint` needs the
+    stack.  The multiplier reads a cone set's spectra only on its lowest
+    frequency shell, as `shell_sum`; an operator given that shell's mask as
+    `shell` keeps the sum from the first pass of `rows` that runs to the
+    end (the scan's), so the spectra need not be built again for it.
+
+    Only `rows` hands out a work array (see `CircularGrid` for the work
+    arrays of `reusing_buffers`).
+    """
+
+    def __init__(self, apertures, grid: Grid, held=True, shell=None):
+        self.apertures = tuple(apertures)
+        if not self.apertures:
+            raise InvalidArgumentError("need at least one aperture")
+        if any(ap.dim != grid.dim for ap in self.apertures):
+            raise InvalidArgumentError(
+                f"apertures must be {grid.dim}D to match the grid")
+        super().__init__(grid)
+        distinct, group = _aperture_groups(apertures)
+        self.distinct = tuple(distinct)
+        self.group = np.array(group, dtype=np.intp)
+        self.counts = np.bincount(self.group)
+        self.spectra = None
+        self.shell = shell
+        self._kept = []
+        if held:
+            self.spectra = np.empty((len(distinct),) + self._half)
+            work = np.empty(self._half, complex)
+            for S, ap in zip(self.spectra, distinct):
+                S[...] = self._cone_spectrum(ap, work)
+
+    def _cone_spectrum(self, ap, work):
+        """The real spectrum of the kernel of `ap` (`cone_kernel`), a view
+        of the complex half spectrum `work` that holds its transform."""
+        return self._spectrum(cone_kernel(ap, self.grid), work).real
+
+    def _spectra(self, work=None):
+        """The distinct cones' spectra in order: the held stack, or else
+        each built in turn in the complex work array `work` (a half
+        spectrum of its own by default) and yielded as its real part, a
+        view that the next one overwrites."""
+        if self.spectra is not None:
+            yield from self.spectra
+            return
+        if work is None:
+            work = self._work("Y", self._half, complex)
+        for ap in self.distinct:
+            yield self._cone_spectrum(ap, work)
+
+    def _shell_terms(self, spectra, mask, sums):
+        """Each of `spectra` in turn, after adding counts[i] * S_i[mask] to a
+        running sum that starts from 0 + the first term; once the last one
+        has been yielded the sum is appended to the list `sums`."""
+        total = 0
+        for c, S in zip(self.counts, spectra):
+            total = total + c * S[mask]
+            yield S
+        sums.append(total)
+
+    def shell_sum(self, mask):
+        """The sum over the distinct cones i of counts[i] * S_i[mask], in
+        their order from 0 + the first term: the multiplicity-weighted
+        kernel spectrum at the entries of the boolean half-spectrum mask
+        `mask`.  When `mask` equals the operator's `shell`, the sum that a
+        pass of `rows` kept is returned as it is; otherwise a pass of its
+        own forms it."""
+        if self._kept and np.array_equal(self.shell, mask):
+            return self._kept[0]
+        sums = []
+        for _ in self._shell_terms(self._spectra(), mask, sums):
+            pass
+        return sums[0]
+
+    def rows(self, g):
+        """Quadrature sums of the source g (grid-shaped), one per distinct
+        cone (row i for its spectrum i), yielded in order from one FFT of g.
+        A streamed operator builds each spectrum in the work array of its
+        product with that FFT (numpy's product reads a copy of an operand
+        that overlaps its output), and sums the entries of its `shell` mask
+        on the first pass that runs to the end.  Each row is yielded in one
+        work array, which the caller may overwrite and the next row does;
+        inside `reusing_buffers` no other call on this operator may run
+        between two rows."""
+        G = self._spectrum(g, self._work("X", self._half, complex))
+        P = self._work("Y", self._half, complex)
+        row = self._work("row", self.cells, float)
+        spectra = self._spectra(P)
+        if self.shell is not None and not self._kept:
+            spectra = self._shell_terms(spectra, self.shell, self._kept)
+        for S in spectra:
+            np.multiply(G, S, out=P)
+            yield self._inverse(P, row)
+
     def adjoint(self, y, weights=None):
-        """Transpose of `rows`: one field per distinct aperture stacked
-        along a leading axis (row i times weights[i] when `weights` is
-        given) to one grid-shaped field; the spectra are summed before one
-        inverse FFT."""
+        """Transpose of `rows`: one field per distinct cone stacked along a
+        leading axis (row i times weights[i] when `weights` is given) to one
+        grid-shaped field; the spectra, which must be held, are summed
+        before one inverse FFT."""
+        if self.spectra is None:
+            raise InvalidArgumentError(
+                "the adjoint needs a cone operator that holds its spectra")
         Y = self._work("Y", self._half, complex)
         acc = self._work("X", self._half, complex)
         acc.fill(0.0)

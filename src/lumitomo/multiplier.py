@@ -24,9 +24,11 @@ inversion is regularized frequency division followed by division by the
 interior weight.  Symbol tables and the inversion use the rfftn half
 spectrum of a grid with twice the field's cells per axis, and on its lowest
 frequency shell, the zero frequency included, the symbol is replaced by the
-half spectrum of the discrete quadrature kernel: the `ConeConvolution`
-spectra that the scan and LSQR apply.  The division runs through that
-operator's `filter`, the one pad, multiply and crop on the doubled grid.
+half spectrum of the discrete quadrature kernel: the sum of the
+`ConeConvolution` spectra that the scan and LSQR apply, on that shell only
+(`ConeConvolution.shell_sum`), which a scan that streams the spectra forms
+as it goes.  The division runs through that operator's `filter`, the one
+pad, multiply and crop on the doubled grid.
 """
 
 from __future__ import annotations
@@ -304,14 +306,22 @@ def total_symbol_table(distinct, cells, spacing, mag=None):
     return m
 
 
-def _kernel_spectrum(conv: ConeConvolution, low):
-    """The half spectrum of the summed quadrature kernel on the circular
-    grid of 2n cells per axis at the entries of the mask `low`: the
-    multiplicity-weighted sum of the `ConeConvolution` spectra, times the
-    cell volume.  It replaces the analytic symbol on the lowest frequency
-    shell, where the unbounded-kernel assumption fails."""
-    return (sum(c * S[low] for c, S in zip(conv.counts, conv.spectra))
-            * conv.grid.cell_volume)
+def _low_shell(mag, shape, spacing):
+    """The lowest frequency shell of the half-spectrum table |xi| = `mag`
+    of a grid of `shape` cells: |xi| <= LOW_FREQ_BINS times its smallest
+    frequency, zero included, as a mask."""
+    xi_min = min(2.0 * np.pi / (n * h) for n, h in zip(shape, spacing))
+    return mag <= LOW_FREQ_BINS * xi_min * (1.0 + 1e-9)
+
+
+def low_shell(grid):
+    """The mask of the lowest frequency shell (`_low_shell`) on the half
+    spectrum of the circular grid of `grid`, twice its cells per axis: the
+    entries at which `invert_multiplier` reads the cone operator's kernel
+    spectra (`ConeConvolution.shell_sum`), and a streamed scan sums them."""
+    shape = tuple(2 * n for n in grid.cells)
+    return _low_shell(_frequency_magnitudes(shape, grid.spacing), shape,
+                      grid.spacing)
 
 
 def _median(x):
@@ -331,7 +341,10 @@ def invert_multiplier(scan: ConeScanData, v: ScalarField, conv: ConeConvolution,
                       eps=1e-3, stats=None) -> ScalarField:
     """Explicit Fourier inversion of the summed data of a scan whose cones
     are those of `conv`, the cone operator on the grid of v.  Of the scan
-    it reads `focus_grid`, `apertures` and `summed()` only.
+    it reads `focus_grid`, `apertures` and `summed()` only; of `conv` its
+    cone set, its circular grid (`filter`) and the sum of its kernel
+    spectra on the low shell (`shell_sum`), never a stack of spectra, so
+    `conv` may stream them.
 
     The data is filtered on the circular grid of twice the field grid's
     cells per axis (`conv.filter`), which suppresses the periodization of
@@ -343,10 +356,11 @@ def invert_multiplier(scan: ConeScanData, v: ScalarField, conv: ConeConvolution,
     result is divided by the weight as `diffusion._floored_weight` floors
     it (InvalidArgumentError for a weight positive nowhere).  m is the
     analytic symbol except on the lowest shell of grid frequencies, zero
-    included, where it is the spectrum of the discrete quadrature kernel
-    (`_kernel_spectrum` of `conv`).  A dict `stats` receives m_ref and
-    suppressed_fraction, the share of table entries with m < eps * m_ref;
-    the filter passes less than half of 1/m at such an entry when m > 0.
+    included (`low_shell`), where it is the spectrum of the discrete
+    quadrature kernel, `conv.shell_sum` times the cell volume.  A dict
+    `stats` receives m_ref and suppressed_fraction, the share of table
+    entries with m < eps * m_ref; the filter passes less than half of 1/m
+    at such an entry when m > 0.
     The cone set is not checked for invisible directions: callers gate it
     with `ellipticity_margin` (the pipelines' `_gate`).
     """
@@ -364,12 +378,11 @@ def invert_multiplier(scan: ConeScanData, v: ScalarField, conv: ConeConvolution,
             "conv must be the cone operator of the scan's apertures on the "
             "grid of v")
     mag = _frequency_magnitudes(conv.shape, grid.spacing)
-    xi_min = min(2.0 * np.pi / (n * h) for n, h in zip(conv.shape, grid.spacing))
-    low = mag <= LOW_FREQ_BINS * xi_min * (1.0 + 1e-9)
+    low = _low_shell(mag, conv.shape, grid.spacing)
     m = total_symbol_table(list(zip(conv.distinct, conv.counts)), conv.shape,
                            grid.spacing, mag)
     del mag
-    m[low] = _kernel_spectrum(conv, low)
+    m[low] = conv.shell_sum(low) * grid.cell_volume
     del low
     m_ref = _median(m[m > 0])
     if stats is not None:

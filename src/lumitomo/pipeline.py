@@ -7,7 +7,9 @@ spot-check points, weight), gate, scan, spot check, noise, reconstruct,
 emit.  `scan` runs it without the gate, the spot check and reconstruct;
 `reconstruct` reads what `scan` wrote in place of setup through noise.
 The scan's files are written when noise ends; reconstruct reads only
-the scan's reductions (`_ScanSums`).
+the scan's reductions (`_ScanSums`).  The cone operator holds its kernel
+spectra only when LSQR runs; otherwise the scan builds them one at a time
+(`_cone_operator`).
 Each stage's wall time goes into the report as `wall_clock.<stage>`, and
 within reconstruct each method's; report lines starting with `wall_clock`
 are the only ones that differ between repeated runs.
@@ -34,7 +36,7 @@ from .excitation import (ConeConvolution, ConeScanData, Sinogram,
                          xray_transform)
 from .fbp import divide_by_weight, fbp
 from .fields import ScalarField, build_phantom
-from .multiplier import ellipticity_margin, invert_multiplier
+from .multiplier import ellipticity_margin, invert_multiplier, low_shell
 
 # Noise treats values at or below this fraction of an array's maximum as
 # exact zeros: FFT roundoff gives those either sign, and a Poisson draw
@@ -159,11 +161,20 @@ def _gate(settings, apertures, report):
                 "set run.force_pseudo=true to force a pseudo-inversion")
 
 
-def _cone_operator(apertures, grid, report):
+def _cone_operator(apertures, grid, report, method=None, scans=False):
     """The run's cone operator, `apertures` on `grid`, shared by the scan
-    and the reconstruction; its count of distinct cones into `report`."""
-    conv = ConeConvolution(apertures, grid)
-    report["scan.distinct_apertures"] = str(len(conv.spectra))
+    and the reconstruction; its count of distinct cones into `report`.
+    It holds its kernel spectra when LSQR runs (`method` both or lsqr),
+    which applies each of them on every iteration.  Otherwise (the
+    multiplier alone, or None for a run that does not invert) it builds
+    one spectrum at a time on each pass, and when it `scans` for the
+    multiplier, the scan's pass sums the multiplier's low shell."""
+    if method in ("both", "lsqr"):
+        conv = ConeConvolution(apertures, grid)
+    else:
+        shell = low_shell(grid) if scans and method == "multiplier" else None
+        conv = ConeConvolution(apertures, grid, held=False, shell=shell)
+    report["scan.distinct_apertures"] = str(len(conv.distinct))
     return conv
 
 
@@ -227,7 +238,8 @@ def _simulate(settings, report, inverts):
     if inverts:
         _gate(settings, settings.apertures, report)
     with _timed(report, "scan"):
-        conv = _cone_operator(settings.apertures, truth.grid, report)
+        conv = _cone_operator(settings.apertures, truth.grid, report,
+                              settings.method if inverts else None, scans=True)
         report["scan.mode"] = "fast"
         report["scan.focus_grid"] = ",".join(str(n) for n in conv.grid.cells)
         clean = simulate_boundary_scan(truth, v, conv)
@@ -420,7 +432,7 @@ def reconstruct(cfg):
         settings.use_recorded_noise(data.noise)
     _gate(settings, data.apertures, report)
     with _timed(report, "reconstruct"):
-        conv = _cone_operator(data.apertures, v.grid, report)
+        conv = _cone_operator(data.apertures, v.grid, report, settings.method)
         sums = _ScanSums(data, conv, settings.method)
         del data
         fields, history = _reconstruct(settings, sums, v, conv, report)

@@ -53,7 +53,7 @@ def traced_peak(call):
 def stacked_rows(conv, g):
     """The rows of `conv.rows(g)`, each copied out of its work array into
     one stack."""
-    out = np.empty((len(conv.spectra),) + conv.cells)
+    out = np.empty((len(conv.distinct),) + conv.cells)
     for dst, row in zip(out, conv.rows(g)):
         dst[...] = row
     return out

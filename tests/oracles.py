@@ -21,11 +21,16 @@ compares the runtime path with.
 - `stacked_forward`: the cone operator's rows formed into one stack, as
   `ConeConvolution.forward` did before `ConeConvolution.rows` gave them
   one at a time;
+- `kernel_shell`: the multiplier's low shell of the summed kernel
+  spectrum from a held stack, as `multiplier._kernel_spectrum` formed it
+  before the cone operator summed it (`ConeConvolution.shell_sum`);
 - `loop_aperture_groups`: the grouping of apertures into distinct double
   cones, one pair of apertures at a time;
 - `one_shot_fbp`: filtered backprojection with every profile filtered in
   one transform of the whole sinogram, as `fbp.fbp` filtered before it
-  took a block of angles at a time.
+  took a block of angles at a time;
+- `centers_phantom`: the phantom rasterized from the stacked cell centers,
+  as `fields.build_phantom` did before it summed per-axis distances.
 """
 
 import numpy as np
@@ -265,6 +270,13 @@ def stacked_forward(conv, g):
     return out
 
 
+def kernel_shell(conv, low):
+    """The multiplicity-weighted sum of the held spectra of `conv` at the
+    entries of the mask `low`, times the cell volume, by Python's sum."""
+    return (sum(c * S[low] for c, S in zip(conv.counts, conv.spectra))
+            * conv.grid.cell_volume)
+
+
 def stacked_linear_map(conv, v):
     """The scan operator f -> K_{group[j]} (V f) for every aperture j of
     `conv`, stacked, V = v * cell volume: each distinct cone's row repeated
@@ -312,3 +324,15 @@ def one_shot_fbp(sino, grid, filt=None):
                        offsets, grid)
     out *= np.pi / sino.angles.size
     return ScalarField(grid, out)
+
+
+def centers_phantom(spec, grid):
+    """`fields.build_phantom` from `grid.centers()`: each inclusion's squared
+    distances as the sum over the last axis of the centers' squared
+    offsets."""
+    vals = np.full(grid.cells, float(spec.background))
+    centers = grid.centers()
+    for (center, radius, conc) in spec.inclusions:
+        d2 = np.sum((centers - np.asarray(center)) ** 2, axis=-1)
+        vals[d2 <= radius * radius] = conc
+    return vals

@@ -275,11 +275,19 @@ def plain_capped_lsqr(data, v, conv, max_iters=200, atol=1e-8):
     return ScalarField(v.grid, np.maximum(x, 0.0).reshape(v.grid.cells))
 
 
+def held_scene(settings):
+    """Truth, weight, the held cone operator and the clean scan of the
+    `scan` stages of a run with `settings`."""
+    truth, v, _, clean = pipeline._simulate(settings, {}, inverts=False)
+    return truth, v, ConeConvolution(settings.apertures, truth.grid), clean
+
+
 @pytest.fixture(scope="module")
 def default_scene():
     """Truth, weight, cone operator and clean scan of the default run: the
-    scan of the noise-free default is the clean one."""
-    return pipeline._simulate(Settings(load_config()), {}, inverts=False)
+    scan of the noise-free default is the clean one.  The scan streams its
+    spectra; the operator returned holds them, as LSQR's does."""
+    return held_scene(Settings(load_config()))
 
 
 class TestParametrixPreconditioner:
@@ -506,8 +514,7 @@ SCENE_3D = ["grid.dim=3", "grid.origin=-10,-10,-10", "grid.extent=20,20,20",
 @pytest.fixture(scope="module")
 def scene_3d():
     """Truth, weight, cone operator and clean scan of the 3D 24^3 run."""
-    return pipeline._simulate(Settings(load_config(None, SCENE_3D)), {},
-                              inverts=False)
+    return held_scene(Settings(load_config(None, SCENE_3D)))
 
 
 class TestLsqrOnTheDistinctCones:

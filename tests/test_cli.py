@@ -772,10 +772,14 @@ class TestVerbs:
         assert main(small_args("reconstruct", tmp_path)) == 0
         assert _report(tmp_path)["scan.distinct_apertures"] == "3"
 
+    @pytest.mark.parametrize("method", ["both", "multiplier"])
     @pytest.mark.parametrize("verb", ["run-xmlt", "reconstruct"])
-    def test_one_cone_operator_per_run(self, tmp_path, monkeypatch, verb):
+    def test_one_cone_operator_per_run(self, tmp_path, monkeypatch, verb,
+                                       method):
         # the scan, the multiplier's low shell and LSQR share one
-        # ConeConvolution: one kernel per distinct aperture
+        # ConeConvolution: one kernel per distinct aperture, also when the
+        # multiplier alone streams the spectra through the scan and sums
+        # its low shell there (or, in reconstruct, in a pass of its own)
         if verb == "reconstruct":
             assert main(small_args("scan", tmp_path)) == 0
         kernels = []
@@ -783,7 +787,7 @@ class TestVerbs:
         monkeypatch.setattr(excitation, "cone_kernel",
                             lambda ap, grid: kernels.append(ap)
                             or cone_kernel(ap, grid))
-        assert main(small_args(verb, tmp_path, "recon.method=both")) == 0
+        assert main(small_args(verb, tmp_path, f"recon.method={method}")) == 0
         assert len(kernels) == len(set(kernels)) == 3
 
     def test_multiplier_statistics_in_report(self, tmp_path):

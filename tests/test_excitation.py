@@ -23,13 +23,13 @@ from lumitomo.excitation import (Aperture, ConeConvolution, ConeScanData,
                                  full_physics_measurements,
                                  simulate_boundary_scan, xray_transform)
 from lumitomo.fields import Grid, ScalarField, build_phantom, make_grid
-from lumitomo.multiplier import invert_multiplier
+from lumitomo.multiplier import invert_multiplier, low_shell
 
 from conftest import (cell_index, centered_table, constant_field,
                       extended_grid, fan_apertures, reference_cg,
                       stacked_rows, traced_peak, two_bump_phantom)
-from oracles import (cone_intensity, loop_aperture_groups, stacked_forward,
-                     stacked_linear_map)
+from oracles import (cone_intensity, kernel_shell, loop_aperture_groups,
+                     stacked_forward, stacked_linear_map)
 
 
 def unit(theta):
@@ -476,6 +476,109 @@ class TestDistinctCones:
         assert history[-1, 0] == history_ref[-1, 0]
         assert np.all(np.abs(history[-1, 1:] - history_ref[-1, 1:])
                       <= 1e-6 * history_ref[-1, 1:])
+
+
+# the default cones, and repeated double cones mixed with a cone that
+# appears once (counts 2, 2, 1 and 2, 2, 2, 1)
+STREAMED = [
+    (make_grid(2, (-10, -10), (20, 20), (64, 64)), build_apertures(DEFAULTS, 2)),
+    (make_grid(2, (-10, -6), (20, 12), (48, 64)),
+     paired_fan_2d() + [Aperture(dim=2, axis=unit(np.deg2rad(120.0)),
+                                 half_angle=0.3)]),
+    (make_grid(3, (-10, -10, -10), (20, 20, 20), (16, 16, 16)),
+     build_apertures(DEFAULTS, 3)),
+    (make_grid(3, (-8, -8, -8), (16, 16, 16), (16, 16, 16)),
+     paired_axes_3d() + [Aperture(dim=3, axis=(0, 0, 1), half_angle=0.4)]),
+]
+STREAMED_IDS = ["2d-default", "2d-mixed", "3d-default", "3d-mixed"]
+
+
+class TestStreamedSpectra:
+    """A cone operator that does not hold its spectra (the scan of a
+    multiplier-only run) builds one at a time on each pass: the same rows,
+    and the same low-shell sum, bit for bit, as the held operator."""
+
+    @pytest.mark.parametrize("grid,aps", STREAMED, ids=STREAMED_IDS)
+    def test_rows_and_shell_sum_equal_the_held_operator(self, grid, aps):
+        low = low_shell(grid)
+        held = ConeConvolution(aps, grid)
+        streamed = ConeConvolution(aps, grid, held=False, shell=low)
+        assert streamed.spectra is None
+        assert streamed.distinct == held.distinct
+        g = np.random.default_rng(41).standard_normal(grid.cells)
+        assert stacked_rows(streamed, g).tobytes() == \
+            stacked_rows(held, g).tobytes()
+        reference = kernel_shell(held, low).tobytes()
+        assert (streamed.shell_sum(low) * grid.cell_volume).tobytes() == reference
+        assert (held.shell_sum(low) * grid.cell_volume).tobytes() == reference
+        # without a pass of the rows (the reconstruct verb), a pass of its own
+        fresh = ConeConvolution(aps, grid, held=False)
+        assert (fresh.shell_sum(low) * grid.cell_volume).tobytes() == reference
+        f = ScalarField(grid, np.abs(g))
+        v = ScalarField(grid, 0.5 + np.abs(g[::-1]))
+        assert [fld.values.tobytes() for fld in cone_transform(f, v, streamed)] \
+            == [fld.values.tobytes() for fld in cone_transform(f, v, held)]
+
+    def test_each_pass_builds_each_kernel_once(self, monkeypatch):
+        grid, aps = STREAMED[1]
+        low = low_shell(grid)
+        built = []
+        cone_kernel = excitation.cone_kernel
+        monkeypatch.setattr(excitation, "cone_kernel",
+                            lambda ap, grid: built.append(ap)
+                            or cone_kernel(ap, grid))
+        conv = ConeConvolution(aps, grid, held=False, shell=low)
+        assert built == []
+        for _ in conv.rows(np.ones(grid.cells)):
+            pass
+        assert built == list(conv.distinct)
+        # the scan's pass kept the sum: no kernel is built for it
+        total = conv.shell_sum(low)
+        assert len(built) == 3
+        assert conv.shell_sum(low.copy()) is total
+        # a pass cut short keeps nothing, and another mask needs a pass
+        other = ConeConvolution(aps, grid, held=False, shell=low)
+        next(other.rows(np.ones(grid.cells)))
+        assert other.shell_sum(low).tobytes() == total.tobytes()
+        assert len(built) == 4 + 3
+        assert conv.shell_sum(~low).size == np.count_nonzero(~low)
+        assert len(built) == 10
+
+    def test_lsqr_needs_the_held_spectra(self):
+        grid, aps = STREAMED[1]
+        conv = ConeConvolution(aps, grid, held=False)
+        v = constant_field(grid, 1.0)
+        with pytest.raises(InvalidArgumentError, match="holds its spectra"):
+            conv.adjoint(np.ones((len(conv.distinct),) + grid.cells))
+        with pytest.raises(InvalidArgumentError, match="holds its spectra"):
+            parametrix_preconditioner(conv, v)
+
+    def test_streamed_scan_holds_a_fixed_number_of_spectra(self):
+        # beside its distinct rows the streamed scan (operator built in the
+        # call) peaked at 9.77-9.84 spectra's bytes at 24^3 for 1 to 16
+        # distinct cones: the FFT of the source, one complex work spectrum,
+        # one kernel table and its sample blocks; the held operator at
+        # 8.05 to 21.02, about one more spectrum per distinct cone
+        grid = make_grid(3, (-10.0,) * 3, (20.0,) * 3, (24, 24, 24))
+        rng = np.random.default_rng(42)
+        f = ScalarField(grid, rng.random(grid.cells))
+        v = ScalarField(grid, 0.5 + rng.random(grid.cells))
+        low = low_shell(grid)
+        spectrum = 8 * math.prod(ConeConvolution(
+            build_apertures(DEFAULTS, 3), grid, held=False)._half)
+
+        def over_rows(count, held):
+            aps = build_apertures(dict(DEFAULTS, **{"cones.count": str(count)}), 3)
+            scan, peak = traced_peak(lambda: simulate_boundary_scan(
+                f, v, ConeConvolution(aps, grid, held=held,
+                                      shell=None if held else low)))
+            rows = len({id(fld) for fld in scan.fields}) * f.values.nbytes
+            return (peak - rows) / spectrum
+
+        streamed = [over_rows(count, False) for count in (2, 6, 16, 32)]
+        assert max(streamed) <= 10.5
+        assert max(streamed) - min(streamed) <= 0.25
+        assert over_rows(32, True) - over_rows(2, True) >= 12.0
 
 
 def near_threshold_apertures(rng, dim, count):

@@ -8,8 +8,8 @@ from lumitomo.fields import (MAX_GRID_CELLS, Grid, OpticalMedium,
                              PhantomSpec, ScalarField, build_phantom,
                              derived_optics, make_grid, robin_coefficient)
 
-from conftest import cell_index, constant_field
-from oracles import attenuation, l2_norm
+from conftest import cell_index, constant_field, traced_peak
+from oracles import attenuation, centers_phantom, l2_norm
 
 
 def test_make_grid_basic():
@@ -111,3 +111,36 @@ def test_build_phantom_last_wins_and_background():
     assert f.values[c] == 7.0                      # later inclusion wins
     assert f.values[cell_index(g, (0.0, 2.0))] == 2.0  # first ring remains
     assert f.values[cell_index(g, (8.0, 8.0))] == 0.5  # background
+
+
+# the default 2D phantom, the benchmark's 3D one, and inclusions that
+# overlap, reach past the grid and sit on an anisotropic grid
+PHANTOM_CASES = [
+    (make_grid(2, (-10, -10), (20, 20), (128, 128)),
+     PhantomSpec(0.0, [((2.5, 2.5), 1.5, 5.0), ((-3.5, 0.0), 1.5, 10.0)])),
+    (make_grid(3, (-10, -10, -10), (20, 20, 20), (64, 64, 64)),
+     PhantomSpec(0.0, [((2.5, 2.5, 0.0), 1.5, 5.0),
+                       ((-3.5, 0.0, 0.0), 1.5, 10.0)])),
+    (make_grid(2, (-6, -9), (12, 30), (24, 40)),
+     PhantomSpec(0.5, [((0.3, -1.1), 4.0, 2.0), ((1.0, 0.7), 9.0, 3.0),
+                       ((-5.9, 8.9), 0.8, 7.0)])),
+    (make_grid(3, (-4, -5, -7), (9.6, 7.0, 16.8), (12, 10, 14)),
+     PhantomSpec(0.25, [((0.1, 0.2, -0.3), 2.2, 1.0),
+                        ((1.7, -1.0, 2.9), 3.1, 4.0)])),
+]
+
+
+@pytest.mark.parametrize("grid,spec", PHANTOM_CASES,
+                         ids=["2d-128", "3d-64", "2d-aniso", "3d-aniso"])
+def test_build_phantom_bytes_equal_the_centers_path(grid, spec):
+    assert build_phantom(spec, grid).values.tobytes() == \
+        centers_phantom(spec, grid).tobytes()
+
+
+def test_build_phantom_working_set():
+    # the field, one inclusion's squared distances and their mask, then the
+    # field and its read-only copy: measured 2.1x the field at 64^3 (9.0x
+    # from the stacked cell centers and their squared offsets)
+    grid, spec = PHANTOM_CASES[1]
+    phantom, peak = traced_peak(lambda: build_phantom(spec, grid))
+    assert peak <= 2.5 * phantom.values.nbytes

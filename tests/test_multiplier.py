@@ -456,7 +456,7 @@ class TestLowShell:
         mag = multiplier._frequency_magnitudes(padded, grid.spacing)
         xi_min = min(2.0 * np.pi / (c * h) for c, h in zip(padded, grid.spacing))
         low = mag <= multiplier.LOW_FREQ_BINS * xi_min * (1.0 + 1e-9)
-        new = multiplier._kernel_spectrum(ConeConvolution(aps, grid), low)
+        new = ConeConvolution(aps, grid).shell_sum(low) * grid.cell_volume
         old = reference_wrapped_kernel_spectrum(
             aps, padded, grid.spacing, grid.cell_volume)[..., :n + 1][low]
         # relative to the shell's largest entry: entry by entry the rim of

@@ -74,6 +74,9 @@ def test_every_public_function_is_reached(tmp_path, capsys):
         ["reconstruct", "--set", "recon.method=both"],
         ["run-xmlt", "--set", "recon.method=both",
          "--set", "noise.kind=poisson"],
+        # the multiplier alone streams the cone spectra through its scan
+        ["run-xmlt", "--set", "recon.method=multiplier",
+         "--set", "noise.kind=poisson"],
         ["run-xlct"],
     ]
     called = set()
