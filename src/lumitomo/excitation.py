@@ -11,8 +11,10 @@ sources of the full-physics chain sample it at their own offsets.  The
 transform is one circular FFT convolution per distinct double cone
 (`ConeConvolution`, on the doubled grid of `CircularGrid`), the one
 operator through which the fast scan, the LSQR operator and the
-multiplier's low-frequency shell take a cone set and its grid; it holds
-its kernel spectra for LSQR, or builds one at a time for a scan.
+multiplier take a cone set and its grid.  It holds its kernel spectra for
+LSQR, or builds one at a time on each pass, and keeps their sum on the
+lowest frequency shell, which the multiplier reads in place of the
+analytic symbol, from its first pass that runs to the end.
 Single-line excitation gives the parallel-beam sinogram of v * f.
 `full_physics_measurements` runs the PDE chain per focus point, and
 through reciprocity it agrees with the fast scan.
@@ -223,6 +225,35 @@ def _distinct_apertures(apertures):
     return list(zip(distinct, counts))
 
 
+# Frequency bins (in units of the smallest circular-grid frequency) whose
+# multiplier values come from the discrete quadrature-kernel spectrum rather
+# than the analytic symbol: the analytic form assumes an unbounded kernel,
+# which the lowest shell of grid frequencies cannot see.
+LOW_FREQ_BINS = 8
+
+
+def _frequency_axes(cells, spacing):
+    """Angular frequencies of the rfftn half spectrum of a grid, one 1-D
+    axis each, shaped to broadcast against the others: full FFT
+    frequencies on every axis but the last, which keeps its n//2 + 1
+    non-negative ones."""
+    axes = [2.0 * np.pi * np.fft.fftfreq(n, d=h)
+            for n, h in zip(cells[:-1], spacing[:-1])]
+    axes.append(2.0 * np.pi * np.fft.rfftfreq(cells[-1], d=spacing[-1]))
+    return [a.reshape((-1,) + (1,) * (len(cells) - 1 - k))
+            for k, a in enumerate(axes)]
+
+
+def _frequency_magnitudes(cells, spacing):
+    """|xi| on the rfftn half spectrum of a grid (`_frequency_axes`): the
+    squares summed in axis order, the bits of np.sum(xi * xi, axis=-1)."""
+    axes = _frequency_axes(cells, spacing)
+    sq = axes[0] * axes[0]
+    for a in axes[1:]:
+        sq = sq + a * a
+    return np.sqrt(sq, out=sq)
+
+
 class CircularGrid:
     """The circular grid of 2n cells per axis of a grid, on which the cone
     kernels convolve: the one FFT path (`_spectrum`, `_inverse`) of the
@@ -238,7 +269,11 @@ class CircularGrid:
     `with circle.reusing_buffers():`, where calls reuse one set (an
     iterative solver's loop).  That set lives only while the block runs and
     is dropped on exit, also on an exception.  The block is not reentrant
-    and not thread-safe.  No result's bytes depend on the block.
+    and not thread-safe.  No result's bytes depend on the block.  The
+    block, and not a held cone operator's life, bounds the reuse: a held
+    operator that kept one set for its life wrote the same bytes, but the
+    peak RSS of a 3D recon.method=both run rose from 94.3 to 102.2 MB at
+    48^3 and from 171.3 to 189.8 MB at 64^3 (one thread).
     """
 
     def __init__(self, grid: Grid):
@@ -331,19 +366,23 @@ class ConeConvolution(CircularGrid):
     cone, and for it one complex work spectrum, one kernel table and one
     block of its samples: for D distinct cones about (D + 4) spectra's
     bytes, 2.1x the stack for the default 3D cones at 32^3.  Without it
-    `spectra` is None and each pass over the spectra (`rows`, `shell_sum`)
-    builds one distinct cone's spectrum at a time, in the FFT work arrays
-    of that pass, so no stack of D spectra exists; `adjoint` needs the
-    stack.  The multiplier reads a cone set's spectra only on its lowest
-    frequency shell, as `shell_sum`; an operator given that shell's mask as
-    `shell` keeps the sum from the first pass of `rows` that runs to the
-    end (the scan's), so the spectra need not be built again for it.
+    `spectra` is None and each pass of `rows` or `shell_sum` builds one
+    distinct cone's spectrum at a time, in the FFT work arrays of that
+    pass, so no stack of D spectra exists; `adjoint` needs the stack.
+
+    The multiplier reads the spectra only on the lowest frequency shell of
+    the circular grid, |xi| <= LOW_FREQ_BINS times its smallest frequency,
+    zero included, whose entries `shell_index` holds as np.nonzero index
+    arrays, fixed before any spectrum exists.  The first pass over the
+    spectra that runs to the end (the held build, or else a scan's `rows`)
+    keeps their multiplicity-weighted sum there, `shell_sum`, so the
+    spectra need not be built again for it.
 
     Only `rows` hands out a work array (see `CircularGrid` for the work
     arrays of `reusing_buffers`).
     """
 
-    def __init__(self, apertures, grid: Grid, held=True, shell=None):
+    def __init__(self, apertures, grid: Grid, held=True):
         self.apertures = tuple(apertures)
         if not self.apertures:
             raise InvalidArgumentError("need at least one aperture")
@@ -355,73 +394,55 @@ class ConeConvolution(CircularGrid):
         self.distinct = tuple(distinct)
         self.group = np.array(group, dtype=np.intp)
         self.counts = np.bincount(self.group)
+        xi_min = min(2.0 * np.pi / (n * h) for n, h in zip(self.shape, grid.spacing))
+        self.shell_index = np.nonzero(_frequency_magnitudes(
+            self.shape, grid.spacing) <= LOW_FREQ_BINS * xi_min * (1.0 + 1e-9))
+        self._shell_sum = None
         self.spectra = None
-        self.shell = shell
-        self._kept = []
         if held:
             self.spectra = np.empty((len(distinct),) + self._half)
-            work = np.empty(self._half, complex)
-            for S, ap in zip(self.spectra, distinct):
-                S[...] = self._cone_spectrum(ap, work)
+            for i, S in enumerate(self._spectra(np.empty(self._half, complex))):
+                self.spectra[i] = S
 
-    def _cone_spectrum(self, ap, work):
-        """The real spectrum of the kernel of `ap` (`cone_kernel`), a view
-        of the complex half spectrum `work` that holds its transform."""
-        return self._spectrum(cone_kernel(ap, self.grid), work).real
-
-    def _spectra(self, work=None):
-        """The distinct cones' spectra in order: the held stack, or else
-        each built in turn in the complex work array `work` (a half
-        spectrum of its own by default) and yielded as its real part, a
-        view that the next one overwrites."""
-        if self.spectra is not None:
-            yield from self.spectra
-            return
-        if work is None:
-            work = self._work("Y", self._half, complex)
-        for ap in self.distinct:
-            yield self._cone_spectrum(ap, work)
-
-    def _shell_terms(self, spectra, mask, sums):
-        """Each of `spectra` in turn, after adding counts[i] * S_i[mask] to a
-        running sum that starts from 0 + the first term; once the last one
-        has been yielded the sum is appended to the list `sums`."""
+    def _spectra(self, work):
+        """The distinct cones' spectra in order, each built in the complex
+        half spectrum `work` (`cone_kernel`, `_spectrum`) and yielded as its
+        real part, a view that the next one overwrites.  Before each is
+        yielded, counts[i] * S_i on the shell is added to a running sum
+        that starts from 0 + the first term; a pass that runs to the end
+        keeps that sum as `shell_sum`'s unless one is kept already."""
         total = 0
-        for c, S in zip(self.counts, spectra):
-            total = total + c * S[mask]
+        for c, ap in zip(self.counts, self.distinct):
+            S = self._spectrum(cone_kernel(ap, self.grid), work).real
+            total = total + c * S[self.shell_index]
             yield S
-        sums.append(total)
+        if self._shell_sum is None:
+            self._shell_sum = total
 
-    def shell_sum(self, mask):
-        """The sum over the distinct cones i of counts[i] * S_i[mask], in
-        their order from 0 + the first term: the multiplicity-weighted
-        kernel spectrum at the entries of the boolean half-spectrum mask
-        `mask`.  When `mask` equals the operator's `shell`, the sum that a
-        pass of `rows` kept is returned as it is; otherwise a pass of its
-        own forms it."""
-        if self._kept and np.array_equal(self.shell, mask):
-            return self._kept[0]
-        sums = []
-        for _ in self._shell_terms(self._spectra(), mask, sums):
-            pass
-        return sums[0]
+    def shell_sum(self):
+        """The sum over the distinct cones i of counts[i] * S_i at the
+        entries of `shell_index`, in their order from 0 + the first term:
+        the multiplicity-weighted kernel spectrum on the lowest frequency
+        shell.  The sum that a pass over the spectra kept is returned as it
+        is; without one, a pass of its own forms and keeps it."""
+        if self._shell_sum is None:
+            for _ in self._spectra(self._work("Y", self._half, complex)):
+                pass
+        return self._shell_sum
 
     def rows(self, g):
         """Quadrature sums of the source g (grid-shaped), one per distinct
         cone (row i for its spectrum i), yielded in order from one FFT of g.
         A streamed operator builds each spectrum in the work array of its
         product with that FFT (numpy's product reads a copy of an operand
-        that overlaps its output), and sums the entries of its `shell` mask
-        on the first pass that runs to the end.  Each row is yielded in one
-        work array, which the caller may overwrite and the next row does;
-        inside `reusing_buffers` no other call on this operator may run
-        between two rows."""
+        that overlaps its output).  Each row is yielded in one work array,
+        which the caller may overwrite and the next row does; inside
+        `reusing_buffers` no other call on this operator may run between
+        two rows."""
         G = self._spectrum(g, self._work("X", self._half, complex))
         P = self._work("Y", self._half, complex)
         row = self._work("row", self.cells, float)
-        spectra = self._spectra(P)
-        if self.shell is not None and not self._kept:
-            spectra = self._shell_terms(spectra, self.shell, self._kept)
+        spectra = self._spectra(P) if self.spectra is None else self.spectra
         for S in spectra:
             np.multiply(G, S, out=P)
             yield self._inverse(P, row)

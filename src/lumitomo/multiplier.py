@@ -22,13 +22,13 @@ to their directions, bit for bit the per-direction values.  A cone set is
 stably invertible iff the summed angular factor is positive in every direction;
 inversion is regularized frequency division followed by division by the
 interior weight.  Symbol tables and the inversion use the rfftn half
-spectrum of a grid with twice the field's cells per axis, and on its lowest
-frequency shell, the zero frequency included, the symbol is replaced by the
-half spectrum of the discrete quadrature kernel: the sum of the
-`ConeConvolution` spectra that the scan and LSQR apply, on that shell only
-(`ConeConvolution.shell_sum`), which a scan that streams the spectra forms
-as it goes.  The division runs through that operator's `filter`, the one
-pad, multiply and crop on the doubled grid.
+spectrum of a grid with twice the field's cells per axis (the frequencies
+of `excitation._frequency_axes`).  On its lowest frequency shell, the zero
+frequency included, the symbol is replaced by the half spectrum of the
+discrete quadrature kernel: the sum of the `ConeConvolution` spectra that
+the scan and LSQR apply, which that operator forms on the shell it defines
+(`shell_index`, `shell_sum`).  The division runs through the operator's
+`filter`, the one pad, multiply and crop on the doubled grid.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .fields import ScalarField
 from .excitation import (Aperture, ConeConvolution, ConeScanData,
-                         _distinct_apertures, _nested_offset)
+                         _distinct_apertures, _frequency_axes,
+                         _frequency_magnitudes, _nested_offset)
 from .diffusion import _floored_weight
 
 # Gauss-Legendre nodes for the 3D taper band.  Against a 400-node rule the
@@ -57,11 +58,6 @@ MARGIN_SAMPLES_3D = 4096
 # thread), against 1.3, 6.2 and 14.8 ms in blocks of 65,536 rows and 1.8,
 # 11.4 and 27.5 ms in one block.
 TABLE_BLOCK_ROWS = 16384
-# Frequency bins (in units of the smallest padded-grid frequency) whose
-# multiplier values come from the discrete quadrature-kernel spectrum rather
-# than the analytic symbol: the analytic form assumes an unbounded kernel,
-# which the lowest shell of grid frequencies cannot see.
-LOW_FREQ_BINS = 8
 
 
 def _gauss_legendre(n):
@@ -213,28 +209,6 @@ def ellipticity_margin(apertures) -> MarginReport:
                         invisible_directions=dirs[total <= 0.0])
 
 
-def _frequency_axes(cells, spacing):
-    """Angular frequencies of the rfftn half spectrum of a grid, one 1-D
-    axis each, shaped to broadcast against the others: full FFT
-    frequencies on every axis but the last, which keeps its n//2 + 1
-    non-negative ones."""
-    axes = [2.0 * np.pi * np.fft.fftfreq(n, d=h)
-            for n, h in zip(cells[:-1], spacing[:-1])]
-    axes.append(2.0 * np.pi * np.fft.rfftfreq(cells[-1], d=spacing[-1]))
-    return [a.reshape((-1,) + (1,) * (len(cells) - 1 - k))
-            for k, a in enumerate(axes)]
-
-
-def _frequency_magnitudes(cells, spacing):
-    """|xi| on the rfftn half spectrum of a grid (`_frequency_axes`): the
-    squares summed in axis order, the bits of np.sum(xi * xi, axis=-1)."""
-    axes = _frequency_axes(cells, spacing)
-    sq = axes[0] * axes[0]
-    for a in axes[1:]:
-        sq = sq + a * a
-    return np.sqrt(sq, out=sq)
-
-
 def _direction_blocks(cells, spacing, mag):
     """The unit directions xi/|xi| of the table `mag` (`_frequency_axes`)
     in blocks of first-axis slabs of about TABLE_BLOCK_ROWS rows: (slice of
@@ -306,24 +280,6 @@ def total_symbol_table(distinct, cells, spacing, mag=None):
     return m
 
 
-def _low_shell(mag, shape, spacing):
-    """The lowest frequency shell of the half-spectrum table |xi| = `mag`
-    of a grid of `shape` cells: |xi| <= LOW_FREQ_BINS times its smallest
-    frequency, zero included, as a mask."""
-    xi_min = min(2.0 * np.pi / (n * h) for n, h in zip(shape, spacing))
-    return mag <= LOW_FREQ_BINS * xi_min * (1.0 + 1e-9)
-
-
-def low_shell(grid):
-    """The mask of the lowest frequency shell (`_low_shell`) on the half
-    spectrum of the circular grid of `grid`, twice its cells per axis: the
-    entries at which `invert_multiplier` reads the cone operator's kernel
-    spectra (`ConeConvolution.shell_sum`), and a streamed scan sums them."""
-    shape = tuple(2 * n for n in grid.cells)
-    return _low_shell(_frequency_magnitudes(shape, grid.spacing), shape,
-                      grid.spacing)
-
-
 def _median(x):
     """np.median of a 1-D array, 0.0 when it is empty, by a partition of x
     in place: np.median imports numpy.ma."""
@@ -343,8 +299,8 @@ def invert_multiplier(scan: ConeScanData, v: ScalarField, conv: ConeConvolution,
     are those of `conv`, the cone operator on the grid of v.  Of the scan
     it reads `focus_grid`, `apertures` and `summed()` only; of `conv` its
     cone set, its circular grid (`filter`) and the sum of its kernel
-    spectra on the low shell (`shell_sum`), never a stack of spectra, so
-    `conv` may stream them.
+    spectra on its low shell (`shell_index`, `shell_sum`), never a stack
+    of spectra, so `conv` may stream them.
 
     The data is filtered on the circular grid of twice the field grid's
     cells per axis (`conv.filter`), which suppresses the periodization of
@@ -356,8 +312,8 @@ def invert_multiplier(scan: ConeScanData, v: ScalarField, conv: ConeConvolution,
     result is divided by the weight as `diffusion._floored_weight` floors
     it (InvalidArgumentError for a weight positive nowhere).  m is the
     analytic symbol except on the lowest shell of grid frequencies, zero
-    included (`low_shell`), where it is the spectrum of the discrete
-    quadrature kernel, `conv.shell_sum` times the cell volume.  A dict
+    included (`conv.shell_index`), where it is the spectrum of the discrete
+    quadrature kernel, `conv.shell_sum()` times the cell volume.  A dict
     `stats` receives m_ref and suppressed_fraction, the share of table
     entries with m < eps * m_ref; the filter passes less than half of 1/m
     at such an entry when m > 0.
@@ -377,13 +333,9 @@ def invert_multiplier(scan: ConeScanData, v: ScalarField, conv: ConeConvolution,
         raise InvalidArgumentError(
             "conv must be the cone operator of the scan's apertures on the "
             "grid of v")
-    mag = _frequency_magnitudes(conv.shape, grid.spacing)
-    low = _low_shell(mag, conv.shape, grid.spacing)
     m = total_symbol_table(list(zip(conv.distinct, conv.counts)), conv.shape,
-                           grid.spacing, mag)
-    del mag
-    m[low] = conv.shell_sum(low) * grid.cell_volume
-    del low
+                           grid.spacing)
+    m[conv.shell_index] = conv.shell_sum() * grid.cell_volume
     m_ref = _median(m[m > 0])
     if stats is not None:
         stats["m_ref"] = m_ref

@@ -9,7 +9,7 @@ emit.  `scan` runs it without the gate, the spot check and reconstruct;
 The scan's files are written when noise ends; reconstruct reads only
 the scan's reductions (`_ScanSums`).  The cone operator holds its kernel
 spectra only when LSQR runs; otherwise the scan builds them one at a time
-(`_cone_operator`).
+(`_cone_operator`), and keeps what the multiplier reads of them.
 Each stage's wall time goes into the report as `wall_clock.<stage>`, and
 within reconstruct each method's; report lines starting with `wall_clock`
 are the only ones that differ between repeated runs.
@@ -36,7 +36,7 @@ from .excitation import (ConeConvolution, ConeScanData, Sinogram,
                          xray_transform)
 from .fbp import divide_by_weight, fbp
 from .fields import ScalarField, build_phantom
-from .multiplier import ellipticity_margin, invert_multiplier, low_shell
+from .multiplier import ellipticity_margin, invert_multiplier
 
 # Noise treats values at or below this fraction of an array's maximum as
 # exact zeros: FFT roundoff gives those either sign, and a Poisson draw
@@ -161,19 +161,14 @@ def _gate(settings, apertures, report):
                 "set run.force_pseudo=true to force a pseudo-inversion")
 
 
-def _cone_operator(apertures, grid, report, method=None, scans=False):
+def _cone_operator(apertures, grid, report, method=None):
     """The run's cone operator, `apertures` on `grid`, shared by the scan
     and the reconstruction; its count of distinct cones into `report`.
     It holds its kernel spectra when LSQR runs (`method` both or lsqr),
     which applies each of them on every iteration.  Otherwise (the
     multiplier alone, or None for a run that does not invert) it builds
-    one spectrum at a time on each pass, and when it `scans` for the
-    multiplier, the scan's pass sums the multiplier's low shell."""
-    if method in ("both", "lsqr"):
-        conv = ConeConvolution(apertures, grid)
-    else:
-        shell = low_shell(grid) if scans and method == "multiplier" else None
-        conv = ConeConvolution(apertures, grid, held=False, shell=shell)
+    one spectrum at a time on each pass."""
+    conv = ConeConvolution(apertures, grid, held=method in ("both", "lsqr"))
     report["scan.distinct_apertures"] = str(len(conv.distinct))
     return conv
 
@@ -239,7 +234,7 @@ def _simulate(settings, report, inverts):
         _gate(settings, settings.apertures, report)
     with _timed(report, "scan"):
         conv = _cone_operator(settings.apertures, truth.grid, report,
-                              settings.method if inverts else None, scans=True)
+                              settings.method if inverts else None)
         report["scan.mode"] = "fast"
         report["scan.focus_grid"] = ",".join(str(n) for n in conv.grid.cells)
         clean = simulate_boundary_scan(truth, v, conv)

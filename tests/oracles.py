@@ -21,9 +21,11 @@ compares the runtime path with.
 - `stacked_forward`: the cone operator's rows formed into one stack, as
   `ConeConvolution.forward` did before `ConeConvolution.rows` gave them
   one at a time;
-- `kernel_shell`: the multiplier's low shell of the summed kernel
-  spectrum from a held stack, as `multiplier._kernel_spectrum` formed it
-  before the cone operator summed it (`ConeConvolution.shell_sum`);
+- `low_shell`, `kernel_shell`: the lowest frequency shell of a cone
+  operator's circular grid as a mask, from the stacked frequencies, and
+  the summed kernel spectrum on it from a held stack, as
+  `multiplier._kernel_spectrum` formed it before the cone operator summed
+  it (`ConeConvolution.shell_sum`);
 - `loop_aperture_groups`: the grouping of apertures into distinct double
   cones, one pair of apertures at a time;
 - `one_shot_fbp`: filtered backprojection with every profile filtered in
@@ -40,6 +42,7 @@ from lumitomo.diffusion import (_sides, boundary_face_count,
                                 boundary_flux, boundary_functional,
                                 solve_adjoint_weight, solve_forward)
 from lumitomo.errors import InvalidArgumentError
+from lumitomo.excitation import LOW_FREQ_BINS
 from lumitomo.fbp import FbpFilter, _backproject
 from lumitomo.fields import ScalarField
 
@@ -270,9 +273,25 @@ def stacked_forward(conv, g):
     return out
 
 
-def kernel_shell(conv, low):
-    """The multiplicity-weighted sum of the held spectra of `conv` at the
-    entries of the mask `low`, times the cell volume, by Python's sum."""
+def low_shell(conv):
+    """The mask of the lowest frequency shell on the half spectrum of the
+    circular grid of `conv`: |xi| <= LOW_FREQ_BINS times its smallest
+    frequency, |xi| the norm of the (..., dim) stack of half-spectrum
+    angular frequencies."""
+    spacing = conv.grid.spacing
+    axes = [2.0 * np.pi * np.fft.fftfreq(n, d=h)
+            for n, h in zip(conv.shape[:-1], spacing[:-1])]
+    axes.append(2.0 * np.pi * np.fft.rfftfreq(conv.shape[-1], d=spacing[-1]))
+    xi = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    xi_min = min(2.0 * np.pi / (n * h) for n, h in zip(conv.shape, spacing))
+    return (np.sqrt(np.sum(xi * xi, axis=-1))
+            <= LOW_FREQ_BINS * xi_min * (1.0 + 1e-9))
+
+
+def kernel_shell(conv):
+    """The multiplicity-weighted sum of the held spectra of `conv` on its
+    `low_shell`, times the cell volume, by Python's sum."""
+    low = low_shell(conv)
     return (sum(c * S[low] for c, S in zip(conv.counts, conv.spectra))
             * conv.grid.cell_volume)
 

@@ -773,13 +773,14 @@ class TestVerbs:
         assert _report(tmp_path)["scan.distinct_apertures"] == "3"
 
     @pytest.mark.parametrize("method", ["both", "multiplier"])
-    @pytest.mark.parametrize("verb", ["run-xmlt", "reconstruct"])
+    @pytest.mark.parametrize("verb", ["run-xmlt", "reconstruct", "scan"])
     def test_one_cone_operator_per_run(self, tmp_path, monkeypatch, verb,
                                        method):
         # the scan, the multiplier's low shell and LSQR share one
         # ConeConvolution: one kernel per distinct aperture, also when the
-        # multiplier alone streams the spectra through the scan and sums
-        # its low shell there (or, in reconstruct, in a pass of its own)
+        # multiplier alone streams the spectra through the scan, which keeps
+        # the low-shell sum (or, in reconstruct, a pass of its own forms it);
+        # `scan` inverts nothing, so its spectra stream whatever the method
         if verb == "reconstruct":
             assert main(small_args("scan", tmp_path)) == 0
         kernels = []

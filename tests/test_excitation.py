@@ -23,13 +23,13 @@ from lumitomo.excitation import (Aperture, ConeConvolution, ConeScanData,
                                  full_physics_measurements,
                                  simulate_boundary_scan, xray_transform)
 from lumitomo.fields import Grid, ScalarField, build_phantom, make_grid
-from lumitomo.multiplier import invert_multiplier, low_shell
+from lumitomo.multiplier import invert_multiplier
 
 from conftest import (cell_index, centered_table, constant_field,
                       extended_grid, fan_apertures, reference_cg,
                       stacked_rows, traced_peak, two_bump_phantom)
 from oracles import (cone_intensity, kernel_shell, loop_aperture_groups,
-                     stacked_forward, stacked_linear_map)
+                     low_shell, stacked_forward, stacked_linear_map)
 
 
 def unit(theta):
@@ -495,25 +495,31 @@ STREAMED_IDS = ["2d-default", "2d-mixed", "3d-default", "3d-mixed"]
 
 class TestStreamedSpectra:
     """A cone operator that does not hold its spectra (the scan of a
-    multiplier-only run) builds one at a time on each pass: the same rows,
-    and the same low-shell sum, bit for bit, as the held operator."""
+    multiplier-only run) builds one at a time on each pass: the same rows
+    as the held operator, and the same low-shell sum, bit for bit, whether
+    kept from the held build, from a pass of the rows or formed by a pass
+    of its own."""
 
     @pytest.mark.parametrize("grid,aps", STREAMED, ids=STREAMED_IDS)
     def test_rows_and_shell_sum_equal_the_held_operator(self, grid, aps):
-        low = low_shell(grid)
         held = ConeConvolution(aps, grid)
-        streamed = ConeConvolution(aps, grid, held=False, shell=low)
+        streamed = ConeConvolution(aps, grid, held=False)
         assert streamed.spectra is None
         assert streamed.distinct == held.distinct
+        shell = np.nonzero(low_shell(held))
+        for conv in (held, streamed):
+            assert len(conv.shell_index) == grid.dim
+            for got, want in zip(conv.shell_index, shell):
+                assert np.array_equal(got, want)
         g = np.random.default_rng(41).standard_normal(grid.cells)
         assert stacked_rows(streamed, g).tobytes() == \
             stacked_rows(held, g).tobytes()
-        reference = kernel_shell(held, low).tobytes()
-        assert (streamed.shell_sum(low) * grid.cell_volume).tobytes() == reference
-        assert (held.shell_sum(low) * grid.cell_volume).tobytes() == reference
+        reference = kernel_shell(held).tobytes()
+        assert (streamed.shell_sum() * grid.cell_volume).tobytes() == reference
+        assert (held.shell_sum() * grid.cell_volume).tobytes() == reference
         # without a pass of the rows (the reconstruct verb), a pass of its own
         fresh = ConeConvolution(aps, grid, held=False)
-        assert (fresh.shell_sum(low) * grid.cell_volume).tobytes() == reference
+        assert (fresh.shell_sum() * grid.cell_volume).tobytes() == reference
         f = ScalarField(grid, np.abs(g))
         v = ScalarField(grid, 0.5 + np.abs(g[::-1]))
         assert [fld.values.tobytes() for fld in cone_transform(f, v, streamed)] \
@@ -521,28 +527,37 @@ class TestStreamedSpectra:
 
     def test_each_pass_builds_each_kernel_once(self, monkeypatch):
         grid, aps = STREAMED[1]
-        low = low_shell(grid)
         built = []
         cone_kernel = excitation.cone_kernel
         monkeypatch.setattr(excitation, "cone_kernel",
                             lambda ap, grid: built.append(ap)
                             or cone_kernel(ap, grid))
-        conv = ConeConvolution(aps, grid, held=False, shell=low)
+        conv = ConeConvolution(aps, grid, held=False)
         assert built == []
         for _ in conv.rows(np.ones(grid.cells)):
             pass
         assert built == list(conv.distinct)
         # the scan's pass kept the sum: no kernel is built for it
-        total = conv.shell_sum(low)
+        total = conv.shell_sum()
         assert len(built) == 3
-        assert conv.shell_sum(low.copy()) is total
-        # a pass cut short keeps nothing, and another mask needs a pass
-        other = ConeConvolution(aps, grid, held=False, shell=low)
+        assert conv.shell_sum() is total
+        # a later pass leaves the kept sum as it is
+        for _ in conv.rows(np.ones(grid.cells)):
+            pass
+        assert len(built) == 6
+        assert conv.shell_sum() is total
+        # a pass cut short keeps nothing: the sum needs a pass of its own
+        other = ConeConvolution(aps, grid, held=False)
         next(other.rows(np.ones(grid.cells)))
-        assert other.shell_sum(low).tobytes() == total.tobytes()
-        assert len(built) == 4 + 3
-        assert conv.shell_sum(~low).size == np.count_nonzero(~low)
-        assert len(built) == 10
+        assert len(built) == 7
+        assert other.shell_sum().tobytes() == total.tobytes()
+        assert len(built) == 7 + 3
+        assert other.shell_sum() is other.shell_sum()
+        # the held build is the pass that keeps it
+        held = ConeConvolution(aps, grid)
+        assert len(built) == 13
+        assert held.shell_sum().tobytes() == total.tobytes()
+        assert len(built) == 13
 
     def test_lsqr_needs_the_held_spectra(self):
         grid, aps = STREAMED[1]
@@ -563,15 +578,13 @@ class TestStreamedSpectra:
         rng = np.random.default_rng(42)
         f = ScalarField(grid, rng.random(grid.cells))
         v = ScalarField(grid, 0.5 + rng.random(grid.cells))
-        low = low_shell(grid)
         spectrum = 8 * math.prod(ConeConvolution(
             build_apertures(DEFAULTS, 3), grid, held=False)._half)
 
         def over_rows(count, held):
             aps = build_apertures(dict(DEFAULTS, **{"cones.count": str(count)}), 3)
             scan, peak = traced_peak(lambda: simulate_boundary_scan(
-                f, v, ConeConvolution(aps, grid, held=held,
-                                      shell=None if held else low)))
+                f, v, ConeConvolution(aps, grid, held=held)))
             rows = len({id(fld) for fld in scan.fields}) * f.values.nbytes
             return (peak - rows) / spectrum
 

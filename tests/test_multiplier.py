@@ -360,7 +360,7 @@ class TestSymbolTableReference:
             assert 1 < slabs < cells[0] and cells[0] % slabs
         got = table(aps, cells, spacing)
         assert got.tobytes() == former_symbol_table(aps, cells, spacing).tobytes()
-        mag = multiplier._frequency_magnitudes(cells, spacing)
+        mag = excitation._frequency_magnitudes(cells, spacing)
         assert table(aps, cells, spacing, mag).tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("cells,spacing", [
@@ -388,7 +388,7 @@ class TestSymbolTableReference:
         # direction array)
         aps = build_apertures(DEFAULTS, 3)
         cells, spacing = (2 * n,) * 3, (20.0 / n,) * 3
-        mag = multiplier._frequency_magnitudes(cells, spacing) if given_mag else None
+        mag = excitation._frequency_magnitudes(cells, spacing) if given_mag else None
         got, peak = traced_peak(lambda: table(aps, cells, spacing, mag))
         assert peak <= bound * got.nbytes
 
@@ -452,20 +452,18 @@ class TestLowShell:
     def test_close_to_former_wrapped_spectrum(self, dim, n, tol):
         grid = make_grid(dim, (-10.0,) * dim, (20.0,) * dim, (n,) * dim)
         aps = build_apertures(DEFAULTS, dim)
-        padded = tuple(2 * c for c in grid.cells)
-        mag = multiplier._frequency_magnitudes(padded, grid.spacing)
-        xi_min = min(2.0 * np.pi / (c * h) for c, h in zip(padded, grid.spacing))
-        low = mag <= multiplier.LOW_FREQ_BINS * xi_min * (1.0 + 1e-9)
-        new = ConeConvolution(aps, grid).shell_sum(low) * grid.cell_volume
+        conv = ConeConvolution(aps, grid)
+        new = conv.shell_sum() * grid.cell_volume
         old = reference_wrapped_kernel_spectrum(
-            aps, padded, grid.spacing, grid.cell_volume)[..., :n + 1][low]
+            aps, conv.shape, grid.spacing,
+            grid.cell_volume)[..., :n + 1][conv.shell_index]
         # relative to the shell's largest entry: entry by entry the rim of
         # the shell (|xi| = LOW_FREQ_BINS * xi_min), where the entries are
         # smallest, moves by up to 6% (2D) and 42% (3D)
         assert np.max(np.abs(new - old)) <= tol * np.max(np.abs(old))
 
     def test_half_spectrum_frequencies(self):
-        axes = multiplier._frequency_axes((8, 6), (0.5, 2.0))
+        axes = excitation._frequency_axes((8, 6), (0.5, 2.0))
         assert [a.shape for a in axes] == [(8, 1), (4,)]
         assert np.allclose(axes[0][:, 0], 2 * np.pi * np.fft.fftfreq(8, 0.5))
         assert np.allclose(axes[1], 2 * np.pi * np.fft.rfftfreq(6, 2.0))
@@ -473,7 +471,7 @@ class TestLowShell:
         for cells, spacing in [((8, 6), (0.5, 2.0)), ((20, 16, 13), (0.7, 0.9, 1.3)),
                                ((48, 48, 48), (20.0 / 24,) * 3)]:
             xi = former_frequency_grid(cells, spacing)
-            mag = multiplier._frequency_magnitudes(cells, spacing)
+            mag = excitation._frequency_magnitudes(cells, spacing)
             assert mag.tobytes() == np.sqrt(np.sum(xi * xi, axis=-1)).tobytes()
 
 
@@ -657,7 +655,7 @@ def reference_invert(scan, v, eps):
     xi = former_frequency_grid(conv.shape, grid.spacing)
     mag = np.sqrt(np.sum(xi * xi, axis=-1))
     xi_min = min(2.0 * np.pi / (n * h) for n, h in zip(conv.shape, grid.spacing))
-    low = mag <= multiplier.LOW_FREQ_BINS * xi_min * (1.0 + 1e-9)
+    low = mag <= excitation.LOW_FREQ_BINS * xi_min * (1.0 + 1e-9)
     m[low] = kernel_spectrum(conv)[low]
     m_ref = float(np.median(m[m > 0]))
     denom = m ** 2 + (eps * m_ref) ** 2
