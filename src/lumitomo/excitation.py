@@ -11,10 +11,8 @@ sources of the full-physics chain sample it at their own offsets.  The
 transform is one circular FFT convolution per distinct double cone
 (`ConeConvolution`, on the doubled grid of `CircularGrid`), the one
 operator through which the fast scan, the LSQR operator and the
-multiplier take a cone set and its grid.  It holds its kernel spectra for
-LSQR, or builds one at a time on each pass, and keeps their sum on the
-lowest frequency shell, which the multiplier reads in place of the
-analytic symbol, from its first pass that runs to the end.
+multiplier take a cone set and its grid; its class docstring states when
+it holds the kernel spectra and what it keeps of them.
 Single-line excitation gives the parallel-beam sinogram of v * f.
 `full_physics_measurements` runs the PDE chain per focus point, and
 through reciprocity it agrees with the fast scan.
@@ -30,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .fields import Grid, ScalarField
+from .fields import Grid, ScalarField, _sum_of_squares
 from .diffusion import (DiscreteOperator, BoundaryField, solve_forward,
                         boundary_flux, boundary_functional)
 
@@ -126,11 +124,7 @@ def _kernel_samples(ap: Aperture, grid: Grid, d, self_weight):
     """Midpoint kernel a(d/|d|) / |d|^{n-1} at offsets d (shape (..., dim)),
     with `self_weight` (`_self_cell_weight`, which callers compute once per
     aperture and grid) wherever |d| < 0.49 * min(spacing)."""
-    # the bits of np.sum(d * d, axis=-1), without its slow short reduction
-    r2 = d[..., 0] * d[..., 0]
-    for a in range(1, d.shape[-1]):
-        r2 += d[..., a] * d[..., a]
-    r = np.sqrt(r2)
+    r = np.sqrt(_sum_of_squares([d[..., a] for a in range(d.shape[-1])]))
     near = r < 0.49 * min(grid.spacing)
     r_safe = np.where(near, 1.0, r)
     cosang = np.tensordot(d, np.asarray(ap.axis), axes=([-1], [0])) / r_safe
@@ -245,12 +239,9 @@ def _frequency_axes(cells, spacing):
 
 
 def _frequency_magnitudes(cells, spacing):
-    """|xi| on the rfftn half spectrum of a grid (`_frequency_axes`): the
-    squares summed in axis order, the bits of np.sum(xi * xi, axis=-1)."""
-    axes = _frequency_axes(cells, spacing)
-    sq = axes[0] * axes[0]
-    for a in axes[1:]:
-        sq = sq + a * a
+    """|xi| on the rfftn half spectrum of a grid (`_frequency_axes`), the
+    bits of the norm of the (..., dim) frequency stack."""
+    sq = _sum_of_squares(_frequency_axes(cells, spacing))
     return np.sqrt(sq, out=sq)
 
 
@@ -273,7 +264,12 @@ class CircularGrid:
     block, and not a held cone operator's life, bounds the reuse: a held
     operator that kept one set for its life wrote the same bytes, but the
     peak RSS of a 3D recon.method=both run rose from 94.3 to 102.2 MB at
-    48^3 and from 171.3 to 189.8 MB at 64^3 (one thread).
+    48^3 and from 171.3 to 189.8 MB at 64^3 (one thread).  Without the
+    block, every call making its own arrays, the bytes are the same too:
+    LSQR of a 64^3 run then takes 77,900 minor page faults instead of
+    4,205, while the run's peak RSS is 4.0 MB lower (0.9 MB at 48^3 and
+    0.35 MB at 128^2) and its wall time does not separate from the
+    block's (one thread, alternating runs).
     """
 
     def __init__(self, grid: Grid):

@@ -25,9 +25,8 @@ interior weight.  Symbol tables and the inversion use the rfftn half
 spectrum of a grid with twice the field's cells per axis (the frequencies
 of `excitation._frequency_axes`).  On its lowest frequency shell, the zero
 frequency included, the symbol is replaced by the half spectrum of the
-discrete quadrature kernel: the sum of the `ConeConvolution` spectra that
-the scan and LSQR apply, which that operator forms on the shell it defines
-(`shell_index`, `shell_sum`).  The division runs through the operator's
+discrete quadrature kernel, which the cone operator sums there
+(`ConeConvolution.shell_sum`).  The division runs through the operator's
 `filter`, the one pad, multiply and crop on the doubled grid.
 """
 
@@ -86,10 +85,11 @@ def _arc_to(A, angle):
 
 def _factor_2d(ap: Aperture, om):
     """The 2D factor of the unit direction rows om: the density at the two
-    directions perpendicular to each row."""
+    directions perpendicular to each row, equal since `profile` takes
+    |cos|."""
     perp = np.stack([-om[:, 1], om[:, 0]], axis=1)
     c = perp @ np.asarray(ap.axis)
-    return np.pi * (ap.profile(c) + ap.profile(-c))
+    return np.pi * (2.0 * ap.profile(c))
 
 
 def _meets_cone(ap: Aperture, s):
@@ -229,27 +229,24 @@ def _direction_blocks(cells, spacing, mag):
         yield slice(i * per_slab, i * per_slab + blk.size), rows
 
 
-def total_symbol_table(distinct, cells, spacing, mag=None):
+def total_symbol_table(distinct, cells, spacing):
     """Summed symbol on the rfftn half spectrum of a grid (`_frequency_axes`)
     of the (aperture, multiplicity) pairs `distinct` (a list, as
     `excitation._distinct_apertures` gives), 0 at the zero frequency, where
     the 1/|xi| symbol is undefined; `invert_multiplier` takes that entry,
     with the rest of the lowest frequency shell, from the kernel spectrum.
-    `mag` is `_frequency_magnitudes(cells, spacing)` when the caller has it.
 
     The directions are made block by block (`_direction_blocks`).  In 2D
     each block's factors are summed into the table; in 3D each aperture's
     |omega . axis| fills one table-length array, so that the taper rule
     runs once per distinct value over the whole table.  With T the table's
-    bytes, it holds the table, that array and one aperture's work arrays
-    on top of the caller's |xi|: for the default 3D cones 4.9 T at the
-    peak on the half spectrum of 48^3 cells and 4.2 T on those of 96^3
-    and 128^3 cells.
+    bytes, it holds |xi|, the table, that array and one aperture's work
+    arrays: for the default 3D cones 6.2 T at the peak on the half spectrum
+    of 48^3 cells and 5.2 T on those of 96^3 and 128^3 cells.
     """
     if not distinct:
         raise InvalidArgumentError("need at least one aperture")
-    if mag is None:
-        mag = _frequency_magnitudes(cells, spacing)
+    mag = _frequency_magnitudes(cells, spacing)
     # the table before its work arrays: allocated after them, it lands
     # above them in glibc's heap (0.2-0.4 MB more peak RSS at 128^2)
     m = np.zeros(mag.shape)

@@ -7,9 +7,10 @@ spot-check points, weight), gate, scan, spot check, noise, reconstruct,
 emit.  `scan` runs it without the gate, the spot check and reconstruct;
 `reconstruct` reads what `scan` wrote in place of setup through noise.
 The scan's files are written when noise ends; reconstruct reads only
-the scan's reductions (`_ScanSums`).  The cone operator holds its kernel
-spectra only when LSQR runs; otherwise the scan builds them one at a time
-(`_cone_operator`), and keeps what the multiplier reads of them.
+the scan's reductions (`_ScanSums`).  The run's one cone operator
+(`_cone_operator`) holds its kernel spectra when LSQR runs; what a held
+and a streamed operator build and keep is stated in
+`excitation.ConeConvolution`.
 Each stage's wall time goes into the report as `wall_clock.<stage>`, and
 within reconstruct each method's; report lines starting with `wall_clock`
 are the only ones that differ between repeated runs.
@@ -164,10 +165,9 @@ def _gate(settings, apertures, report):
 def _cone_operator(apertures, grid, report, method=None):
     """The run's cone operator, `apertures` on `grid`, shared by the scan
     and the reconstruction; its count of distinct cones into `report`.
-    It holds its kernel spectra when LSQR runs (`method` both or lsqr),
-    which applies each of them on every iteration.  Otherwise (the
-    multiplier alone, or None for a run that does not invert) it builds
-    one spectrum at a time on each pass."""
+    It is held when LSQR runs (`method` both or lsqr), which applies each
+    spectrum on every iteration, and streamed otherwise (the multiplier
+    alone, or None for a run that does not invert)."""
     conv = ConeConvolution(apertures, grid, held=method in ("both", "lsqr"))
     report["scan.distinct_apertures"] = str(len(conv.distinct))
     return conv

@@ -15,6 +15,9 @@ compares the runtime path with.
   identity under that flux or the runtime `boundary_flux`;
 - `null_space_defect`: <V h, L phi> for interior-supported phi;
 - `cone_intensity`: the cone kernel at one source point;
+- `two_call_factor_2d`: the 2D angular factor with the density evaluated
+  at both perpendicular directions, as `multiplier._factor_2d` formed it
+  before it doubled one evaluation;
 - `stacked_linear_map`, `stacked_data`: the scan operator and LSQR data
   with one row per aperture, as LSQR ran before it took one row per
   distinct cone;
@@ -239,6 +242,15 @@ def cone_intensity(ap, x_focus, y):
     if r == 0.0:
         raise InvalidArgumentError("cone_intensity is singular at the focus")
     return float(ap.profile(np.dot(d / r, ap.axis)) / r ** (ap.dim - 1))
+
+
+def two_call_factor_2d(ap, om):
+    """The 2D angular factor of the unit direction rows om: pi times the
+    density at the perpendicular direction of each row plus the density
+    at its opposite, one `profile` call each."""
+    perp = np.stack([-om[:, 1], om[:, 0]], axis=1)
+    c = perp @ np.asarray(ap.axis)
+    return np.pi * (ap.profile(c) + ap.profile(-c))
 
 
 def loop_aperture_groups(apertures):

@@ -5,8 +5,9 @@ import pytest
 
 from lumitomo.errors import InvalidArgumentError
 from lumitomo.fields import (MAX_GRID_CELLS, Grid, OpticalMedium,
-                             PhantomSpec, ScalarField, build_phantom,
-                             derived_optics, make_grid, robin_coefficient)
+                             PhantomSpec, ScalarField, _sum_of_squares,
+                             build_phantom, derived_optics, make_grid,
+                             robin_coefficient)
 
 from conftest import cell_index, constant_field, traced_peak
 from oracles import attenuation, centers_phantom, l2_norm
@@ -144,3 +145,25 @@ def test_build_phantom_working_set():
     grid, spec = PHANTOM_CASES[1]
     phantom, peak = traced_peak(lambda: build_phantom(spec, grid))
     assert peak <= 2.5 * phantom.values.nbytes
+
+
+@pytest.mark.parametrize("shapes", [
+    [(40, 30)] * 2, [(12, 10, 8)] * 3,
+    [(40, 1), (30,)], [(12, 1, 1), (10, 1), (8,)], [(1, 10, 8), (12, 1, 8), (8,)]],
+    ids=["stacked-2d", "stacked-3d", "broadcast-2d", "broadcast-3d", "mixed-3d"])
+def test_sum_of_squares_bytes_equal_the_stacked_sum(shapes):
+    # signed values of one scale, whose sums round differently in another
+    # order, then exact and signed zeros, squares that overflow or
+    # underflow, and non-finite entries
+    rng = np.random.default_rng(len(shapes) * 100 + len(shapes[0]))
+    terms = []
+    for shape in shapes:
+        t = rng.standard_normal(shape)
+        flat = t.reshape(-1)
+        flat[:7] = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, 1e-300][:flat.size]
+        terms.append(t)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got = _sum_of_squares(terms)
+        ref = np.sum(np.stack(np.broadcast_arrays(*terms), -1) ** 2, axis=-1)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()

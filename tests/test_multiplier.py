@@ -19,6 +19,7 @@ from lumitomo.multiplier import (angular_factor, ellipticity_margin,
 
 from conftest import (centered_table, constant_field, extended_grid,
                       fan_apertures, rel_l2, traced_peak, two_bump_phantom)
+from oracles import two_call_factor_2d
 
 
 def unit(theta):
@@ -234,11 +235,11 @@ class TestDistinctApertures:
         assert abs(margin - loop_margin) <= 1e-13 * abs(loop_margin) + 1e-300
 
 
-def table(apertures, cells, spacing, mag=None):
+def table(apertures, cells, spacing):
     """`total_symbol_table` of a cone set, grouped as the cone operator
     groups it."""
     return total_symbol_table(excitation._distinct_apertures(apertures),
-                              cells, spacing, mag)
+                              cells, spacing)
 
 
 def reference_angular_factor(ap, omega):
@@ -247,9 +248,7 @@ def reference_angular_factor(ap, omega):
     om = np.atleast_2d(np.asarray(omega, dtype=np.float64))
     axis = np.asarray(ap.axis)
     if ap.dim == 2:
-        perp = np.stack([-om[:, 1], om[:, 0]], axis=1)
-        c = perp @ axis
-        out = np.pi * (ap.profile(c) + ap.profile(-c))
+        out = two_call_factor_2d(ap, om)
     else:
         s = np.minimum(np.abs(om @ axis), 1.0)
         A = np.sqrt((1.0 - s) * (1.0 + s))
@@ -360,8 +359,6 @@ class TestSymbolTableReference:
             assert 1 < slabs < cells[0] and cells[0] % slabs
         got = table(aps, cells, spacing)
         assert got.tobytes() == former_symbol_table(aps, cells, spacing).tobytes()
-        mag = excitation._frequency_magnitudes(cells, spacing)
-        assert table(aps, cells, spacing, mag).tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("cells,spacing", [
         ((64, 48), (0.3, 0.45)), ((20, 16, 13), (0.7, 0.9, 1.3))],
@@ -379,18 +376,36 @@ class TestSymbolTableReference:
         assert got.flat[0] == 0.0
         assert np.array_equal(got, ref, equal_nan=True)
 
-    @pytest.mark.parametrize("n,given_mag,bound", [(24, True, 5.4),
-                                                   (64, False, 5.6)])
-    def test_table_working_set(self, n, given_mag, bound):
-        # the table, one table-length |omega . axis| and one aperture's
-        # work arrays: measured 4.9x the table above the caller's |xi| at
-        # 24^3 and 5.2x with |xi| at 64^3 (8.6x and 9.6x with the (N, dim)
-        # direction array)
+    def test_table_working_set(self):
+        # |xi|, the table, one table-length |omega . axis| and one
+        # aperture's work arrays: measured 5.2x the table at 64^3 (9.6x
+        # with the (N, dim) direction array)
         aps = build_apertures(DEFAULTS, 3)
-        cells, spacing = (2 * n,) * 3, (20.0 / n,) * 3
-        mag = excitation._frequency_magnitudes(cells, spacing) if given_mag else None
-        got, peak = traced_peak(lambda: table(aps, cells, spacing, mag))
-        assert peak <= bound * got.nbytes
+        cells, spacing = (128,) * 3, (20.0 / 64,) * 3
+        got, peak = traced_peak(lambda: table(aps, cells, spacing))
+        assert peak <= 5.6 * got.nbytes
+
+    @pytest.mark.parametrize("taper", [None, 0.0, 0.5])
+    @pytest.mark.parametrize("amplitude", [1.0, 3.7, 1e308])
+    def test_2d_factor_equals_two_density_calls(self, taper, amplitude):
+        # one `profile` call doubled against one call per perpendicular
+        # direction: 20,003 rows, a fan over the circle, the rows whose
+        # perpendiculars lie on the plateau and taper edges of either cone,
+        # and non-finite rows; amplitude 1e308 overflows to inf
+        ap = Aperture(dim=2, axis=unit(0.37), half_angle=0.6,
+                      taper_width=taper, amplitude=amplitude)
+        th = np.linspace(0.0, 2 * np.pi, 19_994, endpoint=False)
+        edges = np.array([ap.half_angle, ap.half_angle - ap.taper_width])
+        th = np.concatenate([th, 0.37 + np.pi / 2 + edges, 0.37 - np.pi / 2 - edges,
+                             [0.37 + np.pi / 2, 0.37 - np.pi / 2]])
+        om = np.concatenate([np.stack([np.cos(th), np.sin(th)], axis=1),
+                             [[np.inf, 0.0], [0.0, -np.inf], [np.nan, 0.0]]])
+        assert len(om) == 20_003
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = multiplier._factor_2d(ap, om)
+            ref = two_call_factor_2d(ap, om)
+        assert got.tobytes() == ref.tobytes()
+        assert amplitude < 1e308 or np.any(np.isinf(ref))
 
     def test_factor_on_edge_rows_is_bit_identical(self):
         # rows on and next to the axis (s = 1 and just below), rows whose
