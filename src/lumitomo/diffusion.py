@@ -126,6 +126,14 @@ class DiscreteOperator:
             shape[ax] = -1
             eig += (med.D / g.spacing[ax] ** 2) * lam.reshape(shape)
         self._inv_eig = 1.0 / eig
+        # `boundary_flux`'s gather: per boundary face, in the order of
+        # `_sides`, the flat index of its cell and its divisor c_plus * dx
+        index = np.arange(g.n_cells).reshape(g.cells)
+        self._face_cells = np.empty(boundary_face_count(g), dtype=np.intp)
+        self._face_divisor = np.empty(self._face_cells.size)
+        for ax, edge, faces in _sides(g):
+            self._face_cells[faces] = np.take(index, edge, axis=ax).ravel()
+            self._face_divisor[faces] = self._c_plus[ax] * g.spacing[ax]
         self.last_solve = (0, 0.0)
 
     def _precondition(self, r):
@@ -135,15 +143,18 @@ class DiscreteOperator:
         Robin-cornered tridiag(-1, 2, -1) of `_robin_modes`, so its inverse is
         a mode transform along every axis, a division by the summed
         eigenvalues and the transform back (Lynch, Rice & Thomas, Numer.
-        Math. 6, 1964).  Each tensordot contracts the leading axis and
-        appends the result axis, so after one pass the axes are in order.
+        Math. 6, 1964).  Each mode product contracts the leading axis and
+        appends the result axis, so after one pass the axes are in order:
+        the `np.dot` that np.tensordot(u, vecs, axes=(0, 0)) (or (0, 1))
+        makes on the same views, the other axes merged against the leading
+        one, without tensordot's wrapper, so with the same bits.
         """
         u = r
         for vecs in self._vecs:
-            u = np.tensordot(u, vecs, axes=(0, 0))
+            u = np.dot(u.reshape(len(u), -1).T, vecs).reshape(u.shape[1:] + (-1,))
         u *= self._inv_eig
         for vecs in self._vecs:
-            u = np.tensordot(u, vecs, axes=(0, 1))
+            u = np.dot(u.reshape(len(u), -1).T, vecs.T).reshape(u.shape[1:] + (-1,))
         return u
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -207,7 +218,7 @@ class DiscreteOperator:
         res = b_norm
         r = b.copy()
         z = self._precondition(r)
-        p = z.copy()
+        p = z  # never written in place
         rz = float(np.sum(r * z))
         for it in range(1, max_iter + 1):
             Ap = self.apply(p)
@@ -300,16 +311,16 @@ def boundary_flux(op: DiscreteOperator, u):
     """Outgoing flux Q = u_face / (2A) of the grid-shaped cell array u on
     every boundary face, in the order of `_sides`, with the face trace
     implied by the ghost closure: exactly compatible with the discrete
-    reciprocity identity."""
-    g, med = op.grid, op.medium
-    if np.shape(u) != g.cells:
+    reciprocity identity.
+
+    One gather of the faces' cells (`DiscreteOperator._face_cells`), times
+    D, divided by each face's c_plus * dx: per face the arithmetic of
+    D * u_cell / (c_plus * dx), so the bits of a loop over the sides."""
+    if np.shape(u) != op.grid.cells:
         raise InvalidArgumentError("field grid mismatch")
-    spacing = g.spacing
-    vals = np.empty(boundary_face_count(g))
-    for ax, edge, faces in _sides(g):
-        u1 = np.ravel(np.take(u, edge, axis=ax))
-        # face trace (u_ghost + u_in)/2 under the homogeneous closure
-        vals[faces] = med.D * u1 / (op._c_plus[ax] * spacing[ax])
+    vals = np.take(u, op._face_cells)
+    vals *= op.medium.D
+    vals /= op._face_divisor
     return vals
 
 

@@ -36,8 +36,10 @@ DEFAULT_TAPER_FRACTION = 0.15
 # line samples per block of whole lines in xray_transform (one line when a
 # line is longer); only the rows of the support's box are sampled
 XRAY_BLOCK_SAMPLES = 8192
-# most lattice offsets per `_kernel_samples` call in cone_kernel; one call
-# per row took the default 2D 128^2 operator build 118 ms against 18 ms
+# most offsets per `_kernel_samples` call, in cone_kernel (one call per row
+# took the default 2D 128^2 operator build 118 ms against 18 ms) and in
+# full_physics_measurements (with the solves stubbed, 100 spot-check foci
+# at 128^2 took 4.6 ms one call per focus, 2.7 ms in blocks of 65 foci)
 KERNEL_BLOCK_SAMPLES = 16384
 
 
@@ -143,20 +145,35 @@ def cone_kernel(ap: Aperture, grid: Grid):
     the cosine to the axis only changes sign and `profile` takes its
     magnitude.  So it is sampled at the offsets whose first component is
     <= 0, and the entries with first component > 0 are those samples
-    mirrored through the zero offset.  They are sampled in blocks of whole
+    mirrored through the zero offset.  On a later axis k whose aperture
+    axis component is exactly 0.0 (every 3D cone of `build_apertures`),
+    the kernel is also even in d_k alone: d_k * 0.0 is +-0, which leaves a
+    nonzero partial sum of the cosine's dot product as it is and at most
+    flips the sign of a zero one, which `profile`'s |cos| absorbs, and
+    d_k^2 does not change.  There only the offsets with d_k <= 0 are
+    sampled, and their mirror images are written into the table from the
+    same samples, read in reverse.  They are sampled in blocks of whole
     first-axis rows of at most KERNEL_BLOCK_SAMPLES offsets (one row when a
     row is longer), so beside the table only one block's arrays are live.
     """
     cells = grid.cells
-    offsets = [np.arange(-(n - 1), n) * h for n, h in zip(cells, grid.spacing)]
+    # the sampled offsets: on a reflected axis those <= 0, else all
+    reflected = [k > 0 and ap.axis[k] == 0.0 for k in range(grid.dim)]
+    offsets = [np.arange(-(n - 1), 1 if e else n) * h
+               for n, h, e in zip(cells, grid.spacing, reflected)]
     self_weight = _self_cell_weight(ap, grid)
     n0 = cells[0]
     K = np.zeros(tuple(2 * n for n in cells))
     # on each later axis, the circular cells of the offsets >= 0 and < 0
-    # and the table's entries for them
-    pairs = [((slice(0, n), slice(n - 1, 2 * n - 1)),
-              (slice(n + 1, 2 * n), slice(0, n - 1))) for n in cells[1:]]
-    flip = tuple(range(1, grid.dim))
+    # and the samples for them: on a reflected axis, offset k >= 0 reads
+    # the sample of -k, the samples in reverse
+    pairs = []
+    for n, e in zip(cells[1:], reflected[1:]):
+        nonneg = slice(n - 1, None, -1) if e else slice(n - 1, 2 * n - 1)
+        pairs.append(((slice(0, n), nonneg), (slice(n + 1, 2 * n), slice(0, n - 1))))
+    # the mirror through the zero offset flips the axes that are sampled
+    # on both sides; a reflected axis reads the same samples either way
+    flip = tuple(k for k in range(1, grid.dim) if not reflected[k])
     rows = max(1, KERNEL_BLOCK_SAMPLES // math.prod(len(o) for o in offsets[1:]))
     for lo in range(0, n0, rows):
         hi = min(lo + rows, n0)
@@ -164,8 +181,9 @@ def cone_kernel(ap: Aperture, grid: Grid):
                      axis=-1)
         half = _kernel_samples(ap, grid, d, self_weight)
         # row i has first offset i - (n0 - 1) <= 0, at circular row
-        # (i + n0 + 1) mod 2 n0; its mirror, every later axis flipped too,
-        # is at circular row n0 - 1 - i (none for the zero offset, i = n0 - 1)
+        # (i + n0 + 1) mod 2 n0; its mirror, every later offset negated
+        # too, is at circular row n0 - 1 - i (none for the zero offset,
+        # i = n0 - 1)
         i = np.arange(lo, hi)
         mirrored = i < n0 - 1
         mirror = np.flip(half[mirrored], axis=flip)
@@ -243,6 +261,26 @@ def _frequency_magnitudes(cells, spacing):
     bits of the norm of the (..., dim) frequency stack."""
     sq = _sum_of_squares(_frequency_axes(cells, spacing))
     return np.sqrt(sq, out=sq)
+
+
+def _low_shell(shape, spacing):
+    """np.nonzero index arrays of the lowest frequency shell of the rfftn
+    half spectrum of a circular grid: |xi| <= LOW_FREQ_BINS times its
+    smallest frequency.  An entry of the shell lies within LOW_FREQ_BINS
+    bins of zero on every axis, so |xi| is formed on that sub-box only,
+    from the same per-axis frequencies (`_frequency_magnitudes`' bits);
+    each axis's bins, whose wrapped distance to zero is at most
+    LOW_FREQ_BINS, are listed ascending and once, so the indices come in
+    np.nonzero's C order over the whole half spectrum."""
+    xi_min = min(2.0 * np.pi / (n * h) for n, h in zip(shape, spacing))
+    axes = _frequency_axes(shape, spacing)
+    bins = []
+    for a, n in zip(axes, shape):
+        k = np.arange(len(a))
+        bins.append(np.flatnonzero(np.minimum(k, n - k) <= LOW_FREQ_BINS))
+    sq = _sum_of_squares([a[b] for a, b in zip(axes, bins)])
+    hit = np.nonzero(np.sqrt(sq, out=sq) <= LOW_FREQ_BINS * xi_min * (1.0 + 1e-9))
+    return tuple(b[i] for b, i in zip(bins, hit))
 
 
 class CircularGrid:
@@ -390,9 +428,7 @@ class ConeConvolution(CircularGrid):
         self.distinct = tuple(distinct)
         self.group = np.array(group, dtype=np.intp)
         self.counts = np.bincount(self.group)
-        xi_min = min(2.0 * np.pi / (n * h) for n, h in zip(self.shape, grid.spacing))
-        self.shell_index = np.nonzero(_frequency_magnitudes(
-            self.shape, grid.spacing) <= LOW_FREQ_BINS * xi_min * (1.0 + 1e-9))
+        self.shell_index = _low_shell(self.shape, grid.spacing)
         self._shell_sum = None
         self.spectra = None
         if held:
@@ -694,26 +730,33 @@ def full_physics_measurements(op: DiscreteOperator, h: BoundaryField,
 
     The source vanishes wherever f does, so the kernel is sampled only on
     the support of f and scattered into a zero field; the kernel is finite,
-    so every source is the dense product K * f bit for bit.  A focus whose
-    source has no nonzero cell measures exactly 0 without a solve.  The
-    source, solution and flux stay plain arrays: no focus copies or checks
-    a field.
+    so every source is the dense product K * f bit for bit.  The samples
+    of a block of foci come from one `_kernel_samples` call, offsets shaped
+    (foci, support, dim), of at most KERNEL_BLOCK_SAMPLES offsets and at
+    least one focus; each sample is elementwise arithmetic on its own
+    offset, so a focus's source has the bits of a call of its own.  A
+    block's foci are solved before the next block is sampled, so beside
+    the solves only one block's arrays are live.  A focus whose source has
+    no nonzero cell measures exactly 0 without a solve.  The source,
+    solution and flux stay plain arrays: no focus copies or checks a field.
     """
     grid = op.grid
     support = np.flatnonzero(f.values)
     centers = grid.centers().reshape(-1, grid.dim)[support]
     f_support = f.values.ravel()[support]
     self_weight = _self_cell_weight(ap, grid)
-    out = []
-    for x in foci:
-        values = _kernel_samples(
-            ap, grid, np.asarray(x, float) - centers, self_weight) * f_support
-        if not values.any():
+    foci = np.asarray(foci, dtype=float).reshape(-1, grid.dim)
+    out = np.zeros(len(foci))
+    block = max(1, KERNEL_BLOCK_SAMPLES // max(1, support.size))
+    for lo in range(0, len(foci), block):
+        samples = _kernel_samples(
+            ap, grid, foci[lo:lo + block, None, :] - centers, self_weight)
+        samples *= f_support
+        for k, values in enumerate(samples, lo):
             # a zero source solves to the zero field: exactly 0
-            out.append(0.0)
-            continue
-        source = np.zeros(grid.n_cells)
-        source[support] = values
-        out.append(boundary_functional(
-            h, boundary_flux(op, solve_forward(op, source))))
-    return np.array(out)
+            if values.any():
+                source = np.zeros(grid.n_cells)
+                source[support] = values
+                out[k] = boundary_functional(
+                    h, boundary_flux(op, solve_forward(op, source)))
+    return out

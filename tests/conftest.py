@@ -50,6 +50,12 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def same_bits(got, want):
+    """Equal bytes, and so equal sign bits, zeros included."""
+    return (got.shape == want.shape and got.tobytes() == want.tobytes()
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
 def stacked_rows(conv, g):
     """The rows of `conv.rows(g)`, each copied out of its work array into
     one stack."""

@@ -35,8 +35,20 @@ compares the runtime path with.
   one transform of the whole sinogram, as `fbp.fbp` filtered before it
   took a block of angles at a time;
 - `centers_phantom`: the phantom rasterized from the stacked cell centers,
-  as `fields.build_phantom` did before it summed per-axis distances.
+  as `fields.build_phantom` did before it summed per-axis distances;
+- `half_sampled_cone_kernel`: `excitation.cone_kernel` with every later
+  axis sampled on both sides, as it was before it reflected the axes
+  whose aperture-axis component is 0.0;
+- `per_side_flux`, `tensordot_precondition`, `per_focus_measurements`:
+  `diffusion.boundary_flux` as a loop over the boundary sides,
+  `DiscreteOperator._precondition` with np.tensordot's mode products, and
+  `excitation.full_physics_measurements` with one kernel sampling per
+  focus, as each was before the spot check took a block of foci per
+  sampling and one gather of the boundary cells.
 """
+
+import itertools
+import math
 
 import numpy as np
 
@@ -45,7 +57,8 @@ from lumitomo.diffusion import (_sides, boundary_face_count,
                                 boundary_flux, boundary_functional,
                                 solve_adjoint_weight, solve_forward)
 from lumitomo.errors import InvalidArgumentError
-from lumitomo.excitation import LOW_FREQ_BINS
+from lumitomo.excitation import (KERNEL_BLOCK_SAMPLES, LOW_FREQ_BINS,
+                                 _kernel_samples, _self_cell_weight)
 from lumitomo.fbp import FbpFilter, _backproject
 from lumitomo.fields import ScalarField
 
@@ -367,3 +380,79 @@ def centers_phantom(spec, grid):
         d2 = np.sum((centers - np.asarray(center)) ** 2, axis=-1)
         vals[d2 <= radius * radius] = conc
     return vals
+
+
+def half_sampled_cone_kernel(ap, grid):
+    """`excitation.cone_kernel` sampled at every offset whose first
+    component is <= 0, in blocks of whole first-axis rows of at most
+    KERNEL_BLOCK_SAMPLES offsets, with the entries of first component > 0
+    mirrored through the zero offset (every later axis flipped)."""
+    cells = grid.cells
+    offsets = [np.arange(-(n - 1), n) * h for n, h in zip(cells, grid.spacing)]
+    self_weight = _self_cell_weight(ap, grid)
+    n0 = cells[0]
+    K = np.zeros(tuple(2 * n for n in cells))
+    pairs = [((slice(0, n), slice(n - 1, 2 * n - 1)),
+              (slice(n + 1, 2 * n), slice(0, n - 1))) for n in cells[1:]]
+    flip = tuple(range(1, grid.dim))
+    rows = max(1, KERNEL_BLOCK_SAMPLES // math.prod(len(o) for o in offsets[1:]))
+    for lo in range(0, n0, rows):
+        hi = min(lo + rows, n0)
+        d = np.stack(np.meshgrid(offsets[0][lo:hi], *offsets[1:], indexing="ij"),
+                     axis=-1)
+        half = _kernel_samples(ap, grid, d, self_weight)
+        i = np.arange(lo, hi)
+        mirrored = i < n0 - 1
+        mirror = np.flip(half[mirrored], axis=flip)
+        for block in itertools.product(*pairs):
+            dst, src = zip(*block)
+            K[((i + n0 + 1) % (2 * n0),) + dst] = half[(slice(None),) + src]
+            K[(n0 - 1 - i[mirrored],) + dst] = mirror[(slice(None),) + src]
+    return K
+
+
+def per_side_flux(op, u):
+    """`diffusion.boundary_flux` as a loop over the sides of `_sides`: the
+    cells beside each side, times D, over c_plus * dx of its axis."""
+    g, med = op.grid, op.medium
+    vals = np.empty(boundary_face_count(g))
+    for ax, edge, faces in _sides(g):
+        u1 = np.ravel(np.take(u, edge, axis=ax))
+        vals[faces] = med.D * u1 / (op._c_plus[ax] * g.spacing[ax])
+    return vals
+
+
+def tensordot_precondition(op, r):
+    """`DiscreteOperator._precondition` with each mode product formed by
+    np.tensordot."""
+    u = r
+    for vecs in op._vecs:
+        u = np.tensordot(u, vecs, axes=(0, 0))
+    u *= op._inv_eig
+    for vecs in op._vecs:
+        u = np.tensordot(u, vecs, axes=(0, 1))
+    return u
+
+
+def per_focus_measurements(op, h, f, ap, foci):
+    """`excitation.full_physics_measurements` as a loop over the foci: per
+    focus one `_kernel_samples` call on the support of f, and for a source
+    with a nonzero cell a forward solve, `per_side_flux` and the boundary
+    functional; 0.0 for the others."""
+    grid = op.grid
+    support = np.flatnonzero(f.values)
+    centers = grid.centers().reshape(-1, grid.dim)[support]
+    f_support = f.values.ravel()[support]
+    self_weight = _self_cell_weight(ap, grid)
+    out = []
+    for x in foci:
+        values = _kernel_samples(
+            ap, grid, np.asarray(x, float) - centers, self_weight) * f_support
+        if not values.any():
+            out.append(0.0)
+            continue
+        source = np.zeros(grid.n_cells)
+        source[support] = values
+        out.append(boundary_functional(
+            h, per_side_flux(op, solve_forward(op, source))))
+    return np.array(out)

@@ -8,12 +8,13 @@ from lumitomo.diffusion import (BoundaryField, DiscreteOperator, _robin_modes,
                                 boundary_face_count, boundary_flux,
                                 solve_adjoint_weight, solve_forward)
 from lumitomo.errors import InvalidArgumentError, SolverFailureError
-from lumitomo.fields import OpticalMedium, ScalarField, make_grid
+from lumitomo.fields import Grid, OpticalMedium, ScalarField, make_grid
 
-from conftest import constant_field, reference_cg, two_bump_phantom
-from oracles import (continuum_flux, null_space_defect, radial_ode_solve,
-                     radial_weight_ball, radial_weight_disk,
-                     reciprocity_residual)
+from conftest import (constant_field, reference_cg, same_bits,
+                      two_bump_phantom)
+from oracles import (continuum_flux, null_space_defect, per_side_flux,
+                     radial_ode_solve, radial_weight_ball, radial_weight_disk,
+                     reciprocity_residual, tensordot_precondition)
 
 
 def jacobi_pcg(op, rhs, tol, max_iter=20000):
@@ -198,6 +199,45 @@ def test_boundary_flux_consistent_vs_continuum(grid64, tissue_medium):
     # the two quadratures agree to discretization accuracy
     scale = np.max(np.abs(qc))
     assert np.max(np.abs(qc - qx)) <= 0.05 * scale
+
+
+@pytest.mark.parametrize("grid", [
+    make_grid(2, (-6, -10), (12, 20), (40, 72)),
+    make_grid(3, (-8, -6, -4), (16, 9, 8), (12, 10, 6)),
+    Grid(3, (0.0, 0.0, 0.0), (7 * 0.3, 5 * 0.7, 3 * 1.1), (7, 5, 3))],
+    ids=["2d", "3d", "3d-7x5x3"])
+def test_boundary_flux_is_the_per_side_loop(grid, tissue_medium):
+    # one gather, times D, over each face's divisor: the loop's bits, on
+    # a solution, random cells with signed zeros, and a non-contiguous view
+    op = assemble_operator(grid, tissue_medium)
+    rng = np.random.default_rng(17)
+    u = rng.standard_normal(grid.cells)
+    u[u > 1.0] = -0.0
+    u[u < -1.0] = 0.0
+    solved = solve_forward(op, two_bump_phantom(grid).values
+                           if grid.dim == 2 else np.abs(u), tol=1e-12)
+    view = np.asfortranarray(u)
+    for cells in (solved, u, view):
+        assert same_bits(boundary_flux(op, cells), per_side_flux(op, cells))
+    with pytest.raises(InvalidArgumentError, match="grid mismatch"):
+        boundary_flux(op, u.ravel())
+
+
+@pytest.mark.parametrize("cells,extent", [
+    ((128, 128), (20, 20)), ((96, 40), (20, 20)), ((24, 24, 24), (20, 20, 20)),
+    ((20, 16, 10), (20, 20, 20)), ((7, 5, 3), (7 * 0.3, 5 * 0.7, 3 * 1.1))],
+    ids=["128x128", "96x40", "24^3", "20x16x10", "7x5x3"])
+@pytest.mark.parametrize("varying", [False, True], ids=["const", "varying"])
+def test_precondition_is_the_tensordot_form(cells, extent, varying,
+                                            tissue_medium):
+    grid = Grid(len(cells), tuple(-0.5 * e for e in extent), extent, cells)
+    rng = np.random.default_rng(23)
+    mu = (rng.uniform(0.01, 0.5, cells) if varying else tissue_medium.mu_a)
+    op = DiscreteOperator(grid, tissue_medium, mu)
+    for r in (rng.standard_normal(cells), np.ones(cells), np.zeros(cells)):
+        got = op._precondition(r.copy())
+        assert same_bits(got, tensordot_precondition(op, r.copy()))
+        assert got.shape == cells
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 24, 128])

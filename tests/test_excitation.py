@@ -26,10 +26,12 @@ from lumitomo.fields import Grid, ScalarField, build_phantom, make_grid
 from lumitomo.multiplier import invert_multiplier
 
 from conftest import (cell_index, centered_table, constant_field,
-                      extended_grid, fan_apertures, reference_cg,
+                      extended_grid, fan_apertures, reference_cg, same_bits,
                       stacked_rows, traced_peak, two_bump_phantom)
-from oracles import (cone_intensity, kernel_shell, loop_aperture_groups,
-                     low_shell, stacked_forward, stacked_linear_map)
+from oracles import (cone_intensity, half_sampled_cone_kernel, kernel_shell,
+                     loop_aperture_groups, low_shell, per_focus_measurements,
+                     stacked_forward, stacked_linear_map,
+                     tensordot_precondition)
 
 
 def unit(theta):
@@ -489,8 +491,14 @@ STREAMED = [
      build_apertures(DEFAULTS, 3)),
     (make_grid(3, (-8, -8, -8), (16, 16, 16), (16, 16, 16)),
      paired_axes_3d() + [Aperture(dim=3, axis=(0, 0, 1), half_angle=0.4)]),
+    # at most LOW_FREQ_BINS cells on an axis, whose wrapped shell bins
+    # overlap, and unequal spacings on every axis
+    (make_grid(2, (-2, -10), (4, 20), (5, 40)), build_apertures(DEFAULTS, 2)),
+    (make_grid(3, (-6, -8, -3), (12, 16, 6), (12, 20, 8)),
+     build_apertures(DEFAULTS, 3)),
 ]
-STREAMED_IDS = ["2d-default", "2d-mixed", "3d-default", "3d-mixed"]
+STREAMED_IDS = ["2d-default", "2d-mixed", "3d-default", "3d-mixed",
+                "2d-5-cells", "3d-anisotropic"]
 
 
 class TestStreamedSpectra:
@@ -588,9 +596,14 @@ class TestStreamedSpectra:
             rows = len({id(fld) for fld in scan.fields}) * f.values.nbytes
             return (peak - rows) / spectrum
 
+        # the two cones of count 2 are one double cone about (1, 0, 0),
+        # whose kernel is sampled on a quarter of the offsets (two axis
+        # components are 0.0, see `cone_kernel`); every larger set has a
+        # cone with one such component, whose sample blocks set the peak
         streamed = [over_rows(count, False) for count in (2, 6, 16, 32)]
         assert max(streamed) <= 10.5
-        assert max(streamed) - min(streamed) <= 0.25
+        assert max(streamed[1:]) - min(streamed[1:]) <= 0.25
+        assert streamed[0] <= min(streamed[1:])
         assert over_rows(32, True) - over_rows(2, True) >= 12.0
 
 
@@ -1169,6 +1182,42 @@ class TestKernelSampler:
             assert cone_kernel(ap, grid).tobytes() == wrapped_table(
                 reference_cone_kernel(ap, grid)).tobytes()
 
+    @pytest.mark.parametrize("block", [None, 1, 40],
+                             ids=["default", "row-blocks", "40-samples"])
+    @pytest.mark.parametrize("grid", [
+        make_grid(2, (-1, -2), (7 * 0.3, 8 * 0.7), (7, 8)),
+        Grid(2, (0.0, 0.0), (1.0, 9.0), (1, 9)),
+        make_grid(3, (0, 0, 0), (5 * 0.3, 6 * 0.7, 4 * 1.1), (5, 6, 4)),
+        Grid(3, (0.0, 0.0, 0.0), (1.0, 5.0, 7.0), (1, 5, 7))],
+        ids=["2d", "2d-one-row", "3d", "3d-one-row"])
+    def test_reflected_axes_are_the_half_sampled_kernel(self, grid, block,
+                                                        monkeypatch):
+        # axes with one zero component (first, middle or last, +0.0 or
+        # -0.0), with two, and with none; a later axis whose component is
+        # 0.0 is sampled at its offsets <= 0 only
+        axes = {2: [(0, 1), (1, 0), (1, -0.0), (0.6, 0.8)],
+                3: [(0, 0.6, 0.8), (0.6, 0, 0.8), (0.6, 0.8, 0),
+                    (0.6, -0.0, 0.8), (0, 0, 1), (0, 1, 0), (-1, 0, 0),
+                    (0.2, 0.7, -0.4)]}[grid.dim]
+        if block is not None:
+            monkeypatch.setattr(excitation, "KERNEL_BLOCK_SAMPLES", block)
+        shapes = []
+        kernel_samples = excitation._kernel_samples
+        monkeypatch.setattr(excitation, "_kernel_samples",
+                            lambda ap, grid, d, w: shapes.append(d.shape)
+                            or kernel_samples(ap, grid, d, w))
+        for axis in axes:
+            for ap in (Aperture(dim=grid.dim, axis=axis, half_angle=0.5),
+                       Aperture(dim=grid.dim, axis=axis, half_angle=0.3,
+                                taper_width=0.0)):
+                del shapes[:]
+                K = cone_kernel(ap, grid)
+                assert same_bits(K, half_sampled_cone_kernel(ap, grid))
+                widths = tuple(n if ap.axis[k] == 0.0 else 2 * n - 1
+                               for k, n in enumerate(grid.cells) if k > 0)
+                assert all(shape[1:-1] == widths for shape in shapes)
+                assert sum(shape[0] for shape in shapes) == grid.cells[0]
+
     def test_build_holds_the_spectra_and_one_kernel(self):
         # the stack, one complex work spectrum, one kernel table and one
         # block of samples: measured 2.09x the stack (3.58x when every
@@ -1404,14 +1453,22 @@ class TestFullPhysicsReference:
 
     def test_samples_only_the_support_and_weighs_the_self_cell_once(
             self, monkeypatch):
+        # every focus is sampled once, in order, on the support only, in
+        # blocks of at most KERNEL_BLOCK_SAMPLES offsets and at least one
+        # focus (the default bound, bounds of 3, 2 and 1 foci, and one
+        # below the support); the self-cell quadrature runs once a call
         _, truth, op, h, _, aps = config_case("grid.cells=64,64")
         support = np.count_nonzero(truth.values)
+        centers = truth.grid.centers().reshape(-1, 2)[
+            np.flatnonzero(truth.values)]
+        foci = truth.grid.centers()[20:44:6, 20:44:12].reshape(-1, 2)
+        assert len(foci) == 8
         sampled, quadratures = [], []
         kernel_samples = excitation._kernel_samples
         angular_integral = Aperture.angular_integral
 
         def counted_samples(ap, grid, d, self_weight):
-            sampled.append(d.shape)
+            sampled.append(d.copy())
             return kernel_samples(ap, grid, d, self_weight)
 
         def counted_integral(ap):
@@ -1420,7 +1477,102 @@ class TestFullPhysicsReference:
 
         monkeypatch.setattr(excitation, "_kernel_samples", counted_samples)
         monkeypatch.setattr(Aperture, "angular_integral", counted_integral)
-        foci = truth.grid.centers()[20:44:6, 32]
-        full_physics_measurements(op, h, truth, aps[0], foci)
-        assert sampled == [(support, 2)] * len(foci)
-        assert quadratures == [aps[0]]
+        default = excitation.KERNEL_BLOCK_SAMPLES
+        for bound, sizes in [(default, [8]), (3 * support + 2, [3, 3, 2]),
+                             (2 * support + 1, [2] * 4), (support, [1] * 8),
+                             (support - 1, [1] * 8)]:
+            monkeypatch.setattr(excitation, "KERNEL_BLOCK_SAMPLES", bound)
+            del sampled[:], quadratures[:]
+            full_physics_measurements(op, h, truth, aps[0], foci)
+            assert quadratures == [aps[0]]
+            for d in sampled:
+                assert d.ndim == 3 and d.shape[1:] == (support, 2)
+                assert d.shape[0] == 1 or d.shape[0] * support <= bound
+            assert [d.shape[0] for d in sampled] == sizes
+            assert np.concatenate(sampled).tobytes() == \
+                (foci[:, None, :] - centers).tobytes()
+
+
+def lattice_foci(grid, count):
+    """The cell centres of `pipeline._spot_points` for `count` checks."""
+    centers = grid.centers()
+    return [centers[p] for p in pipeline._spot_points(count, grid)]
+
+
+GRID_24 = GRID_3D[:3] + ("grid.cells=24,24,24",) + GRID_3D[4:]
+GRID_20x16x10 = GRID_3D[:3] + ("grid.cells=20,16,10",) + GRID_3D[4:]
+
+
+class TestBlockedSpotCheck:
+    """`full_physics_measurements` samples a block of foci per call; each
+    measurement keeps the bits of one sampling per focus, with the forward
+    solve's mode products in np.tensordot and the flux a loop over the
+    boundary sides (`oracles.per_focus_measurements`)."""
+
+    @pytest.mark.parametrize("items,count,cones", [
+        (("run.spot_checks=100",), 100, 1),
+        (("phantom.inclusions=0,0,15,5.0",), 4, 1),
+        (("cones.count=7", "cones.start_deg=13"), 9, 7),
+        (GRID_24, 16, 2),
+        (GRID_20x16x10, 9, 2)],
+        ids=["128^2-100-foci", "grid-filling", "7-tilted-cones", "24^3",
+             "20x16x10"])
+    def test_blocks_are_the_per_focus_loop(self, items, count, cones,
+                                           monkeypatch):
+        _, truth, op, h, _, aps = config_case(*items)
+        grid = truth.grid
+        foci = lattice_foci(grid, count)
+        blocks = []
+        kernel_samples = excitation._kernel_samples
+        monkeypatch.setattr(excitation, "_kernel_samples",
+                            lambda ap, grid, d, w: blocks.append(d.shape[0])
+                            or kernel_samples(ap, grid, d, w))
+        for ap in aps[:cones]:
+            del blocks[:]
+            got = full_physics_measurements(op, h, truth, ap, foci)
+            with monkeypatch.context() as m:
+                m.setattr(op, "_precondition",
+                          lambda r: tensordot_precondition(op, r))
+                want = per_focus_measurements(op, h, truth, ap, foci)
+            assert same_bits(got, want)
+            assert np.count_nonzero(got) > 0
+            support = np.count_nonzero(truth.values)
+            assert sum(blocks) == count
+            assert blocks[0] == min(count, max(
+                1, excitation.KERNEL_BLOCK_SAMPLES // support))
+        if "phantom.inclusions=0,0,15,5.0" in items:
+            # the inclusion fills the grid: one focus per block
+            assert np.count_nonzero(truth.values) == grid.n_cells
+            assert blocks == [1] * count
+        elif count == 100:
+            # 252 support cells: blocks of 65 foci
+            assert blocks == [65, 35]
+
+    def test_sampler_working_set_is_one_block(self, monkeypatch):
+        # 4,225 foci, the largest spot-check lattice at 128^2, with the
+        # solve chain stubbed: beside the foci and the results, only one
+        # block's sample arrays are live (measured 11.4 block-sized double
+        # arrays of KERNEL_BLOCK_SAMPLES; all the foci in one call, 414)
+        _, truth, op, h, _, aps = config_case("run.spot_checks=4225")
+        foci = lattice_foci(truth.grid, 4225)
+        assert len(foci) == 4225
+        monkeypatch.setattr(excitation, "solve_forward", lambda op, s: None)
+        monkeypatch.setattr(excitation, "boundary_flux", lambda op, u: None)
+        monkeypatch.setattr(excitation, "boundary_functional",
+                            lambda h, q: 1.0)
+        got, peak = traced_peak(
+            lambda: full_physics_measurements(op, h, truth, aps[0], foci))
+        assert got.shape == (4225,) and 0 < np.count_nonzero(got) < 4225
+        assert peak <= 16 * 8 * excitation.KERNEL_BLOCK_SAMPLES
+
+    @pytest.mark.parametrize("items", [(), GRID_24], ids=["2d", "3d"])
+    def test_zero_support_measures_zero_without_a_solve(self, items,
+                                                        monkeypatch):
+        _, truth, op, h, _, aps = config_case(*items)
+        zero = ScalarField(truth.grid, np.zeros(truth.grid.cells))
+        monkeypatch.setattr(excitation, "solve_forward",
+                            lambda op, s: pytest.fail("solved a zero source"))
+        foci = lattice_foci(truth.grid, 9)
+        got = full_physics_measurements(op, h, zero, aps[0], foci)
+        assert same_bits(got, np.zeros(9))
+        assert full_physics_measurements(op, h, zero, aps[0], []).shape == (0,)
