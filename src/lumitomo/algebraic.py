@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,7 +155,7 @@ def compose(A: LinearMap, M: LinearMap) -> LinearMap:
 
 
 def lsqr(linmap: LinearMap, data, max_iters=500, atol=1e-8,
-         stop_residual=0.0, residual_floor=0.0):
+         stop_residual=0.0, residual_floor=0.0, stats=None):
     """Paige-Saunders LSQR on min ||A x - b||.
 
     Runs a forward/adjoint dot test before iterating and raises
@@ -171,9 +172,13 @@ def lsqr(linmap: LinearMap, data, max_iters=500, atol=1e-8,
     (a consistent system solved), with ||A|| LSQR's running Frobenius-norm
     estimate.  Returns (solution, history) with history rows (iteration,
     ||r||, ||A^T r||, ||A^T r|| / (||A|| ||r||)); the residual norms are
-    nonincreasing.
+    nonincreasing.  A dict `stats` receives dot_test_s, the seconds that
+    the dot test took.
     """
+    t0 = time.perf_counter()
     defect = linmap.dot_test()
+    if stats is not None:
+        stats["dot_test_s"] = time.perf_counter() - t0
     if defect > 1e-10:
         raise InvalidOperatorError(
             f"forward/adjoint dot test failed: defect {defect:.3e}")

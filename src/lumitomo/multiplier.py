@@ -16,23 +16,29 @@ cos(angle to axis) = A cos(psi), and a quarter of the circle gives
 with the closed-form plateau and taper edges psi_in = arccos(cos(inner)/A)
 and psi_out = arccos(cos(half_angle)/A) (zero where A does not exceed the
 cosine).  The taper integrand is analytic in psi, so a fixed Gauss-Legendre
-rule on [psi_in, psi_out] reaches roundoff.  The rule runs once per
-distinct s = |omega . axis| of each call and the values are gathered back
-to their directions, bit for bit the per-direction values.  A cone set is
-stably invertible iff the summed angular factor is positive in every direction;
-inversion is regularized frequency division followed by division by the
-interior weight.  Symbol tables and the inversion use the rfftn half
-spectrum of a grid with twice the field's cells per axis (the frequencies
-of `excitation._frequency_axes`).  On its lowest frequency shell, the zero
-frequency included, the symbol is replaced by the half spectrum of the
-discrete quadrature kernel, which the cone operator sums there
-(`ConeConvolution.shell_sum`).  The division runs through the operator's
-`filter`, the one pad, multiply and crop on the doubled grid.
+rule on [psi_in, psi_out] reaches roundoff.  `angular_factor` runs the rule
+once per distinct s = |omega . axis| of each call and gathers the values
+back to their directions, bit for bit the per-direction values.  Between
+its kinks at A = cos(inner) and A = cos(half_angle) the factor is analytic
+in psi_in (where A > cos(inner)) and in psi_out (below), so the symbol
+table evaluates a piecewise Chebyshev interpolant of the rule in those
+arcs, fitted once per cone geometry (`_fitted_arc`; Trefethen,
+Approximation Theory and Approximation Practice, SIAM 2013, chs. 8 and 19).
+A cone set is stably invertible iff the summed angular factor is positive
+in every direction; inversion is regularized frequency division followed
+by division by the interior weight.  Symbol tables and the inversion use
+the rfftn half spectrum of a grid with twice the field's cells per axis
+(the frequencies of `excitation._frequency_axes`).  On its lowest
+frequency shell, the zero frequency included, the symbol is replaced by
+the half spectrum of the discrete quadrature kernel, which the cone
+operator sums there (`ConeConvolution.shell_sum`).  The division runs
+through the operator's `filter`, the one pad, multiply and crop on the
+doubled grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,7 +63,17 @@ MARGIN_SAMPLES_3D = 4096
 # thread), against 1.3, 6.2 and 14.8 ms in blocks of 65,536 rows and 1.8,
 # 11.4 and 27.5 ms in one block.
 TABLE_BLOCK_ROWS = 16384
-
+# The 3D table's interpolant of the rule (`_fitted_arc`): pieces of degree
+# FIT_DEGREE, bisected while they miss the rule by more than FIT_TOLERANCE
+# of its maximum, or 2 eps / half_angle^2 (the rule's own rounding) where
+# that is larger, at most FIT_MAX_DEPTH times and not past FIT_MAX_PENDING
+# pieces a level.  The default cones take one piece on each side of the
+# kink; a taper fraction of 0.999 about 20, towards a singularity at A = 1
+# just beyond the kink.
+FIT_DEGREE = 24
+FIT_TOLERANCE = 2e-14
+FIT_MAX_DEPTH = 30
+FIT_MAX_PENDING = 32
 
 def _gauss_legendre(n):
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]:
@@ -92,21 +108,34 @@ def _factor_2d(ap: Aperture, om):
     return np.pi * (2.0 * ap.profile(c))
 
 
-def _meets_cone(ap: Aperture, s):
-    """Clip s = omega . axis in place to |s| <= 1 and return the mask of the
-    rows whose great circle meets the cone, A = sqrt(1 - s^2) >
-    cos(half_angle); the factor of every other row is 4 pi amplitude * 0.0."""
+def _factor_3d(ap: Aperture, arc, om):
+    """The 3D factor of the unit direction rows om from the cone's
+    `_fitted_arc`, scaled as `_met_factor` scales the rule's arc (kept
+    positive), and 4 pi amplitude * 0.0 on the rows that miss the cone."""
+    A = _largest_cosine(om @ np.asarray(ap.axis))
+    meet = A > np.cos(ap.half_angle)
+    out = np.full(A.size, 4.0 * np.pi * ap.amplitude * 0.0)
+    out[meet] = 4.0 * np.pi * ap.amplitude * np.maximum(
+        arc(A[meet]), np.finfo(float).tiny)
+    return out
+
+
+def _largest_cosine(s):
+    """Clip s = omega . axis in place to |s| <= 1 and return A = sqrt(1 -
+    s^2), the largest cosine to the axis along each row's great circle,
+    which meets the cone where A > cos(half_angle); the factor of every
+    other row is 4 pi amplitude * 0.0."""
     np.abs(s, out=s)
     np.minimum(s, 1.0, out=s)
     A = 1.0 - s
     A *= 1.0 + s
-    return np.sqrt(A, out=A) > np.cos(ap.half_angle)
+    return np.sqrt(A, out=A)
 
 
 def _met_factor(ap: Aperture, s):
     """The 3D factor at the values s = |omega . axis| of rows that meet the
-    cone (`_meets_cone`): the taper rule runs once per distinct s, and the
-    result is (factor per distinct s, each row's index into it)."""
+    cone (`_largest_cosine`): the taper rule runs once per distinct s, and
+    the result is (factor per distinct s, each row's index into it)."""
     s, inv = np.unique(s, return_inverse=True)
     A = np.sqrt((1.0 - s) * (1.0 + s))
     inner = ap.half_angle - ap.taper_width
@@ -125,6 +154,99 @@ def _met_factor(ap: Aperture, s):
     return 4.0 * np.pi * ap.amplitude * arc, inv
 
 
+# interpolation points, then twice as many check points, 0.05% from the ends
+_FIT_POINTS = np.concatenate([
+    np.cos(np.pi * (np.arange(n) + 0.5) / n)
+    for n in (FIT_DEGREE + 1, 2 * FIT_DEGREE + 2)])
+
+
+def _arc_variable(A, cos_inner, cos_half, kink):
+    """The interpolation variable of rows with A > cos(half_angle): psi_in
+    where A > cos(inner), else psi_out - kink (the psi_out of A =
+    cos(inner)), continuous across the kink.  arctan2(sqrt(A^2 - c^2), c)
+    keeps the last bit of A, on which the rule depends; arccos(c / A)
+    rounds it away."""
+    above = A > cos_inner
+    c = np.where(above, cos_inner, cos_half)
+    u = A - c
+    u *= A + c
+    np.sqrt(u, out=u)
+    np.arctan2(u, c, out=u)
+    u[~above] -= kink
+    return u
+
+
+def _clenshaw(coef, x):
+    """sum_j coef[j] T_j(x), by Clenshaw's recurrence."""
+    x2 = 2.0 * x
+    b1, b2, b = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
+    for c in coef[:0:-1]:
+        np.multiply(x2, b1, out=b)
+        b -= b2
+        b += c
+        b1, b2, b = b, b1, b2
+    np.multiply(x, b1, out=b)
+    b -= b2
+    b += coef[0]
+    return b
+
+
+def _fitted_arc(ap: Aperture):
+    """The rule's arc, c / (4 pi amplitude) of `_met_factor`, as a function
+    of the A of rows that meet the cone: the rule's psi_in without a taper,
+    else a piecewise Chebyshev interpolant in `_arc_variable` on each side
+    of the kink (none above it when inner = 0).  Each piece interpolates
+    the rule at first-kind Chebyshev points, placed where the rule maps
+    them back from s, by a solve of their cosine matrix."""
+    if ap.taper_width == 0:
+        return lambda A: _arc_to(A, ap.half_angle)
+    inner = ap.half_angle - ap.taper_width
+    ci, ch = np.cos(inner), np.cos(ap.half_angle)
+    kink = float(np.arctan2(np.sqrt((ci - ch) * (ci + ch)), ch))
+    unit = replace(ap, amplitude=1.0)
+    tol = max(FIT_TOLERANCE, 2.0 * np.finfo(float).eps / ap.half_angle ** 2)
+    n = FIT_DEGREE + 1
+    todo = [(-kink, 0.0)] + ([(0.0, inner)] if inner > 0 else [])
+    pieces = []
+    for depth in range(FIT_MAX_DEPTH + 1):
+        lo, hi = np.array(todo).T[:, :, None]
+        mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        u = mid + rad * _FIT_POINTS
+        A = np.minimum(np.where(u > 0, ci / np.cos(u), ch / np.cos(u + kink)), 1.0)
+        s = np.sqrt((1.0 - A) * (1.0 + A)).ravel()
+        values, inv = _met_factor(unit, s)
+        f = (values[inv] / (4.0 * np.pi)).reshape(u.shape)
+        x = (_arc_variable(_largest_cosine(s), ci, ch, kink).reshape(u.shape)
+             - mid) / rad
+        if depth == 0:
+            scale = f.max()
+        split = []
+        for (a, b), xk, fk in zip(todo, x, f):
+            # the rule's rounding can carry a node of a short piece past 1
+            theta = np.arccos(np.clip(xk[:n], -1.0, 1.0))
+            coef = np.linalg.solve(np.cos(np.outer(theta, np.arange(n))), fk[:n])
+            if (np.max(np.abs(_clenshaw(coef, xk[n:]) - fk[n:])) <= tol * scale
+                    or depth == FIT_MAX_DEPTH or len(todo) > FIT_MAX_PENDING):
+                pieces.append((a, b, coef))
+            else:
+                split += [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
+        if not split:
+            break
+        todo = split
+    pieces.sort(key=lambda piece: piece[0])
+    ends = np.array([b for _, b, _ in pieces[:-1]])
+
+    def arc(A):
+        u = _arc_variable(A, ci, ch, kink)
+        which = np.searchsorted(ends, u)
+        out = np.empty_like(u)
+        for k, (a, b, coef) in enumerate(pieces):
+            rows = which == k
+            out[rows] = _clenshaw(coef, (u[rows] - 0.5 * (a + b)) / (0.5 * (b - a)))
+        return out
+    return arc
+
+
 def angular_factor(ap: Aperture, omega):
     """c(omega) = |xi| * r0(xi) for xi in direction omega; vectorized over rows.
 
@@ -138,7 +260,7 @@ def angular_factor(ap: Aperture, omega):
         out = _factor_2d(ap, om)
     else:
         s = om @ np.asarray(ap.axis)
-        meet = _meets_cone(ap, s)
+        meet = _largest_cosine(s) > np.cos(ap.half_angle)
         values, inv = _met_factor(ap, s[meet])
         out = np.full(meet.size, 4.0 * np.pi * ap.amplitude * 0.0)
         out[meet] = values[inv]
@@ -236,13 +358,15 @@ def total_symbol_table(distinct, cells, spacing):
     the 1/|xi| symbol is undefined; `invert_multiplier` takes that entry,
     with the rest of the lowest frequency shell, from the kernel spectrum.
 
-    The directions are made block by block (`_direction_blocks`).  In 2D
-    each block's factors are summed into the table; in 3D each aperture's
-    |omega . axis| fills one table-length array, so that the taper rule
-    runs once per distinct value over the whole table.  With T the table's
-    bytes, it holds |xi|, the table, that array and one aperture's work
-    arrays: for the default 3D cones 6.2 T at the peak on the half spectrum
-    of 48^3 cells and 5.2 T on those of 96^3 and 128^3 cells.
+    The directions are made block by block (`_direction_blocks`), and each
+    block's factors are summed into the table: in 2D the closed form, in
+    3D the interpolant of each cone geometry's rule (`_fitted_arc`) on the
+    block's rows that meet the cone, scaled by 4 pi amplitude as the rule
+    scales it, and positive there as the rule's factor is.  With T the
+    table's bytes, it holds |xi|, the table and one block's work arrays:
+    for the default 3D cones 4.9 T at the peak on the half spectrum of
+    48^3 cells, where one block's direction rows alone are 0.85 T, and
+    2.5 T and 2.1 T on those of 96^3 and 128^3 cells (tracemalloc).
     """
     if not distinct:
         raise InvalidArgumentError("need at least one aperture")
@@ -251,27 +375,16 @@ def total_symbol_table(distinct, cells, spacing):
     # above them in glibc's heap (0.2-0.4 MB more peak RSS at 128^2)
     m = np.zeros(mag.shape)
     flat = m.reshape(-1)
-    if len(cells) == 2:
-        for rows, om in _direction_blocks(cells, spacing, mag):
-            for ap, count in distinct:
-                flat[rows] += count * _factor_2d(ap, om)
-    else:
+    factor = _factor_2d
+    if len(cells) == 3:
+        arcs = {(ap.half_angle, ap.taper_width): ap for ap, _ in distinct}
+        arcs = {key: _fitted_arc(ap) for key, ap in arcs.items()}
+
+        def factor(ap, om):
+            return _factor_3d(ap, arcs[ap.half_angle, ap.taper_width], om)
+    for rows, om in _direction_blocks(cells, spacing, mag):
         for ap, count in distinct:
-            s = np.empty(m.size)
-            axis = np.asarray(ap.axis)
-            for rows, om in _direction_blocks(cells, spacing, mag):
-                np.matmul(om, axis, out=s[rows])
-            meet = _meets_cone(ap, s)
-            s = s[meet]  # frees the table-length array before np.unique
-            values, inv = _met_factor(ap, s)
-            del s
-            values *= count
-            flat[meet] += values[inv]
-            del values, inv
-            # the rows that miss the cone add count * 4 pi amplitude * 0.0:
-            # 0, or nan when the amplitude overflows
-            np.add(flat, count * (4.0 * np.pi * ap.amplitude * 0.0), out=flat,
-                   where=~meet)
+            flat[rows] += count * factor(ap, om)
     np.divide(flat[1:], mag.reshape(-1)[1:], out=flat[1:])
     flat[0] = 0.0
     return m

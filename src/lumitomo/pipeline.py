@@ -11,9 +11,10 @@ the scan's reductions (`_ScanSums`).  The run's one cone operator
 (`_cone_operator`) holds its kernel spectra when LSQR runs; what a held
 and a streamed operator build and keep is stated in
 `excitation.ConeConvolution`.
-Each stage's wall time goes into the report as `wall_clock.<stage>`, and
-within reconstruct each method's; report lines starting with `wall_clock`
-are the only ones that differ between repeated runs.
+Each stage's wall time goes into the report as `wall_clock.<stage>`,
+within reconstruct each method's, and within LSQR's its dot test's
+(`wall_clock.lsqr_dot_test`); report lines starting with `wall_clock` are
+the only ones that differ between repeated runs.
 """
 
 from __future__ import annotations
@@ -303,6 +304,7 @@ def _reconstruct(settings, sums, v, conv, report):
         report["multiplier.suppressed_fraction"] = \
             f"{stats['suppressed_fraction']:.6e}"
     if settings.method != "multiplier":
+        stats = {}
         with _timed(report, "lsqr"):
             stop = (0.0 if settings.photons is None else
                     np.sqrt(max(sums.total, 0.0) / settings.photons))
@@ -312,11 +314,12 @@ def _reconstruct(settings, sums, v, conv, report):
                     compose(scan_linear_map(conv, v), precond),
                     sums.rows, max_iters=settings.lsqr_iters,
                     atol=settings.lsqr_atol, stop_residual=stop,
-                    residual_floor=sums.floor)
+                    residual_floor=sums.floor, stats=stats)
             x = precond.forward(z)
             if settings.nonneg:
                 x = np.maximum(x, 0.0)
             fields["recon_lsqr"] = ScalarField(v.grid, x.reshape(v.grid.cells))
+        report["wall_clock.lsqr_dot_test"] = f"{stats['dot_test_s']:.3f}"
         report["lsqr.preconditioner"] = "parametrix"
         report["lsqr.iterations"] = str(int(history[-1][0]))
         report["lsqr.stop_reason"] = lsqr_stop_reason(

@@ -875,14 +875,18 @@ class TestWallClock:
             assert all(float(report[key]) >= 0.0 for key in keys)
             if verb in ("run-xmlt", "scan"):
                 assert report["scan.focus_grid"] == "48,48", verb
-        # each method's sub-stage only when it runs
-        for method, ran in [("lsqr", {"lsqr"}), ("both", {"multiplier", "lsqr"})]:
+        # each method's sub-stage only when it runs, and LSQR's dot test
+        # within LSQR's
+        for method, ran in [("lsqr", {"lsqr", "lsqr_dot_test"}),
+                            ("both", {"multiplier", "lsqr", "lsqr_dot_test"})]:
             assert main(small_args("reconstruct", tmp_path / "scan",
                                    f"recon.method={method}")) == 0
             report = _report(tmp_path / "scan")
             assert {k for k in report if k.startswith("wall_clock.")} == {
                 f"wall_clock.{stage}" for stage in
                 ["setup", "gate", "reconstruct", "emit", *ran]}, method
+            assert (float(report["wall_clock.lsqr_dot_test"])
+                    <= float(report["wall_clock.lsqr"])), method
 
     def test_reports_equal_without_wall_clock_lines(self, tmp_path):
         def stripped():
@@ -950,7 +954,9 @@ def test_thread_cap_is_set_by_package_import():
 
 def test_runs_do_not_import_numpy_ma(tmp_path):
     # np.median imports numpy.ma: about 1 MB of peak RSS and 15-30 ms of
-    # a cold run; a fresh interpreter, since the tests import it anyway
+    # a cold run, and numpy.polynomial (which the 3D symbol table's
+    # interpolant does without) 6 ms; a fresh interpreter, since the tests
+    # import both anyway
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(lumitomo.__file__))
     out = str(tmp_path)
@@ -962,10 +968,11 @@ def test_runs_do_not_import_numpy_ma(tmp_path):
              "--set", "phantom.inclusions=2.5,2.5,0,1.5,5.0; -3.5,0,0,1.5,10.0"]]
     code = ("import json, sys; from lumitomo.cli import main; "
             "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
-            "print(codes, 'numpy.ma' in sys.modules)")
+            "print(codes, 'numpy.ma' in sys.modules, "
+            "'numpy.polynomial' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
                           env=env, capture_output=True, text=True, timeout=120)
-    assert proc.stdout.splitlines()[-1] == "[0, 0] False", proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False False", proc.stderr
 
 
 @pytest.mark.parametrize("args", [
