@@ -2,10 +2,10 @@
 
 Verbs: phantom, weight, scan, reconstruct, check-stability, run-xmlt,
 run-xlct.  Each accepts --config <path> and repeated --set key=value
-overrides.  Exit codes: 0 success; 2 invalid config or arguments, and any
-other toolkit error; 3 stability violation (a cone set with invisible
-directions, refused when the multiplier runs); 4 solver failure or a linear
-map failing its dot test.
+overrides.  Exit codes: 0 success; 2 invalid config or arguments, a file
+that cannot be read or written, and any other toolkit error; 3 stability
+violation (a cone set with invisible directions, refused when the
+multiplier runs); 4 solver failure or a linear map failing its dot test.
 
 Each verb runs the `lumitomo.pipeline` function of its name (dashes become
 underscores).  LUMITOMO_THREADS is applied by `import lumitomo`.
@@ -79,6 +79,9 @@ def main(argv=None):
         return 4
     except LumitomoError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
 
 

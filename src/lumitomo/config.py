@@ -76,8 +76,13 @@ def load_config(path=None, overrides=None):
     """Resolve defaults, an optional config file, and --set overrides."""
     cfg = dict(DEFAULTS)
     if path is not None:
-        with open(path) as fh:
-            cfg.update(parse_config_text(fh.read()))
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"cannot read config file {path}: "
+                              f"{getattr(err, 'strerror', None) or err}") from None
+        cfg.update(parse_config_text(text))
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")

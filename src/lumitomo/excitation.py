@@ -20,7 +20,6 @@ through reciprocity it agrees with the fast scan.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -292,22 +291,8 @@ class CircularGrid:
     rfftn half spectrum, multiplied by a real half spectrum and cropped
     back to n cells per axis.  Offsets of up to n-1 cells never alias on
     it, so the crop of a product with a kernel's spectrum is the linear
-    quadrature sum.
-
-    The FFTs write into work arrays, made anew by every call, except inside
-    `with circle.reusing_buffers():`, where calls reuse one set (an
-    iterative solver's loop).  That set lives only while the block runs and
-    is dropped on exit, also on an exception.  The block is not reentrant
-    and not thread-safe.  No result's bytes depend on the block.  The
-    block, and not a held cone operator's life, bounds the reuse: a held
-    operator that kept one set for its life wrote the same bytes, but the
-    peak RSS of a 3D recon.method=both run rose from 94.3 to 102.2 MB at
-    48^3 and from 171.3 to 189.8 MB at 64^3 (one thread).  Without the
-    block, every call making its own arrays, the bytes are the same too:
-    LSQR of a 64^3 run then takes 77,900 minor page faults instead of
-    4,205, while the run's peak RSS is 4.0 MB lower (0.9 MB at 48^3 and
-    0.35 MB at 128^2) and its wall time does not separate from the
-    block's (one thread, alternating runs).
+    quadrature sum.  The FFTs write into work arrays that every call makes
+    anew.
     """
 
     def __init__(self, grid: Grid):
@@ -315,29 +300,6 @@ class CircularGrid:
         self.cells = tuple(grid.cells)
         self.shape = tuple(2 * n for n in self.cells)
         self._half = self.shape[:-1] + (self.shape[-1] // 2 + 1,)
-        self._buffers = None
-
-    @contextlib.contextmanager
-    def reusing_buffers(self):
-        """Within the block, calls reuse one set of FFT work arrays."""
-        if self._buffers is not None:
-            raise RuntimeError("reusing_buffers is not reentrant")
-        self._buffers = {}
-        try:
-            yield
-        finally:
-            self._buffers = None
-
-    def _work(self, name, shape, dtype):
-        """An uninitialised array, inside `reusing_buffers` the one cached
-        under this key; the methods share the names "X", "Y" (half spectra),
-        "real", "row" and "scaled"."""
-        if self._buffers is None:
-            return np.empty(shape, dtype)
-        key = (name, shape, dtype)
-        if key not in self._buffers:
-            self._buffers[key] = np.empty(shape, dtype)
-        return self._buffers[key]
 
     def _spectrum(self, g, out):
         """rfftn of g zero-padded to the circular grid (or already its
@@ -363,8 +325,8 @@ class CircularGrid:
         for i in range(len(crop) - 1):
             np.fft.ifft(X, axis=i, out=X)
             X = X[(slice(None),) * i + (crop[i],)]
-        R = np.fft.irfft(X, self.shape[-1], axis=-1, out=self._work(
-            "real", X.shape[:-1] + (self.shape[-1],), float))
+        R = np.fft.irfft(X, self.shape[-1], axis=-1,
+                         out=np.empty(X.shape[:-1] + (self.shape[-1],)))
         out[...] = R[..., crop[-1]]
         return out
 
@@ -373,7 +335,7 @@ class CircularGrid:
         times `symbol` (a real half spectrum on it), cropped as by
         `_inverse`: a circular convolution, its own transpose for an even
         symbol and padded g."""
-        X = self._spectrum(g, self._work("X", self._half, complex))
+        X = self._spectrum(g, np.empty(self._half, complex))
         X *= symbol
         return self._inverse(X, np.empty(self.cells), start)
 
@@ -410,10 +372,8 @@ class ConeConvolution(CircularGrid):
     arrays, fixed before any spectrum exists.  The first pass over the
     spectra that runs to the end (the held build, or else a scan's `rows`)
     keeps their multiplicity-weighted sum there, `shell_sum`, so the
-    spectra need not be built again for it.
-
-    Only `rows` hands out a work array (see `CircularGrid` for the work
-    arrays of `reusing_buffers`).
+    spectra need not be built again for it.  Only `rows` hands out a work
+    array.
     """
 
     def __init__(self, apertures, grid: Grid, held=True):
@@ -458,7 +418,7 @@ class ConeConvolution(CircularGrid):
         shell.  The sum that a pass over the spectra kept is returned as it
         is; without one, a pass of its own forms and keeps it."""
         if self._shell_sum is None:
-            for _ in self._spectra(self._work("Y", self._half, complex)):
+            for _ in self._spectra(np.empty(self._half, complex)):
                 pass
         return self._shell_sum
 
@@ -468,12 +428,10 @@ class ConeConvolution(CircularGrid):
         A streamed operator builds each spectrum in the work array of its
         product with that FFT (numpy's product reads a copy of an operand
         that overlaps its output).  Each row is yielded in one work array,
-        which the caller may overwrite and the next row does; inside
-        `reusing_buffers` no other call on this operator may run between
-        two rows."""
-        G = self._spectrum(g, self._work("X", self._half, complex))
-        P = self._work("Y", self._half, complex)
-        row = self._work("row", self.cells, float)
+        which the caller may overwrite and the next row does."""
+        G = self._spectrum(g, np.empty(self._half, complex))
+        P = np.empty(self._half, complex)
+        row = np.empty(self.cells)
         spectra = self._spectra(P) if self.spectra is None else self.spectra
         for S in spectra:
             np.multiply(G, S, out=P)
@@ -487,14 +445,10 @@ class ConeConvolution(CircularGrid):
         if self.spectra is None:
             raise InvalidArgumentError(
                 "the adjoint needs a cone operator that holds its spectra")
-        Y = self._work("Y", self._half, complex)
-        acc = self._work("X", self._half, complex)
-        acc.fill(0.0)
+        Y = np.empty(self._half, complex)
+        acc = np.zeros(self._half, complex)
         for i, S in enumerate(self.spectra):
-            row = y[i]
-            if weights is not None:
-                row = np.multiply(row, weights[i],
-                                  out=self._work("scaled", self.cells, float))
+            row = y[i] if weights is None else y[i] * weights[i]
             self._spectrum(row, Y)
             Y *= S
             acc += Y

@@ -150,8 +150,12 @@ def read_scan(manifest_path) -> ConeScanData:
     manifest's directory, and only v3 records the noise, as `noise.<key>`
     config values.  A v1 manifest, whose files resolved against the
     working directory, is refused."""
-    with open(manifest_path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(manifest_path) as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as err:
+        raise InvalidArgumentError(
+            f"{manifest_path} is not a text manifest: {err}") from None
     if lines[:1] == ["LTSCAN v1"]:
         raise InvalidArgumentError(
             f"{manifest_path} is an LTSCAN v1 manifest, which is no longer "

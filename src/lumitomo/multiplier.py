@@ -16,12 +16,11 @@ cos(angle to axis) = A cos(psi), and a quarter of the circle gives
 with the closed-form plateau and taper edges psi_in = arccos(cos(inner)/A)
 and psi_out = arccos(cos(half_angle)/A) (zero where A does not exceed the
 cosine).  The taper integrand is analytic in psi, so a fixed Gauss-Legendre
-rule on [psi_in, psi_out] reaches roundoff.  `angular_factor` runs the rule
-once per distinct s = |omega . axis| of each call and gathers the values
-back to their directions, bit for bit the per-direction values.  Between
-its kinks at A = cos(inner) and A = cos(half_angle) the factor is analytic
-in psi_in (where A > cos(inner)) and in psi_out (below), so the symbol
-table evaluates a piecewise Chebyshev interpolant of the rule in those
+rule on [psi_in, psi_out] reaches roundoff; `angular_factor` runs it on
+the directions whose great circle meets the cone.  Between its kinks at
+A = cos(inner) and A = cos(half_angle) the factor is analytic in psi_in
+(where A > cos(inner)) and in psi_out (below), so the symbol table
+evaluates a piecewise Chebyshev interpolant of the rule in those
 arcs, fitted once per cone geometry (`_fitted_arc`; Trefethen,
 Approximation Theory and Approximation Practice, SIAM 2013, chs. 8 and 19).
 A cone set is stably invertible iff the summed angular factor is positive
@@ -134,9 +133,7 @@ def _largest_cosine(s):
 
 def _met_factor(ap: Aperture, s):
     """The 3D factor at the values s = |omega . axis| of rows that meet the
-    cone (`_largest_cosine`): the taper rule runs once per distinct s, and
-    the result is (factor per distinct s, each row's index into it)."""
-    s, inv = np.unique(s, return_inverse=True)
+    cone (`_largest_cosine`), by the taper rule, one value per row."""
     A = np.sqrt((1.0 - s) * (1.0 + s))
     inner = ap.half_angle - ap.taper_width
     arc = _arc_to(A, inner)
@@ -151,7 +148,7 @@ def _met_factor(ap: Aperture, s):
             angle = np.arccos(Ab * np.cos(mid + half * x))
             taper += w * 0.5 * (1.0 + np.cos(np.pi * (angle - inner) / ap.taper_width))
         arc[band] += half * taper
-    return 4.0 * np.pi * ap.amplitude * arc, inv
+    return 4.0 * np.pi * ap.amplitude * arc
 
 
 # interpolation points, then twice as many check points, 0.05% from the ends
@@ -214,8 +211,7 @@ def _fitted_arc(ap: Aperture):
         u = mid + rad * _FIT_POINTS
         A = np.minimum(np.where(u > 0, ci / np.cos(u), ch / np.cos(u + kink)), 1.0)
         s = np.sqrt((1.0 - A) * (1.0 + A)).ravel()
-        values, inv = _met_factor(unit, s)
-        f = (values[inv] / (4.0 * np.pi)).reshape(u.shape)
+        f = (_met_factor(unit, s) / (4.0 * np.pi)).reshape(u.shape)
         x = (_arc_variable(_largest_cosine(s), ci, ch, kink).reshape(u.shape)
              - mid) / rad
         if depth == 0:
@@ -250,10 +246,8 @@ def _fitted_arc(ap: Aperture):
 def angular_factor(ap: Aperture, omega):
     """c(omega) = |xi| * r0(xi) for xi in direction omega; vectorized over rows.
 
-    In 3D the factor depends on omega only through s = |omega . axis|, so
-    the taper rule runs once per distinct s among the rows whose great
-    circle meets the cone and the values are gathered back to the rows,
-    bit for bit the per-row values.
+    In 3D the factor depends on omega only through s = |omega . axis|; the
+    taper rule runs on the rows whose great circle meets the cone.
     """
     om = np.atleast_2d(np.asarray(omega, dtype=np.float64))
     if ap.dim == 2:
@@ -261,9 +255,8 @@ def angular_factor(ap: Aperture, omega):
     else:
         s = om @ np.asarray(ap.axis)
         meet = _largest_cosine(s) > np.cos(ap.half_angle)
-        values, inv = _met_factor(ap, s[meet])
         out = np.full(meet.size, 4.0 * np.pi * ap.amplitude * 0.0)
-        out[meet] = values[inv]
+        out[meet] = _met_factor(ap, s[meet])
     return out if np.asarray(omega).ndim > 1 else float(out[0])
 
 

@@ -309,12 +309,11 @@ def _reconstruct(settings, sums, v, conv, report):
             stop = (0.0 if settings.photons is None else
                     np.sqrt(max(sums.total, 0.0) / settings.photons))
             precond = parametrix_preconditioner(conv, v)
-            with conv.reusing_buffers():
-                z, history = lsqr(
-                    compose(scan_linear_map(conv, v), precond),
-                    sums.rows, max_iters=settings.lsqr_iters,
-                    atol=settings.lsqr_atol, stop_residual=stop,
-                    residual_floor=sums.floor, stats=stats)
+            z, history = lsqr(
+                compose(scan_linear_map(conv, v), precond),
+                sums.rows, max_iters=settings.lsqr_iters,
+                atol=settings.lsqr_atol, stop_residual=stop,
+                residual_floor=sums.floor, stats=stats)
             x = precond.forward(z)
             if settings.nonneg:
                 x = np.maximum(x, 0.0)

@@ -237,6 +237,54 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "truth.ltf").exists()
 
+    @pytest.mark.parametrize("name,content", [
+        ("missing.cfg", None), ("a-directory", None),
+        ("latin.cfg", b"\xff\xfe")], ids=["missing", "directory", "non-utf8"])
+    def test_unreadable_config_file_is_config_error(self, tmp_path, capsys,
+                                                    name, content):
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        elif name == "a-directory":
+            path.mkdir()
+        with pytest.raises(ConfigError, match=f"cannot read config file {path}"):
+            load_config(str(path))
+        rc = main(["check-stability", "--config", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {path}: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_reconstruct_of_a_scan_missing_a_cone_file_exits_2(self, tmp_path,
+                                                                capsys):
+        assert main(small_args("scan", tmp_path)) == 0
+        os.remove(tmp_path / "scan_cone01.ltf")
+        capsys.readouterr()
+        assert main(small_args("reconstruct", tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("file error: ") and "scan_cone01.ltf" in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_output_dir_under_a_regular_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "plain").write_text("")
+        assert main(["phantom", "-o", str(tmp_path / "plain" / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("file error: ") and "plain" in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_non_utf8_scan_manifest_is_invalid_argument(self, tmp_path, capsys):
+        assert main(small_args("scan", tmp_path)) == 0
+        (tmp_path / "scan_manifest.txt").write_bytes(b"\xff\xfeLTSCAN v3\n")
+        capsys.readouterr()
+        assert main(small_args("reconstruct", tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid argument: ") and "scan_manifest.txt" in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_zero_spot_checks_is_config_error(self, tmp_path, capsys,
                                               monkeypatch):
         monkeypatch.setattr(pipeline, "solve_adjoint_weight", _no_weight_solve)

@@ -1,11 +1,7 @@
 """Apertures, cone/X-ray transforms, and boundary-scan simulation."""
 
-import contextlib
-import gc
 import math
-import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +10,7 @@ from lumitomo.diffusion import (BoundaryField, assemble_operator,
                                 boundary_flux, boundary_functional,
                                 solve_adjoint_weight, solve_forward)
 from lumitomo import excitation, pipeline
-from lumitomo.algebraic import (compose, lsqr, parametrix_preconditioner,
+from lumitomo.algebraic import (lsqr, parametrix_preconditioner,
                                 scan_linear_map)
 from lumitomo.config import DEFAULTS, Settings, build_apertures
 from lumitomo.errors import InvalidArgumentError
@@ -423,10 +419,8 @@ class TestDistinctCones:
         g = np.random.default_rng(28).standard_normal(grid.cells)
         conv = ConeConvolution(aps, grid)
         ref = stacked_forward(conv, g)
-        assert stacked_rows(conv, g).tobytes() == ref.tobytes()
-        with conv.reusing_buffers():
-            for _ in range(2):
-                assert stacked_rows(conv, g).tobytes() == ref.tobytes()
+        for _ in range(2):
+            assert stacked_rows(conv, g).tobytes() == ref.tobytes()
 
     def test_default_cones_are_five_spectra(self):
         grid = make_grid(2, (-10, -10), (20, 20), (32, 32))
@@ -687,20 +681,8 @@ def operator_calls(conv, seed):
 
 
 class TestWorkspace:
-    """`ConeConvolution.reusing_buffers`: the same bytes from reused FFT work
-    arrays, which never escape and live only while the block runs."""
-
-    @pytest.mark.parametrize("grid,aps,n_distinct", DUPLICATED,
-                             ids=["2d-48x64", "3d-16"])
-    def test_bytes_equal_inside_and_outside_the_block(self, grid, aps,
-                                                      n_distinct):
-        conv = ConeConvolution(aps, grid)
-        calls = operator_calls(conv, 31)
-        outside = [call().tobytes() for call in calls]
-        with conv.reusing_buffers():
-            # twice: the second pass runs on work arrays the first filled
-            for _ in range(2):
-                assert [call().tobytes() for call in calls] == outside
+    """`ConeConvolution`'s FFT work arrays: each call makes its own, and no
+    result is one of them."""
 
     @pytest.mark.parametrize("grid,aps,n_distinct", DUPLICATED,
                              ids=["2d-48x64", "3d-16"])
@@ -709,79 +691,12 @@ class TestWorkspace:
         conv = ConeConvolution(aps, grid)
         calls = operator_calls(conv, 32)
         later = operator_calls(conv, 33)
-        with conv.reusing_buffers():
-            results = [call() for call in calls]
-            saved = [r.copy() for r in results]
-            for call in later:
-                call()
-            for r, s in zip(results, saved):
-                assert r.tobytes() == s.tobytes()
-
-    def test_buffers_are_dropped_on_exit_and_on_an_exception(self, grid64):
-        conv = ConeConvolution(fan_apertures(3, 35.0), grid64)
-        forward = operator_calls(conv, 34)[0]
-        for fail in (False, True):
-            with pytest.raises(ZeroDivisionError) if fail else \
-                    contextlib.nullcontext():
-                with conv.reusing_buffers():
-                    forward()
-                    refs = [weakref.ref(b) for b in conv._buffers.values()]
-                    assert refs
-                    if fail:
-                        1 / 0
-            assert conv._buffers is None
-            gc.collect()
-            assert all(ref() is None for ref in refs)
-
-    def test_not_reentrant(self, grid64):
-        conv = ConeConvolution(fan_apertures(3, 35.0), grid64)
-        with conv.reusing_buffers():
-            with pytest.raises(RuntimeError, match="not reentrant"):
-                with conv.reusing_buffers():
-                    pass
-            # the refused entry leaves the outer block's buffers alone
-            assert conv._buffers is not None
-        assert conv._buffers is None
-
-    def test_calls_in_the_block_allocate_only_their_results(self):
-        grid = make_grid(2, (-10, -10), (20, 20), (64, 64))
-        conv = ConeConvolution(build_apertures(DEFAULTS, 2), grid)
-        calls = operator_calls(conv, 35)
-        # the result, numpy's buffer for casting a real spectrum to complex
-        # in a product, and a few views
-        bound = np.getbufsize() * np.dtype(complex).itemsize + 16384
-
-        def peak_over_result(call):
-            tracemalloc.start()
-            try:
-                size = call().nbytes
-                return tracemalloc.get_traced_memory()[1] - size
-            finally:
-                tracemalloc.stop()
-
-        with conv.reusing_buffers():
-            for call in calls:
-                call()
-                assert peak_over_result(call) <= bound
-        # outside the block every call makes its own FFT arrays
-        assert all(peak_over_result(call) > bound for call in calls)
-
-    def test_preconditioned_lsqr_bytes_equal_with_the_block(self):
-        grid = make_grid(2, (-10, -10), (20, 20), (32, 32))
-        aps = build_apertures(DEFAULTS, 2)
-        v = ScalarField(grid, 1.0 + np.random.default_rng(36).random(grid.cells))
-        conv = ConeConvolution(aps, grid)
-        linmap = compose(scan_linear_map(conv, v),
-                         parametrix_preconditioner(conv, v))
-        data = scan_linear_map(conv, v).forward(
-            two_bump_phantom(grid).values.ravel())
-        data += 1e-3 * np.max(data) * np.random.default_rng(37).random(data.size)
-        x, history = lsqr(linmap, data, max_iters=15, atol=0.0)
-        with conv.reusing_buffers():
-            x_ws, history_ws = lsqr(linmap, data, max_iters=15, atol=0.0)
-        assert len(history) == 16
-        assert x_ws.tobytes() == x.tobytes()
-        assert np.asarray(history_ws).tobytes() == np.asarray(history).tobytes()
+        results = [call() for call in calls]
+        saved = [r.copy() for r in results]
+        for call in later:
+            call()
+        for r, s in zip(results, saved):
+            assert r.tobytes() == s.tobytes()
 
 
 def xray_per_ray(g, angles, offsets):

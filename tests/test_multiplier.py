@@ -246,8 +246,8 @@ def table(apertures, cells, spacing):
 
 
 def reference_angular_factor(ap, omega):
-    """The angular factor with the 3D taper rule run on every row, as it was
-    before it was evaluated once per distinct |omega . axis|."""
+    """The angular factor with the 3D taper rule written out on every row,
+    every row in one pass, the rows that miss the cone included."""
     om = np.atleast_2d(np.asarray(omega, dtype=np.float64))
     axis = np.asarray(ap.axis)
     if ap.dim == 2:
@@ -331,8 +331,8 @@ TABLE_RTOL_3D = 1e-13
 
 
 class TestSymbolTableReference:
-    """The gate's margin evaluates each aperture's 3D factor once per
-    distinct |omega . axis| and keeps the bits of the per-row rule; the 3D
+    """The gate's margin evaluates each aperture's 3D factor on the rows
+    that meet the cone and keeps the bits of the per-row rule; the 3D
     table evaluates the rule's interpolant and keeps the rule's values to
     TABLE_RTOL_3D; the tables fill their directions block by block and keep
     the bits of the single direction array in 2D, and of one block in
