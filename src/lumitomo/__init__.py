@@ -33,6 +33,6 @@ from .multiplier import (MarginReport, ellipticity_margin, invert_multiplier,
                          multiplier_symbol)
 from .fbp import FbpFilter, divide_by_weight, fbp
 from .algebraic import (LinearMap, apply_noise, lsqr, relative_error,
-                        scan_linear_map)
+                        scan_linear_map, whole_grid_error)
 
 __version__ = "0.1.0"

@@ -288,3 +288,23 @@ def relative_error(truth: ScalarField, recon: ScalarField, eps_bg):
         raise EmptyMaskError("no cell exceeds the background threshold")
     rel = (recon.values[mask] - truth.values[mask]) / truth.values[mask]
     return float(np.mean(rel)), float(np.mean(np.abs(rel)))
+
+
+def whole_grid_error(truth: ScalarField, recon: ScalarField, eps_bg):
+    """The errors that `relative_error`'s mask cannot see: blur, ringing
+    and false mass.
+
+    Returns (l2, background): the relative L2 error ||recon - truth|| /
+    ||truth|| over the whole grid, and the background mass, the sum of
+    |recon| over the cells with truth <= eps_bg divided by the sum of
+    |truth|.  Raises InvalidArgumentError when the grids differ or truth
+    is zero everywhere.
+    """
+    if truth.grid != recon.grid:
+        raise InvalidArgumentError("grids must match")
+    norm = float(np.linalg.norm(truth.values.ravel()))
+    if norm == 0.0:
+        raise InvalidArgumentError("truth is zero everywhere")
+    l2 = float(np.linalg.norm((recon.values - truth.values).ravel())) / norm
+    outside = np.abs(recon.values[truth.values <= eps_bg])
+    return l2, float(np.sum(outside)) / float(np.sum(np.abs(truth.values)))

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .fields import Grid, ScalarField, _sum_of_squares
+from .fields import Grid, ScalarField, _sum_of_squares, _support_box
 from .diffusion import (DiscreteOperator, BoundaryField, solve_forward,
                         boundary_flux, boundary_functional)
 
@@ -580,19 +581,6 @@ def _padded_lerp(padded, pos, base, n, out=None):
     return np.add(w, far, out=w if out is None else out)
 
 
-def _support_box(values):
-    """First and last index per axis of the cells that are not +0.0 (a
-    -0.0 counts), or None when every cell is +0.0."""
-    support = (values != 0) | np.signbit(values)
-    bounds = []
-    for ax in range(values.ndim):
-        hit = np.flatnonzero(support.any(axis=1 - ax))
-        if hit.size == 0:
-            return None
-        bounds.append((int(hit[0]), int(hit[-1])))
-    return bounds
-
-
 def xray_transform(g: ScalarField, angles, offsets) -> Sinogram:
     """Parallel-beam line integrals of a 2D field by Joseph's method.
 
@@ -677,7 +665,8 @@ def simulate_boundary_scan(f: ScalarField, v: ScalarField,
 
 
 def full_physics_measurements(op: DiscreteOperator, h: BoundaryField,
-                              f: ScalarField, ap: Aperture, foci):
+                              f: ScalarField, ap: Aperture, foci,
+                              stats=None):
     """Reduced measurements of one cone by the PDE chain, one per focus
     point: a forward solve with the cone's source I_{x,j} * f, then the
     boundary integral of h times the outgoing flux (`boundary_flux`).
@@ -693,6 +682,9 @@ def full_physics_measurements(op: DiscreteOperator, h: BoundaryField,
     the solves only one block's arrays are live.  A focus whose source has
     no nonzero cell measures exactly 0 without a solve.  The source,
     solution and flux stay plain arrays: no focus copies or checks a field.
+    A dict `stats` receives solves, the forward solves run, skipped, the
+    foci measured without one, cg_iterations, the solves' CG iterations in
+    total, and solve_seconds, the wall time of the solves alone.
     """
     grid = op.grid
     support = np.flatnonzero(f.values)
@@ -702,6 +694,8 @@ def full_physics_measurements(op: DiscreteOperator, h: BoundaryField,
     foci = np.asarray(foci, dtype=float).reshape(-1, grid.dim)
     out = np.zeros(len(foci))
     block = max(1, KERNEL_BLOCK_SAMPLES // max(1, support.size))
+    solves = iterations = 0
+    seconds = 0.0
     for lo in range(0, len(foci), block):
         samples = _kernel_samples(
             ap, grid, foci[lo:lo + block, None, :] - centers, self_weight)
@@ -711,6 +705,13 @@ def full_physics_measurements(op: DiscreteOperator, h: BoundaryField,
             if values.any():
                 source = np.zeros(grid.n_cells)
                 source[support] = values
-                out[k] = boundary_functional(
-                    h, boundary_flux(op, solve_forward(op, source)))
+                t0 = time.perf_counter()
+                u = solve_forward(op, source)
+                seconds += time.perf_counter() - t0
+                out[k] = boundary_functional(h, boundary_flux(op, u))
+                solves += 1
+                iterations += op.last_solve[0]
+    if stats is not None:
+        stats.update(solves=solves, skipped=len(foci) - solves,
+                     cg_iterations=iterations, solve_seconds=seconds)
     return out

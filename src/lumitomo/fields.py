@@ -208,6 +208,21 @@ def _sum_of_squares(terms):
     return total
 
 
+def _support_box(values):
+    """First and last index per axis of the cells that are not +0.0 (a
+    -0.0 counts), or None when every cell is +0.0.  `values` is a float64
+    array: +0.0 is the one double whose bits are all zero."""
+    support = values.view(np.uint64) != 0
+    bounds = []
+    for ax in range(values.ndim):
+        others = tuple(a for a in range(values.ndim) if a != ax)
+        hit = np.flatnonzero(support.any(axis=others))
+        if hit.size == 0:
+            return None
+        bounds.append((int(hit[0]), int(hit[-1])))
+    return bounds
+
+
 def build_phantom(spec: PhantomSpec, grid: Grid) -> ScalarField:
     """Rasterize a phantom spec onto a grid (last inclusion wins on overlap).
 

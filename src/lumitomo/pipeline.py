@@ -28,7 +28,7 @@ import numpy as np
 from . import ltfio
 from .algebraic import (apply_noise, compose, lsqr, lsqr_stop_reason,
                         parametrix_preconditioner, relative_error,
-                        scan_linear_map)
+                        scan_linear_map, whole_grid_error)
 from .config import Settings, derive_seed
 from .diffusion import (BoundaryField, _floored_weight, assemble_operator,
                         solve_adjoint_weight)
@@ -189,15 +189,24 @@ def _spot_points(n_checks, grid):
 
 def _spot_check(op, h, truth, clean, points, report):
     """Full-physics solves at the `_spot_points` foci against the clean
-    scan's first cone: the fast path's check through reciprocity."""
+    scan's first cone: the fast path's check through reciprocity.  The
+    report gets the solves run and skipped and their CG iterations, and,
+    under `wall_clock.spot_check_per_solve`, the seconds of the forward
+    solves alone divided by their number (0 when no focus needs one)."""
     centers = truth.grid.centers()
+    stats = {}
     full = full_physics_measurements(op, h, truth, clean.apertures[0],
-                                     [centers[p] for p in points])
+                                     [centers[p] for p in points], stats)
     fast = clean.fields[0].values
     scale = float(np.max(np.abs(fast))) or 1.0
     worst = max(abs(x - fast[p]) / scale for x, p in zip(full, points))
     report["spot_check.points"] = str(len(points))
     report["spot_check.max_relative_mismatch"] = f"{worst:.6e}"
+    for key in ("solves", "skipped", "cg_iterations"):
+        report[f"spot_check.{key}"] = str(stats[key])
+    solves = stats["solves"]
+    report["wall_clock.spot_check_per_solve"] = \
+        f"{stats['solve_seconds'] / solves if solves else 0.0:.3e}"
 
 
 def _noise(values, stream, settings, report):
@@ -335,8 +344,11 @@ def _emit(settings, t0, report, fields, truth=None, **files):
     for name, rec in fields.items():
         if truth is not None and name.startswith("recon_"):
             signed, absolute = relative_error(truth, rec, settings.eps_bg)
+            l2, background = whole_grid_error(truth, rec, settings.eps_bg)
             report[f"error.{name[6:]}.signed"] = f"{signed:.6f}"
             report[f"error.{name[6:]}.absolute"] = f"{absolute:.6f}"
+            report[f"error.{name[6:]}.l2"] = f"{l2:.6e}"
+            report[f"error.{name[6:]}.background"] = f"{background:.6e}"
     report.update((f"config.{key}", val) for key, val in settings.text.items())
     report["wall_clock_seconds"] = f"{time.perf_counter() - t0:.3f}"
     emit_outputs(settings.output_dir, fields, report, **files)

@@ -44,7 +44,10 @@ compares the runtime path with.
   `DiscreteOperator._precondition` with np.tensordot's mode products, and
   `excitation.full_physics_measurements` with one kernel sampling per
   focus, as each was before the spot check took a block of foci per
-  sampling and one gather of the boundary cells.
+  sampling and one gather of the boundary cells; `tensordot_precondition`
+  contracts the whole grid, as `_precondition` did before its forward
+  products took only the bounding box of the residual's support, or with
+  `boxed` that box.
 """
 
 import itertools
@@ -422,12 +425,18 @@ def per_side_flux(op, u):
     return vals
 
 
-def tensordot_precondition(op, r):
+def tensordot_precondition(op, r, boxed=False):
     """`DiscreteOperator._precondition` with each mode product formed by
-    np.tensordot."""
-    u = r
-    for vecs in op._vecs:
-        u = np.tensordot(u, vecs, axes=(0, 0))
+    np.tensordot; the forward products contract the whole grid, or with
+    `boxed` only the bounding box of r's cells that are not +0.0, taken
+    from np.nonzero."""
+    box = [slice(None)] * r.ndim
+    cells = np.nonzero((r != 0) | np.signbit(r))
+    if boxed and cells[0].size:
+        box = [slice(ix.min(), ix.max() + 1) for ix in cells]
+    u = r[tuple(box)]
+    for vecs, rows in zip(op._vecs, box):
+        u = np.tensordot(u, vecs[rows], axes=(0, 0))
     u *= op._inv_eig
     for vecs in op._vecs:
         u = np.tensordot(u, vecs, axes=(0, 1))

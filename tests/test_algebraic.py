@@ -7,7 +7,7 @@ from lumitomo import algebraic, pipeline
 from lumitomo.algebraic import (LinearMap, apply_noise, compose,
                                 lsqr, lsqr_stop_reason,
                                 parametrix_preconditioner, relative_error,
-                                scan_linear_map)
+                                scan_linear_map, whole_grid_error)
 from lumitomo.config import DEFAULTS, Settings, build_apertures, load_config
 from lumitomo.errors import (EmptyMaskError, InvalidArgumentError,
                              InvalidOperatorError)
@@ -617,3 +617,29 @@ class TestRelativeError:
         f = two_bump_phantom(grid64)
         with pytest.raises(InvalidArgumentError):
             relative_error(f, f, eps_bg=-1.0)
+
+
+class TestWholeGridError:
+    def test_hand_made_truth_and_reconstruction(self):
+        # truth 4 and 2 inside the mask (eps_bg 0.5) and 0.25 outside it;
+        # the reconstruction errs by -1 on the 4 and +0.5 on the 0.25, and
+        # puts -1 of false mass in a cell where the truth is 0
+        grid = make_grid(2, (0, 0), (4, 4), (4, 4))
+        truth, recon = np.zeros((4, 4)), np.zeros((4, 4))
+        truth[0, :2], truth[1, 0] = (4.0, 2.0), 0.25
+        recon[0, :2], recon[1, 0], recon[3, 3] = (3.0, 2.0), 0.75, -1.0
+        truth, recon = ScalarField(grid, truth), ScalarField(grid, recon)
+        l2, background = whole_grid_error(truth, recon, 0.5)
+        assert l2 == pytest.approx(np.sqrt(2.25 / 20.0625), rel=1e-15)
+        assert background == pytest.approx(1.75 / 6.25, rel=1e-15)
+        assert whole_grid_error(truth, truth, 0.5) == (0.0, 0.25 / 6.25)
+        assert whole_grid_error(truth, recon, 5.0)[1] == pytest.approx(
+            6.75 / 6.25, rel=1e-15)
+
+    def test_refusals(self, grid64, grid128):
+        f = two_bump_phantom(grid64)
+        with pytest.raises(InvalidArgumentError, match="grids must match"):
+            whole_grid_error(f, two_bump_phantom(grid128), 0.5)
+        zero = constant_field(grid64, 0.0)
+        with pytest.raises(InvalidArgumentError, match="zero everywhere"):
+            whole_grid_error(zero, f, 0.5)

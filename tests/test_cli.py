@@ -385,9 +385,9 @@ class TestExitCodes:
                                                           monkeypatch):
         foci = []
 
-        def recording(op, h, f, ap, points):
+        def recording(op, h, f, ap, points, stats):
             foci.extend(tuple(x) for x in points)
-            return full_physics(op, h, f, ap, points)
+            return full_physics(op, h, f, ap, points, stats)
         full_physics = pipeline.full_physics_measurements
         monkeypatch.setattr(pipeline, "full_physics_measurements", recording)
         assert main(small_args("run-xmlt", tmp_path, "grid.cells=16,16",
@@ -627,6 +627,56 @@ class TestVerbs:
         assert main(small_args("run-xmlt", tmp_path,
                                f"run.spot_checks={n}")) == 0
         assert f"spot_check.points = {n}\n" in (tmp_path / "report.txt").read_text()
+
+    def test_spot_check_counts_in_report(self, tmp_path):
+        # 9 foci on the default phantom at 48^2: the foci whose cone source
+        # is zero are skipped; each solve of a constant-mu_a operator takes
+        # one CG iteration (the preconditioner is its exact inverse); the
+        # counts and the whole-grid errors repeat bit for bit (criterion 12)
+        def keys():
+            assert main(small_args("run-xmlt", tmp_path, "run.spot_checks=9",
+                                   "noise.kind=poisson")) == 0
+            report = _report(tmp_path)
+            return report, {key: val for key, val in report.items()
+                            if key.startswith("spot_check.")
+                            or key.endswith((".l2", ".background"))}
+
+        report, first = keys()
+        solves = int(report["spot_check.solves"])
+        assert 0 < solves < 9
+        assert solves + int(report["spot_check.skipped"]) == 9
+        assert int(report["spot_check.cg_iterations"]) == solves
+        # within the stage's time, printed to the millisecond
+        assert float(report["wall_clock.spot_check_per_solve"]) * solves <= (
+            float(report["wall_clock.spot_check"]) + 5e-4)
+        assert {"error.multiplier.l2", "error.multiplier.background"} <= set(first)
+        assert keys()[1] == first
+
+    def test_spot_check_counts_match_the_benchmark_tracer(self, tmp_path):
+        # the report's counts against the tracer's forward solves and their
+        # CG iterations (`DiscreteOperator.apply` calls) in the same run, in
+        # a fresh process, since the tracer rewraps the package
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(lumitomo.__file__))
+        perfbench = os.path.join(os.path.dirname(env["PYTHONPATH"]),
+                                 "perfbench")
+        argv = ["run-xmlt", "-o", str(tmp_path), "--set", "grid.cells=32,32",
+                "--set", "run.spot_checks=16"]
+        code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+                "import tracer; t = tracer.Tracer('spot'); tracer.install(t); "
+                "from lumitomo.cli import main; "
+                "rc = main(json.loads(sys.argv[2])); "
+                "m = tracer.layer_metrics(t.spans); "
+                "print(rc, m['diffusion.forward_solves'], "
+                "m['diffusion.forward_cg_iters'])")
+        proc = subprocess.run([sys.executable, "-c", code, perfbench,
+                               json.dumps(argv)], env=env, capture_output=True,
+                              text=True, timeout=120)
+        report = _report(tmp_path)
+        assert proc.stdout.splitlines()[-1] == (
+            f"0 {report['spot_check.solves']} "
+            f"{report['spot_check.cg_iterations']}"), proc.stderr
+        assert int(report["spot_check.solves"]) > 0
 
     @pytest.mark.parametrize("extra,reason", [
         ([], "atol"),
@@ -905,8 +955,9 @@ class TestWallClock:
 
     def test_stage_keys(self, tmp_path):
         expected = {
-            "run-xmlt": ["setup", "gate", "scan", "spot_check", "noise",
-                         "reconstruct", "multiplier", "emit"],
+            "run-xmlt": ["setup", "gate", "scan", "spot_check",
+                         "spot_check_per_solve", "noise", "reconstruct",
+                         "multiplier", "emit"],
             "run-xlct": ["setup", "scan", "noise", "reconstruct", "emit"],
             "phantom": ["setup", "emit"],
             "weight": ["setup", "emit"],
@@ -972,7 +1023,8 @@ class TestWallClock:
 
     @pytest.mark.parametrize("verb,extra,stages", [
         ("run-xmlt", [], ["emit", "gate", "multiplier", "noise", "reconstruct",
-                          "scan", "setup", "spot_check"]),
+                          "scan", "setup", "spot_check",
+                          "spot_check_per_solve"]),
         ("run-xlct", XLCT, ["emit", "noise", "reconstruct", "scan", "setup"])])
     def test_cli_prints_stage_times(self, tmp_path, capsys, verb, extra, stages):
         # every wall_clock.<stage> report line, sorted, after the summary

@@ -234,7 +234,14 @@ def test_precondition_is_the_tensordot_form(cells, extent, varying,
     rng = np.random.default_rng(23)
     mu = (rng.uniform(0.01, 0.5, cells) if varying else tissue_medium.mu_a)
     op = DiscreteOperator(grid, tissue_medium, mu)
-    for r in (rng.standard_normal(cells), np.ones(cells), np.zeros(cells)):
+    # the weight solve's boundary right-hand side and two opposite corners
+    # (one of them -0.0) reach every side: their box is the whole grid
+    corners = np.zeros(cells)
+    corners[(0,) * len(cells)] = -0.0
+    corners[(-1,) * len(cells)] = 2.5
+    rhs = op.boundary_rhs(BoundaryField.constant(grid, 1.0))
+    for r in (rng.standard_normal(cells), np.ones(cells), np.zeros(cells),
+              rhs, corners):
         got = op._precondition(r.copy())
         assert same_bits(got, tensordot_precondition(op, r.copy()))
         assert got.shape == cells

@@ -1296,8 +1296,8 @@ class TestFullPhysicsReference:
             truth, v, pipeline._cone_operator(aps, truth.grid, {}))
         calls = []
 
-        def checked(op, h, f, ap, foci):
-            got = full_physics_measurements(op, h, f, ap, foci)
+        def checked(op, h, f, ap, foci, stats):
+            got = full_physics_measurements(op, h, f, ap, foci, stats)
             assert np.array_equal(got, dense_full_physics(op, h, f, ap, foci))
             calls.append(len(foci))
             return got
@@ -1349,17 +1349,21 @@ class TestFullPhysicsReference:
             solved.append(s)
             return solve_forward(op, s)
 
-        def kept(op, h, f, ap, foci):
-            measured.append(full_physics_measurements(op, h, f, ap, foci))
+        def kept(op, h, f, ap, foci, stats):
+            measured.append(full_physics_measurements(op, h, f, ap, foci,
+                                                      stats))
             return measured[-1]
 
         monkeypatch.setattr(excitation, "solve_forward", counted_solve)
         monkeypatch.setattr(pipeline, "full_physics_measurements", kept)
+        report = {}
         pipeline._spot_check(op, h, truth, clean,
                               pipeline._spot_points(settings.spot_checks,
-                                                    truth.grid), {})
+                                                    truth.grid), report)
         (got,) = measured
         assert got.size == 100 and len(solved) == 63
+        assert (report["spot_check.solves"], report["spot_check.skipped"],
+                report["spot_check.cg_iterations"]) == ("63", "37", "63")
         assert np.count_nonzero(got) == 63
         assert not np.any(np.signbit(got))
         zero = boundary_functional(h, boundary_flux(
@@ -1447,7 +1451,7 @@ class TestBlockedSpotCheck:
             got = full_physics_measurements(op, h, truth, ap, foci)
             with monkeypatch.context() as m:
                 m.setattr(op, "_precondition",
-                          lambda r: tensordot_precondition(op, r))
+                          lambda r: tensordot_precondition(op, r, boxed=True))
                 want = per_focus_measurements(op, h, truth, ap, foci)
             assert same_bits(got, want)
             assert np.count_nonzero(got) > 0
@@ -1491,3 +1495,45 @@ class TestBlockedSpotCheck:
         got = full_physics_measurements(op, h, zero, aps[0], foci)
         assert same_bits(got, np.zeros(9))
         assert full_physics_measurements(op, h, zero, aps[0], []).shape == (0,)
+
+
+def spot_sources(monkeypatch, items, count):
+    """The grid-shaped nonzero sources of the spot check of `count` lattice
+    foci on the config `items`, from `full_physics_measurements` with the
+    solve stubbed; and the operator."""
+    _, truth, op, h, _, aps = config_case(*items)
+    sources = []
+    with monkeypatch.context() as m:
+        m.setattr(excitation, "solve_forward",
+                  lambda op, s: sources.append(s.reshape(op.grid.cells))
+                  or np.zeros(op.grid.cells))
+        full_physics_measurements(op, h, truth, aps[0],
+                                  lattice_foci(truth.grid, count))
+    return op, sources
+
+
+class TestSupportBoxPrecondition:
+    """`_precondition`'s forward mode products contract only the bounding
+    box of a spot-check source's support: the full contraction's terms in
+    fewer K-blocks, within 4e-15 of the output's largest magnitude, and
+    bit for bit the box contraction of `oracles.tensordot_precondition`."""
+
+    @pytest.mark.parametrize("items", [
+        ("grid.cells=64,64",), (), ("grid.cells=512,512",),
+        ("grid.cells=600,200",), GRID_24,
+        GRID_3D[:3] + ("grid.cells=48,48,48",) + GRID_3D[4:]],
+        ids=["64^2", "128^2", "512^2", "600x200", "24^3", "48^3"])
+    def test_box_is_the_full_contraction_within_roundoff(self, items,
+                                                         monkeypatch):
+        op, sources = spot_sources(monkeypatch, items, 25)
+        assert len(sources) >= 9
+        for r in sources:
+            box = [np.flatnonzero(np.any(r, axis=tuple(
+                a for a in range(r.ndim) if a != ax))) for ax in range(r.ndim)]
+            assert any(ix[-1] - ix[0] + 1 < n
+                       for ix, n in zip(box, r.shape))  # a proper sub-box
+            got = op._precondition(r.copy())
+            full = tensordot_precondition(op, r.copy())
+            assert np.max(np.abs(got - full)) <= 4e-15 * np.max(np.abs(full))
+            assert same_bits(got, tensordot_precondition(op, r.copy(),
+                                                         boxed=True))

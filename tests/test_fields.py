@@ -6,7 +6,7 @@ import pytest
 from lumitomo.errors import InvalidArgumentError
 from lumitomo.fields import (MAX_GRID_CELLS, Grid, OpticalMedium,
                              PhantomSpec, ScalarField, _sum_of_squares,
-                             build_phantom, derived_optics, make_grid,
+                             _support_box, build_phantom, derived_optics, make_grid,
                              robin_coefficient)
 
 from conftest import cell_index, constant_field, traced_peak
@@ -167,3 +167,19 @@ def test_sum_of_squares_bytes_equal_the_stacked_sum(shapes):
         ref = np.sum(np.stack(np.broadcast_arrays(*terms), -1) ** 2, axis=-1)
     assert got.shape == ref.shape
     assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(7,), (9, 5), (6, 4, 3)],
+                         ids=["1d", "2d", "3d"])
+def test_support_box_bounds_the_cells_that_are_not_plus_zero(shape):
+    rng = np.random.default_rng(8)
+    for trial in range(20):
+        values = np.zeros(shape)
+        cells = rng.uniform(size=shape) < 0.15
+        values[cells] = rng.choice([-0.0, -1.5, 2.0, 1e-300], cells.sum())
+        hit = np.nonzero(cells)
+        want = ([(int(ix.min()), int(ix.max())) for ix in hit]
+                if hit[0].size else None)
+        assert _support_box(values) == want
+    assert _support_box(np.zeros(shape)) is None
+    assert _support_box(np.full(shape, -0.0)) == [(0, n - 1) for n in shape]
